@@ -52,7 +52,7 @@ def fit_density_ratio():
             cp = evaluate_coframe(sol.tetrad, pt)
             dens = einstein_density(cp, curvature(spin_connection(cp)))
             orc = coordinate_oracle(sol.tetrad, pt)
-            ref = np.linalg.det(cp.e) * np.einsum("lj,jr->lr", orc.einstein, cp.einv)
+            ref = cp.det * np.einsum("lj,jr->lr", orc.einstein, cp.einv)
             mask = np.abs(ref) > 1e-8
             ratios.extend((dens[mask] / ref[mask]).ravel())
     return float(np.mean(ratios)), float(np.ptp(ratios))
@@ -65,7 +65,7 @@ def fit_theta_ratio():
         for pt in sol.sample_points(np.random.default_rng(5), 3):
             sec = section_point(sol.tetrad, pt)
             orc = coordinate_oracle(sol.tetrad, pt)
-            ratios.append(theta_density(sec) / (np.linalg.det(sec.cp.e) * orc.scalar))
+            ratios.append(theta_density(sec) / (sec.cp.det * orc.scalar))
     return float(np.mean(ratios)), float(np.ptp(ratios))
 
 
@@ -86,9 +86,8 @@ def fit_coupling():
     cp = evaluate_coframe(cfg.tetrad, pt)
     dens = einstein_density(cp, curvature(spin_connection(cp)))
     stress = em_stress(cp, field_strength(cfg, pt)).T
-    det = float(np.linalg.det(cp.e))
     mask = np.abs(stress) > 1e-12
-    vals = -2.0 * dens[mask] / (det * stress[mask])
+    vals = -2.0 * dens[mask] / (cp.det * stress[mask])
     return float(np.mean(vals)), float(np.ptp(vals))
 
 
@@ -100,7 +99,7 @@ def fit_obstruction():
         pt = (0.0, r, 1.2, 0.5)
         cp5 = evaluate_coframe(lifted, lift_point(pt))
         d5 = einstein_density(cp5, curvature(spin_connection(cp5)))
-        det4 = float(np.linalg.det(evaluate_coframe(cfg.tetrad, pt).e))
+        det4 = evaluate_coframe(cfg.tetrad, pt).det
         vals.append(d5[4, 4] / (cfg.k**2 * det4 * field_strength(cfg, pt).invariant))
     return float(np.mean(vals)), float(np.ptp(vals))
 

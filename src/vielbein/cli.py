@@ -36,13 +36,7 @@ from .frame import (
     torsion_residual,
 )
 from .gauge import GaugeError
-from .kaluza import (
-    KaluzaConfig,
-    appendix_chain_check,
-    einstein_maxwell_residual,
-    maxwell_residual,
-    reduction_check,
-)
+from .kaluza import KaluzaConfig, _KaluzaPoint, appendix_chain_check, reduction_check
 from .solutions import SOLUTIONS, make_solution, random_kaluza
 from .tensors import Signature
 from .variational import (
@@ -202,10 +196,10 @@ def _eval_point(job: JobConfig, tetrad, kcfg, point) -> dict[str, np.ndarray]:
         dens = einstein_density(cp, curvature(spin_connection(cp)))
         return {"vacuum": dens}
     if kind == "einstein-maxwell":
-        cfg = _need_kaluza(kind, kcfg)
+        kp = _KaluzaPoint(_need_kaluza(kind, kcfg), point)
         return {
-            "einstein_maxwell": einstein_maxwell_residual(cfg, point),
-            "maxwell": maxwell_residual(cfg, point).divergence,
+            "einstein_maxwell": kp.einstein_maxwell(),
+            "maxwell": kp.maxwell().divergence,
         }
     if kind == "identities":
         cp = evaluate_coframe(tetrad, point)
@@ -242,7 +236,7 @@ def _eval_point(job: JobConfig, tetrad, kcfg, point) -> dict[str, np.ndarray]:
         sec = section_point(tetrad, point)
         orc = coordinate_oracle(tetrad, point)
         dens = theta_density(sec)
-        defect = dens - THETA_RATIO * np.linalg.det(sec.cp.e) * orc.scalar
+        defect = dens - THETA_RATIO * sec.cp.det * orc.scalar
         return {"theta_density": np.array([defect])}
     raise ConfigError(f"unhandled check {kind!r}")  # pragma: no cover
 
@@ -269,6 +263,12 @@ def run_job(job: JobConfig, out_dir: Path, write_csv: bool) -> tuple[int, dict]:
         norms = {}
         for check_id, arr in sorted(named.items()):
             arr = np.atleast_1d(np.asarray(arr, dtype=float))
+            bad = np.argwhere(~np.isfinite(arr))
+            if bad.size:
+                idx = tuple(bad[0])
+                comp = "_".join(str(i) for i in idx)
+                raise EvaluationError(f"at point {point}: non-finite residual "
+                                      f"{check_id} component {comp} = {arr[idx]}")
             norm = float(np.abs(arr).max())
             norms[check_id] = norm
             per_check.setdefault(check_id, []).append(norm)
@@ -310,8 +310,8 @@ def run_job(job: JobConfig, out_dir: Path, write_csv: bool) -> tuple[int, dict]:
 
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "report.json"
-    report_path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n",
-                           encoding="utf-8")
+    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+    report_path.write_text(text + "\n", encoding="utf-8")
     if write_csv:
         dim_cols = [f"x{i + 1}" for i in range(dim)]
         with (out_dir / "points.csv").open("w", newline="", encoding="utf-8") as fh:

@@ -41,6 +41,7 @@ __all__ = [
     "metric_inverse",
     "sigma",
     "spin_connection",
+    "omega_mixed",
     "torsion_residual",
     "curvature",
     "einstein_density",
@@ -120,14 +121,11 @@ class CoframePoint:
     einv: np.ndarray
     E: np.ndarray
     signature: Signature
+    det: float
 
     @property
     def m(self) -> int:
         return self.signature.m
-
-    @property
-    def det(self) -> float:
-        return float(np.linalg.det(self.e))
 
 
 @dataclass(frozen=True)
@@ -168,6 +166,7 @@ def _coframe_point_from_jets(point, ja: JetArray, signature: Signature) -> Cofra
     return CoframePoint(
         x=tuple(float(c) for c in point),
         e=e, de=ja.jac, dde=ja.hess, einv=einv, E=E, signature=signature,
+        det=det,
     )
 
 
@@ -217,21 +216,22 @@ def spin_connection(cp: CoframePoint) -> SpinConnectionPoint:
     return SpinConnectionPoint(omega=w.val, domega=w.jac, signature=cp.signature)
 
 
-def _omega_mixed(sp: SpinConnectionPoint) -> np.ndarray:
+def omega_mixed(sp: SpinConnectionPoint) -> np.ndarray:
+    """omega_i^mu_nu: the connection with its second frame index lowered."""
     return np.einsum("imn,ns->ims", sp.omega, eta(sp.signature))
 
 
 def torsion_residual(cp: CoframePoint, sp: SpinConnectionPoint) -> np.ndarray:
     """2 E^mu_ij - (omega_i^mu_nu e^nu_j - omega_j^mu_nu e^nu_i); ~0 for the
     connection computed from the same frame point."""
-    wmix = _omega_mixed(sp)
+    wmix = omega_mixed(sp)
     a = np.einsum("imn,nj->mij", wmix, cp.e)
     return 2.0 * cp.E - (a - a.swapaxes(1, 2))
 
 
 def curvature(sp: SpinConnectionPoint) -> CurvaturePoint:
     d1 = np.einsum("ilsj->jils", sp.domega)
-    wmix = _omega_mixed(sp)
+    wmix = omega_mixed(sp)
     quad = np.einsum("jle,ies->jils", wmix, sp.omega)
     r = d1 - d1.swapaxes(0, 1) + quad - quad.swapaxes(0, 1)
     # both antisymmetries hold exactly after explicit antisymmetrization

@@ -15,6 +15,7 @@ stress tensor plus the Maxwell divergence block.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -22,11 +23,13 @@ import numpy as np
 from .expr import Expr
 from .frame import (
     CoframePoint,
+    SpinConnectionPoint,
+    _coframe_point_from_jets,
+    curvature,
     einstein_density,
     eval_entry,
-    evaluate_coframe,
-    curvature,
     metric_inverse,
+    omega_mixed,
     spin_connection,
 )
 from .gauge import GaugeElement, gauge_transform_frame
@@ -82,6 +85,30 @@ class KaluzaConfig:
             raise ValueError("potential needs exactly four entries")
 
 
+def _eval_potential(cfg: KaluzaConfig, jets: Sequence[Jet2]) -> JetArray:
+    """Potential entries at the seeded jets: val[a] = A_a, jac[a, b] = d_b A_a."""
+    pot = [eval_entry(entry, jets, cfg.params) for entry in cfg.potential]
+    return stack_jets(pot, (4,), jets[0].dim)
+
+
+def _lift_jets(tet: JetArray, pot: JetArray, k: float, nd: int) -> JetArray:
+    """5x5 coframe jets over ``nd`` base coordinates: tetrad block, fifth row
+    (-k A_i, 1), fifth column zero.  Derivative slots past the operands' own
+    stay zero, which is the cylinder condition."""
+    n = tet.dim
+    val = np.zeros((5, 5))
+    jac = np.zeros((5, 5, nd))
+    hess = np.zeros((5, 5, nd, nd))
+    val[:4, :4] = tet.val
+    jac[:4, :4, :n] = tet.jac
+    hess[:4, :4, :n, :n] = tet.hess
+    val[4, :4] = -k * pot.val
+    jac[4, :4, :n] = -k * pot.jac
+    hess[4, :4, :n, :n] = -k * pot.hess
+    val[4, 4] = 1.0
+    return JetArray(val, jac, hess)
+
+
 class LiftedCoframeField:
     """5D coframe provider assembled from a Kaluza configuration."""
 
@@ -93,22 +120,8 @@ class LiftedCoframeField:
 
     def eval_jets(self, jets: Sequence[Jet2]) -> JetArray:
         cfg = self.cfg
-        tet = cfg.tetrad.eval_jets(jets)
-        nd = jets[0].dim
-        pot = [eval_entry(entry, jets, cfg.params) for entry in cfg.potential]
-
-        val = np.zeros((5, 5))
-        jac = np.zeros((5, 5, nd))
-        hess = np.zeros((5, 5, nd, nd))
-        val[:4, :4] = tet.val
-        jac[:4, :4] = tet.jac
-        hess[:4, :4] = tet.hess
-        for i, a in enumerate(pot):
-            val[4, i] = -cfg.k * a.value
-            jac[4, i] = -cfg.k * a.grad
-            hess[4, i] = -cfg.k * a.hess
-        val[4, 4] = 1.0
-        return JetArray(val, jac, hess)
+        return _lift_jets(cfg.tetrad.eval_jets(jets), _eval_potential(cfg, jets),
+                          cfg.k, jets[0].dim)
 
 
 def lift_coframe(cfg: KaluzaConfig) -> LiftedCoframeField:
@@ -136,29 +149,6 @@ class FieldStrengthPoint:
         return float(np.einsum("mn,mn->", self.f_frame, self.f_frame_up))
 
 
-def _potential_jets(cfg: KaluzaConfig, point: Sequence[float]):
-    jets = jet_seed(point)
-    pot = [eval_entry(entry, jets, cfg.params) for entry in cfg.potential]
-    a_val = np.array([p.value for p in pot])
-    da = np.stack([p.grad for p in pot])     # da[a, b] = d_b A_a
-    dda = np.stack([p.hess for p in pot])
-    return a_val, da, dda
-
-
-def field_strength(cfg: KaluzaConfig, point: Sequence[float]) -> FieldStrengthPoint:
-    _, da, dda = _potential_jets(cfg, point)
-    f = da - da.T
-    df = dda - dda.transpose(1, 0, 2)
-    cp = evaluate_coframe(cfg.tetrad, point)
-    et = eta(SIG4)
-    f_frame = np.einsum("ji,jm,in->mn", f, cp.einv, cp.einv)
-    f_frame_up = et @ f_frame @ et
-    return FieldStrengthPoint(
-        f_coord=f, df_coord=df, f_frame=f_frame, f_frame_up=f_frame_up,
-        f_frame_mixed=et @ f_frame,
-    )
-
-
 @dataclass(frozen=True)
 class StressTensorPoint:
     T: np.ndarray              # mixed: coordinate index up, frame index down
@@ -176,40 +166,10 @@ def em_stress(cp: CoframePoint, fs: FieldStrengthPoint) -> StressTensorPoint:
     return StressTensorPoint(T=t)
 
 
-def einstein_maxwell_residual(cfg: KaluzaConfig, point: Sequence[float]) -> np.ndarray:
-    """Curvature density of the tetrad minus the stress source term;
-    vanishes on solutions of the coupled system."""
-    cp = evaluate_coframe(cfg.tetrad, point)
-    sp = spin_connection(cp)
-    dens = einstein_density(cp, curvature(sp))
-    fs = field_strength(cfg, point)
-    stress = em_stress(cp, fs)
-    det = float(np.linalg.det(cp.e))
-    return dens + 0.5 * det * cfg.k ** 2 * stress.T
-
-
 @dataclass(frozen=True)
 class MaxwellResidual:
     raw: np.ndarray            # density-weighted residual, frame index up
     divergence: np.ndarray     # covariant divergence of F^{alpha beta}
-
-
-def maxwell_residual(cfg: KaluzaConfig, point: Sequence[float]) -> MaxwellResidual:
-    cp = evaluate_coframe(cfg.tetrad, point)
-    sp = spin_connection(cp)
-    et = eta(SIG4)
-    _, da, dda = _potential_jets(cfg, point)
-    f1 = JetArray(da - da.T, dda - dda.transpose(1, 0, 2))
-    e1 = JetArray(cp.e, cp.de)
-    einv1 = jet_matinv(e1)
-    fup1 = jet_einsum("am,bn,ji,jm,in->ab", et, et, f1, einv1, einv1)
-    wmix = np.einsum("imn,ns->ims", sp.omega, et)
-    term = (fup1.jac
-            + np.einsum("iae,eb->abi", wmix, fup1.val)
-            + np.einsum("ibe,ae->abi", wmix, fup1.val))
-    div = np.einsum("ib,abi->a", cp.einv, term)
-    det = float(np.linalg.det(cp.e))
-    return MaxwellResidual(raw=0.5 * det * cfg.k * div, divergence=div)
 
 
 @dataclass(frozen=True)
@@ -226,33 +186,6 @@ class ReductionReport:
     def max_deviation(self) -> float:
         return max(self.fiber_fiber, self.fiber_rotation,
                    self.mixed_block, self.base_block)
-
-
-def reduction_check(cfg: KaluzaConfig, point: Sequence[float]) -> ReductionReport:
-    """Two-path check: the 5D torsion-free connection of the lifted frame
-    against closed forms built from the 4D connection and field strength."""
-    lifted = lift_coframe(cfg)
-    cp5 = evaluate_coframe(lifted, lift_point(point))
-    sp5 = spin_connection(cp5)
-    w = sp5.omega
-
-    cp4 = evaluate_coframe(cfg.tetrad, point)
-    sp4 = spin_connection(cp4)
-    fs = field_strength(cfg, point)
-    a_val, _, _ = _potential_jets(cfg, point)
-    k = cfg.k
-
-    dev_a = float(np.abs(w[4, :4, 4]).max())
-    dev_b = float(np.abs(w[4, :4, :4] + 0.5 * k * fs.f_frame_up).max())
-    target_c = -0.5 * k * np.einsum("nr,rj->jn", fs.f_frame_mixed, cp4.e)
-    dev_c = float(np.abs(w[:4, :4, 4] - target_c).max())
-    target_d = sp4.omega + 0.5 * k * k * np.einsum("mn,i->imn", fs.f_frame_up, a_val)
-    dev_d = float(np.abs(w[:4, :4, :4] - target_d).max())
-
-    de5 = cp5.de[4, :4, :4]
-    vortex = -2.0 * (de5.T - de5)     # -2 (d_a e5_b - d_b e5_a)
-    return ReductionReport(fiber_fiber=dev_a, fiber_rotation=dev_b,
-                           mixed_block=dev_c, base_block=dev_d, vortex=vortex)
 
 
 @dataclass(frozen=True)
@@ -289,72 +222,160 @@ class ChainReport:
         return max(*self.einstein_deviations, *self.maxwell_deviations)
 
 
+class _KaluzaPoint:
+    """A configuration at one point, built from a single evaluation of the
+    tetrad and of each potential entry: the 4D frame, its connection and the
+    field strength, and the lifted 5D frame and connection, each computed on
+    first use."""
+
+    def __init__(self, cfg: KaluzaConfig, point: Sequence[float]):
+        jets = jet_seed(point)
+        self.cfg = cfg
+        self.tet = cfg.tetrad.eval_jets(jets)
+        self.pot = _eval_potential(cfg, jets)
+        self.cp = _coframe_point_from_jets(point, self.tet, SIG4)
+
+    @cached_property
+    def sp(self) -> SpinConnectionPoint:
+        return spin_connection(self.cp)
+
+    @cached_property
+    def cp5(self) -> CoframePoint:
+        # the entries never read x5, so padding the 4D jets with zero x5
+        # derivatives equals evaluating the lifted field at 5D seeds
+        ja = _lift_jets(self.tet, self.pot, self.cfg.k, 5)
+        return _coframe_point_from_jets(lift_point(self.cp.x), ja, SIG5)
+
+    @cached_property
+    def sp5(self) -> SpinConnectionPoint:
+        return spin_connection(self.cp5)
+
+    @cached_property
+    def fs(self) -> FieldStrengthPoint:
+        da, dda = self.pot.jac, self.pot.hess
+        f = da - da.T
+        df = dda - dda.transpose(1, 0, 2)
+        einv = self.cp.einv
+        et = eta(SIG4)
+        f_frame = np.einsum("ji,jm,in->mn", f, einv, einv)
+        f_frame_up = et @ f_frame @ et
+        return FieldStrengthPoint(
+            f_coord=f, df_coord=df, f_frame=f_frame, f_frame_up=f_frame_up,
+            f_frame_mixed=et @ f_frame,
+        )
+
+    def einstein_maxwell(self) -> np.ndarray:
+        cp = self.cp
+        dens = einstein_density(cp, curvature(self.sp))
+        stress = em_stress(cp, self.fs)
+        return dens + 0.5 * cp.det * self.cfg.k ** 2 * stress.T
+
+    def maxwell(self) -> MaxwellResidual:
+        cp = self.cp
+        et = eta(SIG4)
+        f1 = JetArray(self.fs.f_coord, self.fs.df_coord)
+        einv1 = jet_matinv(JetArray(cp.e, cp.de))
+        fup1 = jet_einsum("am,bn,ji,jm,in->ab", et, et, f1, einv1, einv1)
+        wmix = omega_mixed(self.sp)
+        term = (fup1.jac
+                + np.einsum("iae,eb->abi", wmix, fup1.val)
+                + np.einsum("ibe,ae->abi", wmix, fup1.val))
+        div = np.einsum("ib,abi->a", cp.einv, term)
+        return MaxwellResidual(raw=0.5 * cp.det * self.cfg.k * div, divergence=div)
+
+    def reduction(self) -> ReductionReport:
+        w = self.sp5.omega
+        fs = self.fs
+        k = self.cfg.k
+
+        dev_a = float(np.abs(w[4, :4, 4]).max())
+        dev_b = float(np.abs(w[4, :4, :4] + 0.5 * k * fs.f_frame_up).max())
+        target_c = -0.5 * k * np.einsum("nr,rj->jn", fs.f_frame_mixed, self.cp.e)
+        dev_c = float(np.abs(w[:4, :4, 4] - target_c).max())
+        target_d = self.sp.omega + 0.5 * k * k * np.einsum("mn,i->imn", fs.f_frame_up,
+                                                           self.pot.val)
+        dev_d = float(np.abs(w[:4, :4, :4] - target_d).max())
+
+        de5 = self.cp5.de[4, :4, :4]
+        vortex = -2.0 * (de5.T - de5)     # -2 (d_a e5_b - d_b e5_a)
+        return ReductionReport(fiber_fiber=dev_a, fiber_rotation=dev_b,
+                               mixed_block=dev_c, base_block=dev_d, vortex=vortex)
+
+    def chain(self) -> ChainReport:
+        cp5, sp5 = self.cp5, self.sp5
+
+        # route 1: raw 5D residual block, sliced into base and fiber rows
+        elb5 = el_residual_frame(SectionPoint(cp5, sp5, holonomic=True))
+        e_form1 = elb5[:4, :4]
+        m_form1 = elb5[:4, 4]
+
+        # route 2: expansion over 4D-ranged indices in 5D connection
+        # components; terms sharing a contraction are summed before it
+        w = sp5.omega
+        dw = sp5.domega
+        wmix = omega_mixed(sp5)
+        w44 = w[:4, :4, :4]
+        wmix44 = wmix[:4, :4, :4]
+        w_col5 = w[:4, :4, 4]           # omega_j^{lam 5}
+        w5_44 = w[4, :4, :4]            # omega_5^{lam sig}
+        wmix5_44 = wmix[4, :4, :4]      # omega_5^lam_eta
+        dw44 = np.einsum("istj->ijst", dw[:4, :4, :4, :4])
+        dw5 = dw[4, :4, :4, :4]         # d_j omega_5^{st} -> [s, t, j]
+        e4 = cp5.e[:4, :4]
+        e5row = cp5.e[4, :4]
+        eps4 = levi_civita(4)
+
+        # quadratic block plus the cross term of the fifth column
+        base = (dw44 + np.einsum("jse,iet->ijst", wmix44, w44)
+                - np.einsum("js,it->ijst", w_col5, w_col5))
+        # fiber block minus its back-reaction; the Maxwell column shares it
+        fiber = (np.einsum("stj->jst", dw5)
+                 + np.einsum("jse,et->jst", wmix44, w5_44)
+                 - np.einsum("se,jet->jst", wmix5_44, w44))
+        fifth = np.einsum("te,je->jt", wmix5_44, w_col5)
+        e_form2 = (
+            0.5 * np.einsum("plij,nrst,ijst,np->lr", eps4, eps4, base, e4,
+                            optimize=True)
+            + 0.5 * np.einsum("plij,nrst,jst,p,ni->lr", eps4, eps4, fiber,
+                              e5row, e4, optimize=True)
+            + 0.5 * np.einsum("plij,nrst,jt,np,si->lr", eps4, eps4, fifth,
+                              e4, e4, optimize=True))
+        m_form2 = -0.25 * np.einsum("qpli,mnst,ist,mq,np->l", eps4, eps4, fiber,
+                                    e4, e4, optimize=True)
+
+        # route 3: stress-sourced Einstein block of the tetrad alone, and the
+        # divergence form pulled back to a coordinate index
+        e_form3 = self.einstein_maxwell()
+        m_form3 = np.einsum("la,a->l", self.cp.einv, self.maxwell().raw)
+
+        return ChainReport(
+            einstein_forms=(e_form1, e_form2, e_form3),
+            maxwell_forms=(m_form1, m_form2, m_form3),
+        )
+
+
+def field_strength(cfg: KaluzaConfig, point: Sequence[float]) -> FieldStrengthPoint:
+    return _KaluzaPoint(cfg, point).fs
+
+
+def einstein_maxwell_residual(cfg: KaluzaConfig, point: Sequence[float]) -> np.ndarray:
+    """Curvature density of the tetrad minus the stress source term;
+    vanishes on solutions of the coupled system."""
+    return _KaluzaPoint(cfg, point).einstein_maxwell()
+
+
+def maxwell_residual(cfg: KaluzaConfig, point: Sequence[float]) -> MaxwellResidual:
+    return _KaluzaPoint(cfg, point).maxwell()
+
+
+def reduction_check(cfg: KaluzaConfig, point: Sequence[float]) -> ReductionReport:
+    """Two-path check: the 5D torsion-free connection of the lifted frame
+    against closed forms built from the 4D connection and field strength."""
+    return _KaluzaPoint(cfg, point).reduction()
+
+
 def appendix_chain_check(cfg: KaluzaConfig, point: Sequence[float]) -> ChainReport:
-    lifted = lift_coframe(cfg)
-    cp5 = evaluate_coframe(lifted, lift_point(point))
-    sp5 = spin_connection(cp5)
-    sec5 = SectionPoint(cp5, sp5, holonomic=True)
-
-    # route 1: raw 5D residual block, sliced into base and fiber rows
-    elb5 = el_residual_frame(sec5)
-    e_form1 = elb5[:4, :4]
-    m_form1 = elb5[:4, 4]
-
-    # route 2: expansion over 4D-ranged indices in 5D connection components
-    w = sp5.omega
-    dw = sp5.domega
-    et5 = eta(SIG5)
-    wmix = np.einsum("imn,ns->ims", w, et5)
-    w44 = w[:4, :4, :4]
-    wmix44 = wmix[:4, :4, :4]
-    w_col5 = w[:4, :4, 4]           # omega_j^{lam 5}
-    w5_44 = w[4, :4, :4]            # omega_5^{lam sig}
-    wmix5_44 = wmix[4, :4, :4]      # omega_5^lam_eta
-    dw44 = np.einsum("istj->ijst", dw[:4, :4, :4, :4])
-    dw5 = dw[4, :4, :4, :4]         # d_j omega_5^{st} -> [s, t, j]
-    e4 = cp5.e[:4, :4]
-    e5row = cp5.e[4, :4]
-    eps4 = levi_civita(4)
-
-    quad44 = dw44 + np.einsum("jse,iet->ijst", wmix44, w44)
-    t1 = 0.5 * np.einsum("plij,nrst,ijst,np->lr", eps4, eps4, quad44, e4,
-                         optimize=True)
-    cross = -np.einsum("js,it->ijst", w_col5, w_col5)
-    t2 = 0.5 * np.einsum("plij,nrst,ijst,np->lr", eps4, eps4, cross, e4,
-                         optimize=True)
-    fiber_quad = (np.einsum("stj->jst", dw5)
-                  + np.einsum("jse,et->jst", wmix44, w5_44))
-    t3 = 0.5 * np.einsum("plij,nrst,jst,p,ni->lr", eps4, eps4, fiber_quad,
-                         e5row, e4, optimize=True)
-    back_quad = np.einsum("se,jet->jst", wmix5_44, w44)
-    t4 = -0.5 * np.einsum("plij,nrst,jst,p,ni->lr", eps4, eps4, back_quad,
-                          e5row, e4, optimize=True)
-    fifth = np.einsum("te,je->jt", wmix5_44, w_col5)
-    t5 = 0.5 * np.einsum("plij,nrst,jt,np,si->lr", eps4, eps4, fifth,
-                         e4, e4, optimize=True)
-    e_form2 = t1 + t2 + t3 + t4 + t5
-
-    # route 3: stress-sourced Einstein block of the tetrad alone
-    e_form3 = einstein_maxwell_residual(cfg, point)
-
-    # Maxwell chain: fiber column of the raw block, its expansion, and the
-    # divergence form pulled back to a coordinate index
-    m_quad1 = np.einsum("stj->jst", dw5) + np.einsum("jse,et->jst", wmix44, w5_44)
-    m_t1 = -0.25 * np.einsum("qpli,mnst,ist,mq,np->l", eps4, eps4, m_quad1,
-                             e4, e4, optimize=True)
-    m_quad2 = np.einsum("se,iet->ist", wmix5_44, w44)
-    m_t2 = 0.25 * np.einsum("qpli,mnst,ist,mq,np->l", eps4, eps4, m_quad2,
-                            e4, e4, optimize=True)
-    m_form2 = m_t1 + m_t2
-
-    cp4 = evaluate_coframe(cfg.tetrad, point)
-    raw = maxwell_residual(cfg, point).raw
-    m_form3 = np.einsum("la,a->l", cp4.einv, raw)
-
-    return ChainReport(
-        einstein_forms=(e_form1, e_form2, e_form3),
-        maxwell_forms=(m_form1, m_form2, m_form3),
-    )
+    return _KaluzaPoint(cfg, point).chain()
 
 
 def restricted_gauge_element(lam4_generator, fiber_shift: Expr | None,
@@ -485,29 +506,23 @@ def covariance_check(cfg: KaluzaConfig, point: Sequence[float],
     f_poly = Poly.random(rng, 4, degree=3, amplitude=amplitude)
     cfg2 = transform_config(cfg, lam4_gen, f_poly)
 
-    fs1 = field_strength(cfg, point)
-    fs2 = field_strength(cfg2, point)
-    dev_f = float(np.abs(fs1.f_coord - fs2.f_coord).max())
+    kp1 = _KaluzaPoint(cfg, point)
+    kp2 = _KaluzaPoint(cfg2, point)
+    dev_f = float(np.abs(kp1.fs.f_coord - kp2.fs.f_coord).max())
 
-    cp1 = evaluate_coframe(cfg.tetrad, point)
-    cp2 = evaluate_coframe(cfg2.tetrad, point)
-    em1 = np.einsum("lr,rm->lm", einstein_maxwell_residual(cfg, point), cp1.e)
-    em2 = np.einsum("lr,rm->lm", einstein_maxwell_residual(cfg2, point), cp2.e)
+    em1 = np.einsum("lr,rm->lm", kp1.einstein_maxwell(), kp1.cp.e)
+    em2 = np.einsum("lr,rm->lm", kp2.einstein_maxwell(), kp2.cp.e)
     dev_em = float(np.abs(em1 - em2).max())
 
-    mx1 = np.einsum("la,a->l", cp1.einv, maxwell_residual(cfg, point).raw)
-    mx2 = np.einsum("la,a->l", cp2.einv, maxwell_residual(cfg2, point).raw)
+    mx1 = np.einsum("la,a->l", kp1.cp.einv, kp1.maxwell().raw)
+    mx2 = np.einsum("la,a->l", kp2.cp.einv, kp2.maxwell().raw)
     dev_mx = float(np.abs(mx1 - mx2).max())
 
     # point-level path through the 5D blocked gauge element
     ge5 = restricted_gauge_element(lam4_gen, f_poly.to_expr())
-    cp5 = evaluate_coframe(lift_coframe(cfg), lift_point(point))
-    cp5bar = gauge_transform_frame(cp5, ge5)
+    cp5bar = gauge_transform_frame(kp1.cp5, ge5)
     dev_constraint = max(abs(cp5bar.e[4, 4] - 1.0), float(np.abs(cp5bar.e[:4, 4]).max()))
-    jets = jet_seed(point)
-    abar = np.array([eval_entry(entry, jets, cfg2.params).value
-                     for entry in cfg2.potential])
-    dev_pot = float(np.abs(cp5bar.e[4, :4] + cfg.k * abar).max())
+    dev_pot = float(np.abs(cp5bar.e[4, :4] + cfg.k * kp2.pot.val).max())
 
     return CovarianceReport(field_strength=dev_f, einstein_block=dev_em,
                             maxwell_block=dev_mx, constraint=dev_constraint,

@@ -1,4 +1,4 @@
-"""Signatures, flat metrics, permutation symbols, and checked contraction.
+"""Signatures, flat metrics, and permutation symbols.
 
 Everything here is dense and small (dimension <= 8): permutation symbols are
 materialized once per dimension as sign tables, which removes parity
@@ -13,22 +13,7 @@ from itertools import permutations
 
 import numpy as np
 
-__all__ = [
-    "Signature",
-    "eta",
-    "levi_civita",
-    "Index",
-    "Tensor",
-    "epsilon_tensor",
-    "eta_tensor",
-    "epsilon_contract",
-    "ContractionError",
-    "COORD",
-    "FRAME",
-]
-
-COORD = "coord"
-FRAME = "frame"
+__all__ = ["Signature", "eta", "levi_civita"]
 
 
 @dataclass(frozen=True)
@@ -45,10 +30,6 @@ class Signature:
     @property
     def m(self) -> int:
         return self.p + self.q
-
-    @property
-    def eta(self) -> np.ndarray:
-        return eta(self)
 
 
 def eta(sig: Signature) -> np.ndarray:
@@ -73,80 +54,3 @@ def levi_civita(m: int) -> np.ndarray:
     if not 1 <= m <= 8:
         raise ValueError(f"unsupported dimension {m}")
     return _levi_civita_table(m)
-
-
-@dataclass(frozen=True)
-class Index:
-    kind: str   # COORD or FRAME
-    up: bool
-    extent: int
-
-
-class ContractionError(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class Tensor:
-    """Dense array plus index-variance metadata.
-
-    Contraction is only allowed between one upper and one lower index of the
-    same kind and extent; :func:`epsilon_contract` enforces this.
-    """
-
-    data: np.ndarray
-    indices: tuple[Index, ...]
-
-    def __post_init__(self):
-        if self.data.ndim != len(self.indices):
-            raise ContractionError(
-                f"rank {self.data.ndim} array with {len(self.indices)} index slots"
-            )
-        for ax, ix in enumerate(self.indices):
-            if self.data.shape[ax] != ix.extent:
-                raise ContractionError(
-                    f"axis {ax} has extent {self.data.shape[ax]}, index says {ix.extent}"
-                )
-
-
-def epsilon_tensor(m: int, up: bool = True, kind: str = COORD) -> Tensor:
-    ix = Index(kind=kind, up=up, extent=m)
-    return Tensor(np.asarray(levi_civita(m)), (ix,) * m)
-
-
-def eta_tensor(sig: Signature, up: bool = False) -> Tensor:
-    ix = Index(kind=FRAME, up=up, extent=sig.m)
-    return Tensor(eta(sig), (ix, ix))
-
-
-def epsilon_contract(a: Tensor, b: Tensor, pattern: str) -> Tensor:
-    """Contract two tensors along an einsum-style pattern with variance checks.
-
-    Letters shared between the two operands are summed; they must pair one
-    upper with one lower index of matching kind and extent.  Permutation
-    signs come out right because sign tables, not abstract symbols, are
-    being contracted.
-    """
-    ins, out = pattern.split("->")
-    sub_a, sub_b = ins.split(",")
-    if len(sub_a) != len(a.indices) or len(sub_b) != len(b.indices):
-        raise ContractionError(f"pattern {pattern!r} does not match operand ranks")
-    slots: dict[str, Index] = {}
-    for letter, ix in zip(sub_a + sub_b, a.indices + b.indices):
-        if letter not in slots:
-            slots[letter] = ix
-            continue
-        prev = slots[letter]
-        if prev.extent != ix.extent:
-            raise ContractionError(f"index {letter!r}: extents {prev.extent} != {ix.extent}")
-        if prev.kind != ix.kind:
-            raise ContractionError(f"index {letter!r}: kinds {prev.kind} != {ix.kind}")
-        if prev.up == ix.up:
-            raise ContractionError(
-                f"index {letter!r}: contraction needs one upper and one lower slot"
-            )
-    for letter in out:
-        if letter not in slots:
-            raise ContractionError(f"output index {letter!r} absent from operands")
-    data = np.einsum(pattern, a.data, b.data, optimize=True)
-    return Tensor(data, tuple(slots[letter] for letter in out))

@@ -21,10 +21,11 @@ from .frame import (
     SpinConnectionPoint,
     epsilon_pair_spec,
     evaluate_coframe,
+    omega_mixed,
     spin_connection,
 )
 from .gauge import GaugeElement, evaluate_gauge, gauge_transform_frame, gauge_transform_omega
-from .tensors import eta, levi_civita
+from .tensors import levi_civita
 
 __all__ = [
     "SectionPoint",
@@ -55,14 +56,10 @@ def section_point(field, point: Sequence[float]) -> SectionPoint:
     return SectionPoint(cp=cp, sp=spin_connection(cp), holonomic=True)
 
 
-def _wmix(section: SectionPoint) -> np.ndarray:
-    return np.einsum("imn,ns->ims", section.sp.omega, eta(section.sp.signature))
-
-
 def contact_pullback(section: SectionPoint) -> np.ndarray:
     """Coefficients of the pulled-back contact two-forms over dx^a ^ dx^b;
     identically zero exactly when the section is holonomic."""
-    cp, wmix = section.cp, _wmix(section)
+    cp, wmix = section.cp, omega_mixed(section.sp)
     t = np.einsum("amn,nb->mab", wmix, cp.e)
     return cp.de.swapaxes(1, 2) - cp.de + t - t.swapaxes(1, 2)
 
@@ -70,7 +67,7 @@ def contact_pullback(section: SectionPoint) -> np.ndarray:
 def _quadratic_block(section: SectionPoint) -> np.ndarray:
     """W[i, j, lam, sig] = d_j omega_i^{lam sig} + omega_j^lam_eta omega_i^{eta sig}."""
     sp = section.sp
-    wmix = _wmix(section)
+    wmix = omega_mixed(sp)
     return (np.einsum("istj->ijst", sp.domega)
             + np.einsum("jse,iet->ijst", wmix, sp.omega))
 
@@ -106,7 +103,7 @@ def omega_shuffle_identity(section: SectionPoint) -> float:
     m = section.m
     cp, sp = section.cp, section.sp
     eps = levi_civita(m)
-    wmix = _wmix(section)
+    wmix = omega_mixed(sp)
 
     spec_l = epsilon_pair_spec(m - 2, "ij", "st", ["jsh"], "iht")
     lhs = np.einsum(spec_l, *([eps, eps] + [cp.e] * (m - 2) + [wmix]),
@@ -127,7 +124,7 @@ def el_residual_connection(section: SectionPoint) -> np.ndarray:
     m = section.m
     cp = section.cp
     eps = levi_civita(m)
-    wmix = _wmix(section)
+    wmix = omega_mixed(section.sp)
     u = cp.de + np.einsum("jre,el->rlj", wmix, cp.e)
     spec = epsilon_pair_spec(m - 3, "lij", "rst", ["rlj"], "ist")
     args = [eps, eps] + [cp.e] * (m - 3) + [u]

@@ -116,6 +116,31 @@ def test_domain_error_exit_three(tmp_path, capsys):
     assert "sqrt" in err       # offending subexpression reported
 
 
+# 0*ln(x2) has a finite value but a 1/x2 derivative that overflows at
+# x2 = 1e-310, so the middle point's residual is NaN
+NAN_GRID = [[0.0, 0.5, 0.0, 0.0], [0.0, 1e-310, 0.0, 0.0], [0.0, 0.7, 0.0, 0.0]]
+NAN_JOB = {
+    "check": "vacuum",
+    "solution": {"inline": {
+        "signature": [1, 3],
+        "tetrad": [["1 + 0*ln(x2)", 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
+                   [0, 0, 0, 1]],
+    }},
+    "tolerance": 1e-8,
+    "seed": 0,
+}
+
+
+@pytest.mark.parametrize("order", [[0, 1, 2], [1, 0, 2]])
+def test_non_finite_residual_exit_three(tmp_path, capsys, order):
+    cfg = {**NAN_JOB, "grid": {"points": [NAN_GRID[i] for i in order]}}
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "1e-310" in err and "vacuum" in err and "non-finite" in err
+    assert not (out / "report.json").exists()
+
+
 def test_unwritable_out_dir_exit_two(tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("file, not a directory", encoding="utf-8")

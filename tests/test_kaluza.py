@@ -3,16 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from vielbein.cli import JobConfig, _eval_point
 from vielbein.expr import parse
 from vielbein.frame import (
     curvature,
     einstein_density,
+    eval_entry,
     evaluate_coframe,
     spin_connection,
 )
 from vielbein.kaluza import (
     SIG4,
     KaluzaConfig,
+    _KaluzaPoint,
     appendix_chain_check,
     covariance_check,
     einstein_maxwell_residual,
@@ -358,3 +361,74 @@ def test_config_validation():
     with pytest.raises(ValueError):
         KaluzaConfig(tetrad=minkowski().tetrad, potential=(0.0, 0.0), k=1.0,
                      params={})
+
+
+class _CountingTetrad:
+    """Coframe provider that delegates to ``field`` and counts evaluations."""
+
+    def __init__(self, field):
+        self._field = field
+        self.signature = field.signature
+        self.dim = field.dim
+        self.calls = 0
+
+    def eval_jets(self, jets):
+        self.calls += 1
+        return self._field.eval_jets(jets)
+
+
+class _CountingEntry:
+    """Potential entry that delegates to ``eval_entry`` and counts calls."""
+
+    def __init__(self, entry):
+        self._entry = entry
+        self.calls = 0
+
+    def __call__(self, jets, params):
+        self.calls += 1
+        return eval_entry(self._entry, jets, params)
+
+
+def _counting(cfg):
+    return KaluzaConfig(tetrad=_CountingTetrad(cfg.tetrad),
+                        potential=tuple(_CountingEntry(a) for a in cfg.potential),
+                        k=cfg.k, params=cfg.params)
+
+
+def _eval_einstein_maxwell_job(cfg, pt):
+    job = JobConfig.from_dict({"check": "einstein-maxwell",
+                               "solution": {"name": "reissner_nordstrom"},
+                               "grid": {"points": [list(pt)]}, "tolerance": 1.0})
+    return _eval_point(job, cfg.tetrad, cfg, pt)
+
+
+def _covariance(cfg, pt):
+    return covariance_check(cfg, pt, seed=900)
+
+
+# the covariance check evaluates the configuration and its gauge transform,
+# which reads the original tetrad and potential once more
+@pytest.mark.parametrize("run,evals", [(appendix_chain_check, 1), (reduction_check, 1),
+                                       (_eval_einstein_maxwell_job, 1), (_covariance, 2)])
+def test_one_tetrad_and_potential_evaluation_per_point(run, evals):
+    cfg = _counting(reissner_nordstrom(M=1.0, Q=0.5).kaluza_config())
+    pts = [(0.0, 3.0, 1.2, 0.1), (0.0, 6.0, 0.9, 0.4)]
+    for pt in pts:
+        run(cfg, pt)
+    assert cfg.tetrad.calls == evals * len(pts)
+    assert [a.calls for a in cfg.potential] == [evals * len(pts)] * 4
+
+
+@pytest.mark.parametrize("seed", [3, 11, 29, 47])
+def test_bundle_lift_equals_lifted_field(seed):
+    cfg = random_kaluza(seed=seed, amplitude=0.15, k=1.1)
+    kp = _KaluzaPoint(cfg, PT)
+    ref = evaluate_coframe(lift_coframe(cfg), lift_point(PT))
+    assert kp.cp5.x == ref.x
+    assert kp.cp5.signature == ref.signature
+    assert kp.cp5.det == ref.det
+    for name in ("e", "de", "dde", "einv", "E"):
+        assert np.array_equal(getattr(kp.cp5, name), getattr(ref, name)), name
+    sp_ref = spin_connection(ref)
+    assert np.array_equal(kp.sp5.omega, sp_ref.omega)
+    assert np.array_equal(kp.sp5.domega, sp_ref.domega)

@@ -4,19 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from vielbein.tensors import (
-    COORD,
-    ContractionError,
-    FRAME,
-    Index,
-    Signature,
-    Tensor,
-    epsilon_contract,
-    epsilon_tensor,
-    eta,
-    eta_tensor,
-    levi_civita,
-)
+from vielbein.tensors import Signature, eta, levi_civita
 
 
 def perm_sign(perm):
@@ -80,33 +68,30 @@ def test_levi_civita_antisymmetry(m, data):
 
 
 def test_epsilon_contract_m2_outer():
-    up = epsilon_tensor(2, up=True)
-    lo = epsilon_tensor(2, up=False)
-    out = epsilon_contract(up, lo, "ij,kl->ijkl")
-    assert out.data[0, 1, 0, 1] == 1.0
-    assert out.data[1, 0, 0, 1] == -1.0
+    eps = levi_civita(2)
+    out = np.einsum("ij,kl->ijkl", eps, eps)
+    assert out[0, 1, 0, 1] == 1.0
+    assert out[1, 0, 0, 1] == -1.0
 
 
 def test_epsilon_contract_m3_two_pair():
     # eps^{ijk} eps_{ljk} = 2 delta^i_l, checked against a brute-force sum
-    up = epsilon_tensor(3, up=True)
-    lo = epsilon_tensor(3, up=False)
-    out = epsilon_contract(up, lo, "ijk,ljk->il")
+    eps = levi_civita(3)
+    out = np.einsum("ijk,ljk->il", eps, eps)
     brute = np.zeros((3, 3))
     for i, l in itertools.product(range(3), repeat=2):
         for j, k in itertools.product(range(3), repeat=2):
             pi = perm_sign((i, j, k)) if len({i, j, k}) == 3 else 0
             pl = perm_sign((l, j, k)) if len({l, j, k}) == 3 else 0
             brute[i, l] += pi * pl
-    assert np.array_equal(out.data, brute)
-    assert np.array_equal(out.data, 2 * np.eye(3))
+    assert np.array_equal(out, brute)
+    assert np.array_equal(out, 2 * np.eye(3))
 
 
 def test_epsilon_contract_m4_two_pair_table():
     # eps^{qpij} eps_{qp l s}: full component table against brute force
-    up = epsilon_tensor(4, up=True)
-    lo = epsilon_tensor(4, up=False)
-    out = epsilon_contract(up, lo, "qpij,qpls->ijls")
+    eps = levi_civita(4)
+    out = np.einsum("qpij,qpls->ijls", eps, eps)
     brute = np.zeros((4, 4, 4, 4))
     for i, j, l, s in itertools.product(range(4), repeat=4):
         for q, p in itertools.product(range(4), repeat=2):
@@ -115,45 +100,19 @@ def test_epsilon_contract_m4_two_pair_table():
             pa = perm_sign(a) if len(set(a)) == 4 else 0
             pb = perm_sign(b) if len(set(b)) == 4 else 0
             brute[i, j, l, s] += pa * pb
-    assert np.array_equal(out.data, brute)
+    assert np.array_equal(out, brute)
     # antisymmetrized Kronecker pattern: 2! * 2 * delta^[i_l delta^j]_s
     delta = np.eye(4)
     expect = 2.0 * (np.einsum("il,js->ijls", delta, delta)
                     - np.einsum("is,jl->ijls", delta, delta))
-    assert np.array_equal(out.data, expect)
+    assert np.array_equal(out, expect)
 
 
 def test_epsilon_kills_symmetric_pairs(rng):
     for m in (2, 3, 4, 5):
-        eps = epsilon_tensor(m, up=False)
+        eps = levi_civita(m)
         sym = rng.standard_normal((m, m))
         sym = sym + sym.T
-        t = Tensor(sym, (Index(COORD, True, m), Index(COORD, True, m)))
         spec = "".join(chr(97 + k) for k in range(m))
-        out = epsilon_contract(eps, t, f"{spec},{spec[-2:]}->{spec[:-2]}")
-        assert np.abs(out.data).max() == 0.0
-
-
-def test_contraction_variance_errors(rng):
-    m = 3
-    up = Index(COORD, True, m)
-    lo = Index(COORD, False, m)
-    flo = Index(FRAME, False, m)
-    a = Tensor(rng.standard_normal((m, m)), (up, up))
-    b = Tensor(rng.standard_normal((m, m)), (up, lo))
-    c = Tensor(rng.standard_normal((m, m)), (flo, flo))
-    with pytest.raises(ContractionError):
-        epsilon_contract(a, a, "ij,jk->ik")       # up-up contraction
-    with pytest.raises(ContractionError):
-        epsilon_contract(a, c, "ij,jk->ik")       # coord against frame
-    with pytest.raises(ContractionError):
-        epsilon_contract(a, b, "ij,kl->ijklx")    # phantom output index
-    with pytest.raises(ContractionError):
-        Tensor(rng.standard_normal((m, m + 1)), (up, up))
-    out = epsilon_contract(a, b, "ij,kj->ik")     # up against lo is fine
-    assert out.indices == (up, up)
-
-
-def test_eta_tensor_indices():
-    t = eta_tensor(Signature(1, 3))
-    assert all(ix.kind == FRAME and not ix.up for ix in t.indices)
+        out = np.einsum(f"{spec},{spec[-2:]}->{spec[:-2]}", eps, sym)
+        assert np.abs(out).max() == 0.0
