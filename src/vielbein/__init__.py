@@ -9,7 +9,7 @@ solutions and an independent coordinate-chart oracle.
 
 __version__ = "0.1.0"
 
-from .jets import Jet2, jet_seed
+from .jets import JetArray, jet_seed
 from .tensors import Signature, eta, levi_civita
 from .expr import parse, eval_jet
 from .frame import (
@@ -27,7 +27,7 @@ from .frame import (
 
 __all__ = [
     "__version__",
-    "Jet2",
+    "JetArray",
     "jet_seed",
     "Signature",
     "eta",

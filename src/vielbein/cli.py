@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import inspect
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -26,24 +26,24 @@ from .expr import ExprError, parse
 from .frame import (
     CoframeField,
     DegenerateFrameError,
-    coordinate_oracle,
+    _coframe_point_from_jets,
     curvature,
     curvature_to_coordinate,
     einstein_density,
-    evaluate_coframe,
+    oracle_from_coframe,
     spin_connection,
     spin_connection_via_christoffels,
     torsion_residual,
 )
 from .gauge import GaugeError
-from .kaluza import KaluzaConfig, _KaluzaPoint, appendix_chain_check, reduction_check
+from .jets import jet_seed
+from .kaluza import KaluzaConfig, _KaluzaPoint, config_jets
 from .solutions import SOLUTIONS, make_solution, random_kaluza
 from .tensors import Signature
 from .variational import (
     SectionPoint,
     contact_pullback,
     omega_shuffle_identity,
-    section_point,
     theta_density,
 )
 
@@ -51,6 +51,12 @@ __all__ = ["JobConfig", "ConfigError", "run_job", "main", "main_entry"]
 
 CHECK_KINDS = ("vacuum", "einstein-maxwell", "identities", "reduction",
                "appendixA", "theta-density")
+KALUZA_CHECKS = ("einstein-maxwell", "reduction", "appendixA")
+
+# grid points whose frame expressions are evaluated together: enough to
+# spread numpy's per-call cost, few enough to bound the jets' memory (768
+# Schwarzschild points at once peak 2.9 MB above blocks of 64, tracemalloc)
+BLOCK_SIZE = 64
 
 # frozen regression constant: density coefficient of the Lagrangian scalar,
 # L = THETA_RATIO * det(e) * scalar_curvature (see scripts/calibrate_constants.py)
@@ -65,7 +71,10 @@ class EvaluationError(Exception):
     """Evaluation failed at a specific grid point."""
 
 
-@dataclass(frozen=True)
+_POINT_ERRORS = (ExprError, DegenerateFrameError, GaugeError)
+
+
+@dataclasses.dataclass(frozen=True)
 class JobConfig:
     check: str
     solution: Mapping
@@ -182,35 +191,46 @@ def _grid_points(grid: Mapping, dim: int) -> list[tuple[float, ...]]:
     return pts
 
 
-def _need_kaluza(check: str, kcfg) -> KaluzaConfig:
-    if kcfg is None:
-        raise ConfigError(f"check {check!r} needs a solution with a potential")
-    return kcfg
+def _block_jets(job: JobConfig, tetrad, kcfg, block) -> list[tuple]:
+    """Per-point jets of a block of grid points, from one evaluation of the
+    tetrad (and, for the Kaluza checks, the potential) over the whole block."""
+    jets = jet_seed(np.array(block))
+    arrays = (config_jets(kcfg, jets) if job.check in KALUZA_CHECKS
+              else (tetrad.eval_jets(jets),))
+    return [tuple(a[n] for a in arrays) for n in range(len(block))]
 
 
-def _eval_point(job: JobConfig, tetrad, kcfg, point) -> dict[str, np.ndarray]:
-    """Every check maps a point to named residual component arrays."""
+def _eval_point(job: JobConfig, tetrad, kcfg, point, jets) -> dict[str, np.ndarray]:
+    """Every check maps a point, and its jets from :func:`_block_jets`, to
+    named residual component arrays."""
     kind = job.check
-    if kind == "vacuum":
-        cp = evaluate_coframe(tetrad, point)
-        dens = einstein_density(cp, curvature(spin_connection(cp)))
-        return {"vacuum": dens}
-    if kind == "einstein-maxwell":
-        kp = _KaluzaPoint(_need_kaluza(kind, kcfg), point)
+    if kind in KALUZA_CHECKS:
+        kp = _KaluzaPoint(kcfg, point, jets)
+        if kind == "einstein-maxwell":
+            return {
+                "einstein_maxwell": kp.einstein_maxwell(),
+                "maxwell": kp.maxwell().divergence,
+            }
+        if kind == "reduction":
+            rep = kp.reduction()
+            return {"reduction": np.array([rep.fiber_fiber, rep.fiber_rotation,
+                                           rep.mixed_block, rep.base_block])}
+        rep = kp.chain()
         return {
-            "einstein_maxwell": kp.einstein_maxwell(),
-            "maxwell": kp.maxwell().divergence,
+            "chain_einstein": np.array(rep.einstein_deviations),
+            "chain_maxwell": np.array(rep.maxwell_deviations),
         }
+    cp = _coframe_point_from_jets(point, jets[0], tetrad.signature)
+    sp = spin_connection(cp)
+    if kind == "vacuum":
+        return {"vacuum": einstein_density(cp, curvature(sp))}
     if kind == "identities":
-        cp = evaluate_coframe(tetrad, point)
-        sp = spin_connection(cp)
         if job.debug.get("corrupt_omega_sign"):
             omega = sp.omega.copy()
-            omega[0, 0, 1] = -omega[0, 0, 1]
-            omega[0, 1, 0] = -omega[0, 1, 0]
-            sp = type(sp)(omega=omega, domega=sp.domega, signature=sp.signature)
+            omega[0, [0, 1], [1, 0]] *= -1.0
+            sp = dataclasses.replace(sp, omega=omega)
         sec = SectionPoint(cp, sp, holonomic=True)
-        orc = coordinate_oracle(tetrad, point)
+        orc = oracle_from_coframe(cp)
         omega_dev = sp.omega - spin_connection_via_christoffels(cp, orc.gamma)
         riem_dev = curvature_to_coordinate(cp, curvature(sp)) - orc.riemann
         return {
@@ -220,25 +240,31 @@ def _eval_point(job: JobConfig, tetrad, kcfg, point) -> dict[str, np.ndarray]:
             "curvature_vs_oracle": riem_dev,
             "shuffle_identity": np.array([omega_shuffle_identity(sec)]),
         }
-    if kind == "reduction":
-        cfg = _need_kaluza(kind, kcfg)
-        rep = reduction_check(cfg, point)
-        return {"reduction": np.array([rep.fiber_fiber, rep.fiber_rotation,
-                                       rep.mixed_block, rep.base_block])}
-    if kind == "appendixA":
-        cfg = _need_kaluza(kind, kcfg)
-        rep = appendix_chain_check(cfg, point)
-        return {
-            "chain_einstein": np.array(rep.einstein_deviations),
-            "chain_maxwell": np.array(rep.maxwell_deviations),
-        }
     if kind == "theta-density":
-        sec = section_point(tetrad, point)
-        orc = coordinate_oracle(tetrad, point)
-        dens = theta_density(sec)
-        defect = dens - THETA_RATIO * sec.cp.det * orc.scalar
+        dens = theta_density(SectionPoint(cp, sp, holonomic=True))
+        defect = dens - THETA_RATIO * cp.det * oracle_from_coframe(cp).scalar
         return {"theta_density": np.array([defect])}
     raise ConfigError(f"unhandled check {kind!r}")  # pragma: no cover
+
+
+def _grid_residuals(job: JobConfig, tetrad, kcfg, points):
+    """(point, named residuals) for every grid point, in grid order.  The
+    points of a block whose evaluation raises are re-run as blocks of one, so
+    an error always names the first failing point."""
+    for start in range(0, len(points), BLOCK_SIZE):
+        block = points[start:start + BLOCK_SIZE]
+        try:
+            block_jets = _block_jets(job, tetrad, kcfg, block)
+        except _POINT_ERRORS:
+            block_jets = [None] * len(block)
+        for point, jets in zip(block, block_jets):
+            try:
+                if jets is None:
+                    (jets,) = _block_jets(job, tetrad, kcfg, [point])
+                named = _eval_point(job, tetrad, kcfg, point, jets)
+            except _POINT_ERRORS as exc:
+                raise EvaluationError(f"at point {point}: {exc}") from exc
+            yield point, named
 
 
 def run_job(job: JobConfig, out_dir: Path, write_csv: bool) -> tuple[int, dict]:
@@ -251,15 +277,13 @@ def run_job(job: JobConfig, out_dir: Path, write_csv: bool) -> tuple[int, dict]:
     label, params, tetrad, kcfg = _resolve_solution(sol_ref)
     dim = tetrad.signature.m
     points = _grid_points(job.grid, dim)
+    if job.check in KALUZA_CHECKS and kcfg is None:
+        raise ConfigError(f"check {job.check!r} needs a solution with a potential")
 
     per_check: dict[str, list[float]] = {}
     point_records: list[dict] = []
     csv_rows: list[list] = []
-    for point in points:
-        try:
-            named = _eval_point(job, tetrad, kcfg, point)
-        except (ExprError, DegenerateFrameError, GaugeError) as exc:
-            raise EvaluationError(f"at point {point}: {exc}") from exc
+    for point, named in _grid_residuals(job, tetrad, kcfg, points):
         norms = {}
         for check_id, arr in sorted(named.items()):
             arr = np.atleast_1d(np.asarray(arr, dtype=float))
@@ -365,14 +389,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         job = JobConfig.from_dict(raw)
         if args.seed is not None:
-            job = JobConfig(check=job.check, solution=job.solution, grid=job.grid,
-                            tolerance=job.tolerance, tolerances=job.tolerances,
-                            seed=args.seed, debug=job.debug)
+            job = dataclasses.replace(job, seed=args.seed)
         code, report = run_job(job, Path(args.out), args.csv)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (EvaluationError, ExprError, DegenerateFrameError, GaugeError) as exc:
+    except (EvaluationError, *_POINT_ERRORS) as exc:
         print(f"evaluation error: {exc}", file=sys.stderr)
         return 3
 

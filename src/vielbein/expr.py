@@ -2,8 +2,10 @@
 
 Frames and potentials are configured as strings like ``sqrt(1 - 2*M/x2)``;
 this module parses them into immutable ASTs and evaluates the ASTs over
-plain floats or over :class:`~vielbein.jets.Jet2` scalars (same code path,
-so configured fields automatically come with exact derivatives).
+plain floats or over :class:`~vielbein.jets.JetArray` coordinates (same code
+path, so configured fields automatically come with exact derivatives).  The
+coordinate jets may carry a leading batch axis, in which case one walk of the
+tree evaluates the expression at every point of the block.
 
 Operator precedence, tightest first: ``^``, unary ``-``, ``* /``, ``+ -``.
 Binary operators of equal precedence associate to the left.  Functions:
@@ -13,6 +15,7 @@ sin, cos, sqrt, exp, ln.  No user-defined functions, no simplification.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
@@ -262,20 +265,18 @@ def _print(node: Expr, parent_prec: int) -> str:
 
 
 def eval_jet(node: Expr, coords: Sequence, params: Mapping[str, float] | None = None):
-    """Evaluate over Jet2 coordinates (or plain floats) and named parameters."""
+    """Evaluate over JetArray coordinates (or plain floats) and named parameters."""
     return _eval(node, coords, params or {})
 
 
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+               "/": operator.truediv}
+
+
 def _apply_binop(op: str, a, b):
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return a / b
-    if isinstance(a, jets.Jet2) or isinstance(b, jets.Jet2):
+    if op in _ARITHMETIC:
+        return _ARITHMETIC[op](a, b)
+    if isinstance(a, jets.JetArray) or isinstance(b, jets.JetArray):
         return a ** b
     return math.pow(a, b)  # rejects negative base with fractional exponent
 

@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence, Union
+from itertools import chain
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
 from .expr import BinOp, Call, Coord, Neg, Num, Param, eval_jet
-from .jets import Jet2, jet_const, jet_seed
-from .jetlinalg import JetArray, jet_einsum, jet_matinv
+from .jets import JetArray, jet_seed, jet_stack
+from .jetlinalg import jet_einsum, jet_matinv
 from .tensors import Signature, eta, levi_civita
 
 __all__ = [
@@ -46,6 +47,7 @@ __all__ = [
     "curvature",
     "einstein_density",
     "coordinate_oracle",
+    "oracle_from_coframe",
     "spin_connection_via_christoffels",
     "curvature_to_coordinate",
     "kretschmann_scalar",
@@ -61,25 +63,32 @@ class DegenerateFrameError(Exception):
     """Frame matrix numerically singular at the evaluated point."""
 
 
-def eval_entry(entry: FieldEntry, jets: Sequence[Jet2], params: Mapping[str, float]):
+def eval_entry(entry: FieldEntry, jets: Sequence[JetArray],
+               params: Mapping[str, float]) -> JetArray:
+    """One field entry at the seeded coordinate jets, as a jet of their shape."""
     if isinstance(entry, _EXPR_NODES):
         out = eval_jet(entry, jets, params)
     elif isinstance(entry, (int, float)):
-        return jet_const(float(entry), jets[0].dim)
+        out = entry
     elif callable(entry):
         out = entry(jets, params)
     else:
         raise TypeError(f"unsupported field entry {entry!r}")
-    if isinstance(out, Jet2):
-        return out
-    return jet_const(float(out), jets[0].dim)
+    return out if isinstance(out, JetArray) else jets[0].full_like(float(out))
+
+
+def eval_entries(entries: Iterable[FieldEntry], jets: Sequence[JetArray],
+                 params: Mapping[str, float], shape: tuple[int, ...]) -> JetArray:
+    """Entries in row-major order, evaluated and stacked to value ``shape``
+    (after the jets' own batch axes)."""
+    return jet_stack([eval_entry(entry, jets, params) for entry in entries], shape)
 
 
 class CoframeField:
     """An m x m grid of scalar entries defining a coframe e^mu = e^mu_i dx^i.
 
     Entries are expression ASTs, plain numbers, or callables
-    ``(jets, params) -> Jet2``.  Fields are immutable and shareable;
+    ``(jets, params) -> JetArray``.  Fields are immutable and shareable;
     evaluation is a pure function of the point.
     """
 
@@ -97,19 +106,9 @@ class CoframeField:
     def dim(self) -> int:
         return self.signature.m
 
-    def eval_jets(self, jets: Sequence[Jet2]) -> JetArray:
+    def eval_jets(self, jets: Sequence[JetArray]) -> JetArray:
         m = self.dim
-        dim = jets[0].dim
-        val = np.zeros((m, m))
-        jac = np.zeros((m, m, dim))
-        hess = np.zeros((m, m, dim, dim))
-        for mu in range(m):
-            for i in range(m):
-                j = eval_entry(self.entries[mu][i], jets, self.params)
-                val[mu, i] = j.value
-                jac[mu, i] = j.grad
-                hess[mu, i] = j.hess
-        return JetArray(val, jac, hess)
+        return eval_entries(chain.from_iterable(self.entries), jets, self.params, (m, m))
 
 
 @dataclass(frozen=True)
@@ -171,9 +170,7 @@ def _coframe_point_from_jets(point, ja: JetArray, signature: Signature) -> Cofra
 
 
 def evaluate_coframe(field, point: Sequence[float]) -> CoframePoint:
-    jets = jet_seed(point)
-    ja = field.eval_jets(jets)
-    return _coframe_point_from_jets(point, ja, field.signature)
+    return _coframe_point_from_jets(point, field.eval_jets(jet_seed(point)), field.signature)
 
 
 def metric(cp: CoframePoint) -> np.ndarray:
@@ -269,9 +266,12 @@ def einstein_density(cp: CoframePoint, curv: CurvaturePoint) -> np.ndarray:
 
 
 def coordinate_oracle(field, point: Sequence[float]) -> OraclePoint:
+    return oracle_from_coframe(evaluate_coframe(field, point))
+
+
+def oracle_from_coframe(cp: CoframePoint) -> OraclePoint:
     """Christoffel/Riemann/Einstein from the metric alone, independent of the
     frame-side connection assembly; serves as cross-check oracle."""
-    cp = evaluate_coframe(field, point)
     et = eta(cp.signature)
     e2 = JetArray(cp.e, cp.de, cp.dde)
     g2 = jet_einsum("mn,mi,nj->ij", et, e2, e2)

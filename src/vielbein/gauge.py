@@ -15,6 +15,7 @@ carried by the jets); the bundled generators respect this.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -23,10 +24,10 @@ from .frame import (
     CoframePoint,
     SpinConnectionPoint,
     _coframe_point_from_jets,
-    eval_entry,
+    eval_entries,
 )
-from .jets import jet_seed
-from .jetlinalg import JetArray, chart_transfer, jet_einsum, jet_matexp, jet_matinv, stack_jets
+from .jets import JetArray, jet_seed, jet_stack
+from .jetlinalg import chart_transfer, jet_einsum, jet_matexp, jet_matinv
 from .tensors import Signature, eta
 
 __all__ = [
@@ -78,38 +79,30 @@ class GaugePointData:
     det_j: float
 
 
-def _entry_grid_jets(entries, jets, params, shape) -> JetArray:
-    grid = [[eval_entry(entry, jets, params) for entry in row] for row in entries]
-    return stack_jets(grid, shape, jets[0].dim)
-
-
 def evaluate_gauge(ge: GaugeElement, point: Sequence[float]) -> GaugePointData:
     m = ge.signature.m
     params = dict(ge.params or {})
     jets = jet_seed(point)
 
-    if ge.lam is not None:
-        lam = _entry_grid_jets(ge.lam, jets, params, (m, m))
-    else:
-        gen = _entry_grid_jets(ge.generator, jets, params, (m, m))
-        lam = jet_matexp(gen)
+    grid = ge.lam if ge.lam is not None else ge.generator
+    lam = eval_entries(chain.from_iterable(grid), jets, params, (m, m))
+    if ge.lam is None:
+        lam = jet_matexp(lam)
 
     et = eta(ge.signature)
     defect = np.abs(lam.val.T @ et @ lam.val - et).max()
     if defect > 1e-12:
         raise GaugeError(f"Lambda not pseudo-orthogonal at {tuple(point)}: defect {defect:.2e}")
 
+    # the identity chart maps by the coordinate jets themselves
     if ge.coord_map is None:
-        xbar = tuple(float(c) for c in point)
-        j = np.eye(m)
-        dj = np.zeros((m, m, m))
+        mapped = jet_stack(jets, (m,))
+    elif len(ge.coord_map) != m:
+        raise ValueError(f"coordinate map needs {m} entries")
     else:
-        if len(ge.coord_map) != m:
-            raise ValueError(f"coordinate map needs {m} entries")
-        mapped = [eval_entry(entry, jets, params) for entry in ge.coord_map]
-        xbar = tuple(jj.value for jj in mapped)
-        j = np.stack([jj.grad for jj in mapped])
-        dj = np.stack([jj.hess for jj in mapped])
+        mapped = eval_entries(ge.coord_map, jets, params, (m,))
+    xbar = tuple(float(v) for v in mapped.val)
+    j, dj = mapped.jac, mapped.hess
 
     det_j = float(np.linalg.det(j))
     if abs(det_j) < 1e-12:

@@ -1,10 +1,9 @@
-"""Arrays of truncated jets and einsum-style algebra over them.
+"""Einsum-style linear algebra over :class:`~vielbein.jets.JetArray`.
 
-A :class:`JetArray` bundles an array of values with its first derivatives
-(``jac``, one appended axis over the base coordinates) and optionally its
-second derivatives (``hess``, two appended axes).  All index gymnastics run
-through :func:`jet_einsum`, which applies the product rule channel by
-channel, so derivative bookkeeping lives in exactly one place.
+All index gymnastics run through :func:`jet_einsum`, which applies the
+product rule channel by channel, so derivative bookkeeping lives in exactly
+one place.  The specs address the value axes of one point; there are no
+batch axes here.
 
 First-order arrays (``hess=None``) are the workhorse wherever only one more
 derivative order is needed, e.g. when the connection coefficients and their
@@ -13,89 +12,23 @@ first derivatives are assembled out of a frame known to second order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
-from .jets import Jet2
+from .jets import JetArray
 
 __all__ = [
     "JetArray",
     "jet_einsum",
     "jet_matinv",
     "jet_matexp",
-    "stack_jets",
     "chart_transfer",
 ]
 
 # letters reserved for derivative axes inside jet_einsum specs
 _DERIV_LETTERS = "ZYXWV"
-
-
-@dataclass(frozen=True)
-class JetArray:
-    val: np.ndarray
-    jac: np.ndarray
-    hess: np.ndarray | None = None
-
-    @property
-    def dim(self) -> int:
-        """Number of base coordinates the derivatives run over."""
-        return self.jac.shape[-1]
-
-    @property
-    def order(self) -> int:
-        return 2 if self.hess is not None else 1
-
-    def __add__(self, other: "JetArray") -> "JetArray":
-        h = None
-        if self.hess is not None and other.hess is not None:
-            h = self.hess + other.hess
-        return JetArray(self.val + other.val, self.jac + other.jac, h)
-
-    def __sub__(self, other: "JetArray") -> "JetArray":
-        h = None
-        if self.hess is not None and other.hess is not None:
-            h = self.hess - other.hess
-        return JetArray(self.val - other.val, self.jac - other.jac, h)
-
-    def __neg__(self) -> "JetArray":
-        return self * -1.0
-
-    def __mul__(self, c: float) -> "JetArray":
-        c = float(c)
-        return JetArray(c * self.val, c * self.jac,
-                        None if self.hess is None else c * self.hess)
-
-    __rmul__ = __mul__
-
-    def transpose(self, axes: tuple[int, ...]) -> "JetArray":
-        n = self.val.ndim
-        ax1 = tuple(axes) + (n,)
-        h = None if self.hess is None else self.hess.transpose(tuple(axes) + (n, n + 1))
-        return JetArray(self.val.transpose(axes), self.jac.transpose(ax1), h)
-
-    def drop_hess(self) -> "JetArray":
-        return JetArray(self.val, self.jac, None)
-
-
-def stack_jets(grid, shape: tuple[int, ...], dim: int) -> JetArray:
-    """Assemble a second-order JetArray from a nested sequence of Jet2
-    (plain numbers are treated as constants)."""
-    val = np.zeros(shape)
-    jac = np.zeros(shape + (dim,))
-    hess = np.zeros(shape + (dim, dim))
-    for idx in np.ndindex(*shape):
-        j = grid
-        for k in idx:
-            j = j[k]
-        if isinstance(j, Jet2):
-            val[idx] = j.value
-            jac[idx] = j.grad
-            hess[idx] = j.hess
-        else:
-            val[idx] = float(j)
-    return JetArray(val, jac, hess)
 
 
 def jet_einsum(spec: str, *ops) -> JetArray:
@@ -120,37 +53,27 @@ def jet_einsum(spec: str, *ops) -> JetArray:
 
     val = np.einsum(spec, *vals, optimize=True)
 
-    jac = None
-    for i in jet_ix:
-        arrs = list(vals)
-        arrs[i] = ops[i].jac
-        specs = list(in_specs)
-        specs[i] += dz
-        term = np.einsum(",".join(specs) + "->" + out + dz, *arrs, optimize=True)
-        jac = term if jac is None else jac + term
+    def channel(swaps: dict, tail: str) -> np.ndarray:
+        """The einsum with operand i's values replaced by the derivative
+        array ``swaps[i][0]``, its extra axes lettered ``swaps[i][1]``, and
+        output derivative axes ``tail``."""
+        arrs, specs = list(vals), list(in_specs)
+        for i, (arr, letters) in swaps.items():
+            arrs[i] = arr
+            specs[i] += letters
+        return np.einsum(",".join(specs) + "->" + out + tail, *arrs, optimize=True)
 
+    jac = reduce(add, [channel({i: (ops[i].jac, dz)}, dz) for i in jet_ix])
     hess = None
     if all(ops[i].hess is not None for i in jet_ix):
         hess = 0.0
         for i in jet_ix:
-            arrs = list(vals)
-            arrs[i] = ops[i].hess
-            specs = list(in_specs)
-            specs[i] += dz + dy
-            hess = hess + np.einsum(",".join(specs) + "->" + out + dz + dy,
-                                    *arrs, optimize=True)
+            hess = hess + channel({i: (ops[i].hess, dz + dy)}, dz + dy)
         for i in jet_ix:
             for j in jet_ix:
-                if i == j:
-                    continue
-                arrs = list(vals)
-                arrs[i] = ops[i].jac
-                arrs[j] = ops[j].jac
-                specs = list(in_specs)
-                specs[i] += dz
-                specs[j] += dy
-                hess = hess + np.einsum(",".join(specs) + "->" + out + dz + dy,
-                                        *arrs, optimize=True)
+                if i != j:
+                    hess = hess + channel({i: (ops[i].jac, dz), j: (ops[j].jac, dy)},
+                                          dz + dy)
     return JetArray(val, jac, hess)
 
 
@@ -174,11 +97,8 @@ def jet_matexp(a: JetArray, tol: float = 1e-17) -> JetArray:
     squarings = max(0, int(np.ceil(np.log2(norm))) + 1) if norm > 1.0 else 0
     x = a * (0.5 ** squarings)
 
-    dim = a.dim
-    ident = JetArray(np.eye(n), np.zeros((n, n, dim)),
-                     None if a.hess is None else np.zeros((n, n, dim, dim)))
-    total = ident
-    term = ident
+    zero = a.full_like(0.0)
+    total = term = JetArray(np.eye(n), zero.jac, zero.hess)
     k = 1
     while True:
         term = jet_einsum("ab,bc->ac", term, x) * (1.0 / k)

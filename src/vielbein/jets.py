@@ -1,8 +1,15 @@
-"""Truncated second-order Taylor scalars.
+"""Arrays of truncated second-order Taylor jets.
 
 Every field evaluation in the package runs on these instead of symbolic or
 finite-difference derivatives: arithmetic carries the exact value, gradient,
 and Hessian with respect to the base coordinates through every operation.
+
+A :class:`JetArray` bundles an array of values with its first derivatives
+(``jac``, one appended axis over the base coordinates) and optionally its
+second derivatives (``hess``, two appended axes).  Arithmetic and the
+functions below act elementwise, so one evaluation over the seeded
+coordinates of an ``(N, m)`` block covers all N points.  Any element out of
+a function's domain raises the error ``math`` raises; floats go to ``math``.
 """
 
 from __future__ import annotations
@@ -13,145 +20,205 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["Jet2", "jet_seed", "jet_const", "sin", "cos", "sqrt", "exp", "ln"]
+__all__ = ["JetArray", "jet_seed", "jet_stack", "sin", "cos", "sqrt", "exp", "ln"]
 
 
-@dataclass(frozen=True, slots=True)
-class Jet2:
-    """Scalar with exact gradient and (symmetric) Hessian.
+@dataclass(frozen=True)
+class JetArray:
+    """Values with exact first and (optional) second derivatives.
 
     The Hessian stays symmetric under all operations because every rank-2
     update is built from symmetrized outer products.
     """
 
-    value: float
-    grad: np.ndarray
-    hess: np.ndarray
+    val: np.ndarray
+    jac: np.ndarray
+    hess: np.ndarray | None = None
+
+    __array_ufunc__ = None   # numpy operands defer to the reflected methods
 
     @property
     def dim(self) -> int:
-        return self.grad.shape[0]
+        """Number of base coordinates the derivatives run over."""
+        return self.jac.shape[-1]
 
-    def __add__(self, other):
-        if isinstance(other, Jet2):
-            return Jet2(self.value + other.value, self.grad + other.grad,
-                        self.hess + other.hess)
-        return Jet2(self.value + float(other), self.grad, self.hess)
+    @property
+    def order(self) -> int:
+        return 2 if self.hess is not None else 1
+
+    def __getitem__(self, idx) -> "JetArray":
+        """Index the value axes; the derivative axes come along whole."""
+        return JetArray(self.val[idx], self.jac[idx],
+                        None if self.hess is None else self.hess[idx])
+
+    def full_like(self, c: float) -> "JetArray":
+        """The constant ``c`` with this array's shape and order."""
+        return JetArray(np.zeros(self.jac.shape[:-1]) + float(c), np.zeros(self.jac.shape),
+                        None if self.hess is None else np.zeros(self.hess.shape))
+
+    def __add__(self, other) -> "JetArray":
+        if not isinstance(other, JetArray):
+            return JetArray(self.val + float(other), self.jac, self.hess)
+        h = None if self.hess is None or other.hess is None else self.hess + other.hess
+        return JetArray(self.val + other.val, self.jac + other.jac, h)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return Jet2(-self.value, -self.grad, -self.hess)
+    def __neg__(self) -> "JetArray":
+        return JetArray(-self.val, -self.jac, None if self.hess is None else -self.hess)
 
-    def __sub__(self, other):
-        if isinstance(other, Jet2):
-            return Jet2(self.value - other.value, self.grad - other.grad,
-                        self.hess - other.hess)
-        return Jet2(self.value - float(other), self.grad, self.hess)
+    def __sub__(self, other) -> "JetArray":
+        return self + (-other)
 
-    def __rsub__(self, other):
+    def __rsub__(self, other) -> "JetArray":
         return (-self) + float(other)
 
-    def __mul__(self, other):
-        if isinstance(other, Jet2):
-            cross = np.outer(self.grad, other.grad)
-            return Jet2(
-                self.value * other.value,
-                self.value * other.grad + other.value * self.grad,
-                self.value * other.hess + other.value * self.hess + cross + cross.T,
-            )
-        c = float(other)
-        return Jet2(c * self.value, c * self.grad, c * self.hess)
+    def __mul__(self, other) -> "JetArray":
+        if not isinstance(other, JetArray):
+            c = float(other)
+            return JetArray(c * self.val, c * self.jac,
+                            None if self.hess is None else c * self.hess)
+        a, b = self.val[..., None], other.val[..., None]
+        hess = None
+        if self.hess is not None and other.hess is not None:
+            cross = self.jac[..., :, None] * other.jac[..., None, :]
+            hess = (a[..., None] * other.hess + b[..., None] * self.hess
+                    + cross + cross.swapaxes(-1, -2))
+        return JetArray(self.val * other.val, a * other.jac + b * self.jac, hess)
 
     __rmul__ = __mul__
 
-    def reciprocal(self) -> "Jet2":
-        if self.value == 0.0:
+    def reciprocal(self) -> "JetArray":
+        if (self.val == 0.0).any():
             raise ZeroDivisionError("division by zero value")
-        v = 1.0 / self.value
-        outer = np.outer(self.grad, self.grad)
-        return Jet2(v, -v * v * self.grad, -v * v * self.hess + 2.0 * v ** 3 * outer)
+        v = 1.0 / self.val
+        return _unary(self, v, -v * v, 2.0 * (v * v * v))
 
-    def __truediv__(self, other):
-        if isinstance(other, Jet2):
-            return self * other.reciprocal()
-        return self * (1.0 / float(other))
+    def __truediv__(self, other) -> "JetArray":
+        return self * (other.reciprocal() if isinstance(other, JetArray)
+                       else 1.0 / float(other))
 
-    def __rtruediv__(self, other):
+    def __rtruediv__(self, other) -> "JetArray":
         return self.reciprocal() * float(other)
 
-    def __pow__(self, exponent):
-        if isinstance(exponent, Jet2):
+    def __pow__(self, exponent) -> "JetArray":
+        if isinstance(exponent, JetArray):
             # a^b = exp(b ln a); requires a > 0
             return exp(exponent * ln(self))
         p = float(exponent)
         if p == 0.0:
-            return jet_const(1.0, self.dim)
+            return self.full_like(1.0)
         if p == 1.0:
             return self
-        u = self.value
-        f0 = math.pow(u, p)
-        f1 = p * math.pow(u, p - 1.0)
-        f2 = p * (p - 1.0) * math.pow(u, p - 2.0) if p != 1.0 else 0.0
-        return _unary(self, f0, f1, f2)
+        with np.errstate(over="ignore"):
+            f0, f1, f2 = (_pow(self.val, q) for q in (p, p - 1.0, p - 2.0))
+        return _unary(self, f0, p * f1, p * (p - 1.0) * f2)
+
+    def transpose(self, axes: tuple[int, ...]) -> "JetArray":
+        n = self.val.ndim
+        h = None if self.hess is None else self.hess.transpose(tuple(axes) + (n, n + 1))
+        return JetArray(self.val.transpose(axes), self.jac.transpose(tuple(axes) + (n,)), h)
+
+    def drop_hess(self) -> "JetArray":
+        return JetArray(self.val, self.jac, None)
 
 
-def jet_const(value: float, dim: int) -> Jet2:
-    return Jet2(float(value), np.zeros(dim), np.zeros((dim, dim)))
-
-
-def jet_seed(point: Sequence[float]) -> list[Jet2]:
-    """Coordinate functions as jets: value x^i, unit gradient, zero Hessian."""
-    m = len(point)
+def jet_seed(points) -> list[JetArray]:
+    """Coordinate functions as jets: value x^i, unit gradient, zero Hessian,
+    of shape ``()`` for one point of m coordinates, ``(N,)`` for an ``(N, m)``
+    block of points."""
+    x = np.asarray(points, dtype=float)
+    batch, m = x.shape[:-1], x.shape[-1]
     eye = np.eye(m)
-    return [Jet2(float(point[i]), eye[i].copy(), np.zeros((m, m))) for i in range(m)]
+    return [JetArray(x[..., i], np.broadcast_to(eye[i], batch + (m,)).copy(),
+                     np.zeros(batch + (m, m))) for i in range(m)]
 
 
-def _unary(u: Jet2, f0: float, f1: float, f2: float) -> Jet2:
-    outer = np.outer(u.grad, u.grad)
-    return Jet2(f0, f1 * u.grad, f2 * outer + f1 * u.hess)
+def jet_stack(items: Sequence[JetArray], shape: tuple[int, ...]) -> JetArray:
+    """Second-order jets of one common shape B, in row-major order, as a
+    single JetArray of shape B + ``shape``."""
+    batch, dim = items[0].jac.shape[:-1], items[0].dim
+    return JetArray(
+        np.stack([j.val for j in items], axis=-1).reshape(batch + shape),
+        np.stack([j.jac for j in items], axis=-2).reshape(batch + shape + (dim,)),
+        np.stack([j.hess for j in items], axis=-3).reshape(batch + shape + (dim, dim)),
+    )
+
+
+def _unary(u: JetArray, f0, f1, f2) -> JetArray:
+    """Chain rule for f(u), given f, f' and f'' at the values of u."""
+    f1 = np.asarray(f1)[..., None]
+    hess = None
+    if u.hess is not None:
+        outer = u.jac[..., :, None] * u.jac[..., None, :]
+        hess = f2[..., None, None] * outer + f1[..., None] * u.hess
+    return JetArray(f0, f1 * u.jac, hess)
+
+
+def _no_overflow(out, arg):
+    """``out``, unless it is infinite where ``arg`` is finite (math's range error)."""
+    if np.isinf(out).any() and (np.isinf(out) & np.isfinite(arg)).any():
+        raise OverflowError("math range error")
+    return out
+
+
+def _pow(u, p: float):
+    """Elementwise u^p with the errors of ``math.pow`` (numpy's overflow
+    warning is the caller's to silence)."""
+    if (p != math.floor(p) and (u < 0.0).any()) or (p < 0.0 and (u == 0.0).any()):
+        raise ValueError("math domain error")
+    return _no_overflow(np.power(u, p), u)
+
+
+def _sin_cos(u: JetArray):
+    if np.isinf(u.val).any():
+        raise ValueError("math domain error")
+    return np.sin(u.val), np.cos(u.val)
 
 
 def sin(u):
-    if not isinstance(u, Jet2):
+    if not isinstance(u, JetArray):
         return math.sin(u)
-    s, c = math.sin(u.value), math.cos(u.value)
+    s, c = _sin_cos(u)
     return _unary(u, s, c, -s)
 
 
 def cos(u):
-    if not isinstance(u, Jet2):
+    if not isinstance(u, JetArray):
         return math.cos(u)
-    s, c = math.sin(u.value), math.cos(u.value)
+    s, c = _sin_cos(u)
     return _unary(u, c, -s, -c)
 
 
 def sqrt(u):
-    if not isinstance(u, Jet2):
+    if not isinstance(u, JetArray):
         if u < 0.0:
             raise ValueError(f"sqrt of negative value {u}")
         return math.sqrt(u)
-    if u.value < 0.0:
-        raise ValueError(f"sqrt of negative value {u.value}")
-    if u.value == 0.0:
+    v = u.val
+    if (v < 0.0).any():
+        raise ValueError(f"sqrt of negative value {v[v < 0.0].flat[0]}")
+    if (v == 0.0).any():
         raise ValueError("sqrt not differentiable at zero")
-    r = math.sqrt(u.value)
-    return _unary(u, r, 0.5 / r, -0.25 / (r * u.value))
+    r = np.sqrt(v)
+    return _unary(u, r, 0.5 / r, -0.25 / (r * v))
 
 
 def exp(u):
-    if not isinstance(u, Jet2):
+    if not isinstance(u, JetArray):
         return math.exp(u)
-    w = math.exp(u.value)
+    with np.errstate(over="ignore"):
+        w = _no_overflow(np.exp(u.val), u.val)
     return _unary(u, w, w, w)
 
 
 def ln(u):
-    if not isinstance(u, Jet2):
+    if not isinstance(u, JetArray):
         if u <= 0.0:
             raise ValueError(f"ln of non-positive value {u}")
         return math.log(u)
-    if u.value <= 0.0:
-        raise ValueError(f"ln of non-positive value {u.value}")
-    v = 1.0 / u.value
-    return _unary(u, math.log(u.value), v, -v * v)
+    v = u.val
+    if (v <= 0.0).any():
+        raise ValueError(f"ln of non-positive value {v[v <= 0.0].flat[0]}")
+    w = 1.0 / v
+    return _unary(u, np.log(v), w, -w * w)

@@ -15,7 +15,9 @@ stress tensor plus the Maxwell divergence block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import chain
+from operator import add
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -27,14 +29,15 @@ from .frame import (
     _coframe_point_from_jets,
     curvature,
     einstein_density,
+    eval_entries,
     eval_entry,
     metric_inverse,
     omega_mixed,
     spin_connection,
 )
 from .gauge import GaugeElement, gauge_transform_frame
-from .jets import Jet2, jet_seed
-from .jetlinalg import JetArray, jet_einsum, jet_matexp, jet_matinv, stack_jets
+from .jets import JetArray, jet_seed
+from .jetlinalg import jet_einsum, jet_matexp, jet_matinv
 from .tensors import Signature, eta, levi_civita
 from .variational import SectionPoint, el_residual_frame
 
@@ -44,6 +47,7 @@ __all__ = [
     "KaluzaConfig",
     "LiftedCoframeField",
     "lift_coframe",
+    "config_jets",
     "FieldStrengthPoint",
     "field_strength",
     "StressTensorPoint",
@@ -85,10 +89,11 @@ class KaluzaConfig:
             raise ValueError("potential needs exactly four entries")
 
 
-def _eval_potential(cfg: KaluzaConfig, jets: Sequence[Jet2]) -> JetArray:
-    """Potential entries at the seeded jets: val[a] = A_a, jac[a, b] = d_b A_a."""
-    pot = [eval_entry(entry, jets, cfg.params) for entry in cfg.potential]
-    return stack_jets(pot, (4,), jets[0].dim)
+def config_jets(cfg: KaluzaConfig, jets: Sequence[JetArray]) -> tuple[JetArray, JetArray]:
+    """The tetrad and the potential at the seeded jets, each evaluated once:
+    tetrad val[..., mu, i] = e^mu_i, potential val[..., a] = A_a."""
+    return (cfg.tetrad.eval_jets(jets),
+            eval_entries(cfg.potential, jets, cfg.params, (4,)))
 
 
 def _lift_jets(tet: JetArray, pot: JetArray, k: float, nd: int) -> JetArray:
@@ -96,16 +101,17 @@ def _lift_jets(tet: JetArray, pot: JetArray, k: float, nd: int) -> JetArray:
     (-k A_i, 1), fifth column zero.  Derivative slots past the operands' own
     stay zero, which is the cylinder condition."""
     n = tet.dim
-    val = np.zeros((5, 5))
-    jac = np.zeros((5, 5, nd))
-    hess = np.zeros((5, 5, nd, nd))
-    val[:4, :4] = tet.val
-    jac[:4, :4, :n] = tet.jac
-    hess[:4, :4, :n, :n] = tet.hess
-    val[4, :4] = -k * pot.val
-    jac[4, :4, :n] = -k * pot.jac
-    hess[4, :4, :n, :n] = -k * pot.hess
-    val[4, 4] = 1.0
+    batch = np.shape(pot.val)[:-1]
+    val = np.zeros(batch + (5, 5))
+    jac = np.zeros(batch + (5, 5, nd))
+    hess = np.zeros(batch + (5, 5, nd, nd))
+    val[..., :4, :4] = tet.val
+    jac[..., :4, :4, :n] = tet.jac
+    hess[..., :4, :4, :n, :n] = tet.hess
+    val[..., 4, :4] = -k * pot.val
+    jac[..., 4, :4, :n] = -k * pot.jac
+    hess[..., 4, :4, :n, :n] = -k * pot.hess
+    val[..., 4, 4] = 1.0
     return JetArray(val, jac, hess)
 
 
@@ -118,10 +124,8 @@ class LiftedCoframeField:
     def __init__(self, cfg: KaluzaConfig):
         self.cfg = cfg
 
-    def eval_jets(self, jets: Sequence[Jet2]) -> JetArray:
-        cfg = self.cfg
-        return _lift_jets(cfg.tetrad.eval_jets(jets), _eval_potential(cfg, jets),
-                          cfg.k, jets[0].dim)
+    def eval_jets(self, jets: Sequence[JetArray]) -> JetArray:
+        return _lift_jets(*config_jets(self.cfg, jets), self.cfg.k, jets[0].dim)
 
 
 def lift_coframe(cfg: KaluzaConfig) -> LiftedCoframeField:
@@ -226,13 +230,13 @@ class _KaluzaPoint:
     """A configuration at one point, built from a single evaluation of the
     tetrad and of each potential entry: the 4D frame, its connection and the
     field strength, and the lifted 5D frame and connection, each computed on
-    first use."""
+    first use.  ``jets`` are the tetrad and potential jets at the point when
+    they are already evaluated (see :func:`config_jets`)."""
 
-    def __init__(self, cfg: KaluzaConfig, point: Sequence[float]):
-        jets = jet_seed(point)
+    def __init__(self, cfg: KaluzaConfig, point: Sequence[float],
+                 jets: tuple[JetArray, JetArray] | None = None):
         self.cfg = cfg
-        self.tet = cfg.tetrad.eval_jets(jets)
-        self.pot = _eval_potential(cfg, jets)
+        self.tet, self.pot = config_jets(cfg, jet_seed(point)) if jets is None else jets
         self.cp = _coframe_point_from_jets(point, self.tet, SIG4)
 
     @cached_property
@@ -411,22 +415,18 @@ def restricted_gauge_element(lam4_generator, fiber_shift: Expr | None,
                         coord_map=coord_map)
 
 
-def _affine_pullback(jets: Sequence[Jet2], lin_inv: np.ndarray | None) -> list[Jet2]:
+def _affine_pullback(jets: Sequence[JetArray],
+                     lin_inv: np.ndarray | None) -> list[JetArray]:
     """Jets of the source coordinates x = L^-1 xbar, expressed in the new chart."""
     if lin_inv is None:
         return list(jets[:4])
-    out = []
-    for i in range(4):
-        acc = jets[0] * lin_inv[i, 0]
-        for a in range(1, 4):
-            acc = acc + jets[a] * lin_inv[i, a]
-        out.append(acc)
-    return out
+    return [reduce(add, [jets[a] * lin_inv[i, a] for a in range(4)]) for i in range(4)]
 
 
 class _RotatedTetradField:
     """Tetrad transformed by a pointwise rotation and an affine base change,
-    evaluated directly in the new chart."""
+    evaluated directly in the new chart.  Takes the jets of one point: the
+    rotation goes through :func:`jet_matexp`, which has no batch axes."""
 
     signature = SIG4
     dim = 4
@@ -437,12 +437,11 @@ class _RotatedTetradField:
         self.params = dict(params)
         self.lin_inv = lin_inv
 
-    def eval_jets(self, jets: Sequence[Jet2]) -> JetArray:
+    def eval_jets(self, jets: Sequence[JetArray]) -> JetArray:
         xjets = _affine_pullback(jets, self.lin_inv)
         tet = self.base.eval_jets(xjets)
-        gen_grid = [[eval_entry(g, xjets, self.params) for g in row]
-                    for row in self.generator]
-        lam = jet_matexp(stack_jets(gen_grid, (4, 4), jets[0].dim))
+        gen = eval_entries(chain.from_iterable(self.generator), xjets, self.params, (4, 4))
+        lam = jet_matexp(gen)
         out = jet_einsum("ms,si->mi", lam, tet)
         if self.lin_inv is not None:
             out = jet_einsum("mi,ij->mj", out, self.lin_inv)
@@ -465,15 +464,11 @@ def transform_config(cfg: KaluzaConfig, lam4_generator, fiber_shift_poly,
     def make_entry(j: int):
         def entry(jets, prms):
             xjets = _affine_pullback(jets, lin_inv)
-            total = None
-            for i in range(4):
-                weight = float(i == j) if lin_inv is None else lin_inv[i, j]
-                if weight == 0.0:
-                    continue
-                contrib = (eval_entry(pot[i], xjets, params)
-                           + eval_entry(grads[i], xjets, params) * (1.0 / k)) * weight
-                total = contrib if total is None else total + contrib
-            return total if total is not None else jets[0] * 0.0
+            weights = np.eye(4)[:, j] if lin_inv is None else lin_inv[:, j]
+            terms = [(eval_entry(pot[i], xjets, params)
+                      + eval_entry(grads[i], xjets, params) * (1.0 / k)) * w
+                     for i, w in enumerate(weights) if w != 0.0]
+            return reduce(add, terms) if terms else jets[0] * 0.0
 
         return entry
 

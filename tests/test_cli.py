@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -253,3 +254,55 @@ def test_list_solutions(capsys):
 
 def test_no_command_prints_usage():
     assert main([]) == 2
+
+
+def _point_grid(points):
+    return {"points": [list(p) for p in points]}
+
+
+def test_error_names_first_failing_point(tmp_path, capsys):
+    # the block of five fails as a whole; re-run point by point, the error
+    # names the third point, the one inside the horizon
+    points = [(0.0, r, 1.2, 0.3) for r in (3.0, 4.0, 1.0, 5.0, 6.0)]
+    cfg = {**VAC, "grid": _point_grid(points)}
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert str(points[2]) in err and "sqrt" in err
+    assert not (out / "report.json").exists()
+
+
+def test_error_order_degenerate_before_domain(tmp_path, capsys):
+    # e^1_1 = x2 is degenerate at point 1, sqrt(x3) leaves its domain at
+    # point 3: the block evaluation trips on point 3, the re-run on point 1
+    points = [(0.0, 1.0, 1.0, 0.0), (0.1, 0.0, 1.0, 0.0), (0.2, 1.0, 1.0, 0.0),
+              (0.3, 1.0, -1.0, 0.0), (0.4, 1.0, 1.0, 0.0)]
+    cfg = {
+        "check": "vacuum",
+        "solution": {"inline": {
+            "signature": [1, 3],
+            "tetrad": [["x2", 0, 0, 0], [0, "sqrt(x3)", 0, 0], [0, 0, 1, 0],
+                       [0, 0, 0, 1]],
+        }},
+        "grid": _point_grid(points),
+        "tolerance": 1e-8,
+    }
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert str(points[1]) in err and "degenerate" in err
+    assert str(points[3]) not in err
+    assert not (out / "report.json").exists()
+
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=[c.stem for c in CONFIGS])
+def test_bundled_configs(tmp_path, config):
+    runs = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        assert main(["run", str(config), "--out", str(out), "--csv"]) == 0
+        runs.append([(out / f).read_bytes() for f in ("report.json", "points.csv")])
+    assert runs[0] == runs[1]

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from vielbein.expr import (
     BinOp,
@@ -17,7 +17,7 @@ from vielbein.expr import (
     parse,
     to_text,
 )
-from vielbein.jets import jet_seed
+from vielbein.jets import JetArray, jet_seed
 
 from conftest import fd_grad, fd_hess
 
@@ -85,15 +85,15 @@ def test_unknown_function():
 def test_eval_jet_polynomial():
     tree = parse("x1*x1", 4)
     out = eval_jet(tree, jet_seed((3.0, 0.0, 0.0, 0.0)))
-    assert out.value == 9.0
-    assert out.grad[0] == 6.0
+    assert out.val == 9.0
+    assert out.jac[0] == 6.0
     assert out.hess[0, 0] == 2.0
 
 
 def test_eval_jet_seed_passthrough():
     out = eval_jet(parse("x2", 4), jet_seed((0.0, 5.0, 0.0, 0.0)))
-    assert out.value == 5.0
-    assert np.array_equal(out.grad, [0.0, 1.0, 0.0, 0.0])
+    assert out.val == 5.0
+    assert np.array_equal(out.jac, [0.0, 1.0, 0.0, 0.0])
 
 
 def test_domain_error_reports_subexpression():
@@ -220,6 +220,53 @@ def test_eval_jet_matches_finite_differences(seed):
     def f(p):
         return eval_jet(tree, [float(v) for v in p], params)
 
-    scale = max(1.0, abs(out.value))
-    assert np.allclose(out.grad, fd_grad(f, point), atol=1e-6 * scale)
+    scale = max(1.0, abs(out.val))
+    assert np.allclose(out.jac, fd_grad(f, point), atol=1e-6 * scale)
     assert np.allclose(out.hess, fd_hess(f, point), atol=1e-5 * scale)
+
+
+# Smooth trees over x1..x4: every denominator, sqrt and ln argument is shifted
+# positive, so each tree is defined with all derivatives on the sampled box.
+def _positive(sub):
+    return st.tuples(st.floats(0.5, 2.0).map(lambda c: Num(round(c, 3))), sub).map(
+        lambda t: BinOp("+", t[0], BinOp("*", t[1], t[1])))
+
+
+def _smooth_exprs(depth):
+    leaf = st.one_of(st.integers(1, 4).map(Coord),
+                     st.floats(-1.0, 1.0).map(lambda v: Num(round(v, 3))))
+    if depth == 0:
+        return leaf
+    sub = _smooth_exprs(depth - 1)
+    return st.one_of(
+        leaf,
+        st.tuples(st.sampled_from("+-*"), sub, sub).map(lambda t: BinOp(*t)),
+        st.tuples(sub, _positive(sub)).map(lambda t: BinOp("/", *t)),
+        st.tuples(sub, st.integers(0, 3)).map(lambda t: BinOp("^", t[0], Num(t[1]))),
+        st.tuples(_positive(sub), st.integers(1, 2))
+        .map(lambda t: BinOp("^", t[0], Neg(Num(t[1])))),
+        sub.map(Neg),
+        st.tuples(st.sampled_from(["sin", "cos", "exp"]), sub).map(lambda t: Call(*t)),
+        st.tuples(st.sampled_from(["sqrt", "ln"]), _positive(sub)).map(lambda t: Call(*t)),
+    )
+
+
+@settings(deadline=None)
+@given(tree=_smooth_exprs(3), seed=st.integers(0, 2**32 - 1))
+def test_batched_jets_match_rows_and_finite_differences(tree, seed):
+    block = np.random.default_rng(seed).uniform(-0.5, 0.5, size=(5, 4))
+    out = eval_jet(tree, jet_seed(block))
+    if not isinstance(out, JetArray):    # a tree without coordinates is a float
+        return
+    for n, point in enumerate(block):
+        one = eval_jet(tree, jet_seed(point))
+        for got, want in ((out.val[n], one.val), (out.jac[n], one.jac),
+                          (out.hess[n], one.hess)):
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+        def f(p):
+            return eval_jet(tree, [float(v) for v in p])
+
+        scale = max(1.0, abs(one.val), np.abs(one.jac).max(), np.abs(one.hess).max())
+        assert np.allclose(one.jac, fd_grad(f, point), atol=1e-6 * scale)
+        assert np.allclose(one.hess, fd_hess(f, point), atol=1e-5 * scale)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from vielbein.expr import eval_jet, parse
+from vielbein.frame import eval_entries
 from vielbein.jets import jet_seed
 from vielbein.jetlinalg import (
     JetArray,
@@ -9,16 +10,14 @@ from vielbein.jetlinalg import (
     jet_einsum,
     jet_matexp,
     jet_matinv,
-    stack_jets,
 )
 from vielbein.tensors import Signature, eta
 
 
 def _matrix_jets(texts, point, params=None):
-    jets = jet_seed(point)
-    grid = [[eval_jet(parse(t, len(point)), jets, params or {}) for t in row]
-            for row in texts]
-    return stack_jets(grid, (len(texts), len(texts[0])), len(point))
+    entries = [parse(t, len(point)) for row in texts for t in row]
+    return eval_entries(entries, jet_seed(point), params or {},
+                        (len(texts), len(texts[0])))
 
 
 TEXTS = [["1 + x1*x2", "sin(x2)"], ["x1^2 - x2", "2 + cos(x1)*x2"]]
@@ -134,18 +133,18 @@ def test_chart_transfer_quadratic_map():
     f_text = "sin(x1)*x2 + x1^2"
     jets = jet_seed(POINT)
     mapped = [eval_jet(parse(t, 2), jets) for t in map_texts]
-    jmat = np.stack([m.grad for m in mapped])
+    jmat = np.stack([m.jac for m in mapped])
     dj = np.stack([m.hess for m in mapped])
     k = np.linalg.inv(jmat)
     dk = -np.einsum("ib,bch,ca->iah", k, dj, k)
 
     composed = eval_jet(parse(f_text, 2), mapped)   # jets in the source chart
-    q = JetArray(np.array(composed.value), composed.grad, composed.hess)
+    q = JetArray(np.array(composed.val), composed.jac, composed.hess)
     out = chart_transfer(q, k, dk)
 
-    target = eval_jet(parse(f_text, 2), jet_seed([m.value for m in mapped]))
-    assert np.allclose(out.val, target.value)
-    assert np.allclose(out.jac, target.grad, atol=1e-12)
+    target = eval_jet(parse(f_text, 2), jet_seed([m.val for m in mapped]))
+    assert np.allclose(out.val, target.val)
+    assert np.allclose(out.jac, target.jac, atol=1e-12)
     assert np.allclose(out.hess, target.hess, atol=1e-12)
 
 

@@ -1,9 +1,13 @@
 import math
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from vielbein.cli import JobConfig, _eval_point
+from vielbein import cli
+from vielbein.cli import JobConfig
 from vielbein.expr import parse
 from vielbein.frame import (
     curvature,
@@ -331,7 +335,7 @@ def test_restricted_gauge_point_path_with_linear_base():
     cfg2 = transform_config(cfg, gen, f_poly, base_linear=lin)
     xbar = tuple(lin @ np.array(PT))
     jets = jet_seed(xbar)
-    abar = np.array([eval_entry(entry, jets, cfg2.params).value
+    abar = np.array([eval_entry(entry, jets, cfg2.params).val
                      for entry in cfg2.potential])
     assert np.allclose(cp5bar.e[4, :4], -cfg.k * abar, atol=1e-12)
 
@@ -395,11 +399,20 @@ def _counting(cfg):
                         k=cfg.k, params=cfg.params)
 
 
-def _eval_einstein_maxwell_job(cfg, pt):
-    job = JobConfig.from_dict({"check": "einstein-maxwell",
+def _run_counted_job(check, cfg, points):
+    """``cli.run_job`` on a grid of ``points`` with ``cfg`` as the solution."""
+    job = JobConfig.from_dict({"check": check,
                                "solution": {"name": "reissner_nordstrom"},
-                               "grid": {"points": [list(pt)]}, "tolerance": 1.0})
-    return _eval_point(job, cfg.tetrad, cfg, pt)
+                               "grid": {"points": [list(p) for p in points]},
+                               "tolerance": 1.0})
+    resolved = ("counted", {}, cfg.tetrad, cfg)
+    with tempfile.TemporaryDirectory() as out, \
+            mock.patch.object(cli, "_resolve_solution", lambda ref: resolved):
+        return cli.run_job(job, Path(out), write_csv=False)
+
+
+def _eval_einstein_maxwell_job(cfg, pt):
+    return _run_counted_job("einstein-maxwell", cfg, [pt])
 
 
 def _covariance(cfg, pt):
@@ -417,6 +430,29 @@ def test_one_tetrad_and_potential_evaluation_per_point(run, evals):
         run(cfg, pt)
     assert cfg.tetrad.calls == evals * len(pts)
     assert [a.calls for a in cfg.potential] == [evals * len(pts)] * 4
+
+
+RN_POINTS = [(0.1 * n, 3.0 + 0.5 * n, 1.2, 0.1 * n) for n in range(7)]
+
+
+# the frame expressions are evaluated once per block of grid points; the
+# potential only by the checks on the five-dimensional lift
+@pytest.mark.parametrize("check", cli.CHECK_KINDS)
+def test_one_evaluation_per_block(check):
+    cfg = _counting(reissner_nordstrom(M=1.0, Q=0.5).kaluza_config())
+    _, report = _run_counted_job(check, cfg, RN_POINTS)
+    assert report["n_points"] == len(RN_POINTS)
+    assert cfg.tetrad.calls == 1
+    pot_evals = 1 if check in cli.KALUZA_CHECKS else 0
+    assert [a.calls for a in cfg.potential] == [pot_evals] * 4
+
+
+def test_blocks_cover_long_grids():
+    cfg = _counting(reissner_nordstrom(M=1.0, Q=0.5).kaluza_config())
+    points = [(0.0, 3.0 + 0.01 * n, 1.2, 0.3) for n in range(cli.BLOCK_SIZE + 1)]
+    code, report = _run_counted_job("vacuum", cfg, points)
+    assert code == 0 and report["n_points"] == len(points)
+    assert cfg.tetrad.calls == 2
 
 
 @pytest.mark.parametrize("seed", [3, 11, 29, 47])

@@ -140,7 +140,7 @@ def test_poly_expr_consistency(rng):
     x = rng.uniform(-1, 1, 4)
     assert eval_jet(tree, list(x)) == pytest.approx(p(x), abs=1e-14)
     out = eval_jet(tree, jet_seed(x))
-    assert np.allclose(out.grad, [p.grad(i)(x) for i in range(4)], atol=1e-13)
+    assert np.allclose(out.jac, [p.grad(i)(x) for i in range(4)], atol=1e-13)
 
 
 def test_poly_zero_prints_as_number():
