@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import inspect
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -74,7 +74,7 @@ class EvaluationError(Exception):
 _POINT_ERRORS = (ExprError, DegenerateFrameError, GaugeError)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclass(frozen=True)
 class JobConfig:
     check: str
     solution: Mapping
@@ -227,8 +227,9 @@ def _eval_point(job: JobConfig, tetrad, kcfg, point, jets) -> dict[str, np.ndarr
     if kind == "identities":
         if job.debug.get("corrupt_omega_sign"):
             omega = sp.omega.copy()
-            omega[0, [0, 1], [1, 0]] *= -1.0
-            sp = dataclasses.replace(sp, omega=omega)
+            omega[0, 0, 1] = -omega[0, 0, 1]
+            omega[0, 1, 0] = -omega[0, 1, 0]
+            sp = type(sp)(omega=omega, domega=sp.domega, signature=sp.signature)
         sec = SectionPoint(cp, sp, holonomic=True)
         orc = oracle_from_coframe(cp)
         omega_dev = sp.omega - spin_connection_via_christoffels(cp, orc.gamma)
@@ -389,12 +390,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         job = JobConfig.from_dict(raw)
         if args.seed is not None:
-            job = dataclasses.replace(job, seed=args.seed)
+            job = JobConfig(check=job.check, solution=job.solution, grid=job.grid,
+                            tolerance=job.tolerance, tolerances=job.tolerances,
+                            seed=args.seed, debug=job.debug)
         code, report = run_job(job, Path(args.out), args.csv)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (EvaluationError, *_POINT_ERRORS) as exc:
+    except (EvaluationError, ExprError, DegenerateFrameError, GaugeError) as exc:
         print(f"evaluation error: {exc}", file=sys.stderr)
         return 3
 

@@ -15,7 +15,6 @@ sin, cos, sqrt, exp, ln.  No user-defined functions, no simplification.
 from __future__ import annotations
 
 import math
-import operator
 import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
@@ -269,13 +268,15 @@ def eval_jet(node: Expr, coords: Sequence, params: Mapping[str, float] | None = 
     return _eval(node, coords, params or {})
 
 
-_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-               "/": operator.truediv}
-
-
 def _apply_binop(op: str, a, b):
-    if op in _ARITHMETIC:
-        return _ARITHMETIC[op](a, b)
+    if op == "+":
+        return a + b
+    if op == "-":
+        return a - b
+    if op == "*":
+        return a * b
+    if op == "/":
+        return a / b
     if isinstance(a, jets.JetArray) or isinstance(b, jets.JetArray):
         return a ** b
     return math.pow(a, b)  # rejects negative base with fractional exponent

@@ -170,7 +170,9 @@ def _coframe_point_from_jets(point, ja: JetArray, signature: Signature) -> Cofra
 
 
 def evaluate_coframe(field, point: Sequence[float]) -> CoframePoint:
-    return _coframe_point_from_jets(point, field.eval_jets(jet_seed(point)), field.signature)
+    jets = jet_seed(point)
+    ja = field.eval_jets(jets)
+    return _coframe_point_from_jets(point, ja, field.signature)
 
 
 def metric(cp: CoframePoint) -> np.ndarray:

@@ -12,9 +12,6 @@ first derivatives are assembled out of a frame known to second order.
 
 from __future__ import annotations
 
-from functools import reduce
-from operator import add
-
 import numpy as np
 
 from .jets import JetArray
@@ -53,27 +50,37 @@ def jet_einsum(spec: str, *ops) -> JetArray:
 
     val = np.einsum(spec, *vals, optimize=True)
 
-    def channel(swaps: dict, tail: str) -> np.ndarray:
-        """The einsum with operand i's values replaced by the derivative
-        array ``swaps[i][0]``, its extra axes lettered ``swaps[i][1]``, and
-        output derivative axes ``tail``."""
-        arrs, specs = list(vals), list(in_specs)
-        for i, (arr, letters) in swaps.items():
-            arrs[i] = arr
-            specs[i] += letters
-        return np.einsum(",".join(specs) + "->" + out + tail, *arrs, optimize=True)
+    jac = None
+    for i in jet_ix:
+        arrs = list(vals)
+        arrs[i] = ops[i].jac
+        specs = list(in_specs)
+        specs[i] += dz
+        term = np.einsum(",".join(specs) + "->" + out + dz, *arrs, optimize=True)
+        jac = term if jac is None else jac + term
 
-    jac = reduce(add, [channel({i: (ops[i].jac, dz)}, dz) for i in jet_ix])
     hess = None
     if all(ops[i].hess is not None for i in jet_ix):
         hess = 0.0
         for i in jet_ix:
-            hess = hess + channel({i: (ops[i].hess, dz + dy)}, dz + dy)
+            arrs = list(vals)
+            arrs[i] = ops[i].hess
+            specs = list(in_specs)
+            specs[i] += dz + dy
+            hess = hess + np.einsum(",".join(specs) + "->" + out + dz + dy,
+                                    *arrs, optimize=True)
         for i in jet_ix:
             for j in jet_ix:
-                if i != j:
-                    hess = hess + channel({i: (ops[i].jac, dz), j: (ops[j].jac, dy)},
-                                          dz + dy)
+                if i == j:
+                    continue
+                arrs = list(vals)
+                arrs[i] = ops[i].jac
+                arrs[j] = ops[j].jac
+                specs = list(in_specs)
+                specs[i] += dz
+                specs[j] += dy
+                hess = hess + np.einsum(",".join(specs) + "->" + out + dz + dy,
+                                        *arrs, optimize=True)
     return JetArray(val, jac, hess)
 
 
@@ -97,8 +104,11 @@ def jet_matexp(a: JetArray, tol: float = 1e-17) -> JetArray:
     squarings = max(0, int(np.ceil(np.log2(norm))) + 1) if norm > 1.0 else 0
     x = a * (0.5 ** squarings)
 
-    zero = a.full_like(0.0)
-    total = term = JetArray(np.eye(n), zero.jac, zero.hess)
+    dim = a.dim
+    ident = JetArray(np.eye(n), np.zeros((n, n, dim)),
+                     None if a.hess is None else np.zeros((n, n, dim, dim)))
+    total = ident
+    term = ident
     k = 1
     while True:
         term = jet_einsum("ab,bc->ac", term, x) * (1.0 / k)

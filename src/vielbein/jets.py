@@ -68,7 +68,10 @@ class JetArray:
         return JetArray(-self.val, -self.jac, None if self.hess is None else -self.hess)
 
     def __sub__(self, other) -> "JetArray":
-        return self + (-other)
+        if not isinstance(other, JetArray):
+            return JetArray(self.val - float(other), self.jac, self.hess)
+        h = None if self.hess is None or other.hess is None else self.hess - other.hess
+        return JetArray(self.val - other.val, self.jac - other.jac, h)
 
     def __rsub__(self, other) -> "JetArray":
         return (-self) + float(other)
@@ -78,11 +81,11 @@ class JetArray:
             c = float(other)
             return JetArray(c * self.val, c * self.jac,
                             None if self.hess is None else c * self.hess)
-        a, b = self.val[..., None], other.val[..., None]
+        a, b = _spread(self.val, 1), _spread(other.val, 1)
         hess = None
         if self.hess is not None and other.hess is not None:
             cross = self.jac[..., :, None] * other.jac[..., None, :]
-            hess = (a[..., None] * other.hess + b[..., None] * self.hess
+            hess = (_spread(self.val, 2) * other.hess + _spread(other.val, 2) * self.hess
                     + cross + cross.swapaxes(-1, -2))
         return JetArray(self.val * other.val, a * other.jac + b * self.jac, hess)
 
@@ -110,8 +113,11 @@ class JetArray:
             return self.full_like(1.0)
         if p == 1.0:
             return self
-        with np.errstate(over="ignore"):
-            f0, f1, f2 = (_pow(self.val, q) for q in (p, p - 1.0, p - 2.0))
+        u = self.val
+        # math.pow's domain errors, for u^p and the derivatives' u^(p-2)
+        if (p != math.floor(p) and (u < 0.0).any()) or (p < 2.0 and (u == 0.0).any()):
+            raise ValueError("math domain error")
+        f0, f1, f2 = _math_overflow(lambda: [np.power(u, q) for q in (p, p - 1.0, p - 2.0)])
         return _unary(self, f0, p * f1, p * (p - 1.0) * f2)
 
     def transpose(self, axes: tuple[int, ...]) -> "JetArray":
@@ -129,45 +135,50 @@ def jet_seed(points) -> list[JetArray]:
     block of points."""
     x = np.asarray(points, dtype=float)
     batch, m = x.shape[:-1], x.shape[-1]
-    eye = np.eye(m)
-    return [JetArray(x[..., i], np.broadcast_to(eye[i], batch + (m,)).copy(),
-                     np.zeros(batch + (m, m))) for i in range(m)]
+    eye = np.eye(m) * np.ones(batch + (1, 1))
+    zero = np.zeros(batch + (m, m))
+    return [JetArray(x[..., i], eye[..., i, :], zero) for i in range(m)]
 
 
 def jet_stack(items: Sequence[JetArray], shape: tuple[int, ...]) -> JetArray:
     """Second-order jets of one common shape B, in row-major order, as a
     single JetArray of shape B + ``shape``."""
     batch, dim = items[0].jac.shape[:-1], items[0].dim
-    return JetArray(
-        np.stack([j.val for j in items], axis=-1).reshape(batch + shape),
-        np.stack([j.jac for j in items], axis=-2).reshape(batch + shape + (dim,)),
-        np.stack([j.hess for j in items], axis=-3).reshape(batch + shape + (dim, dim)),
-    )
+
+    def lay(arrays, tail):
+        # np.array stacks on a new first axis (far cheaper than np.stack per
+        # call), which then moves behind the batch axes
+        a, nb = np.array(arrays), len(batch)
+        return a.transpose(*range(1, nb + 1), 0, *range(nb + 1, a.ndim)).reshape(
+            batch + shape + tail)
+
+    return JetArray(lay([j.val for j in items], ()), lay([j.jac for j in items], (dim,)),
+                    lay([j.hess for j in items], (dim, dim)))
 
 
 def _unary(u: JetArray, f0, f1, f2) -> JetArray:
     """Chain rule for f(u), given f, f' and f'' at the values of u."""
-    f1 = np.asarray(f1)[..., None]
     hess = None
     if u.hess is not None:
         outer = u.jac[..., :, None] * u.jac[..., None, :]
-        hess = f2[..., None, None] * outer + f1[..., None] * u.hess
-    return JetArray(f0, f1 * u.jac, hess)
+        hess = _spread(f2, 2) * outer + _spread(f1, 2) * u.hess
+    return JetArray(f0, _spread(f1, 1) * u.jac, hess)
 
 
-def _no_overflow(out, arg):
-    """``out``, unless it is infinite where ``arg`` is finite (math's range error)."""
-    if np.isinf(out).any() and (np.isinf(out) & np.isfinite(arg)).any():
-        raise OverflowError("math range error")
-    return out
+def _spread(v, k: int):
+    """Values with ``k`` trailing unit axes, to scale derivative arrays; the
+    values of one point stay a scalar, which numpy multiplies faster."""
+    return v[(...,) + (None,) * k] if v.ndim else v
 
 
-def _pow(u, p: float):
-    """Elementwise u^p with the errors of ``math.pow`` (numpy's overflow
-    warning is the caller's to silence)."""
-    if (p != math.floor(p) and (u < 0.0).any()) or (p < 0.0 and (u == 0.0).any()):
-        raise ValueError("math domain error")
-    return _no_overflow(np.power(u, p), u)
+def _math_overflow(compute):
+    """``compute()``, with numpy's overflow (a result rounded to infinity from
+    finite arguments) raised as math's range error."""
+    try:
+        with np.errstate(over="raise"):
+            return compute()
+    except FloatingPointError:
+        raise OverflowError("math range error") from None
 
 
 def _sin_cos(u: JetArray):
@@ -207,8 +218,7 @@ def sqrt(u):
 def exp(u):
     if not isinstance(u, JetArray):
         return math.exp(u)
-    with np.errstate(over="ignore"):
-        w = _no_overflow(np.exp(u.val), u.val)
+    w = _math_overflow(lambda: np.exp(u.val))
     return _unary(u, w, w, w)
 
 

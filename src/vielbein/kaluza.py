@@ -15,9 +15,8 @@ stress tensor plus the Maxwell divergence block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import chain
-from operator import add
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -420,7 +419,13 @@ def _affine_pullback(jets: Sequence[JetArray],
     """Jets of the source coordinates x = L^-1 xbar, expressed in the new chart."""
     if lin_inv is None:
         return list(jets[:4])
-    return [reduce(add, [jets[a] * lin_inv[i, a] for a in range(4)]) for i in range(4)]
+    out = []
+    for i in range(4):
+        acc = jets[0] * lin_inv[i, 0]
+        for a in range(1, 4):
+            acc = acc + jets[a] * lin_inv[i, a]
+        out.append(acc)
+    return out
 
 
 class _RotatedTetradField:
@@ -464,11 +469,15 @@ def transform_config(cfg: KaluzaConfig, lam4_generator, fiber_shift_poly,
     def make_entry(j: int):
         def entry(jets, prms):
             xjets = _affine_pullback(jets, lin_inv)
-            weights = np.eye(4)[:, j] if lin_inv is None else lin_inv[:, j]
-            terms = [(eval_entry(pot[i], xjets, params)
-                      + eval_entry(grads[i], xjets, params) * (1.0 / k)) * w
-                     for i, w in enumerate(weights) if w != 0.0]
-            return reduce(add, terms) if terms else jets[0] * 0.0
+            total = None
+            for i in range(4):
+                weight = float(i == j) if lin_inv is None else lin_inv[i, j]
+                if weight == 0.0:
+                    continue
+                contrib = (eval_entry(pot[i], xjets, params)
+                           + eval_entry(grads[i], xjets, params) * (1.0 / k)) * weight
+                total = contrib if total is None else total + contrib
+            return total if total is not None else jets[0] * 0.0
 
         return entry
 
