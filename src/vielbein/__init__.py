@@ -17,7 +17,6 @@ from .frame import (
     CoframePoint,
     DegenerateFrameError,
     evaluate_coframe,
-    metric,
     spin_connection,
     torsion_residual,
     curvature,
@@ -38,7 +37,6 @@ __all__ = [
     "CoframePoint",
     "DegenerateFrameError",
     "evaluate_coframe",
-    "metric",
     "spin_connection",
     "torsion_residual",
     "curvature",

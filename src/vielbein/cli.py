@@ -82,7 +82,6 @@ class JobConfig:
     tolerance: float
     tolerances: Mapping[str, float]
     seed: int
-    debug: Mapping
 
     @staticmethod
     def from_dict(raw: Mapping) -> "JobConfig":
@@ -110,12 +109,8 @@ class JobConfig:
         seed = raw.get("seed", 0)
         if isinstance(seed, bool) or not isinstance(seed, int):
             raise ConfigError("seed must be an integer")
-        debug = raw.get("debug", {})
-        if not isinstance(debug, Mapping):
-            raise ConfigError("debug must be an object")
         return JobConfig(check=check, solution=dict(solution), grid=dict(grid),
-                         tolerance=float(tol), tolerances=dict(tolerances),
-                         seed=seed, debug=dict(debug))
+                         tolerance=float(tol), tolerances=dict(tolerances), seed=seed)
 
     def tol_for(self, check_id: str) -> float:
         return float(self.tolerances.get(check_id, self.tolerance))
@@ -225,11 +220,6 @@ def _eval_point(job: JobConfig, tetrad, kcfg, point, jets) -> dict[str, np.ndarr
     if kind == "vacuum":
         return {"vacuum": einstein_density(cp, curvature(sp))}
     if kind == "identities":
-        if job.debug.get("corrupt_omega_sign"):
-            omega = sp.omega.copy()
-            omega[0, 0, 1] = -omega[0, 0, 1]
-            omega[0, 1, 0] = -omega[0, 1, 0]
-            sp = type(sp)(omega=omega, domega=sp.domega, signature=sp.signature)
         sec = SectionPoint(cp, sp, holonomic=True)
         orc = oracle_from_coframe(cp)
         omega_dev = sp.omega - spin_connection_via_christoffels(cp, orc.gamma)
@@ -392,7 +382,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.seed is not None:
             job = JobConfig(check=job.check, solution=job.solution, grid=job.grid,
                             tolerance=job.tolerance, tolerances=job.tolerances,
-                            seed=args.seed, debug=job.debug)
+                            seed=args.seed)
         code, report = run_job(job, Path(args.out), args.csv)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -6,6 +6,7 @@ Index conventions used throughout (0-based array axes, 1-based in prose):
 * ``de[mu, i, j]``         d_j e^mu_i  (derivative axes last)
 * ``dde[mu, i, j, k]``     d_k d_j e^mu_i
 * ``einv[i, mu]``          inverse frame, e^i_mu
+* ``deinv[i, mu, j]``      d_j e^i_mu
 * ``E[mu, i, j]``          (d_j e^mu_i - d_i e^mu_j) / 2
 * ``omega[i, mu, nu]``     spin connection with both frame indices up,
                            antisymmetric in (mu, nu)
@@ -38,9 +39,7 @@ __all__ = [
     "CurvaturePoint",
     "OraclePoint",
     "evaluate_coframe",
-    "metric",
     "metric_inverse",
-    "sigma",
     "spin_connection",
     "omega_mixed",
     "torsion_residual",
@@ -51,7 +50,7 @@ __all__ = [
     "spin_connection_via_christoffels",
     "curvature_to_coordinate",
     "kretschmann_scalar",
-    "epsilon_pair_spec",
+    "epsilon_pair",
 ]
 
 _EXPR_NODES = (Num, Coord, Param, Neg, BinOp, Call)
@@ -118,6 +117,7 @@ class CoframePoint:
     de: np.ndarray
     dde: np.ndarray
     einv: np.ndarray
+    deinv: np.ndarray
     E: np.ndarray
     signature: Signature
     det: float
@@ -160,12 +160,12 @@ def _coframe_point_from_jets(point, ja: JetArray, signature: Signature) -> Cofra
         raise DegenerateFrameError(
             f"degenerate frame at {tuple(point)}: det={det:.3e}, scale={scale:.3e}"
         )
-    einv = np.linalg.inv(e)
+    inv = jet_matinv(JetArray(e, ja.jac))
     E = 0.5 * (ja.jac - ja.jac.swapaxes(1, 2))
     return CoframePoint(
         x=tuple(float(c) for c in point),
-        e=e, de=ja.jac, dde=ja.hess, einv=einv, E=E, signature=signature,
-        det=det,
+        e=e, de=ja.jac, dde=ja.hess, einv=inv.val, deinv=inv.jac, E=E,
+        signature=signature, det=det,
     )
 
 
@@ -175,26 +175,16 @@ def evaluate_coframe(field, point: Sequence[float]) -> CoframePoint:
     return _coframe_point_from_jets(point, ja, field.signature)
 
 
-def metric(cp: CoframePoint) -> np.ndarray:
-    et = eta(cp.signature)
-    return np.einsum("mn,mi,nj->ij", et, cp.e, cp.e)
-
-
 def metric_inverse(cp: CoframePoint) -> np.ndarray:
     et = eta(cp.signature)
     return np.einsum("mn,im,jn->ij", et, cp.einv, cp.einv)
-
-
-def sigma(cp: CoframePoint) -> np.ndarray:
-    """Sigma^p_{ji} = e^p_lam E^lam_{ij} (note the flip of the lower pair)."""
-    return np.einsum("pl,lij->pji", cp.einv, cp.E)
 
 
 def _connection_jets(cp: CoframePoint) -> JetArray:
     et = eta(cp.signature)
     e1 = JetArray(cp.e, cp.de)
     de1 = JetArray(cp.de, cp.dde)
-    einv1 = jet_matinv(e1)
+    einv1 = JetArray(cp.einv, cp.deinv)
     E1 = (de1 - de1.transpose((0, 2, 1))) * 0.5
     g1 = jet_einsum("mn,mi,nj->ij", et, e1, e1)
     ginv1 = jet_matinv(g1)
@@ -239,10 +229,11 @@ def curvature(sp: SpinConnectionPoint) -> CurvaturePoint:
     return CurvaturePoint(R=r)
 
 
-def epsilon_pair_spec(n_e: int, coord_tail: str, frame_tail: str,
-                      extras: Sequence[str], out: str) -> str:
-    """einsum spec for a double permutation-symbol block with ``n_e`` frame
-    factors tied slotwise to the two symbols; extras follow the factors."""
+def epsilon_pair(e: np.ndarray, n_e: int, coord_tail: str, frame_tail: str,
+                 extras: Sequence[str], out: str, *operands) -> np.ndarray:
+    """Double permutation-symbol block with ``n_e`` copies of the frame ``e``
+    tied slotwise to the two symbols; ``operands`` (index strings ``extras``)
+    follow the frame factors."""
     if n_e > 3:
         raise ValueError("at most three tied frame factors supported")
     qs = "abc"[:n_e]
@@ -250,7 +241,9 @@ def epsilon_pair_spec(n_e: int, coord_tail: str, frame_tail: str,
     inputs = [qs + coord_tail, fs + frame_tail]
     inputs += [fs[r] + qs[r] for r in range(n_e)]
     inputs += list(extras)
-    return ",".join(inputs) + "->" + out
+    eps = levi_civita(e.shape[0])
+    return np.einsum(",".join(inputs) + "->" + out, eps, eps, *[e] * n_e, *operands,
+                     optimize=True)
 
 
 def einstein_density(cp: CoframePoint, curv: CurvaturePoint) -> np.ndarray:
@@ -260,11 +253,8 @@ def einstein_density(cp: CoframePoint, curv: CurvaturePoint) -> np.ndarray:
     m = cp.m
     if m < 3:
         raise ValueError("einstein density needs dimension >= 3")
-    eps = levi_civita(m)
-    spec = epsilon_pair_spec(m - 3, "lij", "rst", ["jist"], "lr")
     pref = 1.0 / (math.factorial(m - 3) * 4.0)
-    args = [eps, eps] + [cp.e] * (m - 3) + [curv.R]
-    return pref * np.einsum(spec, *args, optimize=True)
+    return pref * epsilon_pair(cp.e, m - 3, "lij", "rst", ["jist"], "lr", curv.R)
 
 
 def coordinate_oracle(field, point: Sequence[float]) -> OraclePoint:
@@ -298,8 +288,7 @@ def oracle_from_coframe(cp: CoframePoint) -> OraclePoint:
 def spin_connection_via_christoffels(cp: CoframePoint, gamma: np.ndarray) -> np.ndarray:
     """omega_i^{mu nu} rebuilt from coordinate Christoffels; independent path
     used to validate the frame-side assembly."""
-    deinv = -np.einsum("km,mli,ln->kni", cp.einv, cp.de, cp.einv)
-    inner = np.einsum("kij,jn->kin", gamma, cp.einv) + np.einsum("kni->kin", deinv)
+    inner = np.einsum("kij,jn->kin", gamma, cp.einv) + np.einsum("kni->kin", cp.deinv)
     w_mixed = np.einsum("mk,kin->imn", cp.e, inner)
     return np.einsum("ims,sn->imn", w_mixed, eta(cp.signature))
 

@@ -37,7 +37,6 @@ __all__ = [
     "evaluate_gauge",
     "gauge_transform_frame",
     "gauge_transform_omega",
-    "gauge_transform_E",
 ]
 
 
@@ -107,12 +106,10 @@ def evaluate_gauge(ge: GaugeElement, point: Sequence[float]) -> GaugePointData:
     det_j = float(np.linalg.det(j))
     if abs(det_j) < 1e-12:
         raise GaugeError(f"singular coordinate map at {tuple(point)}")
-    k = np.linalg.inv(j)
-    dk = -np.einsum("ib,bch,ca->iah", k, dj, k)
-    t = np.einsum("ib,bcg,cd,deh,ea->iahg", k, dj, k, dj, k, optimize=True)
-    ddk = t + t.transpose(0, 1, 3, 2)
-    return GaugePointData(xbar=xbar, lam=lam, j=j, dj=dj, k=k, dk=dk, ddk=ddk,
-                          det_j=det_j)
+    # the Jacobian's second derivatives (third of the map) vanish at degree <= 2
+    kj = jet_matinv(JetArray(j, dj, np.zeros(dj.shape + (m,))))
+    return GaugePointData(xbar=xbar, lam=lam, j=j, dj=dj, k=kj.val, dk=kj.jac,
+                          ddk=kj.hess, det_j=det_j)
 
 
 def gauge_transform_frame(cp: CoframePoint, ge: GaugeElement) -> CoframePoint:
@@ -144,11 +141,3 @@ def gauge_transform_omega(sp: SpinConnectionPoint, cp: CoframePoint,
     wbar = (wbar - wbar.transpose((0, 2, 1))) * 0.5
     return SpinConnectionPoint(omega=wbar.val, domega=wbar.jac, signature=sp.signature)
 
-
-def gauge_transform_E(cp: CoframePoint, ge: GaugeElement) -> np.ndarray:
-    """Gauge law acting on the antisymmetrized-derivative block directly."""
-    gp = evaluate_gauge(ge, cp.x)
-    lam, dlam = gp.lam.val, gp.lam.jac
-    hom = np.einsum("sih,ms,hk,ij->mjk", cp.E, lam, gp.k, gp.k, optimize=True)
-    inh = 0.5 * np.einsum("si,msh,hk,ij->mjk", cp.e, dlam, gp.k, gp.k, optimize=True)
-    return hom + inh - inh.transpose(0, 2, 1)

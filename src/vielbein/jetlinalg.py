@@ -97,7 +97,7 @@ def jet_matinv(a: JetArray) -> JetArray:
     return JetArray(iv, jac, hess)
 
 
-def jet_matexp(a: JetArray, tol: float = 1e-17) -> JetArray:
+def jet_matexp(a: JetArray) -> JetArray:
     """Matrix exponential of a square matrix of jets (scaling and squaring)."""
     n = a.val.shape[0]
     norm = np.linalg.norm(a.val, ord=np.inf)
@@ -115,7 +115,7 @@ def jet_matexp(a: JetArray, tol: float = 1e-17) -> JetArray:
         total = total + term
         size = max(np.abs(term.val).max(), np.abs(term.jac).max(),
                    0.0 if term.hess is None else np.abs(term.hess).max())
-        if size < tol or k > 80:
+        if size < 1e-17 or k > 80:
             break
         k += 1
     for _ in range(squarings):

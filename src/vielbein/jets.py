@@ -42,10 +42,6 @@ class JetArray:
         """Number of base coordinates the derivatives run over."""
         return self.jac.shape[-1]
 
-    @property
-    def order(self) -> int:
-        return 2 if self.hess is not None else 1
-
     def __getitem__(self, idx) -> "JetArray":
         """Index the value axes; the derivative axes come along whole."""
         return JetArray(self.val[idx], self.jac[idx],
@@ -119,6 +115,13 @@ class JetArray:
             raise ValueError("math domain error")
         f0, f1, f2 = _math_overflow(lambda: [np.power(u, q) for q in (p, p - 1.0, p - 2.0)])
         return _unary(self, f0, p * f1, p * (p - 1.0) * f2)
+
+    def __rpow__(self, base) -> "JetArray":
+        # c^u = exp(u ln c), for c > 0 only
+        c = float(base)
+        if c <= 0.0:
+            raise ValueError("math domain error")
+        return exp(self * math.log(c))
 
     def transpose(self, axes: tuple[int, ...]) -> "JetArray":
         n = self.val.ndim

@@ -5,7 +5,9 @@ that need not derive from the frame (non-holonomic data is first-class: the
 algebraic identities here hold for arbitrary antisymmetric connection
 values).  The module provides the contact two-form pullback, the Lagrangian
 density, its gauge-invariance defect, a slot-exchange identity of the
-double-epsilon block, and the two Euler-Lagrange residual blocks.
+double-epsilon block, and the Euler-Lagrange residual block of the frame
+variations.  The block of the connection variations vanishes exactly on
+torsion-free sections; it is kept as a test oracle.
 """
 
 from __future__ import annotations
@@ -19,13 +21,12 @@ import numpy as np
 from .frame import (
     CoframePoint,
     SpinConnectionPoint,
-    epsilon_pair_spec,
+    epsilon_pair,
     evaluate_coframe,
     omega_mixed,
     spin_connection,
 )
 from .gauge import GaugeElement, evaluate_gauge, gauge_transform_frame, gauge_transform_omega
-from .tensors import levi_civita
 
 __all__ = [
     "SectionPoint",
@@ -34,7 +35,6 @@ __all__ = [
     "theta_density",
     "theta_gauge_invariance_check",
     "omega_shuffle_identity",
-    "el_residual_connection",
     "el_residual_frame",
 ]
 
@@ -75,11 +75,9 @@ def _quadratic_block(section: SectionPoint) -> np.ndarray:
 def theta_density(section: SectionPoint) -> float:
     """Scalar coefficient L with the pulled-back Lagrangian m-form = L ds."""
     m = section.m
-    cp = section.cp
-    eps = levi_civita(m)
-    spec = epsilon_pair_spec(m - 2, "ij", "st", ["ijst"], "")
-    args = [eps, eps] + [cp.e] * (m - 2) + [_quadratic_block(section)]
-    return float(np.einsum(spec, *args, optimize=True)) / (math.factorial(m - 2) * 2.0)
+    dens = epsilon_pair(section.cp.e, m - 2, "ij", "st", ["ijst"], "",
+                        _quadratic_block(section))
+    return float(dens) / (math.factorial(m - 2) * 2.0)
 
 
 def theta_gauge_invariance_check(section: SectionPoint, ge: GaugeElement) -> float:
@@ -101,34 +99,16 @@ def omega_shuffle_identity(section: SectionPoint) -> float:
     deviation.  Holds for arbitrary, not necessarily holonomic, sections.
     """
     m = section.m
-    cp, sp = section.cp, section.sp
-    eps = levi_civita(m)
-    wmix = omega_mixed(sp)
+    e = section.cp.e
+    wmix = omega_mixed(section.sp)
 
-    spec_l = epsilon_pair_spec(m - 2, "ij", "st", ["jsh"], "iht")
-    lhs = np.einsum(spec_l, *([eps, eps] + [cp.e] * (m - 2) + [wmix]),
-                    optimize=True) / math.factorial(m - 2)
-
-    spec_r = epsilon_pair_spec(m - 3, "lij", "xst", ["yl", "jxy"], "ist")
-    rhs = np.einsum(spec_r, *([eps, eps] + [cp.e] * (m - 3) + [cp.e, wmix]),
-                    optimize=True) * (-1.0 / (math.factorial(m - 3) * 2.0))
+    lhs = epsilon_pair(e, m - 2, "ij", "st", ["jsh"], "iht", wmix) / math.factorial(m - 2)
+    rhs = epsilon_pair(e, m - 3, "lij", "xst", ["yl", "jxy"], "ist", e, wmix) * (
+        -1.0 / (math.factorial(m - 3) * 2.0))
 
     c_lhs = lhs - lhs.swapaxes(1, 2)
     c_rhs = rhs - rhs.swapaxes(1, 2)
     return float(np.abs(c_lhs - c_rhs).max())
-
-
-def el_residual_connection(section: SectionPoint) -> np.ndarray:
-    """Residual block multiplying the connection variations; vanishes exactly
-    when the section is kinematically admissible (torsion-free closure)."""
-    m = section.m
-    cp = section.cp
-    eps = levi_civita(m)
-    wmix = omega_mixed(section.sp)
-    u = cp.de + np.einsum("jre,el->rlj", wmix, cp.e)
-    spec = epsilon_pair_spec(m - 3, "lij", "rst", ["rlj"], "ist")
-    args = [eps, eps] + [cp.e] * (m - 3) + [u]
-    return np.einsum(spec, *args, optimize=True) / math.factorial(m - 3)
 
 
 def el_residual_frame(section: SectionPoint) -> np.ndarray:
@@ -136,8 +116,6 @@ def el_residual_frame(section: SectionPoint) -> np.ndarray:
     it coincides with the curvature density (same contraction, with the
     quadratic block in place of the full curvature)."""
     m = section.m
-    cp = section.cp
-    eps = levi_civita(m)
-    spec = epsilon_pair_spec(m - 3, "lij", "rst", ["ijst"], "lr")
-    args = [eps, eps] + [cp.e] * (m - 3) + [_quadratic_block(section)]
-    return np.einsum(spec, *args, optimize=True) / (math.factorial(m - 3) * 2.0)
+    res = epsilon_pair(section.cp.e, m - 3, "lij", "rst", ["ijst"], "lr",
+                       _quadratic_block(section))
+    return res / (math.factorial(m - 3) * 2.0)

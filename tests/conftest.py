@@ -1,5 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+
+from vielbein.frame import epsilon_pair, omega_mixed
+from vielbein.gauge import evaluate_gauge
+from vielbein.tensors import eta
 
 
 def fd_grad(f, x, h=1e-6):
@@ -36,6 +42,39 @@ def _unit(n, i, h):
     u = np.zeros(n)
     u[i] = h
     return u
+
+
+# Independent oracles the tests compare the library against; the library
+# itself does not need them.
+
+def metric(cp):
+    """g_ij = eta_mn e^m_i e^n_j."""
+    et = eta(cp.signature)
+    return np.einsum("mn,mi,nj->ij", et, cp.e, cp.e)
+
+
+def sigma(cp):
+    """Sigma^p_{ji} = e^p_lam E^lam_{ij} (note the flip of the lower pair)."""
+    return np.einsum("pl,lij->pji", cp.einv, cp.E)
+
+
+def gauge_transform_E(cp, ge):
+    """Gauge law acting on the antisymmetrized-derivative block directly."""
+    gp = evaluate_gauge(ge, cp.x)
+    lam, dlam = gp.lam.val, gp.lam.jac
+    hom = np.einsum("sih,ms,hk,ij->mjk", cp.E, lam, gp.k, gp.k, optimize=True)
+    inh = 0.5 * np.einsum("si,msh,hk,ij->mjk", cp.e, dlam, gp.k, gp.k, optimize=True)
+    return hom + inh - inh.transpose(0, 2, 1)
+
+
+def el_residual_connection(section):
+    """Euler-Lagrange block multiplying the connection variations; vanishes
+    exactly when the section is kinematically admissible (torsion-free
+    closure)."""
+    m, cp = section.m, section.cp
+    wmix = omega_mixed(section.sp)
+    u = cp.de + np.einsum("jre,el->rlj", wmix, cp.e)
+    return epsilon_pair(cp.e, m - 3, "lij", "rst", ["rlj"], "ist", u) / math.factorial(m - 3)
 
 
 @pytest.fixture

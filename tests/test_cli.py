@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
+from vielbein import cli
 from vielbein.cli import main
+from vielbein.frame import SpinConnectionPoint, spin_connection
 
 VAC = {
     "check": "vacuum",
@@ -65,7 +67,7 @@ def test_tolerance_failure_exit_one(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
-def test_identities_and_corrupt_flag(tmp_path):
+def test_identities_and_corrupt_flag(tmp_path, monkeypatch):
     cfg = {
         "check": "identities",
         "solution": {"name": "random_polynomial", "params": {"seed": 5, "amplitude": 0.1}},
@@ -73,10 +75,19 @@ def test_identities_and_corrupt_flag(tmp_path):
         "tolerance": 1e-9,
         "seed": 5,
     }
-    assert main(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "a")]) == 0
-    cfg["debug"] = {"corrupt_omega_sign": True}
-    assert main(["run", _write(tmp_path, cfg, "bad.json"),
-                 "--out", str(tmp_path / "b")]) == 1
+    path = _write(tmp_path, cfg)
+    assert main(["run", path, "--out", str(tmp_path / "a")]) == 0
+
+    def corrupt_spin_connection(cp):
+        # flip the sign of one antisymmetric pair of omega
+        sp = spin_connection(cp)
+        omega = sp.omega.copy()
+        omega[0, 0, 1] = -omega[0, 0, 1]
+        omega[0, 1, 0] = -omega[0, 1, 0]
+        return SpinConnectionPoint(omega=omega, domega=sp.domega, signature=sp.signature)
+
+    monkeypatch.setattr(cli, "spin_connection", corrupt_spin_connection)
+    assert main(["run", path, "--out", str(tmp_path / "b")]) == 1
 
 
 def test_malformed_configs_exit_two(tmp_path, capsys):
@@ -115,6 +126,24 @@ def test_domain_error_exit_three(tmp_path, capsys):
     assert "evaluation error" in err
     assert "1.0" in err        # offending point reported
     assert "sqrt" in err       # offending subexpression reported
+
+
+def _inline_vacuum(entry):
+    tetrad = [[entry, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    return {**VAC, "solution": {"inline": {"signature": [1, 3], "tetrad": tetrad}},
+            "grid": {"points": [[0.0, 0.5, 0.0, 0.0], [0.0, 1.5, 0.0, 0.0]]}}
+
+
+def test_number_to_jet_power_runs(tmp_path):
+    cfg = _inline_vacuum("1 + 0*2^x2")
+    assert main(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 0
+
+
+def test_negative_base_power_exit_three(tmp_path, capsys):
+    cfg = _inline_vacuum("1 + 0*(0-2)^x2")
+    assert main(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "evaluation error" in err and "(0.0 - 2.0)^x2" in err
 
 
 # 0*ln(x2) has a finite value but a 1/x2 derivative that overflows at

@@ -12,9 +12,7 @@ from vielbein.frame import (
     einstein_density,
     evaluate_coframe,
     kretschmann_scalar,
-    metric,
     metric_inverse,
-    sigma,
     spin_connection,
     spin_connection_via_christoffels,
     torsion_residual,
@@ -22,6 +20,8 @@ from vielbein.frame import (
 from vielbein.expr import parse
 from vielbein.solutions import minkowski, random_polynomial, rindler, schwarzschild
 from vielbein.tensors import Signature
+
+from conftest import metric, sigma
 
 RINDLER_PT = (0.3, 2.0, -0.5, 1.0)
 SCHW_PT = (0.0, 4.0, math.pi / 2, 0.3)
@@ -151,8 +151,6 @@ def test_schwarzschild_connection_textbook_components():
 def test_oracle_against_plain_finite_differences():
     # independent derivative route: central differences of raw metric values,
     # no jets anywhere in the differentiation path
-    from vielbein.frame import metric
-
     sol = schwarzschild(1.0)
     pt = np.array(SCHW_PT)
     orc = coordinate_oracle(sol.tetrad, SCHW_PT)

@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 
 from vielbein.expr import parse
-from vielbein.frame import evaluate_coframe, metric, spin_connection
+from vielbein.frame import evaluate_coframe, spin_connection
 from vielbein.gauge import (
     GaugeElement,
     GaugeError,
     evaluate_gauge,
-    gauge_transform_E,
     gauge_transform_frame,
     gauge_transform_omega,
 )
 from vielbein.solutions import minkowski, random_gauge_element, random_polynomial
 from vielbein.tensors import Signature, eta
+
+from conftest import gauge_transform_E, metric
 
 SIG4 = Signature(1, 3)
 PT = (0.2, -0.3, 0.4, 0.1)

@@ -158,5 +158,5 @@ def test_jetarray_add_transpose():
     n = (-a) * 2.0
     assert np.allclose(n.val, -2 * a.val)
     d1 = a.drop_hess()
-    assert d1.hess is None and d1.order == 1 and a.order == 2
+    assert d1.hess is None and a.hess is not None
     assert (a + d1).hess is None

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from vielbein import jets
 from vielbein.jets import JetArray, jet_seed, jet_stack
@@ -71,11 +71,12 @@ def test_arithmetic_keeps_hessian_symmetric(a, b, c, d):
 
 
 @given(v=st.floats(min_value=0.2, max_value=4.0))
+@example(v=0.426362103620467)   # value 1.29e-4 near the root, roundoff 1.5e-16
 def test_sqrt_ln_exp_chain(v):
     x = jet_seed((v,))[0]
     f = jets.ln(jets.sqrt(x) * jets.exp(x))
-    # ln(sqrt(v) e^v) = v + ln(v)/2
-    assert math.isclose(f.val, v + math.log(v) / 2, rel_tol=1e-12)
+    # ln(sqrt(v) e^v) = v + ln(v)/2, which crosses zero near v = 0.4263
+    assert math.isclose(f.val, v + math.log(v) / 2, rel_tol=1e-12, abs_tol=1e-15)
     assert math.isclose(f.jac[0], 1 + 0.5 / v, rel_tol=1e-12)
     assert math.isclose(f.hess[0, 0], -0.5 / v**2, rel_tol=1e-12)
 
@@ -86,6 +87,22 @@ def test_power_with_jet_exponent():
     assert math.isclose(f.val, 8.0, rel_tol=1e-12)
     assert math.isclose(f.jac[0], 12.0, rel_tol=1e-12)           # b a^(b-1)
     assert math.isclose(f.jac[1], 8 * math.log(2), rel_tol=1e-12)
+
+
+def test_number_to_jet_power():
+    point = np.array([0.7, -0.4])
+    x = jet_seed(point)
+    f = 2.0 ** (x[0] * x[1])
+
+    def g(p):
+        return 2.0 ** (p[0] * p[1])
+
+    assert math.isclose(f.val, math.exp(0.7 * -0.4 * math.log(2.0)), rel_tol=1e-15)
+    assert np.allclose(f.jac, fd_grad(g, point), atol=1e-8)
+    assert np.allclose(f.hess, fd_hess(g, point), atol=1e-6)
+    for base in (0.0, -2.0):
+        with pytest.raises(ValueError, match="math domain error"):
+            base ** x[0]
 
 
 def test_domain_errors():

@@ -287,7 +287,7 @@ def test_transform_config_preserves_field_strength():
     fs2 = field_strength(cfg2, PT)
     assert np.allclose(fs1.f_coord, fs2.f_coord, atol=1e-12)
     # metric is rotation-invariant
-    from vielbein.frame import metric
+    from conftest import metric
 
     g1 = metric(evaluate_coframe(cfg.tetrad, PT))
     g2 = metric(evaluate_coframe(cfg2.tetrad, PT))

@@ -19,13 +19,14 @@ from vielbein.tensors import Signature, eta
 from vielbein.variational import (
     SectionPoint,
     contact_pullback,
-    el_residual_connection,
     el_residual_frame,
     omega_shuffle_identity,
     section_point,
     theta_density,
     theta_gauge_invariance_check,
 )
+
+from conftest import el_residual_connection
 
 # frozen regression constants (see scripts/calibrate_constants.py):
 # density of the pulled-back Lagrangian against det(e) * scalar curvature,
