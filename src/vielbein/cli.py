@@ -15,7 +15,7 @@ import csv
 import inspect
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -87,6 +87,9 @@ class JobConfig:
     def from_dict(raw: Mapping) -> "JobConfig":
         if not isinstance(raw, Mapping):
             raise ConfigError("top-level config must be a JSON object")
+        unknown = sorted(set(raw) - {f.name for f in fields(JobConfig)})
+        if unknown:
+            raise ConfigError(f"unknown config key(s): {', '.join(map(repr, unknown))}")
         check = raw.get("check")
         if check not in CHECK_KINDS:
             raise ConfigError(f"check must be one of {CHECK_KINDS}, got {check!r}")

@@ -28,7 +28,7 @@ import numpy as np
 
 from .expr import BinOp, Call, Coord, Neg, Num, Param, eval_jet
 from .jets import JetArray, jet_seed, jet_stack
-from .jetlinalg import jet_einsum, jet_matinv
+from .jetlinalg import contract, jet_einsum, jet_matinv
 from .tensors import Signature, eta, levi_civita
 
 __all__ = [
@@ -242,8 +242,7 @@ def epsilon_pair(e: np.ndarray, n_e: int, coord_tail: str, frame_tail: str,
     inputs += [fs[r] + qs[r] for r in range(n_e)]
     inputs += list(extras)
     eps = levi_civita(e.shape[0])
-    return np.einsum(",".join(inputs) + "->" + out, eps, eps, *[e] * n_e, *operands,
-                     optimize=True)
+    return contract(",".join(inputs) + "->" + out, eps, eps, *[e] * n_e, *operands)
 
 
 def einstein_density(cp: CoframePoint, curv: CurvaturePoint) -> np.ndarray:
@@ -303,5 +302,5 @@ def curvature_to_coordinate(cp: CoframePoint, curv: CurvaturePoint) -> np.ndarra
 def kretschmann_scalar(cp: CoframePoint, curv: CurvaturePoint) -> float:
     gi = metric_inverse(cp)
     et = eta(cp.signature)
-    return float(np.einsum("jils,JILS,jJ,iI,lL,sS->", curv.R, curv.R,
-                           gi, gi, et, et, optimize=True))
+    return float(contract("jils,JILS,jJ,iI,lL,sS->", curv.R, curv.R,
+                          gi, gi, et, et))

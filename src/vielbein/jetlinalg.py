@@ -5,6 +5,11 @@ product rule channel by channel, so derivative bookkeeping lives in exactly
 one place.  The specs address the value axes of one point; there are no
 batch axes here.
 
+Contractions that want numpy's path optimisation go through
+:func:`contract`: it plans each (spec, operand shapes) pair once with
+numpy's greedy path search, caches the plan, and afterwards only runs its
+pairwise ``einsum`` steps.
+
 First-order arrays (``hess=None``) are the workhorse wherever only one more
 derivative order is needed, e.g. when the connection coefficients and their
 first derivatives are assembled out of a frame known to second order.
@@ -18,6 +23,7 @@ from .jets import JetArray
 
 __all__ = [
     "JetArray",
+    "contract",
     "jet_einsum",
     "jet_matinv",
     "jet_matexp",
@@ -26,6 +32,30 @@ __all__ = [
 
 # letters reserved for derivative axes inside jet_einsum specs
 _DERIV_LETTERS = "ZYXWV"
+
+# (spec, operand shapes) -> [(operand positions, pairwise einsum spec), ...]
+_PLANS: dict = {}
+
+
+def contract(spec: str, *ops) -> np.ndarray:
+    """Optimised ``np.einsum(spec, *ops)`` over ndarrays: numpy's greedy path
+    is planned once per (spec, operand shapes) and replayed as plain pairwise
+    einsums."""
+    key = (spec, tuple([op.shape for op in ops]))
+    plan = _PLANS.get(key)
+    if plan is None:
+        _, steps = np.einsum_path(spec, *ops, optimize="greedy", einsum_call=True)
+        # numpy 2.x steps are (inds, spec, remaining); 1.x has 5 fields, spec third
+        plan = [(step[0], step[1] if len(step) == 3 else step[2]) for step in steps]
+        _PLANS[key] = plan
+    operands = list(ops)
+    # each step is a plain einsum call: numpy's own optimised loop sends
+    # pairwise steps through a matmul route that costs ~10x more on arrays
+    # this small
+    for inds, step_spec in plan:
+        pair = [operands.pop(i) for i in inds]
+        operands.append(np.einsum(step_spec, *pair))
+    return operands[0]
 
 
 def jet_einsum(spec: str, *ops) -> JetArray:
@@ -48,7 +78,7 @@ def jet_einsum(spec: str, *ops) -> JetArray:
     if not jet_ix:
         raise ValueError("jet_einsum needs at least one JetArray operand")
 
-    val = np.einsum(spec, *vals, optimize=True)
+    val = contract(spec, *vals)
 
     jac = None
     for i in jet_ix:
@@ -56,7 +86,7 @@ def jet_einsum(spec: str, *ops) -> JetArray:
         arrs[i] = ops[i].jac
         specs = list(in_specs)
         specs[i] += dz
-        term = np.einsum(",".join(specs) + "->" + out + dz, *arrs, optimize=True)
+        term = contract(",".join(specs) + "->" + out + dz, *arrs)
         jac = term if jac is None else jac + term
 
     hess = None
@@ -67,8 +97,7 @@ def jet_einsum(spec: str, *ops) -> JetArray:
             arrs[i] = ops[i].hess
             specs = list(in_specs)
             specs[i] += dz + dy
-            hess = hess + np.einsum(",".join(specs) + "->" + out + dz + dy,
-                                    *arrs, optimize=True)
+            hess = hess + contract(",".join(specs) + "->" + out + dz + dy, *arrs)
         for i in jet_ix:
             for j in jet_ix:
                 if i == j:
@@ -79,8 +108,8 @@ def jet_einsum(spec: str, *ops) -> JetArray:
                 specs = list(in_specs)
                 specs[i] += dz
                 specs[j] += dy
-                hess = hess + np.einsum(",".join(specs) + "->" + out + dz + dy,
-                                        *arrs, optimize=True)
+                hess = hess + contract(",".join(specs) + "->" + out + dz + dy,
+                                       *arrs)
     return JetArray(val, jac, hess)
 
 
@@ -91,8 +120,7 @@ def jet_matinv(a: JetArray) -> JetArray:
     hess = None
     if a.hess is not None:
         t1 = -np.einsum("ab,bcZY,cd->adZY", iv, a.hess, iv)
-        t2 = np.einsum("ab,bcZ,cd,deY,ef->afZY", iv, a.jac, iv, a.jac, iv,
-                       optimize=True)
+        t2 = contract("ab,bcZ,cd,deY,ef->afZY", iv, a.jac, iv, a.jac, iv)
         hess = t1 + t2 + t2.transpose(0, 1, 3, 2)
     return JetArray(iv, jac, hess)
 

@@ -36,7 +36,7 @@ from .frame import (
 )
 from .gauge import GaugeElement, gauge_transform_frame
 from .jets import JetArray, jet_seed
-from .jetlinalg import jet_einsum, jet_matexp
+from .jetlinalg import contract, jet_einsum, jet_matexp
 from .tensors import Signature, eta, levi_civita
 from .variational import SectionPoint, el_residual_frame
 
@@ -337,14 +337,13 @@ class _KaluzaPoint:
                  - np.einsum("se,jet->jst", wmix5_44, w44))
         fifth = np.einsum("te,je->jt", wmix5_44, w_col5)
         e_form2 = (
-            0.5 * np.einsum("plij,nrst,ijst,np->lr", eps4, eps4, base, e4,
-                            optimize=True)
-            + 0.5 * np.einsum("plij,nrst,jst,p,ni->lr", eps4, eps4, fiber,
-                              e5row, e4, optimize=True)
-            + 0.5 * np.einsum("plij,nrst,jt,np,si->lr", eps4, eps4, fifth,
-                              e4, e4, optimize=True))
-        m_form2 = -0.25 * np.einsum("qpli,mnst,ist,mq,np->l", eps4, eps4, fiber,
-                                    e4, e4, optimize=True)
+            0.5 * contract("plij,nrst,ijst,np->lr", eps4, eps4, base, e4)
+            + 0.5 * contract("plij,nrst,jst,p,ni->lr", eps4, eps4, fiber,
+                             e5row, e4)
+            + 0.5 * contract("plij,nrst,jt,np,si->lr", eps4, eps4, fifth,
+                             e4, e4))
+        m_form2 = -0.25 * contract("qpli,mnst,ist,mq,np->l", eps4, eps4, fiber,
+                                   e4, e4)
 
         # route 3: stress-sourced Einstein block of the tetrad alone, and the
         # divergence form pulled back to a coordinate index

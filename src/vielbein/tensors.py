@@ -2,7 +2,8 @@
 
 Everything here is dense and small (dimension <= 8): permutation symbols are
 materialized once per dimension as sign tables, which removes parity
-bookkeeping from every downstream contraction.
+bookkeeping from every downstream contraction, and flat metrics once per
+signature.  Both are returned read-only, since every caller shares them.
 """
 
 from __future__ import annotations
@@ -32,9 +33,12 @@ class Signature:
         return self.p + self.q
 
 
+@lru_cache(maxsize=None)
 def eta(sig: Signature) -> np.ndarray:
-    """Flat frame metric diag(-1 x p, +1 x q); it is its own inverse."""
-    return np.diag(np.concatenate([-np.ones(sig.p), np.ones(sig.q)]))
+    """Flat frame metric diag(-1 x p, +1 x q), read-only; it is its own inverse."""
+    et = np.diag(np.concatenate([-np.ones(sig.p), np.ones(sig.q)]))
+    et.setflags(write=False)
+    return et
 
 
 @lru_cache(maxsize=None)

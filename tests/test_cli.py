@@ -102,9 +102,13 @@ def test_malformed_configs_exit_two(tmp_path, capsys):
         {**VAC, "solution": {"name": "kerr"}},
         {**VAC, "grid": {"ranges": [{"lo": 0, "hi": 1, "n": 2}]}},
         {**VAC, "seed": "x"},
+        {**VAC, "tolerance_overrides": {"vacuum": 1e-30}},   # meant as tolerances
+        {**VAC, "debug": True},                               # removed key
     ]:
         assert main(["run", _write(tmp_path, broken), "--out", str(tmp_path / "o")]) == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "'tolerance_overrides'" in err and "'debug'" in err
 
 
 def test_missing_potential_exit_two(tmp_path):
