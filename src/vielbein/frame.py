@@ -13,8 +13,10 @@ Index conventions used throughout (0-based array axes, 1-based in prose):
 * ``domega[i, mu, nu, j]`` d_j omega_i^{mu nu}
 * ``R[j, i, lam, sig]``    curvature two-form components
 
-Coordinate (Latin) indices are raised and lowered with the metric built from
-the frame, frame (Greek) indices with the flat signature metric.
+Frame (Greek) indices are raised and lowered with the flat signature metric,
+coordinate (Latin) indices with the metric built from the frame.  The spin
+connection comes from the frame-index anholonomy coefficients, with no metric
+inverse; the torsion-free closure (:func:`torsion_residual`) is its round trip.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ __all__ = [
     "spin_connection",
     "omega_mixed",
     "torsion_residual",
+    "quadratic_block",
     "curvature",
     "einstein_density",
     "coordinate_oracle",
@@ -183,24 +186,22 @@ def metric_inverse(cp: CoframePoint) -> np.ndarray:
 def _connection_jets(cp: CoframePoint) -> JetArray:
     et = eta(cp.signature)
     e1 = JetArray(cp.e, cp.de)
-    de1 = JetArray(cp.de, cp.dde)
     einv1 = JetArray(cp.einv, cp.deinv)
-    E1 = (de1 - de1.transpose((0, 2, 1))) * 0.5
-    g1 = jet_einsum("mn,mi,nj->ij", et, e1, e1)
-    ginv1 = jet_matinv(g1)
-    sig1 = jet_einsum("pl,lij->pji", einv1, E1)
-    # in-place raising/lowering of the displayed slots: Sigma_j^p_i, Sigma_ij^p
-    t2 = jet_einsum("ja,pb,abi->pji", g1, ginv1, sig1)
-    t3 = jet_einsum("ia,ajc,cp->pji", g1, sig1, ginv1)
-    bracket = sig1 - t2 + t3
-    w_mixed = jet_einsum("mp,pji,jn->imn", e1, bracket, einv1)
-    w_up = jet_einsum("ims,sn->imn", w_mixed, et)
+    E1 = JetArray(cp.E, 0.5 * (cp.dde - cp.dde.swapaxes(1, 2)))
+    # anholonomy coefficients T_{sig alp bet} = eta_{sig mu} E^mu_ij e_alp^i e_bet^j
+    t1 = jet_einsum("sm,mij,ia,jb->sab", et, E1, einv1, einv1)
+    # Ricci rotation coefficients omega_{alp mu bet} solving 2 T_{mu alp bet}
+    # = omega_{alp mu bet} - omega_{bet mu alp}
+    w1 = t1 + t1.transpose((1, 0, 2)) - t1.transpose((1, 2, 0))
+    w_up = jet_einsum("ai,ms,nb,asb->imn", e1, et, et, w1)
     return (w_up - w_up.transpose((0, 2, 1))) * 0.5
 
 
 def spin_connection(cp: CoframePoint) -> SpinConnectionPoint:
-    """Torsion-free metric-compatible connection of the frame, with first
-    derivatives obtained by carrying jets through the whole assembly."""
+    """Torsion-free metric-compatible connection of the frame from the Ricci
+    rotation (anholonomy) coefficients, with no metric inverse; first-order
+    jets carry the first derivatives.  The torsion-free closure stays the
+    round-trip test."""
     w = _connection_jets(cp)
     return SpinConnectionPoint(omega=w.val, domega=w.jac, signature=cp.signature)
 
@@ -218,13 +219,18 @@ def torsion_residual(cp: CoframePoint, sp: SpinConnectionPoint) -> np.ndarray:
     return 2.0 * cp.E - (a - a.swapaxes(1, 2))
 
 
+def quadratic_block(sp: SpinConnectionPoint) -> np.ndarray:
+    """Q[i, j, lam, sig] = d_j omega_i^{lam sig} + omega_j^lam_eta omega_i^{eta sig};
+    the curvature is its antisymmetrization in (i, j)."""
+    return (np.einsum("istj->ijst", sp.domega)
+            + np.einsum("jse,iet->ijst", omega_mixed(sp), sp.omega))
+
+
 def curvature(sp: SpinConnectionPoint) -> CurvaturePoint:
-    d1 = np.einsum("ilsj->jils", sp.domega)
-    wmix = omega_mixed(sp)
-    quad = np.einsum("jle,ies->jils", wmix, sp.omega)
-    r = d1 - d1.swapaxes(0, 1) + quad - quad.swapaxes(0, 1)
-    # both antisymmetries hold exactly after explicit antisymmetrization
-    r = 0.5 * (r - r.swapaxes(0, 1))
+    q = quadratic_block(sp)
+    r = q.swapaxes(0, 1) - q
+    # exactly antisymmetric in (j, i) by construction; the frame pair is made
+    # exact by explicit antisymmetrization
     r = 0.5 * (r - r.swapaxes(2, 3))
     return CurvaturePoint(R=r)
 

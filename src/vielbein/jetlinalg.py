@@ -17,6 +17,8 @@ first derivatives are assembled out of a frame known to second order.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .jets import JetArray
@@ -58,6 +60,36 @@ def contract(spec: str, *ops) -> np.ndarray:
     return operands[0]
 
 
+@lru_cache(maxsize=None)
+def _product_terms(spec: str, is_jet: tuple[bool, ...], carry_hess: bool) -> tuple:
+    """The product-rule terms of ``jet_einsum(spec, ...)`` in summation order:
+    (derivative order, einsum spec, channel taken from each operand), where
+    channel 0 is the value, 1 the first and 2 the second derivative."""
+    ins, out = spec.split("->")
+    in_specs = ins.split(",")
+    if len(in_specs) != len(is_jet):
+        raise ValueError(f"spec {spec!r} does not match {len(is_jet)} operands")
+    jet_ix = [i for i, jet in enumerate(is_jet) if jet]
+    if not jet_ix:
+        raise ValueError("jet_einsum needs at least one JetArray operand")
+    used = set(spec)
+    free = [c for c in _DERIV_LETTERS if c not in used]
+    dz, dy = free[0], free[1]
+
+    def term(marks: dict) -> tuple:
+        """``marks`` maps an operand to the derivative letters it carries."""
+        order = sum(len(v) for v in marks.values())
+        specs = [s + marks.get(k, "") for k, s in enumerate(in_specs)]
+        pick = tuple(len(marks.get(k, "")) for k in range(len(in_specs)))
+        return order, ",".join(specs) + "->" + out + (dz + dy)[:order], pick
+
+    terms = [term({})] + [term({i: dz}) for i in jet_ix]
+    if carry_hess:
+        terms += [term({i: dz + dy}) for i in jet_ix]
+        terms += [term({i: dz, j: dy}) for i in jet_ix for j in jet_ix if i != j]
+    return tuple(terms)
+
+
 def jet_einsum(spec: str, *ops) -> JetArray:
     """einsum over a mix of JetArray and plain ndarray operands.
 
@@ -65,52 +97,16 @@ def jet_einsum(spec: str, *ops) -> JetArray:
     internally.  Plain arrays are treated as constants.  The result carries
     a Hessian only when every JetArray operand does.
     """
-    ins, out = spec.split("->")
-    in_specs = ins.split(",")
-    if len(in_specs) != len(ops):
-        raise ValueError(f"spec {spec!r} does not match {len(ops)} operands")
-    used = set(spec)
-    free = [c for c in _DERIV_LETTERS if c not in used]
-    dz, dy = free[0], free[1]
-
-    vals = [op.val if isinstance(op, JetArray) else np.asarray(op) for op in ops]
-    jet_ix = [i for i, op in enumerate(ops) if isinstance(op, JetArray)]
-    if not jet_ix:
-        raise ValueError("jet_einsum needs at least one JetArray operand")
-
-    val = contract(spec, *vals)
-
-    jac = None
-    for i in jet_ix:
-        arrs = list(vals)
-        arrs[i] = ops[i].jac
-        specs = list(in_specs)
-        specs[i] += dz
-        term = contract(",".join(specs) + "->" + out + dz, *arrs)
-        jac = term if jac is None else jac + term
-
-    hess = None
-    if all(ops[i].hess is not None for i in jet_ix):
-        hess = 0.0
-        for i in jet_ix:
-            arrs = list(vals)
-            arrs[i] = ops[i].hess
-            specs = list(in_specs)
-            specs[i] += dz + dy
-            hess = hess + contract(",".join(specs) + "->" + out + dz + dy, *arrs)
-        for i in jet_ix:
-            for j in jet_ix:
-                if i == j:
-                    continue
-                arrs = list(vals)
-                arrs[i] = ops[i].jac
-                arrs[j] = ops[j].jac
-                specs = list(in_specs)
-                specs[i] += dz
-                specs[j] += dy
-                hess = hess + contract(",".join(specs) + "->" + out + dz + dy,
-                                       *arrs)
-    return JetArray(val, jac, hess)
+    is_jet = tuple(isinstance(op, JetArray) for op in ops)
+    carry_hess = all(op.hess is not None for op in ops if isinstance(op, JetArray))
+    channels = [(op.val, op.jac, op.hess) if jet else (np.asarray(op),)
+                for op, jet in zip(ops, is_jet)]
+    # the Hessian sums from 0.0 (a lone term's -0.0 entries read +0.0)
+    acc = [None, None, 0.0 if carry_hess else None]
+    for order, term_spec, pick in _product_terms(spec, is_jet, carry_hess):
+        t = contract(term_spec, *[ch[c] for ch, c in zip(channels, pick)])
+        acc[order] = t if acc[order] is None else acc[order] + t
+    return JetArray(*acc)
 
 
 def jet_matinv(a: JetArray) -> JetArray:

@@ -24,6 +24,7 @@ from .frame import (
     epsilon_pair,
     evaluate_coframe,
     omega_mixed,
+    quadratic_block,
     spin_connection,
 )
 from .gauge import GaugeElement, evaluate_gauge, gauge_transform_frame, gauge_transform_omega
@@ -64,19 +65,11 @@ def contact_pullback(section: SectionPoint) -> np.ndarray:
     return cp.de.swapaxes(1, 2) - cp.de + t - t.swapaxes(1, 2)
 
 
-def _quadratic_block(section: SectionPoint) -> np.ndarray:
-    """W[i, j, lam, sig] = d_j omega_i^{lam sig} + omega_j^lam_eta omega_i^{eta sig}."""
-    sp = section.sp
-    wmix = omega_mixed(sp)
-    return (np.einsum("istj->ijst", sp.domega)
-            + np.einsum("jse,iet->ijst", wmix, sp.omega))
-
-
 def theta_density(section: SectionPoint) -> float:
     """Scalar coefficient L with the pulled-back Lagrangian m-form = L ds."""
     m = section.m
     dens = epsilon_pair(section.cp.e, m - 2, "ij", "st", ["ijst"], "",
-                        _quadratic_block(section))
+                        quadratic_block(section.sp))
     return float(dens) / (math.factorial(m - 2) * 2.0)
 
 
@@ -117,5 +110,5 @@ def el_residual_frame(section: SectionPoint) -> np.ndarray:
     quadratic block in place of the full curvature)."""
     m = section.m
     res = epsilon_pair(section.cp.e, m - 3, "lij", "rst", ["ijst"], "lr",
-                       _quadratic_block(section))
+                       quadratic_block(section.sp))
     return res / (math.factorial(m - 3) * 2.0)

@@ -5,6 +5,7 @@ import pytest
 
 from vielbein.frame import epsilon_pair, omega_mixed
 from vielbein.gauge import evaluate_gauge
+from vielbein.jetlinalg import JetArray, jet_einsum, jet_matinv
 from vielbein.tensors import eta
 
 
@@ -65,6 +66,28 @@ def gauge_transform_E(cp, ge):
     hom = np.einsum("sih,ms,hk,ij->mjk", cp.E, lam, gp.k, gp.k, optimize=True)
     inh = 0.5 * np.einsum("si,msh,hk,ij->mjk", cp.e, dlam, gp.k, gp.k, optimize=True)
     return hom + inh - inh.transpose(0, 2, 1)
+
+
+def connection_via_metric(cp):
+    """omega_i^{mu nu} with its first derivatives (a first-order JetArray),
+    assembled through the coordinate metric: Sigma^p_ji = e^p_lam E^lam_ij
+    with its displayed slots raised and lowered by g, then returned to frame
+    indices."""
+    et = eta(cp.signature)
+    e1 = JetArray(cp.e, cp.de)
+    de1 = JetArray(cp.de, cp.dde)
+    einv1 = JetArray(cp.einv, cp.deinv)
+    E1 = (de1 - de1.transpose((0, 2, 1))) * 0.5
+    g1 = jet_einsum("mn,mi,nj->ij", et, e1, e1)
+    ginv1 = jet_matinv(g1)
+    sig1 = jet_einsum("pl,lij->pji", einv1, E1)
+    # in-place raising/lowering of the displayed slots: Sigma_j^p_i, Sigma_ij^p
+    t2 = jet_einsum("ja,pb,abi->pji", g1, ginv1, sig1)
+    t3 = jet_einsum("ia,ajc,cp->pji", g1, sig1, ginv1)
+    bracket = sig1 - t2 + t3
+    w_mixed = jet_einsum("mp,pji,jn->imn", e1, bracket, einv1)
+    w_up = jet_einsum("ims,sn->imn", w_mixed, et)
+    return (w_up - w_up.transpose((0, 2, 1))) * 0.5
 
 
 def el_residual_connection(section):

@@ -2,7 +2,8 @@
 
 Every ``(spec, operand shapes)`` key the bundled configs plan is replayed on
 random operands against ``np.einsum(..., optimize=True)``; planning happens
-once per key; and no contraction under ``src/`` bypasses the plan cache.
+once per key, as does building ``jet_einsum``'s product-rule terms; and no
+contraction under ``src/`` bypasses the plan cache.
 """
 
 import ast
@@ -14,7 +15,7 @@ import pytest
 
 from vielbein import jetlinalg
 from vielbein.cli import main
-from vielbein.jetlinalg import contract
+from vielbein.jetlinalg import JetArray, contract, jet_einsum
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = sorted((ROOT / "configs").glob("*.json"))
@@ -82,6 +83,22 @@ def test_each_key_is_planned_once(tmp_path, monkeypatch):
     assert main(_vacuum_job(tmp_path, "many", 65)) == 0
     assert set(jetlinalg._PLANS) == planned
     assert len(calls) == n_calls == len(jetlinalg._PLANS)
+
+
+def test_product_terms_built_once_per_key():
+    terms = jetlinalg._product_terms
+    terms.cache_clear()
+    rng = np.random.default_rng(2)
+    a = JetArray(rng.standard_normal((3, 3)), rng.standard_normal((3, 3, 4)),
+                 rng.standard_normal((3, 3, 4, 4)))
+    c = rng.standard_normal((3, 3))
+    # three keys: the jet positions and whether a Hessian is carried
+    for _ in range(3):
+        jet_einsum("ab,bc->ac", c, a)
+        jet_einsum("ab,bc->ac", a, a)
+        jet_einsum("ab,bc->ac", a.drop_hess(), a)
+    info = terms.cache_info()
+    assert (info.misses, info.hits) == (3, 6)
 
 
 def _numpy_calls(tree: ast.AST, func: str = "<module>"):

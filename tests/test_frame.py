@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from vielbein import frame
 from vielbein.frame import (
     CoframeField,
     DegenerateFrameError,
@@ -18,10 +19,17 @@ from vielbein.frame import (
     torsion_residual,
 )
 from vielbein.expr import parse
-from vielbein.solutions import minkowski, random_polynomial, rindler, schwarzschild
+from vielbein.kaluza import lift_coframe, lift_point
+from vielbein.solutions import (
+    minkowski,
+    random_kaluza,
+    random_polynomial,
+    rindler,
+    schwarzschild,
+)
 from vielbein.tensors import Signature
 
-from conftest import metric, sigma
+from conftest import connection_via_metric, metric, sigma
 
 RINDLER_PT = (0.3, 2.0, -0.5, 1.0)
 SCHW_PT = (0.0, 4.0, math.pi / 2, 0.3)
@@ -221,6 +229,58 @@ def test_torsion_residual_detects_perturbation():
     # linear response: residual picks up -/+ 0.1 * e^nu_j on the perturbed slots
     assert res[0, 2, 1] == pytest.approx(-0.1, abs=1e-14)
     assert res[0, 1, 2] == pytest.approx(0.1, abs=1e-14)
+
+
+def _metric_route_points(rng):
+    """Frame points of random_polynomial entries at dims 3-5 (the dim-4
+    entries also under signatures (0, 4) and (2, 2)) and of lifted
+    random_kaluza configs."""
+    for dim in (3, 4, 5):
+        sol = random_polynomial(seed=40 + dim, amplitude=0.15, dim=dim)
+        fields = [sol.tetrad]
+        if dim == 4:
+            fields += [CoframeField(sol.tetrad.entries, Signature(p, 4 - p))
+                       for p in (0, 2)]
+        for field in fields:
+            for pt in sol.sample_points(rng, 3):
+                yield evaluate_coframe(field, pt)
+    for seed in range(4):
+        cfg = random_kaluza(seed=seed, amplitude=0.12)
+        for pt in rng.uniform(-0.8, 0.8, (2, 4)):
+            yield evaluate_coframe(lift_coframe(cfg), lift_point(pt))
+
+
+def test_connection_matches_metric_route(rng):
+    signatures = set()
+    for cp in _metric_route_points(rng):
+        signatures.add((cp.signature.p, cp.signature.q))
+        sp = spin_connection(cp)
+        ref = connection_via_metric(cp)
+        np.testing.assert_allclose(sp.omega, ref.val, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(sp.domega, ref.jac, rtol=0, atol=1e-13)
+    assert signatures == {(1, 2), (1, 3), (0, 4), (2, 2), (1, 4)}
+
+
+def test_connection_uses_no_metric_inverse(monkeypatch, rng):
+    # the frame inverse is the only matrix inverse per point; the connection
+    # is two jet contractions of the frame jets
+    counts = {"jet_matinv": 0, "jet_einsum": 0}
+
+    def counting(name):
+        real = getattr(frame, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(frame, name, counting(name))
+    sol = random_polynomial(seed=8, amplitude=0.15)
+    cp = evaluate_coframe(sol.tetrad, sol.sample_points(rng, 1)[0])
+    assert counts == {"jet_matinv": 1, "jet_einsum": 0}
+    spin_connection(cp)
+    assert counts == {"jet_matinv": 1, "jet_einsum": 2}
 
 
 def test_omega_antisymmetry_exact(rng):
