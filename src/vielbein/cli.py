@@ -26,10 +26,10 @@ from .expr import ExprError, parse
 from .frame import (
     CoframeField,
     DegenerateFrameError,
-    _coframe_point_from_jets,
     curvature,
     curvature_to_coordinate,
     einstein_density,
+    evaluate_coframe,
     oracle_from_coframe,
     spin_connection,
     spin_connection_via_christoffels,
@@ -53,9 +53,10 @@ CHECK_KINDS = ("vacuum", "einstein-maxwell", "identities", "reduction",
                "appendixA", "theta-density")
 KALUZA_CHECKS = ("einstein-maxwell", "reduction", "appendixA")
 
-# grid points whose frame expressions are evaluated together: enough to
-# spread numpy's per-call cost, few enough to bound the jets' memory (768
-# Schwarzschild points at once peak 2.9 MB above blocks of 64, tracemalloc)
+# grid points evaluated together: enough to spread numpy's per-call cost,
+# few enough to bound the memory of a block's geometry (under tracemalloc a
+# block of 64 peaks at 1.2 MB for the Schwarzschild vacuum chain and 1.4 MB
+# for identities on a random frame, one of 768 at 14.7 and 15.5 MB)
 BLOCK_SIZE = 64
 
 # frozen regression constant: density coefficient of the Lagrangian scalar,
@@ -189,42 +190,37 @@ def _grid_points(grid: Mapping, dim: int) -> list[tuple[float, ...]]:
     return pts
 
 
-def _block_jets(job: JobConfig, tetrad, kcfg, block) -> list[tuple]:
-    """Per-point jets of a block of grid points, from one evaluation of the
-    tetrad (and, for the Kaluza checks, the potential) over the whole block."""
-    jets = jet_seed(np.array(block))
-    arrays = (config_jets(kcfg, jets) if job.check in KALUZA_CHECKS
-              else (tetrad.eval_jets(jets),))
-    return [tuple(a[n] for a in arrays) for n in range(len(block))]
+def _kaluza_residuals(kind: str, kp: _KaluzaPoint) -> dict[str, np.ndarray]:
+    if kind == "einstein-maxwell":
+        return {"einstein_maxwell": kp.einstein_maxwell(),
+                "maxwell": kp.maxwell().divergence}
+    if kind == "reduction":
+        rep = kp.reduction()
+        return {"reduction": np.array([rep.fiber_fiber, rep.fiber_rotation,
+                                       rep.mixed_block, rep.base_block])}
+    rep = kp.chain()
+    return {"chain_einstein": np.array(rep.einstein_deviations),
+            "chain_maxwell": np.array(rep.maxwell_deviations)}
 
 
-def _eval_point(job: JobConfig, tetrad, kcfg, point, jets) -> dict[str, np.ndarray]:
-    """Every check maps a point, and its jets from :func:`_block_jets`, to
-    named residual component arrays."""
+def _block_residuals(job: JobConfig, tetrad, kcfg, block) -> dict[str, np.ndarray]:
+    """Named residual component arrays of a block of grid points, one leading
+    row per point, from one evaluation of the tetrad (and, for the Kaluza
+    checks, the potential) over the whole block.  The frame-only checks run
+    on the block at once, the Kaluza checks point by point."""
     kind = job.check
     if kind in KALUZA_CHECKS:
-        kp = _KaluzaPoint(kcfg, point, jets)
-        if kind == "einstein-maxwell":
-            return {
-                "einstein_maxwell": kp.einstein_maxwell(),
-                "maxwell": kp.maxwell().divergence,
-            }
-        if kind == "reduction":
-            rep = kp.reduction()
-            return {"reduction": np.array([rep.fiber_fiber, rep.fiber_rotation,
-                                           rep.mixed_block, rep.base_block])}
-        rep = kp.chain()
-        return {
-            "chain_einstein": np.array(rep.einstein_deviations),
-            "chain_maxwell": np.array(rep.maxwell_deviations),
-        }
-    cp = _coframe_point_from_jets(point, jets[0], tetrad.signature)
+        tet, pot = config_jets(kcfg, jet_seed(block))
+        rows = [_kaluza_residuals(kind, _KaluzaPoint(kcfg, point, (tet[n], pot[n])))
+                for n, point in enumerate(block)]
+        return {cid: np.array([row[cid] for row in rows]) for cid in rows[0]}
+    cp = evaluate_coframe(tetrad, block)
     sp = spin_connection(cp)
     if kind == "vacuum":
         return {"vacuum": einstein_density(cp, curvature(sp))}
+    sec = SectionPoint(cp, sp, holonomic=True)
+    orc = oracle_from_coframe(cp)
     if kind == "identities":
-        sec = SectionPoint(cp, sp, holonomic=True)
-        orc = oracle_from_coframe(cp)
         omega_dev = sp.omega - spin_connection_via_christoffels(cp, orc.gamma)
         riem_dev = curvature_to_coordinate(cp, curvature(sp)) - orc.riemann
         return {
@@ -232,33 +228,45 @@ def _eval_point(job: JobConfig, tetrad, kcfg, point, jets) -> dict[str, np.ndarr
             "contact": contact_pullback(sec),
             "omega_vs_oracle": omega_dev,
             "curvature_vs_oracle": riem_dev,
-            "shuffle_identity": np.array([omega_shuffle_identity(sec)]),
+            "shuffle_identity": omega_shuffle_identity(sec)[:, None],
         }
     if kind == "theta-density":
-        dens = theta_density(SectionPoint(cp, sp, holonomic=True))
-        defect = dens - THETA_RATIO * cp.det * oracle_from_coframe(cp).scalar
-        return {"theta_density": np.array([defect])}
+        defect = theta_density(sec) - THETA_RATIO * cp.det * orc.scalar
+        return {"theta_density": defect[:, None]}
     raise ConfigError(f"unhandled check {kind!r}")  # pragma: no cover
 
 
-def _grid_residuals(job: JobConfig, tetrad, kcfg, points):
-    """(point, named residuals) for every grid point, in grid order.  The
-    points of a block whose evaluation raises are re-run as blocks of one, so
-    an error always names the first failing point."""
-    for start in range(0, len(points), BLOCK_SIZE):
-        block = points[start:start + BLOCK_SIZE]
+def _check_finite(block, named: dict[str, np.ndarray]) -> None:
+    """Raise for the first point of the block, in grid order, with a
+    non-finite residual component."""
+    if all(np.isfinite(arr).all() for arr in named.values()):
+        return
+    for n, point in enumerate(block):
+        for check_id, arr in sorted(named.items()):
+            bad = np.argwhere(~np.isfinite(arr[n]))
+            if bad.size:
+                idx = tuple(bad[0])
+                comp = "_".join(str(i) for i in idx)
+                raise EvaluationError(f"at point {point}: non-finite residual "
+                                      f"{check_id} component {comp} = {arr[n][idx]}")
+
+
+def _grid_residuals(job: JobConfig, tetrad, kcfg, points, size: int = BLOCK_SIZE):
+    """(block of points, named residuals with one row per point) over the
+    grid, in grid order, every component finite.  A block whose evaluation
+    raises is re-run as blocks of one, so an error always names the first
+    failing point, whatever the failure."""
+    for start in range(0, len(points), size):
+        block = points[start:start + size]
         try:
-            block_jets = _block_jets(job, tetrad, kcfg, block)
-        except _POINT_ERRORS:
-            block_jets = [None] * len(block)
-        for point, jets in zip(block, block_jets):
-            try:
-                if jets is None:
-                    (jets,) = _block_jets(job, tetrad, kcfg, [point])
-                named = _eval_point(job, tetrad, kcfg, point, jets)
-            except _POINT_ERRORS as exc:
-                raise EvaluationError(f"at point {point}: {exc}") from exc
-            yield point, named
+            named = _block_residuals(job, tetrad, kcfg, block)
+        except _POINT_ERRORS as exc:
+            if size == 1:
+                raise EvaluationError(f"at point {block[0]}: {exc}") from exc
+            yield from _grid_residuals(job, tetrad, kcfg, block, 1)
+        else:
+            _check_finite(block, named)
+            yield block, named
 
 
 def run_job(job: JobConfig, out_dir: Path, write_csv: bool) -> tuple[int, dict]:
@@ -277,26 +285,22 @@ def run_job(job: JobConfig, out_dir: Path, write_csv: bool) -> tuple[int, dict]:
     per_check: dict[str, list[float]] = {}
     point_records: list[dict] = []
     csv_rows: list[list] = []
-    for point, named in _grid_residuals(job, tetrad, kcfg, points):
-        norms = {}
-        for check_id, arr in sorted(named.items()):
-            arr = np.atleast_1d(np.asarray(arr, dtype=float))
-            bad = np.argwhere(~np.isfinite(arr))
-            if bad.size:
-                idx = tuple(bad[0])
-                comp = "_".join(str(i) for i in idx)
-                raise EvaluationError(f"at point {point}: non-finite residual "
-                                      f"{check_id} component {comp} = {arr[idx]}")
-            norm = float(np.abs(arr).max())
-            norms[check_id] = norm
-            per_check.setdefault(check_id, []).append(norm)
-            if write_csv:
-                for idx in np.ndindex(*arr.shape):
-                    comp = "_".join(str(i) for i in idx)
-                    csv_rows.append(list(point) + [check_id, comp,
-                                                   repr(float(arr[idx]))])
-                csv_rows.append(list(point) + [check_id, "norm", repr(norm)])
-        point_records.append({"x": list(point), "norms": norms})
+    for block, named in _grid_residuals(job, tetrad, kcfg, points):
+        checks = sorted(named.items())
+        block_norms = [np.abs(arr).max(axis=tuple(range(1, arr.ndim))).tolist()
+                       for _, arr in checks]
+        for n, point in enumerate(block):
+            norms = {}
+            for (check_id, arr), col in zip(checks, block_norms):
+                norm = norms[check_id] = col[n]
+                per_check.setdefault(check_id, []).append(norm)
+                if write_csv:
+                    for idx in np.ndindex(*arr.shape[1:]):
+                        comp = "_".join(str(i) for i in idx)
+                        csv_rows.append(list(point) + [check_id, comp,
+                                                       repr(float(arr[n][idx]))])
+                    csv_rows.append(list(point) + [check_id, "norm", repr(norm)])
+            point_records.append({"x": list(point), "norms": norms})
 
     results = []
     all_pass = True

@@ -1,6 +1,10 @@
 """Frame geometry at a point: metric, spin connection, torsion, curvature.
 
-Index conventions used throughout (0-based array axes, 1-based in prose):
+Every function takes any leading batch shape: the arrays of a block of grid
+points carry one leading axis, those of a single point none, and each row of
+a block equals the result for that point alone, bit for bit.  Index
+conventions used throughout, after the batch axes (0-based array axes,
+1-based in prose):
 
 * ``e[mu, i]``             frame components of the coframe, e^mu_i
 * ``de[mu, i, j]``         d_j e^mu_i  (derivative axes last)
@@ -115,7 +119,7 @@ class CoframeField:
 
 @dataclass(frozen=True)
 class CoframePoint:
-    x: tuple[float, ...]
+    x: tuple                 # the point's coordinates; nested per batch axis
     e: np.ndarray
     de: np.ndarray
     dde: np.ndarray
@@ -123,7 +127,7 @@ class CoframePoint:
     deinv: np.ndarray
     E: np.ndarray
     signature: Signature
-    det: float
+    det: np.ndarray          # float64 scalar at a single point
 
     @property
     def m(self) -> int:
@@ -149,30 +153,38 @@ class OraclePoint:
     gamma: np.ndarray          # [k, i, j] Levi-Civita connection
     riemann: np.ndarray        # [a, b, c, d] = R^a_{b c d}
     ricci: np.ndarray
-    scalar: float
+    scalar: np.ndarray         # float64 scalar at a single point
     einstein: np.ndarray       # mixed G^l_j
     g: np.ndarray
     ginv: np.ndarray
 
 
+def _nested(x: np.ndarray) -> tuple:
+    return tuple(map(_nested, x)) if x.ndim > 1 else tuple(x.tolist())
+
+
 def _coframe_point_from_jets(point, ja: JetArray, signature: Signature) -> CoframePoint:
+    """The frame point of the jets ``ja`` at ``point`` (a point, or an array of
+    points with the jets' batch shape)."""
     e = ja.val
-    det = float(np.linalg.det(e))
-    scale = float(np.prod(np.linalg.norm(e, axis=1)))
-    if abs(det) <= 1e-12 * max(scale, 1e-300):
-        raise DegenerateFrameError(
-            f"degenerate frame at {tuple(point)}: det={det:.3e}, scale={scale:.3e}"
-        )
+    x = np.asarray(point, dtype=float)
+    det = np.linalg.det(e)
+    scale = np.prod(np.linalg.norm(e, axis=-1), axis=-1)
+    bad = np.abs(det) <= 1e-12 * np.maximum(scale, 1e-300)
+    if bad.any():
+        n = tuple(np.argwhere(bad)[0])    # the first degenerate row
+        raise DegenerateFrameError(f"degenerate frame at {tuple(x[n].tolist())}: "
+                                   f"det={det[n]:.3e}, scale={scale[n]:.3e}")
     inv = jet_matinv(JetArray(e, ja.jac))
-    E = 0.5 * (ja.jac - ja.jac.swapaxes(1, 2))
+    E = 0.5 * (ja.jac - ja.jac.swapaxes(-2, -1))
     return CoframePoint(
-        x=tuple(float(c) for c in point),
-        e=e, de=ja.jac, dde=ja.hess, einv=inv.val, deinv=inv.jac, E=E,
+        x=_nested(x), e=e, de=ja.jac, dde=ja.hess, einv=inv.val, deinv=inv.jac, E=E,
         signature=signature, det=det,
     )
 
 
 def evaluate_coframe(field, point: Sequence[float]) -> CoframePoint:
+    """The frame at a point, or at each row of an array of points."""
     jets = jet_seed(point)
     ja = field.eval_jets(jets)
     return _coframe_point_from_jets(point, ja, field.signature)
@@ -180,20 +192,20 @@ def evaluate_coframe(field, point: Sequence[float]) -> CoframePoint:
 
 def metric_inverse(cp: CoframePoint) -> np.ndarray:
     et = eta(cp.signature)
-    return np.einsum("mn,im,jn->ij", et, cp.einv, cp.einv)
+    return np.einsum("mn,...im,...jn->...ij", et, cp.einv, cp.einv)
 
 
 def _connection_jets(cp: CoframePoint) -> JetArray:
     et = eta(cp.signature)
     e1 = JetArray(cp.e, cp.de)
     einv1 = JetArray(cp.einv, cp.deinv)
-    E1 = JetArray(cp.E, 0.5 * (cp.dde - cp.dde.swapaxes(1, 2)))
+    E1 = JetArray(cp.E, 0.5 * (cp.dde - cp.dde.swapaxes(-3, -2)))
     # anholonomy coefficients T_{sig alp bet} = eta_{sig mu} E^mu_ij e_alp^i e_bet^j
-    t1 = jet_einsum("sm,mij,ia,jb->sab", et, E1, einv1, einv1)
+    t1 = jet_einsum("sm,...mij,...ia,...jb->...sab", et, E1, einv1, einv1)
     # Ricci rotation coefficients omega_{alp mu bet} solving 2 T_{mu alp bet}
     # = omega_{alp mu bet} - omega_{bet mu alp}
     w1 = t1 + t1.transpose((1, 0, 2)) - t1.transpose((1, 2, 0))
-    w_up = jet_einsum("ai,ms,nb,asb->imn", e1, et, et, w1)
+    w_up = jet_einsum("...ai,ms,nb,...asb->...imn", e1, et, et, w1)
     return (w_up - w_up.transpose((0, 2, 1))) * 0.5
 
 
@@ -208,47 +220,47 @@ def spin_connection(cp: CoframePoint) -> SpinConnectionPoint:
 
 def omega_mixed(sp: SpinConnectionPoint) -> np.ndarray:
     """omega_i^mu_nu: the connection with its second frame index lowered."""
-    return np.einsum("imn,ns->ims", sp.omega, eta(sp.signature))
+    return np.einsum("...imn,ns->...ims", sp.omega, eta(sp.signature))
 
 
 def torsion_residual(cp: CoframePoint, sp: SpinConnectionPoint) -> np.ndarray:
     """2 E^mu_ij - (omega_i^mu_nu e^nu_j - omega_j^mu_nu e^nu_i); ~0 for the
     connection computed from the same frame point."""
     wmix = omega_mixed(sp)
-    a = np.einsum("imn,nj->mij", wmix, cp.e)
-    return 2.0 * cp.E - (a - a.swapaxes(1, 2))
+    a = np.einsum("...imn,...nj->...mij", wmix, cp.e)
+    return 2.0 * cp.E - (a - a.swapaxes(-2, -1))
 
 
 def quadratic_block(sp: SpinConnectionPoint) -> np.ndarray:
     """Q[i, j, lam, sig] = d_j omega_i^{lam sig} + omega_j^lam_eta omega_i^{eta sig};
     the curvature is its antisymmetrization in (i, j)."""
-    return (np.einsum("istj->ijst", sp.domega)
-            + np.einsum("jse,iet->ijst", omega_mixed(sp), sp.omega))
+    return (np.einsum("...istj->...ijst", sp.domega)
+            + np.einsum("...jse,...iet->...ijst", omega_mixed(sp), sp.omega))
 
 
 def curvature(sp: SpinConnectionPoint) -> CurvaturePoint:
     q = quadratic_block(sp)
-    r = q.swapaxes(0, 1) - q
+    r = q.swapaxes(-4, -3) - q
     # exactly antisymmetric in (j, i) by construction; the frame pair is made
     # exact by explicit antisymmetrization
-    r = 0.5 * (r - r.swapaxes(2, 3))
+    r = 0.5 * (r - r.swapaxes(-2, -1))
     return CurvaturePoint(R=r)
 
 
 def epsilon_pair(e: np.ndarray, n_e: int, coord_tail: str, frame_tail: str,
                  extras: Sequence[str], out: str, *operands) -> np.ndarray:
     """Double permutation-symbol block with ``n_e`` copies of the frame ``e``
-    tied slotwise to the two symbols; ``operands`` (index strings ``extras``)
-    follow the frame factors."""
+    tied slotwise to the two symbols; ``operands`` (index strings ``extras``
+    after their batch axes) follow the frame factors."""
     if n_e > 3:
         raise ValueError("at most three tied frame factors supported")
     qs = "abc"[:n_e]
     fs = "uvw"[:n_e]
     inputs = [qs + coord_tail, fs + frame_tail]
-    inputs += [fs[r] + qs[r] for r in range(n_e)]
-    inputs += list(extras)
-    eps = levi_civita(e.shape[0])
-    return contract(",".join(inputs) + "->" + out, eps, eps, *[e] * n_e, *operands)
+    inputs += ["..." + fs[r] + qs[r] for r in range(n_e)]
+    inputs += ["..." + x for x in extras]
+    eps = levi_civita(e.shape[-1])
+    return contract(",".join(inputs) + "->..." + out, eps, eps, *[e] * n_e, *operands)
 
 
 def einstein_density(cp: CoframePoint, curv: CurvaturePoint) -> np.ndarray:
@@ -271,20 +283,20 @@ def oracle_from_coframe(cp: CoframePoint) -> OraclePoint:
     frame-side connection assembly; serves as cross-check oracle."""
     et = eta(cp.signature)
     e2 = JetArray(cp.e, cp.de, cp.dde)
-    g2 = jet_einsum("mn,mi,nj->ij", et, e2, e2)
+    g2 = jet_einsum("mn,...mi,...nj->...ij", et, e2, e2)
     g1 = JetArray(g2.val, g2.jac)
     dg1 = JetArray(g2.jac, g2.hess)
     ginv1 = jet_matinv(g1)
     # d_i g_lj + d_j g_li - d_l g_ij   (dg[a, b, c] = d_c g_ab)
     s1 = dg1.transpose((0, 2, 1)) + dg1 - dg1.transpose((2, 0, 1))
-    gamma1 = jet_einsum("kl,lij->kij", ginv1, s1) * 0.5
+    gamma1 = jet_einsum("...kl,...lij->...kij", ginv1, s1) * 0.5
     gam, dgam = gamma1.val, gamma1.jac
-    riem = (np.einsum("adbc->abcd", dgam) - np.einsum("acbd->abcd", dgam)
-            + np.einsum("ace,edb->abcd", gam, gam)
-            - np.einsum("ade,ecb->abcd", gam, gam))
-    ricci = np.einsum("abad->bd", riem)
-    scalar = float(np.einsum("bd,bd->", ginv1.val, ricci))
-    einstein_lo = ricci - 0.5 * g1.val * scalar
+    riem = (np.einsum("...adbc->...abcd", dgam) - np.einsum("...acbd->...abcd", dgam)
+            + np.einsum("...ace,...edb->...abcd", gam, gam)
+            - np.einsum("...ade,...ecb->...abcd", gam, gam))
+    ricci = np.einsum("...abad->...bd", riem)
+    scalar = np.einsum("...bd,...bd->...", ginv1.val, ricci)
+    einstein_lo = ricci - 0.5 * g1.val * np.asarray(scalar)[..., None, None]
     einstein_mixed = ginv1.val @ einstein_lo
     return OraclePoint(gamma=gam, riemann=riem, ricci=ricci, scalar=scalar,
                        einstein=einstein_mixed, g=g1.val, ginv=ginv1.val)
@@ -293,20 +305,21 @@ def oracle_from_coframe(cp: CoframePoint) -> OraclePoint:
 def spin_connection_via_christoffels(cp: CoframePoint, gamma: np.ndarray) -> np.ndarray:
     """omega_i^{mu nu} rebuilt from coordinate Christoffels; independent path
     used to validate the frame-side assembly."""
-    inner = np.einsum("kij,jn->kin", gamma, cp.einv) + np.einsum("kni->kin", cp.deinv)
-    w_mixed = np.einsum("mk,kin->imn", cp.e, inner)
-    return np.einsum("ims,sn->imn", w_mixed, eta(cp.signature))
+    inner = (np.einsum("...kij,...jn->...kin", gamma, cp.einv)
+             + np.einsum("...kni->...kin", cp.deinv))
+    w_mixed = np.einsum("...mk,...kin->...imn", cp.e, inner)
+    return np.einsum("...ims,sn->...imn", w_mixed, eta(cp.signature))
 
 
 def curvature_to_coordinate(cp: CoframePoint, curv: CurvaturePoint) -> np.ndarray:
     """Frame curvature converted to R^a_{b j i} with coordinate indices only."""
     et = eta(cp.signature)
-    mixed = np.einsum("jils,st->jilt", curv.R, et)
-    return np.einsum("al,jilt,tb->abji", cp.einv, mixed, cp.e)
+    mixed = np.einsum("...jils,st->...jilt", curv.R, et)
+    return np.einsum("...al,...jilt,...tb->...abji", cp.einv, mixed, cp.e)
 
 
-def kretschmann_scalar(cp: CoframePoint, curv: CurvaturePoint) -> float:
+def kretschmann_scalar(cp: CoframePoint, curv: CurvaturePoint) -> np.ndarray:
     gi = metric_inverse(cp)
     et = eta(cp.signature)
-    return float(contract("jils,JILS,jJ,iI,lL,sS->", curv.R, curv.R,
-                          gi, gi, et, et))
+    return contract("...jils,...JILS,...jJ,...iI,lL,sS->...", curv.R, curv.R,
+                    gi, gi, et, et)

@@ -90,7 +90,8 @@ def evaluate_gauge(ge: GaugeElement, point: Sequence[float]) -> GaugePointData:
 
     et = eta(ge.signature)
     defect = np.abs(lam.val.T @ et @ lam.val - et).max()
-    if defect > 1e-12:
+    # the roundoff of Lambda^T eta Lambda grows like max|Lambda|^2
+    if defect > 1e-12 * max(1.0, np.abs(lam.val).max()) ** 2:
         raise GaugeError(f"Lambda not pseudo-orthogonal at {tuple(point)}: defect {defect:.2e}")
 
     # the identity chart maps by the coordinate jets themselves

@@ -2,13 +2,15 @@
 
 All index gymnastics run through :func:`jet_einsum`, which applies the
 product rule channel by channel, so derivative bookkeeping lives in exactly
-one place.  The specs address the value axes of one point; there are no
-batch axes here.
+one place.  The specs address the value axes of one point, behind a leading
+``...`` for any batch axes (a block of grid points); derivative axes come
+last.
 
 Contractions that want numpy's path optimisation go through
-:func:`contract`: it plans each (spec, operand shapes) pair once with
-numpy's greedy path search, caches the plan, and afterwards only runs its
-pairwise ``einsum`` steps.
+:func:`contract`: it plans each (spec, per-point operand shapes) pair once
+with numpy's greedy path search, caches the plan, and afterwards only runs
+its pairwise ``einsum`` steps, so a row of a batch sums exactly as a single
+point does.
 
 First-order arrays (``hess=None``) are the workhorse wherever only one more
 derivative order is needed, e.g. when the connection coefficients and their
@@ -35,21 +37,47 @@ __all__ = [
 # letters reserved for derivative axes inside jet_einsum specs
 _DERIV_LETTERS = "ZYXWV"
 
-# (spec, operand shapes) -> [(operand positions, pairwise einsum spec), ...]
+# (spec, per-point operand shapes) -> [(operand positions, pairwise einsum spec), ...]
 _PLANS: dict = {}
 
 
+@lru_cache(maxsize=None)
+def _spec_parts(spec: str) -> tuple[str, tuple[int, ...], tuple[bool, ...]]:
+    """``spec`` without its ``...``, the number of per-point axes of each
+    operand, and which operands carry the leading batch axes."""
+    ins, out = spec.split("->")
+    subs = ins.split(",")
+    if any(s.find("...") > 0 for s in subs + [out]):
+        raise ValueError(f"batch axes must lead every subscript of {spec!r}")
+    bare = [s.replace("...", "") for s in subs]
+    return (",".join(bare) + "->" + out.replace("...", ""),
+            tuple(len(s) for s in bare), tuple(s.startswith("...") for s in subs))
+
+
 def contract(spec: str, *ops) -> np.ndarray:
-    """Optimised ``np.einsum(spec, *ops)`` over ndarrays: numpy's greedy path
-    is planned once per (spec, operand shapes) and replayed as plain pairwise
-    einsums."""
-    key = (spec, tuple([op.shape for op in ops]))
-    plan = _PLANS.get(key)
+    """Optimised ``np.einsum(spec, *ops)`` over ndarrays, where a leading
+    ``...`` marks batch axes: numpy's greedy path is planned once per (spec,
+    per-point operand shapes), whatever the batch, and replayed as plain
+    pairwise einsums.  Every row of a batch then sums in the order of the
+    batch-of-one contraction, so it equals that result bit for bit."""
+    bare, sizes, batched = _spec_parts(spec)
+    shapes = tuple([op.shape[op.ndim - n:] for op, n in zip(ops, sizes)])
+    plan = _PLANS.get((spec, shapes))
     if plan is None:
-        _, steps = np.einsum_path(spec, *ops, optimize="greedy", einsum_call=True)
-        # numpy 2.x steps are (inds, spec, remaining); 1.x has 5 fields, spec third
-        plan = [(step[0], step[1] if len(step) == 3 else step[2]) for step in steps]
-        _PLANS[key] = plan
+        _, steps = np.einsum_path(bare, *[np.empty(s) for s in shapes],
+                                  optimize="greedy", einsum_call=True)
+        batched, plan = list(batched), []
+        for step in steps:
+            # numpy 2.x steps are (inds, spec, remaining); 1.x has 5 fields, spec third
+            inds, step_spec = step[0], step[1] if len(step) == 3 else step[2]
+            # "..." on each step operand, and result, that carries batch axes
+            dots = ["..." if batched.pop(i) else "" for i in inds]
+            batched.append(any(dots))
+            ins, out = step_spec.split("->")
+            ins = [d + s for d, s in zip(dots, ins.split(","))]
+            out = ("..." if batched[-1] else "") + out
+            plan.append((inds, ",".join(ins) + "->" + out))
+        _PLANS[spec, shapes] = plan
     operands = list(ops)
     # each step is a plain einsum call: numpy's own optimised loop sends
     # pairwise steps through a matmul route that costs ~10x more on arrays
@@ -110,14 +138,14 @@ def jet_einsum(spec: str, *ops) -> JetArray:
 
 
 def jet_matinv(a: JetArray) -> JetArray:
-    """Inverse of a square matrix of jets."""
+    """Inverse of a square matrix of jets, over any leading batch axes."""
     iv = np.linalg.inv(a.val)
-    jac = -np.einsum("ab,bcZ,cd->adZ", iv, a.jac, iv)
+    jac = -np.einsum("...ab,...bcZ,...cd->...adZ", iv, a.jac, iv)
     hess = None
     if a.hess is not None:
-        t1 = -np.einsum("ab,bcZY,cd->adZY", iv, a.hess, iv)
-        t2 = contract("ab,bcZ,cd,deY,ef->afZY", iv, a.jac, iv, a.jac, iv)
-        hess = t1 + t2 + t2.transpose(0, 1, 3, 2)
+        t1 = -np.einsum("...ab,...bcZY,...cd->...adZY", iv, a.hess, iv)
+        t2 = contract("...ab,...bcZ,...cd,...deY,...ef->...afZY", iv, a.jac, iv, a.jac, iv)
+        hess = t1 + t2 + t2.swapaxes(-1, -2)
     return JetArray(iv, jac, hess)
 
 

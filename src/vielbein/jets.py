@@ -124,9 +124,13 @@ class JetArray:
         return exp(self * math.log(c))
 
     def transpose(self, axes: tuple[int, ...]) -> "JetArray":
+        """Permute the trailing ``len(axes)`` value axes; leading batch axes
+        and the derivative axes stay in place."""
         n = self.val.ndim
-        h = None if self.hess is None else self.hess.transpose(tuple(axes) + (n, n + 1))
-        return JetArray(self.val.transpose(axes), self.jac.transpose(tuple(axes) + (n,)), h)
+        b = n - len(axes)
+        perm = tuple(range(b)) + tuple(b + a for a in axes)
+        h = None if self.hess is None else self.hess.transpose(perm + (n, n + 1))
+        return JetArray(self.val.transpose(perm), self.jac.transpose(perm + (n,)), h)
 
     def drop_hess(self) -> "JetArray":
         return JetArray(self.val, self.jac, None)

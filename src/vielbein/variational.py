@@ -6,8 +6,10 @@ algebraic identities here hold for arbitrary antisymmetric connection
 values).  The module provides the contact two-form pullback, the Lagrangian
 density, its gauge-invariance defect, a slot-exchange identity of the
 double-epsilon block, and the Euler-Lagrange residual block of the frame
-variations.  The block of the connection variations vanishes exactly on
-torsion-free sections; it is kept as a test oracle.
+variations.  The block of the connection variations, which vanishes exactly
+on torsion-free sections, is kept as a reference oracle with the tests
+(``tests/conftest.py``).  As in the frame layer, the functions of a section
+take any leading batch shape; the gauge-invariance defect takes one point.
 """
 
 from __future__ import annotations
@@ -61,16 +63,16 @@ def contact_pullback(section: SectionPoint) -> np.ndarray:
     """Coefficients of the pulled-back contact two-forms over dx^a ^ dx^b;
     identically zero exactly when the section is holonomic."""
     cp, wmix = section.cp, omega_mixed(section.sp)
-    t = np.einsum("amn,nb->mab", wmix, cp.e)
-    return cp.de.swapaxes(1, 2) - cp.de + t - t.swapaxes(1, 2)
+    t = np.einsum("...amn,...nb->...mab", wmix, cp.e)
+    return cp.de.swapaxes(-2, -1) - cp.de + t - t.swapaxes(-2, -1)
 
 
-def theta_density(section: SectionPoint) -> float:
+def theta_density(section: SectionPoint) -> np.ndarray:
     """Scalar coefficient L with the pulled-back Lagrangian m-form = L ds."""
     m = section.m
     dens = epsilon_pair(section.cp.e, m - 2, "ij", "st", ["ijst"], "",
                         quadratic_block(section.sp))
-    return float(dens) / (math.factorial(m - 2) * 2.0)
+    return dens / (math.factorial(m - 2) * 2.0)
 
 
 def theta_gauge_invariance_check(section: SectionPoint, ge: GaugeElement) -> float:
@@ -84,7 +86,7 @@ def theta_gauge_invariance_check(section: SectionPoint, ge: GaugeElement) -> flo
     return abs(l_bar * det_j - l_here)
 
 
-def omega_shuffle_identity(section: SectionPoint) -> float:
+def omega_shuffle_identity(section: SectionPoint) -> np.ndarray:
     """Slot-exchange identity of the double-epsilon omega*domega block.
 
     Both sides are read as coefficient arrays of the independent connection
@@ -99,9 +101,9 @@ def omega_shuffle_identity(section: SectionPoint) -> float:
     rhs = epsilon_pair(e, m - 3, "lij", "xst", ["yl", "jxy"], "ist", e, wmix) * (
         -1.0 / (math.factorial(m - 3) * 2.0))
 
-    c_lhs = lhs - lhs.swapaxes(1, 2)
-    c_rhs = rhs - rhs.swapaxes(1, 2)
-    return float(np.abs(c_lhs - c_rhs).max())
+    c_lhs = lhs - lhs.swapaxes(-2, -1)
+    c_rhs = rhs - rhs.swapaxes(-2, -1)
+    return np.abs(c_lhs - c_rhs).max(axis=(-3, -2, -1))
 
 
 def el_residual_frame(section: SectionPoint) -> np.ndarray:

@@ -82,8 +82,8 @@ def test_identities_and_corrupt_flag(tmp_path, monkeypatch):
         # flip the sign of one antisymmetric pair of omega
         sp = spin_connection(cp)
         omega = sp.omega.copy()
-        omega[0, 0, 1] = -omega[0, 0, 1]
-        omega[0, 1, 0] = -omega[0, 1, 0]
+        omega[..., 0, 0, 1] = -omega[..., 0, 0, 1]
+        omega[..., 0, 1, 0] = -omega[..., 0, 1, 0]
         return SpinConnectionPoint(omega=omega, domega=sp.domega, signature=sp.signature)
 
     monkeypatch.setattr(cli, "spin_connection", corrupt_spin_connection)

@@ -1,13 +1,15 @@
 """``jetlinalg.contract``: numpy's optimised einsum, planned once per key.
 
-Every ``(spec, operand shapes)`` key the bundled configs plan is replayed on
-random operands against ``np.einsum(..., optimize=True)``; planning happens
-once per key, as does building ``jet_einsum``'s product-rule terms; and no
-contraction under ``src/`` bypasses the plan cache.
+Every ``(spec, per-point operand shapes)`` key the bundled configs plan is
+replayed on random operands against ``np.einsum(..., optimize=True)``;
+planning happens once per key, whatever the batch, as does building
+``jet_einsum``'s product-rule terms; and no contraction under ``src/``
+bypasses the plan cache.
 """
 
 import ast
 import json
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -34,12 +36,34 @@ def bundled_keys(tmp_path_factory):
 
 def test_bundled_keys_match_numpy(bundled_keys):
     assert len(bundled_keys) > 20
-    rng = np.random.default_rng(0)
     for spec, shapes in bundled_keys:
-        ops = [rng.standard_normal(s) for s in shapes]
-        np.testing.assert_allclose(contract(spec, *ops),
-                                   np.einsum(spec, *ops, optimize=True),
-                                   rtol=1e-13, atol=1e-15, err_msg=spec)
+        # each key seeds its own draw, so adding keys leaves the others' alone
+        rng = np.random.default_rng(zlib.crc32(repr((spec, shapes)).encode()))
+        # a batch of two wherever the spec marks batch axes
+        subs = spec.split("->")[0].split(",")
+        ops = [rng.standard_normal((2,) * sub.startswith("...") + s)
+               for sub, s in zip(subs, shapes)]
+        got = contract(spec, *ops)
+        want = np.einsum(spec, *ops, optimize=True)
+        # a sum taken in another order moves by a few ulps of the sum of |terms|
+        bound = 1e-13 * np.einsum(spec, *map(np.abs, ops))
+        assert got.shape == want.shape and np.all(np.abs(got - want) <= bound), spec
+
+
+def test_one_plan_per_spec_whatever_the_batch(monkeypatch):
+    monkeypatch.setattr(jetlinalg, "_PLANS", {})
+    rng = np.random.default_rng(3)
+    spec = "...ab,bc,...cde,...e->...ad"
+    shapes = [(4, 5), (5, 3), (3, 4, 6), (6,)]
+    single = [rng.standard_normal(s) for s in shapes]
+    one = contract(spec, *single)
+    for batch in [(1,), (7,), (64,), (2, 3)]:
+        ops = [op if k == 1 else np.broadcast_to(op, batch + op.shape)
+               for k, op in enumerate(single)]
+        rows = contract(spec, *ops)
+        assert rows.shape == batch + one.shape
+        assert all(rows[idx].tobytes() == one.tobytes() for idx in np.ndindex(*batch))
+    assert list(jetlinalg._PLANS) == [(spec, tuple(shapes))]
 
 
 @pytest.mark.parametrize("spec,shapes", [

@@ -145,6 +145,20 @@ def test_gauge_rejects_non_orthogonal_lambda():
         evaluate_gauge(ge, PT)
 
 
+def test_gauge_rejects_defect_relative_to_lambda_size():
+    # a boost of cosh 74 with its first row scaled by 1 + 5e-10: the defect
+    # of Lambda^T eta Lambda is ~1e-9 of max|Lambda|^2, far above roundoff
+    ch, sh = math.cosh(5.0), math.sinh(5.0)
+    lam = np.array([[ch, sh, 0, 0], [sh, ch, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    lam[0] *= 1.0 + 5e-10
+    et = eta(SIG4)
+    defect = np.abs(lam.T @ et @ lam - et).max() / np.abs(lam).max() ** 2
+    assert 5e-10 < defect < 2e-9
+    ge = GaugeElement(signature=SIG4, lam=tuple(map(tuple, lam)))
+    with pytest.raises(GaugeError):
+        evaluate_gauge(ge, PT)
+
+
 def test_gauge_rejects_singular_map():
     coord_map = (parse("x1", 4), parse("x1", 4), parse("x3", 4), parse("x4", 4))
     ge = GaugeElement(signature=SIG4, lam=_identity_gauge().lam, coord_map=coord_map)

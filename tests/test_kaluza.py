@@ -347,6 +347,18 @@ def test_covariance_random_trials():
         assert rep.max_deviation < 1e-9
 
 
+def test_covariance_accepts_large_rotation_roundoff():
+    # the random element of seed 43 reaches max|Lambda| = 134 here, so the
+    # roundoff of Lambda^T eta Lambda (8.1e-12) passes an absolute 1e-12
+    # bound although it is within roundoff of max|Lambda|^2; the rotated
+    # frame magnifies the Einstein block's roundoff the same way
+    cfg = reissner_nordstrom(M=1, Q=0.3).kaluza_config()
+    pt = (-0.9128085893263544, 9.632019092808104, 0.4245889119090775, 3.0369723400035937)
+    rep = covariance_check(cfg, pt, seed=43)
+    assert max(rep.field_strength, rep.constraint, rep.potential) < 1e-12
+    assert rep.maxwell_block < 1e-6 and rep.einstein_block < 1e-4
+
+
 def test_covariance_on_solution_keeps_residuals_zero():
     rn = reissner_nordstrom(M=1.0, Q=0.5).kaluza_config()
     pt = (0.0, 4.0, 1.2, 0.3)
