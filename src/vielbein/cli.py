@@ -36,8 +36,7 @@ from .frame import (
     torsion_residual,
 )
 from .gauge import GaugeError
-from .jets import jet_seed
-from .kaluza import KaluzaConfig, _KaluzaPoint, config_jets
+from .kaluza import KaluzaConfig, _KaluzaPoint
 from .solutions import SOLUTIONS, make_solution, random_kaluza
 from .tensors import Signature
 from .variational import (
@@ -58,6 +57,10 @@ KALUZA_CHECKS = ("einstein-maxwell", "reduction", "appendixA")
 # block of 64 peaks at 1.2 MB for the Schwarzschild vacuum chain and 1.4 MB
 # for identities on a random frame, one of 768 at 14.7 and 15.5 MB)
 BLOCK_SIZE = 64
+# Kaluza blocks are smaller: the m=5 double-epsilon steps hold ~25 KB a point
+# (VmHWM of a 192-point appendixA job on Reissner-Nordstrom: 31.9 MB point by
+# point, and by block size 12 -> 31.8, 16 -> 31.9, 32 -> 33.2, 64 -> 37.4 MB)
+KALUZA_BLOCK_SIZE = 16
 
 # frozen regression constant: density coefficient of the Lagrangian scalar,
 # L = THETA_RATIO * det(e) * scalar_curvature (see scripts/calibrate_constants.py)
@@ -190,30 +193,22 @@ def _grid_points(grid: Mapping, dim: int) -> list[tuple[float, ...]]:
     return pts
 
 
-def _kaluza_residuals(kind: str, kp: _KaluzaPoint) -> dict[str, np.ndarray]:
-    if kind == "einstein-maxwell":
-        return {"einstein_maxwell": kp.einstein_maxwell(),
-                "maxwell": kp.maxwell().divergence}
-    if kind == "reduction":
-        rep = kp.reduction()
-        return {"reduction": np.array([rep.fiber_fiber, rep.fiber_rotation,
-                                       rep.mixed_block, rep.base_block])}
-    rep = kp.chain()
-    return {"chain_einstein": np.array(rep.einstein_deviations),
-            "chain_maxwell": np.array(rep.maxwell_deviations)}
-
-
 def _block_residuals(job: JobConfig, tetrad, kcfg, block) -> dict[str, np.ndarray]:
     """Named residual component arrays of a block of grid points, one leading
-    row per point, from one evaluation of the tetrad (and, for the Kaluza
-    checks, the potential) over the whole block.  The frame-only checks run
-    on the block at once, the Kaluza checks point by point."""
+    row per point.  Every check runs on the whole block at once, from one
+    evaluation of the tetrad (and, for the Kaluza checks, the potential)."""
     kind = job.check
-    if kind in KALUZA_CHECKS:
-        tet, pot = config_jets(kcfg, jet_seed(block))
-        rows = [_kaluza_residuals(kind, _KaluzaPoint(kcfg, point, (tet[n], pot[n])))
-                for n, point in enumerate(block)]
-        return {cid: np.array([row[cid] for row in rows]) for cid in rows[0]}
+    if kind == "einstein-maxwell":
+        kp = _KaluzaPoint(kcfg, block)
+        return {"einstein_maxwell": kp.einstein_maxwell(), "maxwell": kp.maxwell().divergence}
+    if kind == "reduction":
+        rep = _KaluzaPoint(kcfg, block).reduction()
+        return {"reduction": np.stack([rep.fiber_fiber, rep.fiber_rotation,
+                                       rep.mixed_block, rep.base_block], axis=-1)}
+    if kind == "appendixA":
+        rep = _KaluzaPoint(kcfg, block).chain()
+        return {"chain_einstein": np.stack(rep.einstein_deviations, axis=-1),
+                "chain_maxwell": np.stack(rep.maxwell_deviations, axis=-1)}
     cp = evaluate_coframe(tetrad, block)
     sp = spin_connection(cp)
     if kind == "vacuum":
@@ -251,11 +246,13 @@ def _check_finite(block, named: dict[str, np.ndarray]) -> None:
                                       f"{check_id} component {comp} = {arr[n][idx]}")
 
 
-def _grid_residuals(job: JobConfig, tetrad, kcfg, points, size: int = BLOCK_SIZE):
+def _grid_residuals(job: JobConfig, tetrad, kcfg, points, size: int | None = None):
     """(block of points, named residuals with one row per point) over the
-    grid, in grid order, every component finite.  A block whose evaluation
-    raises is re-run as blocks of one, so an error always names the first
-    failing point, whatever the failure."""
+    grid, in grid order, every component finite; blocks hold ``size`` points,
+    by default the check's block size.  A block whose evaluation raises is
+    re-run as blocks of one, so an error always names the first failing
+    point, whatever the failure."""
+    size = size or (KALUZA_BLOCK_SIZE if job.check in KALUZA_CHECKS else BLOCK_SIZE)
     for start in range(0, len(points), size):
         block = points[start:start + size]
         try:

@@ -10,6 +10,12 @@ torsion-free connection collapses to closed forms in the field strength
 (reduction identities), and that the constrained field equations decompose
 into the four-dimensional Einstein block sourced by the electromagnetic
 stress tensor plus the Maxwell divergence block.
+
+As in the frame layer, the checks (bar the covariance check) take any
+leading batch shape, and each row equals that point's own result bit for
+bit.  numpy's einsum may order a sum over two indices by the batch size;
+where it does (the Maxwell divergence, route 2's Maxwell form), one index
+is summed by einsum and the other by ``sum(-1)``.
 """
 
 from __future__ import annotations
@@ -147,9 +153,9 @@ class FieldStrengthPoint:
     f_frame_mixed: np.ndarray  # F^mu_nu
 
     @property
-    def invariant(self) -> float:
+    def invariant(self) -> float | np.ndarray:
         """F_{mu nu} F^{mu nu}."""
-        return float(np.einsum("mn,mn->", self.f_frame, self.f_frame_up))
+        return np.einsum("...mn,...mn->...", self.f_frame, self.f_frame_up)
 
 
 @dataclass(frozen=True)
@@ -162,10 +168,11 @@ def em_stress(cp: CoframePoint, fs: FieldStrengthPoint) -> StressTensorPoint:
     traceless in four dimensions."""
     gi = metric_inverse(cp)
     f = fs.f_coord
-    f_up = np.einsum("aj,bi,ji->ab", gi, gi, f)
-    fsq = float(np.einsum("ji,ji->", f, f_up))
+    f_up = np.einsum("...aj,...bi,...ji->...ab", gi, gi, f)
+    fsq = np.einsum("...ji,...ji->...", f, f_up)
     fmix = gi @ f                      # F^a_b
-    t = 0.25 * fsq * cp.einv + np.einsum("lj,ji,ir->lr", fmix, fmix, cp.einv)
+    t = (0.25 * fsq[..., None, None] * cp.einv
+         + np.einsum("...lj,...ji,...ir->...lr", fmix, fmix, cp.einv))
     return StressTensorPoint(T=t)
 
 
@@ -177,18 +184,18 @@ class MaxwellResidual:
 
 @dataclass(frozen=True)
 class ReductionReport:
-    """Max deviations of the 5D connection from its closed reduced forms."""
+    """Per-point max deviations of the 5D connection from its closed reduced forms."""
 
-    fiber_fiber: float         # omega_5^{rho 5} = 0
-    fiber_rotation: float      # omega_5^{rho lam} + k/2 F^{rho lam} = 0
-    mixed_block: float         # omega_j^{nu 5} + k/2 F^nu_rho e^rho_j = 0
-    base_block: float          # omega_i^{mu nu} - (4D omega + k^2/2 F^{mu nu} A_i) = 0
-    vortex: np.ndarray         # -2 d(e^5), coordinate 2-form coefficients
+    fiber_fiber: float | np.ndarray     # omega_5^{rho 5} = 0
+    fiber_rotation: float | np.ndarray  # omega_5^{rho lam} + k/2 F^{rho lam} = 0
+    mixed_block: float | np.ndarray     # omega_j^{nu 5} + k/2 F^nu_rho e^rho_j = 0
+    base_block: float | np.ndarray      # omega_i^{mu nu} - (4D omega + k^2/2 F^{mu nu} A_i) = 0
+    vortex: np.ndarray                  # -2 d(e^5), coordinate 2-form coefficients
 
     @property
-    def max_deviation(self) -> float:
-        return max(self.fiber_fiber, self.fiber_rotation,
-                   self.mixed_block, self.base_block)
+    def max_deviation(self) -> float | np.ndarray:
+        return np.maximum.reduce([self.fiber_fiber, self.fiber_rotation,
+                                  self.mixed_block, self.base_block])
 
 
 @dataclass(frozen=True)
@@ -204,38 +211,32 @@ class ChainReport:
     maxwell_forms: tuple[np.ndarray, np.ndarray, np.ndarray]
 
     @staticmethod
-    def _dev(forms) -> tuple[float, ...]:
+    def _dev(forms, axes: tuple[int, ...]) -> tuple[float | np.ndarray, ...]:
         f1, f2, f3 = forms
-        return (
-            float(np.abs(f1 - f2).max()),
-            float(np.abs(f1 - f3).max()),
-            float(np.abs(f2 - f3).max()),
-        )
+        return tuple(np.abs(a - b).max(axis=axes) for a, b in ((f1, f2), (f1, f3), (f2, f3)))
 
     @property
-    def einstein_deviations(self) -> tuple[float, ...]:
-        return self._dev(self.einstein_forms)
+    def einstein_deviations(self) -> tuple[float | np.ndarray, ...]:
+        return self._dev(self.einstein_forms, (-2, -1))
 
     @property
-    def maxwell_deviations(self) -> tuple[float, ...]:
-        return self._dev(self.maxwell_forms)
+    def maxwell_deviations(self) -> tuple[float | np.ndarray, ...]:
+        return self._dev(self.maxwell_forms, (-1,))
 
     @property
-    def max_deviation(self) -> float:
-        return max(*self.einstein_deviations, *self.maxwell_deviations)
+    def max_deviation(self) -> float | np.ndarray:
+        return np.maximum.reduce([*self.einstein_deviations, *self.maxwell_deviations])
 
 
 class _KaluzaPoint:
-    """A configuration at one point, built from a single evaluation of the
-    tetrad and of each potential entry: the 4D frame, its connection and the
-    field strength, and the lifted 5D frame and connection, each computed on
-    first use.  ``jets`` are the tetrad and potential jets at the point when
-    they are already evaluated (see :func:`config_jets`)."""
+    """A configuration at a point, or at each row of an array of points,
+    built from a single evaluation of the tetrad and of each potential
+    entry: the 4D frame, its connection and the field strength, and the
+    lifted 5D frame and connection, each computed on first use."""
 
-    def __init__(self, cfg: KaluzaConfig, point: Sequence[float],
-                 jets: tuple[JetArray, JetArray] | None = None):
+    def __init__(self, cfg: KaluzaConfig, point):
         self.cfg = cfg
-        self.tet, self.pot = config_jets(cfg, jet_seed(point)) if jets is None else jets
+        self.tet, self.pot = config_jets(cfg, jet_seed(point))
         self.cp = _coframe_point_from_jets(point, self.tet, SIG4)
 
     @cached_property
@@ -247,7 +248,7 @@ class _KaluzaPoint:
         # the entries never read x5, so padding the 4D jets with zero x5
         # derivatives equals evaluating the lifted field at 5D seeds
         ja = _lift_jets(self.tet, self.pot, self.cfg.k, 5)
-        return _coframe_point_from_jets(lift_point(self.cp.x), ja, SIG5)
+        return _coframe_point_from_jets(np.insert(self.cp.x, 4, 0.0, axis=-1), ja, SIG5)
 
     @cached_property
     def sp5(self) -> SpinConnectionPoint:
@@ -256,11 +257,11 @@ class _KaluzaPoint:
     @cached_property
     def fs(self) -> FieldStrengthPoint:
         da, dda = self.pot.jac, self.pot.hess
-        f = da - da.T
-        df = dda - dda.transpose(1, 0, 2)
+        f = da - da.swapaxes(-2, -1)
+        df = dda - dda.swapaxes(-3, -2)
         einv = self.cp.einv
         et = eta(SIG4)
-        f_frame = np.einsum("ji,jm,in->mn", f, einv, einv)
+        f_frame = np.einsum("...ji,...jm,...in->...mn", f, einv, einv)
         f_frame_up = et @ f_frame @ et
         return FieldStrengthPoint(
             f_coord=f, df_coord=df, f_frame=f_frame, f_frame_up=f_frame_up,
@@ -271,36 +272,37 @@ class _KaluzaPoint:
         cp = self.cp
         dens = einstein_density(cp, curvature(self.sp))
         stress = em_stress(cp, self.fs)
-        return dens + 0.5 * cp.det * self.cfg.k ** 2 * stress.T
+        return dens + (0.5 * cp.det * self.cfg.k ** 2)[..., None, None] * stress.T
 
     def maxwell(self) -> MaxwellResidual:
         cp = self.cp
         et = eta(SIG4)
         f1 = JetArray(self.fs.f_coord, self.fs.df_coord)
         einv1 = JetArray(cp.einv, cp.deinv)
-        fup1 = jet_einsum("am,bn,ji,jm,in->ab", et, et, f1, einv1, einv1)
+        fup1 = jet_einsum("am,bn,...ji,...jm,...in->...ab", et, et, f1, einv1, einv1)
         wmix = omega_mixed(self.sp)
         term = (fup1.jac
-                + np.einsum("iae,eb->abi", wmix, fup1.val)
-                + np.einsum("ibe,ae->abi", wmix, fup1.val))
-        div = np.einsum("ib,abi->a", cp.einv, term)
-        return MaxwellResidual(raw=0.5 * cp.det * self.cfg.k * div, divergence=div)
+                + np.einsum("...iae,...eb->...abi", wmix, fup1.val)
+                + np.einsum("...ibe,...ae->...abi", wmix, fup1.val))
+        div = np.einsum("...ib,...abi->...ai", cp.einv, term).sum(-1)
+        return MaxwellResidual(raw=(0.5 * cp.det * self.cfg.k)[..., None] * div,
+                               divergence=div)
 
     def reduction(self) -> ReductionReport:
         w = self.sp5.omega
         fs = self.fs
         k = self.cfg.k
 
-        dev_a = float(np.abs(w[4, :4, 4]).max())
-        dev_b = float(np.abs(w[4, :4, :4] + 0.5 * k * fs.f_frame_up).max())
-        target_c = -0.5 * k * np.einsum("nr,rj->jn", fs.f_frame_mixed, self.cp.e)
-        dev_c = float(np.abs(w[:4, :4, 4] - target_c).max())
-        target_d = self.sp.omega + 0.5 * k * k * np.einsum("mn,i->imn", fs.f_frame_up,
-                                                           self.pot.val)
-        dev_d = float(np.abs(w[:4, :4, :4] - target_d).max())
+        dev_a = np.abs(w[..., 4, :4, 4]).max(axis=-1)
+        dev_b = np.abs(w[..., 4, :4, :4] + 0.5 * k * fs.f_frame_up).max(axis=(-2, -1))
+        target_c = -0.5 * k * np.einsum("...nr,...rj->...jn", fs.f_frame_mixed, self.cp.e)
+        dev_c = np.abs(w[..., :4, :4, 4] - target_c).max(axis=(-2, -1))
+        target_d = self.sp.omega + 0.5 * k * k * np.einsum("...mn,...i->...imn",
+                                                           fs.f_frame_up, self.pot.val)
+        dev_d = np.abs(w[..., :4, :4, :4] - target_d).max(axis=(-3, -2, -1))
 
-        de5 = self.cp5.de[4, :4, :4]
-        vortex = -2.0 * (de5.T - de5)     # -2 (d_a e5_b - d_b e5_a)
+        de5 = self.cp5.de[..., 4, :4, :4]
+        vortex = -2.0 * (de5.swapaxes(-2, -1) - de5)     # -2 (d_a e5_b - d_b e5_a)
         return ReductionReport(fiber_fiber=dev_a, fiber_rotation=dev_b,
                                mixed_block=dev_c, base_block=dev_d, vortex=vortex)
 
@@ -309,46 +311,47 @@ class _KaluzaPoint:
 
         # route 1: raw 5D residual block, sliced into base and fiber rows
         elb5 = el_residual_frame(SectionPoint(cp5, sp5, holonomic=True))
-        e_form1 = elb5[:4, :4]
-        m_form1 = elb5[:4, 4]
+        e_form1 = elb5[..., :4, :4]
+        m_form1 = elb5[..., :4, 4]
 
         # route 2: expansion over 4D-ranged indices in 5D connection
         # components; terms sharing a contraction are summed before it
         w = sp5.omega
         dw = sp5.domega
         wmix = omega_mixed(sp5)
-        w44 = w[:4, :4, :4]
-        wmix44 = wmix[:4, :4, :4]
-        w_col5 = w[:4, :4, 4]           # omega_j^{lam 5}
-        w5_44 = w[4, :4, :4]            # omega_5^{lam sig}
-        wmix5_44 = wmix[4, :4, :4]      # omega_5^lam_eta
-        dw44 = np.einsum("istj->ijst", dw[:4, :4, :4, :4])
-        dw5 = dw[4, :4, :4, :4]         # d_j omega_5^{st} -> [s, t, j]
-        e4 = cp5.e[:4, :4]
-        e5row = cp5.e[4, :4]
+        w44 = w[..., :4, :4, :4]
+        wmix44 = wmix[..., :4, :4, :4]
+        w_col5 = w[..., :4, :4, 4]           # omega_j^{lam 5}
+        w5_44 = w[..., 4, :4, :4]            # omega_5^{lam sig}
+        wmix5_44 = wmix[..., 4, :4, :4]      # omega_5^lam_eta
+        dw44 = np.einsum("...istj->...ijst", dw[..., :4, :4, :4, :4])
+        dw5 = dw[..., 4, :4, :4, :4]         # d_j omega_5^{st} -> [s, t, j]
+        e4 = cp5.e[..., :4, :4]
+        e5row = cp5.e[..., 4, :4]
         eps4 = levi_civita(4)
 
         # quadratic block plus the cross term of the fifth column
-        base = (dw44 + np.einsum("jse,iet->ijst", wmix44, w44)
-                - np.einsum("js,it->ijst", w_col5, w_col5))
+        base = (dw44 + np.einsum("...jse,...iet->...ijst", wmix44, w44)
+                - np.einsum("...js,...it->...ijst", w_col5, w_col5))
         # fiber block minus its back-reaction; the Maxwell column shares it
-        fiber = (np.einsum("stj->jst", dw5)
-                 + np.einsum("jse,et->jst", wmix44, w5_44)
-                 - np.einsum("se,jet->jst", wmix5_44, w44))
-        fifth = np.einsum("te,je->jt", wmix5_44, w_col5)
+        fiber = (np.einsum("...stj->...jst", dw5)
+                 + np.einsum("...jse,...et->...jst", wmix44, w5_44)
+                 - np.einsum("...se,...jet->...jst", wmix5_44, w44))
+        fifth = np.einsum("...te,...je->...jt", wmix5_44, w_col5)
         e_form2 = (
-            0.5 * contract("plij,nrst,ijst,np->lr", eps4, eps4, base, e4)
-            + 0.5 * contract("plij,nrst,jst,p,ni->lr", eps4, eps4, fiber,
+            0.5 * contract("plij,nrst,...ijst,...np->...lr", eps4, eps4, base, e4)
+            + 0.5 * contract("plij,nrst,...jst,...p,...ni->...lr", eps4, eps4, fiber,
                              e5row, e4)
-            + 0.5 * contract("plij,nrst,jt,np,si->lr", eps4, eps4, fifth,
+            + 0.5 * contract("plij,nrst,...jt,...np,...si->...lr", eps4, eps4, fifth,
                              e4, e4))
-        m_form2 = -0.25 * contract("qpli,mnst,ist,mq,np->l", eps4, eps4, fiber,
-                                   e4, e4)
+        # the (n, p) sum split between einsum and sum(-1), see the module docstring
+        fiber_e = contract("qpli,mnst,...ist,...mq->...lnp", eps4, eps4, fiber, e4)
+        m_form2 = -0.25 * np.einsum("...lnp,...np->...ln", fiber_e, e4).sum(-1)
 
         # route 3: stress-sourced Einstein block of the tetrad alone, and the
         # divergence form pulled back to a coordinate index
         e_form3 = self.einstein_maxwell()
-        m_form3 = np.einsum("la,a->l", self.cp.einv, self.maxwell().raw)
+        m_form3 = np.einsum("...la,...a->...l", self.cp.einv, self.maxwell().raw)
 
         return ChainReport(
             einstein_forms=(e_form1, e_form2, e_form3),

@@ -1,0 +1,126 @@
+"""The Kaluza checks over a batch of points: one code path for a block of grid
+points and for a single point.
+
+Every row of a batched ``_KaluzaPoint`` equals the result at that point
+alone, bit for bit, for the field strength, the stress tensor, the
+Einstein-Maxwell and Maxwell residuals, the reduction report and all six
+forms of the appendix chain.  Sums over two indices are where a batch can
+round differently, so random configurations and blocks of up to sixteen
+points exercise them.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from vielbein import cli, kaluza
+from vielbein.cli import JobConfig, main
+from vielbein.frame import spin_connection
+from vielbein.kaluza import _KaluzaPoint, em_stress
+from vielbein.solutions import random_kaluza
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _outputs(kp: _KaluzaPoint) -> dict:
+    """Every Kaluza check's output at ``kp``, by name."""
+    fs = kp.fs
+    out = {f"fs.{name}": getattr(fs, name)
+           for name in ("f_coord", "df_coord", "f_frame", "f_frame_up", "f_frame_mixed")}
+    mx = kp.maxwell()
+    red = kp.reduction()
+    chain = kp.chain()
+    out.update({
+        "em_stress": em_stress(kp.cp, fs).T,
+        "einstein_maxwell": kp.einstein_maxwell(),
+        "maxwell.raw": mx.raw,
+        "maxwell.divergence": mx.divergence,
+        **{f"reduction.{name}": getattr(red, name)
+           for name in ("fiber_fiber", "fiber_rotation", "mixed_block", "base_block",
+                        "vortex")},
+        **{f"chain.einstein{r}": form for r, form in enumerate(chain.einstein_forms)},
+        **{f"chain.maxwell{r}": form for r, form in enumerate(chain.maxwell_forms)},
+    })
+    return {k: np.asarray(v) for k, v in out.items()}
+
+
+@settings(deadline=None, max_examples=20)
+@given(seed=st.integers(0, 2**16), batch=st.sampled_from([(1,), (3,), (2, 2), (16,)]),
+       data=st.data())
+def test_batched_kaluza_rows_equal_single_points(seed, batch, data):
+    cfg = random_kaluza(seed=seed, amplitude=0.15)
+    flat = data.draw(st.lists(st.tuples(*[st.floats(-0.6, 0.6)] * 4),
+                              min_size=int(np.prod(batch)), max_size=int(np.prod(batch))))
+    pts = np.array(flat).reshape(batch + (4,))
+    rows = _outputs(_KaluzaPoint(cfg, pts))
+    for idx in np.ndindex(*batch):
+        one = _outputs(_KaluzaPoint(cfg, tuple(pts[idx])))
+        assert one.keys() == rows.keys()
+        for name, want in one.items():
+            got = rows[name][idx]
+            assert got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), (name, idx)
+
+
+def test_report_types_take_any_batch_shape():
+    cfg = random_kaluza(seed=5, amplitude=0.15)
+    pts = np.linspace(-0.4, 0.4, 24).reshape(2, 3, 4)
+    kp = _KaluzaPoint(cfg, pts)
+    red, chain = kp.reduction(), kp.chain()
+    assert kp.fs.invariant.shape == (2, 3)
+    assert red.max_deviation.shape == chain.max_deviation.shape == (2, 3)
+    one = _KaluzaPoint(cfg, tuple(pts[1, 2]))
+    # a single point still reads scalars
+    for value in (one.fs.invariant, one.reduction().max_deviation,
+                  one.chain().max_deviation):
+        assert isinstance(value, float)
+    assert red.max_deviation[1, 2] == one.reduction().max_deviation
+    assert chain.max_deviation[1, 2] == one.chain().max_deviation
+    assert kp.fs.invariant[1, 2] == one.fs.invariant
+
+
+def _bundled_job(name: str):
+    """A bundled config's job, resolved as ``cli.run_job`` resolves it."""
+    job = JobConfig.from_dict(json.loads((CONFIGS / f"{name}.json").read_text()))
+    ref = dict(job.solution)
+    if ref["name"].startswith("random"):
+        ref["params"] = {"seed": job.seed, **ref.get("params", {})}
+    _, _, tetrad, kcfg = cli._resolve_solution(ref)
+    return job, tetrad, kcfg, cli._grid_points(job.grid, 4)
+
+
+@pytest.mark.parametrize("name", ["appendixA_rn", "einstein_maxwell_rn", "reduction_random"])
+def test_kaluza_residuals_do_not_depend_on_the_block_size(name):
+    job, tetrad, kcfg, points = _bundled_job(name)
+    runs = {}
+    for size in (1, None):
+        blocks = list(cli._grid_residuals(job, tetrad, kcfg, points, size))
+        runs[size] = {cid: np.concatenate([named[cid] for _, named in blocks])
+                      for cid in blocks[0][1]}
+        assert [p for block, _ in blocks for p in block] == points
+    assert runs[1].keys() == runs[None].keys()
+    for cid, rows in runs[None].items():
+        assert rows.shape[0] == len(points)
+        assert rows.tobytes() == runs[1][cid].tobytes(), cid
+
+
+def test_one_spin_connection_per_kaluza_block(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(cp):
+        calls.append(cp.e.shape)
+        return spin_connection(cp)
+
+    monkeypatch.setattr(kaluza, "spin_connection", counting)
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({
+        "check": "appendixA",
+        "solution": {"name": "reissner_nordstrom", "params": {"M": 1.0, "Q": 0.3}},
+        "grid": {"points": [[0.0, 3.0 + 0.5 * n, 1.2, 0.1] for n in range(12)]},
+        "tolerance": 1e-9,
+    }), encoding="utf-8")
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert sorted(calls) == [(12, 4, 4), (12, 5, 5)]

@@ -50,6 +50,25 @@ def test_bundled_keys_match_numpy(bundled_keys):
         assert got.shape == want.shape and np.all(np.abs(got - want) <= bound), spec
 
 
+def test_bundled_keys_are_batch_invariant(bundled_keys):
+    # every row of a batch equals the unbatched contraction bit for bit, for
+    # every batched spec the bundled configs plan
+    batched_keys = [(spec, shapes) for spec, shapes in bundled_keys if "..." in spec]
+    assert batched_keys
+    for spec, shapes in batched_keys:
+        rng = np.random.default_rng(zlib.crc32(repr((spec, shapes)).encode()))
+        subs = spec.split("->")[0].split(",")
+        for n in (1, 3, 16, 64):
+            ops = [rng.standard_normal((n,) * sub.startswith("...") + s)
+                   for sub, s in zip(subs, shapes)]
+            rows = contract(spec, *ops)
+            for row in range(n):
+                single = [op[row] if sub.startswith("...") else op
+                          for sub, op in zip(subs, ops)]
+                assert rows[row].tobytes() == contract(spec, *single).tobytes(), \
+                    (spec, n, row)
+
+
 def test_one_plan_per_spec_whatever_the_batch(monkeypatch):
     monkeypatch.setattr(jetlinalg, "_PLANS", {})
     rng = np.random.default_rng(3)
