@@ -11,11 +11,10 @@ Exit codes: 0 all checks pass, 1 tolerance failure, 2 malformed config,
 from __future__ import annotations
 
 import argparse
-import csv
 import inspect
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -103,16 +102,17 @@ class JobConfig:
         grid = raw.get("grid")
         if not isinstance(grid, Mapping) or not ({"ranges", "points"} & set(grid)):
             raise ConfigError("grid must be an object with 'ranges' or 'points'")
-        def _positive(v) -> bool:
-            return not isinstance(v, bool) and isinstance(v, (int, float)) and v > 0
+        def _positive(v) -> bool:   # and finite, also as a float (no 10**400)
+            return (not isinstance(v, bool) and isinstance(v, (int, float))
+                    and 0 < v <= sys.float_info.max)
 
         tol = raw.get("tolerance")
         if not _positive(tol):
-            raise ConfigError("tolerance must be a positive number")
+            raise ConfigError("tolerance must be a positive finite number")
         tolerances = raw.get("tolerances", {})
         if not isinstance(tolerances, Mapping) or not all(
                 _positive(v) for v in tolerances.values()):
-            raise ConfigError("tolerances must map check ids to positive numbers")
+            raise ConfigError("tolerances must map check ids to positive finite numbers")
         seed = raw.get("seed", 0)
         if isinstance(seed, bool) or not isinstance(seed, int):
             raise ConfigError("seed must be an integer")
@@ -166,30 +166,24 @@ def _resolve_solution(ref: Mapping):
 
 
 def _grid_points(grid: Mapping, dim: int) -> list[tuple[float, ...]]:
-    if "points" in grid:
-        pts = [tuple(float(c) for c in p) for p in grid["points"]]
-        if not pts:
-            raise ConfigError("grid.points is empty")
-        if any(len(p) != dim for p in pts):
-            raise ConfigError(f"grid points must have {dim} coordinates")
-        return pts
-    ranges = grid["ranges"]
-    if len(ranges) != dim:
-        raise ConfigError(f"grid.ranges needs {dim} entries")
-    axes = []
     try:
-        for r in ranges:
-            lo, hi, n = float(r["lo"]), float(r["hi"]), int(r["n"])
-            if n < 1:
-                raise ConfigError("grid counts must be >= 1")
-            axes.append(np.linspace(lo, hi, n))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad grid range: {exc}") from None
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = [tuple(float(ax[idx]) for ax in mesh)
-           for idx in np.ndindex(*mesh[0].shape)]
+        if "points" in grid:
+            pts = [tuple(float(c) for c in p) for p in grid["points"]]
+        else:
+            if len(grid["ranges"]) != dim:
+                raise ConfigError(f"grid.ranges needs {dim} entries")
+            axes = [np.linspace(float(r["lo"]), float(r["hi"]), int(r["n"]))
+                    for r in grid["ranges"]]
+            mesh = np.stack(np.meshgrid(*axes, indexing="ij"), -1)
+            pts = list(map(tuple, mesh.reshape(-1, dim).tolist()))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad grid: {exc}") from None
     if not pts:
         raise ConfigError("grid is empty")
+    if any(len(p) != dim for p in pts):
+        raise ConfigError(f"grid points must have {dim} coordinates")
+    if not np.isfinite(pts).all():
+        raise ConfigError("grid coordinates must be finite")
     return pts
 
 
@@ -266,6 +260,24 @@ def _grid_residuals(job: JobConfig, tetrad, kcfg, points, size: int | None = Non
             yield block, named
 
 
+def _write_csv(path: Path, dim: int, blocks, per_check: Mapping[str, list[float]]) -> None:
+    """Stream points.csv point by point from the blocks' residual arrays: each check's
+    components in row-major order, then its norm.  No field needs quoting (ids are
+    [a-z0-9_], the rest float reprs), so the rows are those csv.writer writes."""
+    norms = {check_id: iter(col) for check_id, col in per_check.items()}
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(f"x{i + 1}" for i in range(dim)) + ",check_id,component_id,value\r\n")
+        for block, named in blocks:
+            checks = [(check_id, arr, ["_".join(map(str, i)) for i in np.ndindex(arr.shape[1:])])
+                      for check_id, arr in sorted(named.items())]
+            for n, point in enumerate(block):
+                head = ",".join(map(repr, point))
+                for check_id, arr, comps in checks:
+                    fh.writelines(f"{head},{check_id},{comp},{v!r}\r\n"
+                                  for comp, v in zip(comps, arr[n].ravel().tolist()))
+                    fh.write(f"{head},{check_id},norm,{next(norms[check_id])!r}\r\n")
+
+
 def run_job(job: JobConfig, out_dir: Path, write_csv: bool) -> tuple[int, dict]:
     sol_ref = dict(job.solution)
     if str(sol_ref.get("name", "")).startswith("random"):
@@ -280,40 +292,22 @@ def run_job(job: JobConfig, out_dir: Path, write_csv: bool) -> tuple[int, dict]:
         raise ConfigError(f"check {job.check!r} needs a solution with a potential")
 
     per_check: dict[str, list[float]] = {}
-    point_records: list[dict] = []
-    csv_rows: list[list] = []
+    blocks = []   # (block, named residuals), kept only for the CSV
     for block, named in _grid_residuals(job, tetrad, kcfg, points):
-        checks = sorted(named.items())
-        block_norms = [np.abs(arr).max(axis=tuple(range(1, arr.ndim))).tolist()
-                       for _, arr in checks]
-        for n, point in enumerate(block):
-            norms = {}
-            for (check_id, arr), col in zip(checks, block_norms):
-                norm = norms[check_id] = col[n]
-                per_check.setdefault(check_id, []).append(norm)
-                if write_csv:
-                    for idx in np.ndindex(*arr.shape[1:]):
-                        comp = "_".join(str(i) for i in idx)
-                        csv_rows.append(list(point) + [check_id, comp,
-                                                       repr(float(arr[n][idx]))])
-                    csv_rows.append(list(point) + [check_id, "norm", repr(norm)])
-            point_records.append({"x": list(point), "norms": norms})
+        for check_id, arr in named.items():
+            per_check.setdefault(check_id, []).extend(
+                np.abs(arr).reshape(len(block), -1).max(axis=1).tolist())
+        if write_csv:
+            blocks.append((block, named))
+    point_records = [{"x": list(point), "norms": {c: col[n] for c, col in per_check.items()}}
+                     for n, point in enumerate(points)]
 
     results = []
-    all_pass = True
-    for check_id in sorted(per_check):
-        norms = per_check[check_id]
-        tol = job.tol_for(check_id)
-        mx = max(norms)
-        passed = mx <= tol
-        all_pass = all_pass and passed
-        results.append({
-            "check_id": check_id,
-            "max": mx,
-            "mean": sum(norms) / len(norms),
-            "tolerance": tol,
-            "passed": passed,
-        })
+    for check_id, norms in sorted(per_check.items()):
+        tol, mx = job.tol_for(check_id), max(norms)
+        results.append({"check_id": check_id, "max": mx, "mean": sum(norms) / len(norms),
+                        "tolerance": tol, "passed": mx <= tol})
+    all_pass = all(r["passed"] for r in results)
 
     report = {
         "tool": {"name": "vielbein", "version": __version__},
@@ -328,15 +322,10 @@ def run_job(job: JobConfig, out_dir: Path, write_csv: bool) -> tuple[int, dict]:
     }
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    report_path = out_dir / "report.json"
     text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
-    report_path.write_text(text + "\n", encoding="utf-8")
+    (out_dir / "report.json").write_text(text + "\n", encoding="utf-8")
     if write_csv:
-        dim_cols = [f"x{i + 1}" for i in range(dim)]
-        with (out_dir / "points.csv").open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(dim_cols + ["check_id", "component_id", "value"])
-            writer.writerows(csv_rows)
+        _write_csv(out_dir / "points.csv", dim, blocks, per_check)
     return (0 if all_pass else 1), report
 
 
@@ -348,6 +337,10 @@ def _list_solutions() -> str:
         lines.append(f"  {name}({args})")
     lines.append("  random_kaluza(seed=0, amplitude=0.1, k=1.3)   [checks needing a potential]")
     return "\n".join(lines)
+
+
+def _not_a_number(name: str):
+    raise ValueError(f"{name} is not a finite number")
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -375,18 +368,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return 2
 
-    try:
-        raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    try:   # the report echoes the config as strict JSON: no NaN or Infinity
+        raw = json.loads(Path(args.config).read_text(encoding="utf-8"),
+                         parse_constant=_not_a_number)
+    except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
     try:
         job = JobConfig.from_dict(raw)
         if args.seed is not None:
-            job = JobConfig(check=job.check, solution=job.solution, grid=job.grid,
-                            tolerance=job.tolerance, tolerances=job.tolerances,
-                            seed=args.seed)
+            job = replace(job, seed=args.seed)
         code, report = run_job(job, Path(args.out), args.csv)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

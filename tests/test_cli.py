@@ -1,5 +1,7 @@
 import csv
+import io
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -94,6 +96,9 @@ def test_malformed_configs_exit_two(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{ not json", encoding="utf-8")
     assert main(["run", str(path)]) == 2
+    path.write_bytes(b"\xff{")   # not UTF-8
+    assert main(["run", str(path)]) == 2
+    errs = [capsys.readouterr().err]
 
     for broken in [
         {**VAC, "check": "nope"},
@@ -104,11 +109,27 @@ def test_malformed_configs_exit_two(tmp_path, capsys):
         {**VAC, "seed": "x"},
         {**VAC, "tolerance_overrides": {"vacuum": 1e-30}},   # meant as tolerances
         {**VAC, "debug": True},                               # removed key
+        {**VAC, "grid": {"points": [1, 2]}},
+        {**VAC, "grid": {"points": 5}},
+        {**VAC, "grid": {"points": [["a", 3, 1.2, 0.3]]}},
+        {**VAC, "grid": {"ranges": 5}},
+        {**VAC, "grid": {"ranges": [{"lo": 0, "hi": 1, "n": -1}] * 4}},
+        # json reads NaN and Infinity; the report could not echo them
+        {**VAC, "tolerance": float("inf")},
+        {**VAC, "tolerances": {"vacuum": float("inf")}},
+        {**VAC, "grid": {"points": [[0.0, float("nan"), 1.2, 0.3]]}},
+        {**VAC, "grid": {**VAC["grid"], "note": float("nan")}},
+        {**VAC, "grid": {"ranges": [{"lo": 0, "hi": 1, "n": float("inf")}] * 4}},
+        # finite in the config, not once made floats
+        {**VAC, "tolerance": 10**400},
+        {**VAC, "grid": {"points": [[0, 10**400, 1.2, 0.3]]}},
+        {**VAC, "grid": {"ranges": [{"lo": -1e308, "hi": 1e308, "n": 3}] * 4}},
     ]:
         assert main(["run", _write(tmp_path, broken), "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert "config error" in err
-    assert "'tolerance_overrides'" in err and "'debug'" in err
+        errs.append(capsys.readouterr().err)
+    assert all("config error" in err for err in errs)
+    assert "'tolerance_overrides'" in "".join(errs) and "'debug'" in "".join(errs)
+    assert not (tmp_path / "o").exists()
 
 
 def test_missing_potential_exit_two(tmp_path):
@@ -169,10 +190,10 @@ NAN_JOB = {
 def test_non_finite_residual_exit_three(tmp_path, capsys, order):
     cfg = {**NAN_JOB, "grid": {"points": [NAN_GRID[i] for i in order]}}
     out = tmp_path / "out"
-    assert main(["run", _write(tmp_path, cfg), "--out", str(out)]) == 3
+    assert main(["run", _write(tmp_path, cfg), "--out", str(out), "--csv"]) == 3
     err = capsys.readouterr().err
     assert "1e-310" in err and "vacuum" in err and "non-finite" in err
-    assert not (out / "report.json").exists()
+    assert not (out / "report.json").exists() and not (out / "points.csv").exists()
 
 
 def test_unwritable_out_dir_exit_two(tmp_path):
@@ -299,10 +320,10 @@ def test_error_names_first_failing_point(tmp_path, capsys):
     points = [(0.0, r, 1.2, 0.3) for r in (3.0, 4.0, 1.0, 5.0, 6.0)]
     cfg = {**VAC, "grid": _point_grid(points)}
     out = tmp_path / "out"
-    assert main(["run", _write(tmp_path, cfg), "--out", str(out)]) == 3
+    assert main(["run", _write(tmp_path, cfg), "--out", str(out), "--csv"]) == 3
     err = capsys.readouterr().err
     assert str(points[2]) in err and "sqrt" in err
-    assert not (out / "report.json").exists()
+    assert not (out / "report.json").exists() and not (out / "points.csv").exists()
 
 
 def test_error_order_degenerate_before_domain(tmp_path, capsys):
@@ -339,3 +360,12 @@ def test_bundled_configs(tmp_path, config):
         assert main(["run", str(config), "--out", str(out), "--csv"]) == 0
         runs.append([(out / f).read_bytes() for f in ("report.json", "points.csv")])
     assert runs[0] == runs[1]
+    # points.csv is exactly what csv.writer writes for its rows: no field needs
+    # quoting, ids are [a-z0-9_], coordinates and values are float reprs
+    text = runs[0][1].decode("utf-8")
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    rewritten = io.StringIO(newline="")
+    csv.writer(rewritten).writerows(rows)
+    assert rewritten.getvalue() == text
+    assert all(re.fullmatch(r"[a-z0-9_]+", field) for row in rows[1:] for field in row[-3:-1])
+    assert all(repr(float(v)) == v for row in rows[1:] for v in row[:-3] + row[-1:])
