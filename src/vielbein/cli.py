@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import math
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -165,6 +166,13 @@ def _resolve_solution(ref: Mapping):
     return name, params, sol.tetrad, sol.kaluza_config()
 
 
+def _grid_axis(r: Mapping) -> np.ndarray:
+    lo, hi = float(r["lo"]), float(r["hi"])
+    if not math.isfinite(hi - lo):   # np.linspace would step by inf or nan
+        raise ConfigError(f"grid range {lo!r} to {hi!r} overflows a float")
+    return np.linspace(lo, hi, int(r["n"]))
+
+
 def _grid_points(grid: Mapping, dim: int) -> list[tuple[float, ...]]:
     try:
         if "points" in grid:
@@ -172,8 +180,7 @@ def _grid_points(grid: Mapping, dim: int) -> list[tuple[float, ...]]:
         else:
             if len(grid["ranges"]) != dim:
                 raise ConfigError(f"grid.ranges needs {dim} entries")
-            axes = [np.linspace(float(r["lo"]), float(r["hi"]), int(r["n"]))
-                    for r in grid["ranges"]]
+            axes = [_grid_axis(r) for r in grid["ranges"]]
             mesh = np.stack(np.meshgrid(*axes, indexing="ij"), -1)
             pts = list(map(tuple, mesh.reshape(-1, dim).tolist()))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -343,6 +350,13 @@ def _not_a_number(name: str):
     raise ValueError(f"{name} is not a finite number")
 
 
+def _finite_float(literal: str) -> float:
+    value = float(literal)
+    if math.isinf(value):
+        raise ValueError(f"{literal} overflows a float")
+    return value
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="vielbein",
@@ -370,7 +384,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     try:   # the report echoes the config as strict JSON: no NaN or Infinity
         raw = json.loads(Path(args.config).read_text(encoding="utf-8"),
-                         parse_constant=_not_a_number)
+                         parse_constant=_not_a_number, parse_float=_finite_float)
     except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -192,7 +192,7 @@ def evaluate_coframe(field, point: Sequence[float]) -> CoframePoint:
 
 def metric_inverse(cp: CoframePoint) -> np.ndarray:
     et = eta(cp.signature)
-    return np.einsum("mn,...im,...jn->...ij", et, cp.einv, cp.einv)
+    return contract("mn,...im,...jn->...ij", et, cp.einv, cp.einv)
 
 
 def _connection_jets(cp: CoframePoint) -> JetArray:
@@ -220,14 +220,14 @@ def spin_connection(cp: CoframePoint) -> SpinConnectionPoint:
 
 def omega_mixed(sp: SpinConnectionPoint) -> np.ndarray:
     """omega_i^mu_nu: the connection with its second frame index lowered."""
-    return np.einsum("...imn,ns->...ims", sp.omega, eta(sp.signature))
+    return contract("...imn,ns->...ims", sp.omega, eta(sp.signature))
 
 
 def torsion_residual(cp: CoframePoint, sp: SpinConnectionPoint) -> np.ndarray:
     """2 E^mu_ij - (omega_i^mu_nu e^nu_j - omega_j^mu_nu e^nu_i); ~0 for the
     connection computed from the same frame point."""
     wmix = omega_mixed(sp)
-    a = np.einsum("...imn,...nj->...mij", wmix, cp.e)
+    a = contract("...imn,...nj->...mij", wmix, cp.e)
     return 2.0 * cp.E - (a - a.swapaxes(-2, -1))
 
 
@@ -235,7 +235,7 @@ def quadratic_block(sp: SpinConnectionPoint) -> np.ndarray:
     """Q[i, j, lam, sig] = d_j omega_i^{lam sig} + omega_j^lam_eta omega_i^{eta sig};
     the curvature is its antisymmetrization in (i, j)."""
     return (np.einsum("...istj->...ijst", sp.domega)
-            + np.einsum("...jse,...iet->...ijst", omega_mixed(sp), sp.omega))
+            + contract("...jse,...iet->...ijst", omega_mixed(sp), sp.omega))
 
 
 def curvature(sp: SpinConnectionPoint) -> CurvaturePoint:
@@ -292,10 +292,10 @@ def oracle_from_coframe(cp: CoframePoint) -> OraclePoint:
     gamma1 = jet_einsum("...kl,...lij->...kij", ginv1, s1) * 0.5
     gam, dgam = gamma1.val, gamma1.jac
     riem = (np.einsum("...adbc->...abcd", dgam) - np.einsum("...acbd->...abcd", dgam)
-            + np.einsum("...ace,...edb->...abcd", gam, gam)
-            - np.einsum("...ade,...ecb->...abcd", gam, gam))
+            + contract("...ace,...edb->...abcd", gam, gam)
+            - contract("...ade,...ecb->...abcd", gam, gam))
     ricci = np.einsum("...abad->...bd", riem)
-    scalar = np.einsum("...bd,...bd->...", ginv1.val, ricci)
+    scalar = contract("...bd,...bd->...", ginv1.val, ricci)
     einstein_lo = ricci - 0.5 * g1.val * np.asarray(scalar)[..., None, None]
     einstein_mixed = ginv1.val @ einstein_lo
     return OraclePoint(gamma=gam, riemann=riem, ricci=ricci, scalar=scalar,
@@ -305,17 +305,17 @@ def oracle_from_coframe(cp: CoframePoint) -> OraclePoint:
 def spin_connection_via_christoffels(cp: CoframePoint, gamma: np.ndarray) -> np.ndarray:
     """omega_i^{mu nu} rebuilt from coordinate Christoffels; independent path
     used to validate the frame-side assembly."""
-    inner = (np.einsum("...kij,...jn->...kin", gamma, cp.einv)
+    inner = (contract("...kij,...jn->...kin", gamma, cp.einv)
              + np.einsum("...kni->...kin", cp.deinv))
-    w_mixed = np.einsum("...mk,...kin->...imn", cp.e, inner)
-    return np.einsum("...ims,sn->...imn", w_mixed, eta(cp.signature))
+    w_mixed = contract("...mk,...kin->...imn", cp.e, inner)
+    return contract("...ims,sn->...imn", w_mixed, eta(cp.signature))
 
 
 def curvature_to_coordinate(cp: CoframePoint, curv: CurvaturePoint) -> np.ndarray:
     """Frame curvature converted to R^a_{b j i} with coordinate indices only."""
     et = eta(cp.signature)
-    mixed = np.einsum("...jils,st->...jilt", curv.R, et)
-    return np.einsum("...al,...jilt,...tb->...abji", cp.einv, mixed, cp.e)
+    mixed = contract("...jils,st->...jilt", curv.R, et)
+    return contract("...al,...jilt,...tb->...abji", cp.einv, mixed, cp.e)
 
 
 def kretschmann_scalar(cp: CoframePoint, curv: CurvaturePoint) -> np.ndarray:

@@ -6,10 +6,11 @@ one place.  The specs address the value axes of one point, behind a leading
 ``...`` for any batch axes (a block of grid points); derivative axes come
 last.
 
-Contractions that want numpy's path optimisation go through
-:func:`contract`: it plans each (spec, per-point operand shapes) pair once
-with numpy's greedy path search, caches the plan, and afterwards only runs
-its pairwise ``einsum`` steps, so a row of a batch sums exactly as a single
+Every contraction of two or more operands goes through :func:`contract`: it
+plans each (spec, per-point operand shapes) pair once with numpy's greedy
+path search, caches the plan, and afterwards only runs its pairwise steps,
+each as one stacked ``np.matmul``.  A stacked matmul makes one gemm per batch
+row on the per-point shapes, so a row of a batch sums exactly as a single
 point does.
 
 First-order arrays (``hess=None``) are the workhorse wherever only one more
@@ -19,6 +20,7 @@ first derivatives are assembled out of a frame known to second order.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -37,8 +39,76 @@ __all__ = [
 # letters reserved for derivative axes inside jet_einsum specs
 _DERIV_LETTERS = "ZYXWV"
 
-# (spec, per-point operand shapes) -> [(operand positions, pairwise einsum spec), ...]
+# (spec, per-point operand shapes) -> [(operand positions, step), ...], where a
+# step is a _matmul_step recipe or a plain einsum spec
 _PLANS: dict = {}
+
+
+def _matmul_step(a: str, b: str, out: str, dims: dict) -> tuple:
+    """The step ``a,b->out`` (per-point subscripts) as one stacked matmul:
+    ``(prep_a, prep_b, kept, out_axes)``.  Each ``prep`` is ``(pad, count,
+    axes, shape)``.  The optional einsum ``pad`` takes the diagonal of a
+    letter repeated within the operand and spreads it, by an outer product
+    with ones, over the letters summed inside the other operand, which so
+    become contracted letters; neither sums anything, so every sum of the
+    step is the gemm's.  Then the ``count`` per-point axes go to (shared kept
+    S, free in A, contracted K) order for A and (S, K, free in B) for B, and
+    reshape to (s, m, k) and (s, k, n).  The (s, m, n) product reshapes to
+    ``kept`` and ``out_axes`` puts it in the step's output order.  Axes of
+    ``None`` are the identity."""
+    uniq_a, uniq_b = "".join(dict.fromkeys(a)), "".join(dict.fromkeys(b))
+    only_a = "".join(c for c in uniq_a if c not in uniq_b + out)
+    only_b = "".join(c for c in uniq_b if c not in uniq_a + out)
+
+    def pad(sub, uniq, extra):
+        if sub == uniq and not extra:
+            return None
+        return f"...{sub},{extra}->...{uniq}{extra}", np.ones([dims[c] for c in extra])
+
+    a2, b2 = uniq_a + only_b, uniq_b + only_a
+    shared = [c for c in out if c in a2 and c in b2]
+    free_a = [c for c in out if c in a2 and c not in b2]
+    free_b = [c for c in out if c in b2 and c not in a2]
+    summed = [c for c in a2 if c not in out]
+
+    def order(sub, letters):
+        axes = tuple(sub.index(c) for c in letters)
+        return None if axes == tuple(range(len(axes))) else axes
+
+    def size(letters):
+        return math.prod(dims[c] for c in letters)
+
+    s, m, k, n = map(size, (shared, free_a, summed, free_b))
+    kept = shared + free_a + free_b
+    return ((pad(a, uniq_a, only_b), len(a2), order(a2, shared + free_a + summed), (s, m, k)),
+            (pad(b, uniq_b, only_a), len(b2), order(b2, shared + summed + free_b), (s, k, n)),
+            tuple(dims[c] for c in kept), order("".join(kept), out))
+
+
+def _as_stack(x: np.ndarray, pad: tuple | None, count: int, axes: tuple | None,
+              shape: tuple) -> np.ndarray:
+    """``x`` padded, with its last ``count`` axes in ``axes`` order, reshaped
+    to ``shape`` behind its batch axes."""
+    if pad is not None:
+        x = np.einsum(pad[0], x, pad[1])
+    lead = x.ndim - count
+    if axes is not None:
+        x = x.transpose(*range(lead), *[lead + i for i in axes])
+    return x.reshape(x.shape[:lead] + shape)
+
+
+def _run_matmul(step: tuple, pair: list) -> np.ndarray:
+    """The step as one gemm per batch row, each on the per-point shapes.
+    ``pair`` is emptied as it is restacked, so that an intermediate operand
+    is freed as soon as its restacked copy exists."""
+    prep_a, prep_b, kept, out_axes = step
+    a = _as_stack(pair.pop(0), *prep_a)
+    c = np.matmul(a, _as_stack(pair.pop(), *prep_b))
+    lead = c.ndim - 3
+    c = c.reshape(c.shape[:lead] + kept)
+    if out_axes is not None:
+        c = c.transpose(*range(lead), *[lead + i for i in out_axes])
+    return c if c.ndim else c[()]    # a 0-d result stays a numpy scalar, as einsum's
 
 
 @lru_cache(maxsize=None)
@@ -56,16 +126,24 @@ def _spec_parts(spec: str) -> tuple[str, tuple[int, ...], tuple[bool, ...]]:
 
 def contract(spec: str, *ops) -> np.ndarray:
     """Optimised ``np.einsum(spec, *ops)`` over ndarrays, where a leading
-    ``...`` marks batch axes: numpy's greedy path is planned once per (spec,
-    per-point operand shapes), whatever the batch, and replayed as plain
-    pairwise einsums.  Every row of a batch then sums in the order of the
-    batch-of-one contraction, so it equals that result bit for bit."""
+    ``...`` marks batch axes.  numpy's greedy path is planned once per (spec,
+    per-point operand shapes), whatever the batch, and replayed pairwise,
+    each step as one stacked ``np.matmul`` (a lone operand, or a letter
+    broadcast from size 1, runs as a plain einsum).  A stacked matmul makes
+    one gemm per batch row on the per-point shapes, so every row sums in the
+    order of the batch-of-one contraction and equals that result bit for
+    bit."""
     bare, sizes, batched = _spec_parts(spec)
     shapes = tuple([op.shape[op.ndim - n:] for op, n in zip(ops, sizes)])
     plan = _PLANS.get((spec, shapes))
     if plan is None:
         _, steps = np.einsum_path(bare, *[np.empty(s) for s in shapes],
                                   optimize="greedy", einsum_call=True)
+        sized = {(c, n) for sub, shape in zip(bare.split("->")[0].split(","), shapes)
+                 for c, n in zip(sub, shape)}
+        dims = dict(sized)
+        # a letter broadcast from size 1 against a longer axis stays with einsum
+        matmul = len(dims) == len(sized)
         batched, plan = list(batched), []
         for step in steps:
             # numpy 2.x steps are (inds, spec, remaining); 1.x has 5 fields, spec third
@@ -74,17 +152,19 @@ def contract(spec: str, *ops) -> np.ndarray:
             dots = ["..." if batched.pop(i) else "" for i in inds]
             batched.append(any(dots))
             ins, out = step_spec.split("->")
-            ins = [d + s for d, s in zip(dots, ins.split(","))]
-            out = ("..." if batched[-1] else "") + out
-            plan.append((inds, ",".join(ins) + "->" + out))
+            ins = ins.split(",")
+            if matmul and len(ins) == 2:
+                run = _matmul_step(*ins, out, dims)
+            else:
+                run = (",".join(d + s for d, s in zip(dots, ins)) + "->"
+                       + ("..." if batched[-1] else "") + out)
+            plan.append((inds, run))
         _PLANS[spec, shapes] = plan
     operands = list(ops)
-    # each step is a plain einsum call: numpy's own optimised loop sends
-    # pairwise steps through a matmul route that costs ~10x more on arrays
-    # this small
-    for inds, step_spec in plan:
+    for inds, run in plan:
         pair = [operands.pop(i) for i in inds]
-        operands.append(np.einsum(step_spec, *pair))
+        operands.append(np.einsum(run, *pair) if isinstance(run, str)
+                        else _run_matmul(run, pair))
     return operands[0]
 
 
@@ -140,10 +220,10 @@ def jet_einsum(spec: str, *ops) -> JetArray:
 def jet_matinv(a: JetArray) -> JetArray:
     """Inverse of a square matrix of jets, over any leading batch axes."""
     iv = np.linalg.inv(a.val)
-    jac = -np.einsum("...ab,...bcZ,...cd->...adZ", iv, a.jac, iv)
+    jac = -contract("...ab,...bcZ,...cd->...adZ", iv, a.jac, iv)
     hess = None
     if a.hess is not None:
-        t1 = -np.einsum("...ab,...bcZY,...cd->...adZY", iv, a.hess, iv)
+        t1 = -contract("...ab,...bcZY,...cd->...adZY", iv, a.hess, iv)
         t2 = contract("...ab,...bcZ,...cd,...deY,...ef->...afZY", iv, a.jac, iv, a.jac, iv)
         hess = t1 + t2 + t2.swapaxes(-1, -2)
     return JetArray(iv, jac, hess)
@@ -182,12 +262,12 @@ def chart_transfer(q: JetArray, k_val: np.ndarray, k_jac: np.ndarray | None) -> 
     point; ``k_jac[i, a, h]`` its old-coordinate derivatives (required to
     transfer a Hessian).
     """
-    jac = np.einsum("...i,ia->...a", q.jac, k_val)
+    jac = contract("...i,ia->...a", q.jac, k_val)
     hess = None
     if q.hess is not None:
         if k_jac is None:
             raise ValueError("second-order transfer needs the Jacobian derivatives")
-        dk_new = np.einsum("iah,hb->iab", k_jac, k_val)
-        hess = (np.einsum("...ij,ia,jb->...ab", q.hess, k_val, k_val)
-                + np.einsum("...i,iab->...ab", q.jac, dk_new))
+        dk_new = contract("iah,hb->iab", k_jac, k_val)
+        hess = (contract("...ij,ia,jb->...ab", q.hess, k_val, k_val)
+                + contract("...i,iab->...ab", q.jac, dk_new))
     return JetArray(q.val, jac, hess)

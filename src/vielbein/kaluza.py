@@ -13,9 +13,7 @@ stress tensor plus the Maxwell divergence block.
 
 As in the frame layer, the checks (bar the covariance check) take any
 leading batch shape, and each row equals that point's own result bit for
-bit.  numpy's einsum may order a sum over two indices by the batch size;
-where it does (the Maxwell divergence, route 2's Maxwell form), one index
-is summed by einsum and the other by ``sum(-1)``.
+bit.
 """
 
 from __future__ import annotations
@@ -155,7 +153,7 @@ class FieldStrengthPoint:
     @property
     def invariant(self) -> float | np.ndarray:
         """F_{mu nu} F^{mu nu}."""
-        return np.einsum("...mn,...mn->...", self.f_frame, self.f_frame_up)
+        return contract("...mn,...mn->...", self.f_frame, self.f_frame_up)
 
 
 @dataclass(frozen=True)
@@ -168,11 +166,11 @@ def em_stress(cp: CoframePoint, fs: FieldStrengthPoint) -> StressTensorPoint:
     traceless in four dimensions."""
     gi = metric_inverse(cp)
     f = fs.f_coord
-    f_up = np.einsum("...aj,...bi,...ji->...ab", gi, gi, f)
-    fsq = np.einsum("...ji,...ji->...", f, f_up)
+    f_up = contract("...aj,...bi,...ji->...ab", gi, gi, f)
+    fsq = contract("...ji,...ji->...", f, f_up)
     fmix = gi @ f                      # F^a_b
     t = (0.25 * fsq[..., None, None] * cp.einv
-         + np.einsum("...lj,...ji,...ir->...lr", fmix, fmix, cp.einv))
+         + contract("...lj,...ji,...ir->...lr", fmix, fmix, cp.einv))
     return StressTensorPoint(T=t)
 
 
@@ -261,7 +259,7 @@ class _KaluzaPoint:
         df = dda - dda.swapaxes(-3, -2)
         einv = self.cp.einv
         et = eta(SIG4)
-        f_frame = np.einsum("...ji,...jm,...in->...mn", f, einv, einv)
+        f_frame = contract("...ji,...jm,...in->...mn", f, einv, einv)
         f_frame_up = et @ f_frame @ et
         return FieldStrengthPoint(
             f_coord=f, df_coord=df, f_frame=f_frame, f_frame_up=f_frame_up,
@@ -282,9 +280,9 @@ class _KaluzaPoint:
         fup1 = jet_einsum("am,bn,...ji,...jm,...in->...ab", et, et, f1, einv1, einv1)
         wmix = omega_mixed(self.sp)
         term = (fup1.jac
-                + np.einsum("...iae,...eb->...abi", wmix, fup1.val)
-                + np.einsum("...ibe,...ae->...abi", wmix, fup1.val))
-        div = np.einsum("...ib,...abi->...ai", cp.einv, term).sum(-1)
+                + contract("...iae,...eb->...abi", wmix, fup1.val)
+                + contract("...ibe,...ae->...abi", wmix, fup1.val))
+        div = contract("...ib,...abi->...a", cp.einv, term)
         return MaxwellResidual(raw=(0.5 * cp.det * self.cfg.k)[..., None] * div,
                                divergence=div)
 
@@ -295,9 +293,9 @@ class _KaluzaPoint:
 
         dev_a = np.abs(w[..., 4, :4, 4]).max(axis=-1)
         dev_b = np.abs(w[..., 4, :4, :4] + 0.5 * k * fs.f_frame_up).max(axis=(-2, -1))
-        target_c = -0.5 * k * np.einsum("...nr,...rj->...jn", fs.f_frame_mixed, self.cp.e)
+        target_c = -0.5 * k * contract("...nr,...rj->...jn", fs.f_frame_mixed, self.cp.e)
         dev_c = np.abs(w[..., :4, :4, 4] - target_c).max(axis=(-2, -1))
-        target_d = self.sp.omega + 0.5 * k * k * np.einsum("...mn,...i->...imn",
+        target_d = self.sp.omega + 0.5 * k * k * contract("...mn,...i->...imn",
                                                            fs.f_frame_up, self.pot.val)
         dev_d = np.abs(w[..., :4, :4, :4] - target_d).max(axis=(-3, -2, -1))
 
@@ -331,27 +329,26 @@ class _KaluzaPoint:
         eps4 = levi_civita(4)
 
         # quadratic block plus the cross term of the fifth column
-        base = (dw44 + np.einsum("...jse,...iet->...ijst", wmix44, w44)
-                - np.einsum("...js,...it->...ijst", w_col5, w_col5))
+        base = (dw44 + contract("...jse,...iet->...ijst", wmix44, w44)
+                - contract("...js,...it->...ijst", w_col5, w_col5))
         # fiber block minus its back-reaction; the Maxwell column shares it
         fiber = (np.einsum("...stj->...jst", dw5)
-                 + np.einsum("...jse,...et->...jst", wmix44, w5_44)
-                 - np.einsum("...se,...jet->...jst", wmix5_44, w44))
-        fifth = np.einsum("...te,...je->...jt", wmix5_44, w_col5)
+                 + contract("...jse,...et->...jst", wmix44, w5_44)
+                 - contract("...se,...jet->...jst", wmix5_44, w44))
+        fifth = contract("...te,...je->...jt", wmix5_44, w_col5)
         e_form2 = (
             0.5 * contract("plij,nrst,...ijst,...np->...lr", eps4, eps4, base, e4)
             + 0.5 * contract("plij,nrst,...jst,...p,...ni->...lr", eps4, eps4, fiber,
                              e5row, e4)
             + 0.5 * contract("plij,nrst,...jt,...np,...si->...lr", eps4, eps4, fifth,
                              e4, e4))
-        # the (n, p) sum split between einsum and sum(-1), see the module docstring
         fiber_e = contract("qpli,mnst,...ist,...mq->...lnp", eps4, eps4, fiber, e4)
-        m_form2 = -0.25 * np.einsum("...lnp,...np->...ln", fiber_e, e4).sum(-1)
+        m_form2 = -0.25 * contract("...lnp,...np->...l", fiber_e, e4)
 
         # route 3: stress-sourced Einstein block of the tetrad alone, and the
         # divergence form pulled back to a coordinate index
         e_form3 = self.einstein_maxwell()
-        m_form3 = np.einsum("...la,...a->...l", self.cp.einv, self.maxwell().raw)
+        m_form3 = contract("...la,...a->...l", self.cp.einv, self.maxwell().raw)
 
         return ChainReport(
             einstein_forms=(e_form1, e_form2, e_form3),
@@ -517,12 +514,12 @@ def covariance_check(cfg: KaluzaConfig, point: Sequence[float],
     kp2 = _KaluzaPoint(cfg2, point)
     dev_f = float(np.abs(kp1.fs.f_coord - kp2.fs.f_coord).max())
 
-    em1 = np.einsum("lr,rm->lm", kp1.einstein_maxwell(), kp1.cp.e)
-    em2 = np.einsum("lr,rm->lm", kp2.einstein_maxwell(), kp2.cp.e)
+    em1 = contract("lr,rm->lm", kp1.einstein_maxwell(), kp1.cp.e)
+    em2 = contract("lr,rm->lm", kp2.einstein_maxwell(), kp2.cp.e)
     dev_em = float(np.abs(em1 - em2).max())
 
-    mx1 = np.einsum("la,a->l", kp1.cp.einv, kp1.maxwell().raw)
-    mx2 = np.einsum("la,a->l", kp2.cp.einv, kp2.maxwell().raw)
+    mx1 = contract("la,a->l", kp1.cp.einv, kp1.maxwell().raw)
+    mx2 = contract("la,a->l", kp2.cp.einv, kp2.maxwell().raw)
     dev_mx = float(np.abs(mx1 - mx2).max())
 
     # point-level path through the 5D blocked gauge element

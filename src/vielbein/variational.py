@@ -30,6 +30,7 @@ from .frame import (
     spin_connection,
 )
 from .gauge import GaugeElement, evaluate_gauge, gauge_transform_frame, gauge_transform_omega
+from .jetlinalg import contract
 
 __all__ = [
     "SectionPoint",
@@ -63,7 +64,7 @@ def contact_pullback(section: SectionPoint) -> np.ndarray:
     """Coefficients of the pulled-back contact two-forms over dx^a ^ dx^b;
     identically zero exactly when the section is holonomic."""
     cp, wmix = section.cp, omega_mixed(section.sp)
-    t = np.einsum("...amn,...nb->...mab", wmix, cp.e)
+    t = contract("...amn,...nb->...mab", wmix, cp.e)
     return cp.de.swapaxes(-2, -1) - cp.de + t - t.swapaxes(-2, -1)
 
 

@@ -92,6 +92,7 @@ def test_identities_and_corrupt_flag(tmp_path, monkeypatch):
     assert main(["run", path, "--out", str(tmp_path / "b")]) == 1
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_malformed_configs_exit_two(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{ not json", encoding="utf-8")
@@ -124,8 +125,16 @@ def test_malformed_configs_exit_two(tmp_path, capsys):
         {**VAC, "tolerance": 10**400},
         {**VAC, "grid": {"points": [[0, 10**400, 1.2, 0.3]]}},
         {**VAC, "grid": {"ranges": [{"lo": -1e308, "hi": 1e308, "n": 3}] * 4}},
+        # number literals beyond float range (the string "1e400" is written
+        # bare below): json reads them as inf, even where no check reads them
+        {**VAC, "grid": {**VAC["grid"], "note": "1e400"}},
+        {**VAC, "solution": {"name": "schwarzschild", "params": {"M": "1e400"}}},
+        {**VAC, "tolerance": "-1e400"},
     ]:
-        assert main(["run", _write(tmp_path, broken), "--out", str(tmp_path / "o")]) == 2
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(broken).replace('"1e400"', "1e400")
+                        .replace('"-1e400"', "-1e400"), encoding="utf-8")
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
         errs.append(capsys.readouterr().err)
     assert all("config error" in err for err in errs)
     assert "'tolerance_overrides'" in "".join(errs) and "'debug'" in "".join(errs)

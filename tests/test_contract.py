@@ -1,8 +1,9 @@
 """``jetlinalg.contract``: numpy's optimised einsum, planned once per key.
 
-Every ``(spec, per-point operand shapes)`` key the bundled configs plan is
-replayed on random operands against ``np.einsum(..., optimize=True)``;
-planning happens once per key, whatever the batch, as does building
+Every ``(spec, per-point operand shapes)`` key the bundled configs plan, and
+random 2- and 3-operand specs, are replayed on random operands against
+``np.einsum(..., optimize=True)``, and each batch row against the unbatched
+call; planning happens once per key, whatever the batch, as does building
 ``jet_einsum``'s product-rule terms; and no contraction under ``src/``
 bypasses the plan cache.
 """
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vielbein import jetlinalg
 from vielbein.cli import main
@@ -97,6 +99,44 @@ def test_ellipsis_and_trace_match_numpy(spec, shapes):
         np.testing.assert_allclose(contract(spec, *ops), want, rtol=1e-13, atol=1e-15)
 
 
+@st.composite
+def _specs(draw):
+    """A 2- or 3-operand spec with per-point shapes and which operands carry
+    batch axes: letters may repeat within an operand (a diagonal), be summed
+    inside one operand (a trace) or be shared and kept, the contracted set
+    may be empty (an outer product), and the output may be 0-d."""
+    size = dict(zip("abcdef", draw(st.lists(st.integers(1, 4), min_size=6, max_size=6))))
+    subs = draw(st.lists(st.lists(st.sampled_from("abcdef"), max_size=4),
+                         min_size=2, max_size=3))
+    letters = sorted(set().union(*subs))
+    out = draw(st.permutations(letters))[:draw(st.integers(0, len(letters)))]
+    batched = draw(st.lists(st.booleans(), min_size=len(subs), max_size=len(subs)))
+    spec = (",".join("..." * b + "".join(sub) for b, sub in zip(batched, subs))
+            + "->" + "..." * any(batched) + "".join(out))
+    return spec, [tuple(size[c] for c in sub) for sub in subs], batched
+
+
+@settings(deadline=None, max_examples=60)
+@given(case=_specs(), seed=st.integers(0, 2**16))
+def test_random_specs_match_numpy_and_are_batch_invariant(case, seed):
+    spec, shapes, batched = case
+    rng = np.random.default_rng(seed)
+    for n in (1, 3, 16):
+        ops = [rng.standard_normal((n,) * b + s) for b, s in zip(batched, shapes)]
+        rows = contract(spec, *ops)
+        want = np.einsum(spec, *ops, optimize=True)
+        bound = 1e-13 * np.einsum(spec, *map(np.abs, ops))
+        assert np.shape(rows) == np.shape(want)
+        assert np.all(np.abs(rows - want) <= bound), spec
+        if not any(batched):
+            # a 0-d result is a numpy scalar, as plain einsum's is
+            assert np.ndim(rows) or isinstance(rows, float)
+            break
+        for row in range(n):
+            single = [op[row] if b else op for b, op in zip(batched, ops)]
+            assert rows[row].tobytes() == contract(spec, *single).tobytes(), (spec, n, row)
+
+
 def _vacuum_job(tmp_path, name, points):
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps({
@@ -160,14 +200,21 @@ def _numpy_calls(tree: ast.AST, func: str = "<module>"):
 def test_contractions_cannot_bypass_the_plan_cache():
     sources = sorted((ROOT / "src").rglob("*.py"))
     assert sources
-    bypass, planners = [], []
+    bypass, direct, planners = [], [], []
     for path in sources:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for func, attr, call in _numpy_calls(tree):
             where = f"{path.relative_to(ROOT)}:{call.lineno}"
             if attr == "einsum" and any(k.arg == "optimize" for k in call.keywords):
                 bypass.append(where)
+            # a spec and two or more operands (or an unpacked list of them);
+            # single-operand transposes and traces stay plain einsums
+            if (attr == "einsum" and path.name != "jetlinalg.py"
+                    and (len(call.args) > 2
+                         or any(isinstance(arg, ast.Starred) for arg in call.args))):
+                direct.append(where)
             if attr == "einsum_path":
                 planners.append((path.name, func))
     assert not bypass, f"np.einsum(optimize=...) outside contract: {bypass}"
+    assert not direct, f"multi-operand np.einsum outside contract: {direct}"
     assert planners == [("jetlinalg.py", "contract")]
