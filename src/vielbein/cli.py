@@ -14,6 +14,7 @@ import argparse
 import inspect
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -270,19 +271,27 @@ def _grid_residuals(job: JobConfig, tetrad, kcfg, points, size: int | None = Non
 def _write_csv(path: Path, dim: int, blocks, per_check: Mapping[str, list[float]]) -> None:
     """Stream points.csv point by point from the blocks' residual arrays: each check's
     components in row-major order, then its norm.  No field needs quoting (ids are
-    [a-z0-9_], the rest float reprs), so the rows are those csv.writer writes."""
-    norms = {check_id: iter(col) for check_id, col in per_check.items()}
+    [a-z0-9_], the rest float reprs), so the rows are those csv.writer writes.
+
+    Once per job, from the first block's per-point shapes (the same in every block):
+    the row tails ``,check_id,component_id,``.  Once per block: one (points, tails)
+    value array, each check's components then its norm column from ``per_check``.
+    Per point: one string, the coordinates prefixed to every tail and value repr."""
+    tails = [f",{check_id},{'_'.join(map(str, i))},"
+             for check_id, arr in sorted(blocks[0][1].items())
+             for i in [*np.ndindex(arr.shape[1:]), ("norm",)]]
+    start = 0
     with path.open("w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(f"x{i + 1}" for i in range(dim)) + ",check_id,component_id,value\r\n")
         for block, named in blocks:
-            checks = [(check_id, arr, ["_".join(map(str, i)) for i in np.ndindex(arr.shape[1:])])
-                      for check_id, arr in sorted(named.items())]
-            for n, point in enumerate(block):
+            n = len(block)
+            values = np.concatenate([col for check_id, arr in sorted(named.items()) for col in (
+                arr.reshape(n, -1), np.array(per_check[check_id][start:start + n])[:, None])], 1)
+            start += n
+            for point, row in zip(block, values):   # tolist per point bounds the memory
                 head = ",".join(map(repr, point))
-                for check_id, arr, comps in checks:
-                    fh.writelines(f"{head},{check_id},{comp},{v!r}\r\n"
-                                  for comp, v in zip(comps, arr[n].ravel().tolist()))
-                    fh.write(f"{head},{check_id},norm,{next(norms[check_id])!r}\r\n")
+                cells = map(operator.add, tails, map(repr, row.tolist()))
+                fh.write(head + ("\r\n" + head).join(cells) + "\r\n")
 
 
 def run_job(job: JobConfig, out_dir: Path, write_csv: bool) -> tuple[int, dict]:
@@ -297,6 +306,8 @@ def run_job(job: JobConfig, out_dir: Path, write_csv: bool) -> tuple[int, dict]:
     points = _grid_points(job.grid, dim)
     if job.check in KALUZA_CHECKS and kcfg is None:
         raise ConfigError(f"check {job.check!r} needs a solution with a potential")
+    for name in ("report.json", "points.csv"):   # no output outlives the run that wrote it
+        (out_dir / name).unlink(missing_ok=True)
 
     per_check: dict[str, list[float]] = {}
     blocks = []   # (block, named residuals), kept only for the CSV

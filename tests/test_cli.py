@@ -1,10 +1,13 @@
 import csv
 import io
 import json
+import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from vielbein import cli
 from vielbein.cli import main
@@ -245,6 +248,123 @@ def test_csv_schema(tmp_path):
     norms = [r for r in rows[1:] if r[5] == "norm"]
     assert len(norms) == 25
     assert all(abs(float(r[6])) < 1e-10 for r in norms)
+
+
+def _reference_csv(dim, blocks, per_check):
+    """points.csv as the nested writer wrote it, kept as the reference: per
+    point, per sorted check, one f-string row per component, then its norm."""
+    norms = {check_id: iter(col) for check_id, col in per_check.items()}
+    out = [",".join(f"x{i + 1}" for i in range(dim)) + ",check_id,component_id,value\r\n"]
+    for block, named in blocks:
+        for n, point in enumerate(block):
+            head = ",".join(map(repr, point))
+            for check_id, arr in sorted(named.items()):
+                comps = ["_".join(map(str, i)) for i in np.ndindex(arr.shape[1:])]
+                out.extend(f"{head},{check_id},{comp},{v!r}\r\n"
+                           for comp, v in zip(comps, arr[n].ravel().tolist()))
+                out.append(f"{head},{check_id},norm,{next(norms[check_id])!r}\r\n")
+    return "".join(out)
+
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e-05, 1e16, 1.7976931348623157e308,
+               -1.7976931348623157e308]
+CSV_FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS),
+                       st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _csv_jobs(draw):
+    """(dim, blocks, per_check) as run_job hands them to _write_csv: 1-3 checks of
+    different per-point shapes, full blocks of one size and a partial last block."""
+    dim = draw(st.integers(1, 5))
+    shapes = draw(st.lists(st.sampled_from([(1,), (3,), (2, 2), (4, 4, 4), (2, 1, 3)]),
+                           min_size=1, max_size=3, unique=True))
+    ids = draw(st.lists(st.from_regex(r"[a-z][a-z0-9_]{0,9}", fullmatch=True),
+                        min_size=len(shapes), max_size=len(shapes), unique=True))
+    size = draw(st.integers(2, 5))
+    sizes = [size] * draw(st.integers(1, 3)) + [draw(st.integers(1, size - 1))]
+    blocks = []
+    for n in sizes:
+        block = [tuple(draw(st.lists(CSV_FLOATS, min_size=dim, max_size=dim)))
+                 for _ in range(n)]
+        named = {check_id: np.array(draw(st.lists(CSV_FLOATS, min_size=n * math.prod(shape),
+                                                  max_size=n * math.prod(shape))))
+                 .reshape(n, *shape) for check_id, shape in zip(ids, shapes)}
+        blocks.append((block, named))
+    total = sum(sizes)
+    per_check = {check_id: draw(st.lists(CSV_FLOATS, min_size=total, max_size=total))
+                 for check_id in ids}
+    return dim, blocks, per_check
+
+
+_EDGE_JOB = (2, [([(-0.0, 5e-324), (1e16, 1e-05)],
+                  {"a": np.array([[1.7976931348623157e308], [-1.7976931348623157e308]]),
+                   "b_2": np.array(EDGE_FLOATS).reshape(2, 2, 2)}),
+                 ([(1.0, -1.0)], {"a": np.array([[-0.0]]),
+                                  "b_2": np.array(EDGE_FLOATS[::2]).reshape(1, 2, 2)})],
+             {"a": [1.7976931348623157e308, 1e16, 0.0], "b_2": [5e-324, 1e-05, -0.0]})
+
+
+@settings(deadline=None, max_examples=60)
+@given(job=_csv_jobs())
+@example(job=_EDGE_JOB)
+def test_write_csv_matches_nested_reference(tmp_path_factory, job):
+    dim, blocks, per_check = job
+    path = tmp_path_factory.mktemp("csv") / "points.csv"
+    cli._write_csv(path, dim, blocks, per_check)
+    assert path.read_bytes() == _reference_csv(dim, blocks, per_check).encode("utf-8")
+
+
+def _ranges(*spans):
+    return {"ranges": [{"lo": lo, "hi": hi, "n": n} for lo, hi, n in spans]}
+
+
+@pytest.mark.parametrize("cfg, sizes", [
+    ({"check": "einstein-maxwell",
+      "solution": {"name": "reissner_nordstrom", "params": {"M": 1.0, "Q": 0.5}},
+      "grid": _ranges((0, 0, 1), (3, 10, 5), (0.8, 2.2, 4), (0.1, 0.1, 1)),
+      "tolerance": 1e-7}, [16, 4]),
+    ({**VAC, "grid": _ranges((0, 0, 1), (3, 10, 5), (0.6, 2.5, 5), (0.1, 0.3, 3))}, [64, 11]),
+], ids=["einstein-maxwell", "vacuum"])
+def test_csv_rows_across_blocks(tmp_path, cfg, sizes):
+    # the row tails are built from the first block and the norms read at a running
+    # offset: every row of every block must still be its point's own value
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, cfg), "--out", str(out), "--csv"]) == 0
+    job = cli.JobConfig.from_dict(cfg)
+    _, _, tetrad, kcfg = cli._resolve_solution(job.solution)
+    blocks = list(cli._grid_residuals(job, tetrad, kcfg, cli._grid_points(job.grid, 4)))
+    assert [len(block) for block, _ in blocks] == sizes
+    report = json.loads((out / "report.json").read_text())
+    with (out / "points.csv").open(newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    expected, records = [], iter(report["points"])
+    for block, named in blocks:
+        for n, point in enumerate(block):
+            norms = next(records)["norms"]
+            for check_id, arr in sorted(named.items()):
+                expected += [(point, check_id, "_".join(map(str, idx)), arr[n][idx])
+                             for idx in np.ndindex(arr.shape[1:])]
+                expected.append((point, check_id, "norm", norms[check_id]))
+    assert [(tuple(map(float, r[:4])), r[4], r[5], float(r[6])) for r in rows] == expected
+
+
+def test_outputs_of_an_earlier_run_are_removed(tmp_path):
+    # a run without --csv must not leave the previous run's points.csv beside its report
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    out = str(tmp_path / "out")
+    assert main(["run", str(configs / "vacuum_schwarzschild.json"), "--out", out, "--csv"]) == 0
+    assert main(["run", str(configs / "identities_random.json"), "--out", out]) == 0
+    assert json.loads((tmp_path / "out" / "report.json").read_text())["check"] == "identities"
+    assert not (tmp_path / "out" / "points.csv").exists()
+
+
+def test_failed_run_removes_earlier_outputs(tmp_path):
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, VAC), "--out", str(out), "--csv"]) == 0
+    cfg = {**VAC, "grid": {"points": [[0.0, 1.0, 1.2, 0.3]]}}   # inside the horizon
+    assert main(["run", _write(tmp_path, cfg), "--out", str(out), "--csv"]) == 3
+    assert not (out / "report.json").exists() and not (out / "points.csv").exists()
 
 
 def test_seed_override_recorded(tmp_path):
