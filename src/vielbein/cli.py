@@ -195,26 +195,30 @@ def _grid_points(grid: Mapping, dim: int) -> list[tuple[float, ...]]:
     return pts
 
 
-def _block_residuals(job: JobConfig, tetrad, kcfg, block) -> dict[str, np.ndarray]:
+def _block_residuals(job: JobConfig, tetrad, kcfg, block) -> tuple[dict, np.ndarray]:
     """Named residual component arrays of a block of grid points, one leading
-    row per point.  Every check runs on the whole block at once, from one
-    evaluation of the tetrad (and, for the Kaluza checks, the potential)."""
+    row per point, and the block's 4D tetrad values ``e``.  Every check runs
+    on the whole block at once, from one evaluation of the tetrad (and, for
+    the Kaluza checks, the potential)."""
     kind = job.check
-    if kind == "einstein-maxwell":
+    if kind in KALUZA_CHECKS:
         kp = _KaluzaPoint(kcfg, block)
-        return {"einstein_maxwell": kp.einstein_maxwell(), "maxwell": kp.maxwell().divergence}
-    if kind == "reduction":
-        rep = _KaluzaPoint(kcfg, block).reduction()
-        return {"reduction": np.stack([rep.fiber_fiber, rep.fiber_rotation,
-                                       rep.mixed_block, rep.base_block], axis=-1)}
-    if kind == "appendixA":
-        rep = _KaluzaPoint(kcfg, block).chain()
-        return {"chain_einstein": np.stack(rep.einstein_deviations, axis=-1),
-                "chain_maxwell": np.stack(rep.maxwell_deviations, axis=-1)}
+        if kind == "einstein-maxwell":
+            named = {"einstein_maxwell": kp.einstein_maxwell(),
+                     "maxwell": kp.maxwell().divergence}
+        elif kind == "reduction":
+            rep = kp.reduction()
+            named = {"reduction": np.stack([rep.fiber_fiber, rep.fiber_rotation,
+                                            rep.mixed_block, rep.base_block], axis=-1)}
+        else:
+            rep = kp.chain()
+            named = {"chain_einstein": np.stack(rep.einstein_deviations, axis=-1),
+                     "chain_maxwell": np.stack(rep.maxwell_deviations, axis=-1)}
+        return named, kp.cp.e
     cp = evaluate_coframe(tetrad, block)
     sp = spin_connection(cp)
     if kind == "vacuum":
-        return {"vacuum": einstein_density(cp, curvature(sp))}
+        return {"vacuum": einstein_density(cp, curvature(sp))}, cp.e
     sec = SectionPoint(cp, sp, holonomic=True)
     orc = oracle_from_coframe(cp)
     if kind == "identities":
@@ -226,10 +230,10 @@ def _block_residuals(job: JobConfig, tetrad, kcfg, block) -> dict[str, np.ndarra
             "omega_vs_oracle": omega_dev,
             "curvature_vs_oracle": riem_dev,
             "shuffle_identity": omega_shuffle_identity(sec)[:, None],
-        }
+        }, cp.e
     if kind == "theta-density":
         defect = theta_density(sec) - THETA_RATIO * cp.det * orc.scalar
-        return {"theta_density": defect[:, None]}
+        return {"theta_density": defect[:, None]}, cp.e
     raise ConfigError(f"unhandled check {kind!r}")  # pragma: no cover
 
 
@@ -249,23 +253,23 @@ def _check_finite(block, named: dict[str, np.ndarray]) -> None:
 
 
 def _grid_residuals(job: JobConfig, tetrad, kcfg, points, size: int | None = None):
-    """(block of points, named residuals with one row per point) over the
-    grid, in grid order, every component finite; blocks hold ``size`` points,
-    by default the check's block size.  A block whose evaluation raises is
-    re-run as blocks of one, so an error always names the first failing
-    point, whatever the failure."""
+    """(block of points, named residuals with one row per point, the block's
+    tetrad values) over the grid, in grid order, every component finite;
+    blocks hold ``size`` points, by default the check's block size.  A block
+    whose evaluation raises is re-run as blocks of one, so an error always
+    names the first failing point, whatever the failure."""
     size = size or (KALUZA_BLOCK_SIZE if job.check in KALUZA_CHECKS else BLOCK_SIZE)
     for start in range(0, len(points), size):
         block = points[start:start + size]
         try:
-            named = _block_residuals(job, tetrad, kcfg, block)
+            named, e = _block_residuals(job, tetrad, kcfg, block)
         except _POINT_ERRORS as exc:
             if size == 1:
                 raise EvaluationError(f"at point {block[0]}: {exc}") from exc
             yield from _grid_residuals(job, tetrad, kcfg, block, 1)
         else:
             _check_finite(block, named)
-            yield block, named
+            yield block, named, e
 
 
 def _write_csv(path: Path, dim: int, blocks, per_check: Mapping[str, list[float]]) -> None:
@@ -310,11 +314,22 @@ def run_job(job: JobConfig, out_dir: Path, write_csv: bool) -> tuple[int, dict]:
         (out_dir / name).unlink(missing_ok=True)
 
     per_check: dict[str, list[float]] = {}
+    # per check, at its worst point: (norm, grid index, component id, tetrad values);
+    # ties go to the first point in grid order, then to the first component
+    worst: dict[str, tuple] = {}
     blocks = []   # (block, named residuals), kept only for the CSV
-    for block, named in _grid_residuals(job, tetrad, kcfg, points):
+    start = 0
+    for block, named, e in _grid_residuals(job, tetrad, kcfg, points):
+        n = len(block)
         for check_id, arr in named.items():
-            per_check.setdefault(check_id, []).extend(
-                np.abs(arr).reshape(len(block), -1).max(axis=1).tolist())
+            comps = np.abs(arr).reshape(n, -1)
+            norms = comps.max(axis=1)
+            per_check.setdefault(check_id, []).extend(norms.tolist())
+            i = int(norms.argmax())
+            if check_id not in worst or norms[i] > worst[check_id][0]:
+                idx = np.unravel_index(int(comps[i].argmax()), arr.shape[1:])
+                worst[check_id] = (norms[i], start + i, "_".join(map(str, idx)), e[i])
+        start += n
         if write_csv:
             blocks.append((block, named))
     point_records = [{"x": list(point), "norms": {c: col[n] for c, col in per_check.items()}}
@@ -323,16 +338,20 @@ def run_job(job: JobConfig, out_dir: Path, write_csv: bool) -> tuple[int, dict]:
     results = []
     for check_id, norms in sorted(per_check.items()):
         tol, mx = job.tol_for(check_id), max(norms)
+        _, point, comp, e = worst[check_id]
         results.append({"check_id": check_id, "max": mx, "mean": sum(norms) / len(norms),
-                        "tolerance": tol, "passed": mx <= tol})
+                        "tolerance": tol, "passed": mx <= tol, "worst_point": point,
+                        "worst_component": comp, "cond_e": float(np.linalg.cond(e))})
     all_pass = all(r["passed"] for r in results)
 
     report = {
+        "format": 2,
         "tool": {"name": "vielbein", "version": __version__},
         "check": job.check,
         "solution": {"label": label, "params": params},
         "seed": job.seed,
-        "grid": job.grid,
+        # an explicit point list is not echoed: points[].x lists it, in grid order
+        "grid": {k: v for k, v in job.grid.items() if k != "points"},
         "n_points": len(points),
         "points": point_records,
         "results": results,
@@ -340,7 +359,8 @@ def run_job(job: JobConfig, out_dir: Path, write_csv: bool) -> tuple[int, dict]:
     }
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+    # one compact line: without indent, json runs its C encoder
+    text = json.dumps(report, sort_keys=True, separators=(",", ":"), allow_nan=False)
     (out_dir / "report.json").write_text(text + "\n", encoding="utf-8")
     if write_csv:
         _write_csv(out_dir / "points.csv", dim, blocks, per_check)

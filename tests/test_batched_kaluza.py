@@ -98,9 +98,9 @@ def test_kaluza_residuals_do_not_depend_on_the_block_size(name):
     runs = {}
     for size in (1, None):
         blocks = list(cli._grid_residuals(job, tetrad, kcfg, points, size))
-        runs[size] = {cid: np.concatenate([named[cid] for _, named in blocks])
+        runs[size] = {cid: np.concatenate([named[cid] for _, named, _ in blocks])
                       for cid in blocks[0][1]}
-        assert [p for block, _ in blocks for p in block] == points
+        assert [p for block, *_ in blocks for p in block] == points
     assert runs[1].keys() == runs[None].keys()
     for cid, rows in runs[None].items():
         assert rows.shape[0] == len(points)

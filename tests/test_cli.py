@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from vielbein import cli
 from vielbein.cli import main
-from vielbein.frame import SpinConnectionPoint, spin_connection
+from vielbein.frame import SpinConnectionPoint, evaluate_coframe, spin_connection
 
 VAC = {
     "check": "vacuum",
@@ -334,12 +334,12 @@ def test_csv_rows_across_blocks(tmp_path, cfg, sizes):
     job = cli.JobConfig.from_dict(cfg)
     _, _, tetrad, kcfg = cli._resolve_solution(job.solution)
     blocks = list(cli._grid_residuals(job, tetrad, kcfg, cli._grid_points(job.grid, 4)))
-    assert [len(block) for block, _ in blocks] == sizes
+    assert [len(block) for block, *_ in blocks] == sizes
     report = json.loads((out / "report.json").read_text())
     with (out / "points.csv").open(newline="") as fh:
         rows = list(csv.reader(fh))[1:]
     expected, records = [], iter(report["points"])
-    for block, named in blocks:
+    for block, named, _ in blocks:
         for n, point in enumerate(block):
             norms = next(records)["norms"]
             for check_id, arr in sorted(named.items()):
@@ -498,3 +498,68 @@ def test_bundled_configs(tmp_path, config):
     assert rewritten.getvalue() == text
     assert all(re.fullmatch(r"[a-z0-9_]+", field) for row in rows[1:] for field in row[-3:-1])
     assert all(repr(float(v)) == v for row in rows[1:] for v in row[:-3] + row[-1:])
+    # report.json is one compact line, sorted keys, the C encoder's output
+    text = runs[0][0].decode("utf-8")
+    report = json.loads(text)
+    assert text == json.dumps(report, sort_keys=True, separators=(",", ":"),
+                              allow_nan=False) + "\n"
+    assert text.count("\n") == 1
+    assert report["format"] == 2
+    # echo rule: an explicit point list is dropped from the grid echo, because
+    # points[].x lists it in grid order; every other grid key stays
+    grid = json.loads(config.read_text(encoding="utf-8"))["grid"]
+    assert report["grid"] == {k: v for k, v in grid.items() if k != "points"}
+    if "points" in grid:
+        assert [p["x"] for p in report["points"]] == [list(map(float, p))
+                                                      for p in grid["points"]]
+    else:
+        assert report["grid"]["ranges"] == grid["ranges"]
+
+
+# The vacuum jobs run as blocks of 64 + 6 points, the einstein-maxwell job as
+# 16 + 4; their grids run so that the worst vacuum and maxwell points fall in the
+# second block.  On the flat frame every norm is exactly 0, so the ties must go to
+# the first point and the first component.
+@pytest.mark.parametrize("cfg", [
+    {**VAC, "grid": _ranges((0, 0, 1), (3, 10, 7), (2.5, 0.6, 5), (0.1, 0.3, 2))},
+    {"check": "einstein-maxwell",
+     "solution": {"name": "reissner_nordstrom", "params": {"M": 1.0, "Q": 0.5}},
+     "grid": _ranges((0, 0, 1), (10, 3, 5), (0.8, 2.2, 4), (0.1, 0.1, 1)),
+     "tolerance": 1e-7},
+    {**_inline_vacuum(1), "grid": _ranges((0, 0, 1), (3, 10, 7), (0.6, 2.5, 5), (0.1, 0.3, 2))},
+    {"check": "identities",   # five checks, worst components off the first index
+     "solution": {"name": "random_polynomial", "params": {"seed": 5, "amplitude": 0.1}},
+     "grid": _ranges((-0.2, 0.2, 2), (-0.3, 0.3, 2), (0.4, 0.4, 1), (0.0, 0.1, 2)),
+     "tolerance": 1e-9},
+], ids=["vacuum-70", "einstein-maxwell-20", "flat-ties-70", "identities-8"])
+def test_worst_point_fields_match_points_csv(tmp_path, cfg):
+    assert main(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "out"), "--csv"]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    with (tmp_path / "out" / "points.csv").open(newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    _, _, tetrad, _ = cli._resolve_solution(cfg["solution"])
+    for res in report["results"]:
+        check_rows = [r for r in rows if r[4] == res["check_id"]]
+        norms = [float(r[6]) for r in check_rows if r[5] == "norm"]
+        worst = int(np.argmax(norms))   # the first point in grid order
+        assert res["worst_point"] == worst and norms[worst] == res["max"]
+        per_point = len(check_rows) // len(norms)
+        comps = check_rows[worst * per_point:(worst + 1) * per_point - 1]
+        values = [abs(float(r[6])) for r in comps]
+        assert res["worst_component"] == comps[int(np.argmax(values))][5]
+        x = report["points"][worst]["x"]
+        assert res["cond_e"] == np.linalg.cond(evaluate_coframe(tetrad, x).e)
+
+
+def test_report_is_written_by_the_c_encoder(tmp_path, monkeypatch):
+    # json falls back to its pure-Python encoder for indent (and other options):
+    # the report must never take that path
+    path = _write(tmp_path, VAC)
+
+    def pure_python_encoder(*args, **kwargs):
+        raise AssertionError("report rendered by the pure-Python JSON encoder")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", pure_python_encoder)
+    with pytest.raises(AssertionError):
+        json.dumps({"a": 1}, indent=2)
+    assert main(["run", path, "--out", str(tmp_path / "out"), "--csv"]) == 0
