@@ -17,6 +17,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass, fields, replace
+from functools import lru_cache
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -388,7 +389,10 @@ def _finite_float(literal: str) -> float:
     return value
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and reused by every
+    ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="vielbein",
         description="grid verification of frame-gravity and five-dimensional "
@@ -404,7 +408,11 @@ def main(argv: Sequence[str] | None = None) -> int:
                        help="also write per-component values as points.csv")
     run_p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
+    return parser
 
+
+def main(argv: Sequence[str] | None = None) -> int:
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.list_solutions:
         print(_list_solutions())

@@ -21,13 +21,20 @@ Frame (Greek) indices are raised and lowered with the flat signature metric,
 coordinate (Latin) indices with the metric built from the frame.  The spin
 connection comes from the frame-index anholonomy coefficients, with no metric
 inverse; the torsion-free closure (:func:`torsion_residual`) is its round trip.
+
+The double-epsilon densities (:func:`epsilon_pair`) sum ``n_e`` frame factors
+tied to two permutation symbols over sorted index subsets only: the
+``n_e`` x ``n_e`` minors of the frame against the symbols' dual tables (the
+generalized Kronecker delta expansion), for any ``n_e``; the dense symbols
+meet the frame only at ``n_e <= 1``, where the minors are the frame itself.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from functools import lru_cache
+from itertools import chain, combinations, permutations
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -247,20 +254,60 @@ def curvature(sp: SpinConnectionPoint) -> CurvaturePoint:
     return CurvaturePoint(R=r)
 
 
+@lru_cache(maxsize=None)
+def _compound_tables(m: int, n_e: int) -> tuple[np.ndarray, np.ndarray]:
+    """The tables of the ``n_e``-th compound of an m x m frame, over the
+    sorted ``n_e``-subsets S of range(m):
+
+    * the read-only dual table ``D[F, tail...] = eps[S[F]..., tail...]``;
+    * the Leibniz terms of the minors det(e[S[F], S[Q]]) as positions in the
+      frame flattened per point and followed by its negative: entry
+      ``[p, a, Q, F]`` addresses e[S[F, a], S[Q, perm_p(a)]], negated at
+      ``a = 0`` for an odd permutation ``perm_p``."""
+    subsets = np.array(list(combinations(range(m), n_e)))
+    dual = levi_civita(m)[tuple(subsets.T)]
+    dual.setflags(write=False)
+    perms = list(permutations(range(n_e)))
+    odd = np.array([levi_civita(n_e)[p] < 0 for p in perms])
+    rows = subsets.T[None, :, None, :]                          # S[F, a]
+    cols = subsets[:, perms].transpose(1, 2, 0)[..., None]     # S[Q, perm_p(a)]
+    flat = rows * m + cols
+    flat[:, 0] += (odd * m * m)[:, None, None]
+    return dual, flat
+
+
 def epsilon_pair(e: np.ndarray, n_e: int, coord_tail: str, frame_tail: str,
                  extras: Sequence[str], out: str, *operands) -> np.ndarray:
     """Double permutation-symbol block with ``n_e`` copies of the frame ``e``
     tied slotwise to the two symbols; ``operands`` (index strings ``extras``
-    after their batch axes) follow the frame factors."""
-    if n_e > 3:
-        raise ValueError("at most three tied frame factors supported")
-    qs = "abc"[:n_e]
-    fs = "uvw"[:n_e]
-    inputs = [qs + coord_tail, fs + frame_tail]
-    inputs += ["..." + fs[r] + qs[r] for r in range(n_e)]
-    inputs += ["..." + x for x in extras]
-    eps = levi_civita(e.shape[-1])
-    return contract(",".join(inputs) + "->..." + out, eps, eps, *[e] * n_e, *operands)
+    after their batch axes, letters other than ``F`` and ``Q``) follow the
+    frame factors:
+
+        eps[q..., coord_tail] eps[f..., frame_tail] e[f_1, q_1] ... e[f_n, q_n]
+
+    summed over the tied slots.  Both symbols are antisymmetric in their
+    tied slots, so the sum runs over sorted slot subsets F and Q alone, as
+    ``n_e! D[Q, coord_tail] D[F, frame_tail] det(e[F, Q])``: ``D`` is the
+    symbol restricted to sorted leading slots and ``det(e[F, Q])`` the
+    ``n_e`` x ``n_e`` minors of the frame (its ``n_e``-th compound matrix),
+    for any ``n_e``.  The frame-tied dual ``F<frame_tail>,...QF`` is
+    contracted first, then the rest.  At ``n_e <= 1`` the minors are the
+    frame itself and ``D`` the symbol, and the whole block is one planned
+    contraction."""
+    m = e.shape[-1]
+    tail = ["..." + x for x in extras]
+    if n_e <= 1:
+        eps = levi_civita(m)
+        spec = ",".join(["Q" * n_e + coord_tail, "F" * n_e + frame_tail,
+                         *["...FQ"] * n_e, *tail]) + "->..." + out
+        return contract(spec, eps, eps, *[e] * n_e, *operands)
+    dual, flat = _compound_tables(m, n_e)
+    e_flat = e.reshape(e.shape[:-2] + (m * m,))
+    terms = np.take(np.concatenate([e_flat, -e_flat], axis=-1), flat, axis=-1)
+    minors = terms.prod(axis=-3).sum(axis=-3)    # [..., Q, F]
+    tied = contract(f"F{frame_tail},...QF->...Q{frame_tail}", dual, minors)
+    spec = ",".join([f"Q{coord_tail}", f"...Q{frame_tail}", *tail]) + "->..." + out
+    return math.factorial(n_e) * contract(spec, dual, tied, *operands)
 
 
 def einstein_density(cp: CoframePoint, curv: CurvaturePoint) -> np.ndarray:

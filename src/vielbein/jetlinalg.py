@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -111,6 +112,21 @@ def _run_matmul(step: tuple, pair: list) -> np.ndarray:
     return c if c.ndim else c[()]    # a 0-d result stays a numpy scalar, as einsum's
 
 
+def _cheapest_pair(subs: list, out: str, dims: dict) -> tuple:
+    """The pair ``(x, y, kept subscript)`` of ``subs`` whose contraction
+    toward ``out`` loops over the fewest index values, then keeps the
+    smallest intermediate; ties go to the first pair."""
+    best = None
+    for x, y in combinations(range(len(subs)), 2):
+        rest = out + "".join(s for k, s in enumerate(subs) if k not in (x, y))
+        letters = "".join(dict.fromkeys(subs[x] + subs[y]))
+        keep = "".join(c for c in letters if c in rest)
+        key = (math.prod(dims[c] for c in letters), math.prod(dims[c] for c in keep))
+        if best is None or key < best[0]:
+            best = key, (x, y, keep)
+    return best[1]
+
+
 @lru_cache(maxsize=None)
 def _spec_parts(spec: str) -> tuple[str, tuple[int, ...], tuple[bool, ...]]:
     """``spec`` without its ``...``, the number of per-point axes of each
@@ -129,10 +145,11 @@ def contract(spec: str, *ops) -> np.ndarray:
     ``...`` marks batch axes.  numpy's greedy path is planned once per (spec,
     per-point operand shapes), whatever the batch, and replayed pairwise,
     each step as one stacked ``np.matmul`` (a lone operand, or a letter
-    broadcast from size 1, runs as a plain einsum).  A stacked matmul makes
-    one gemm per batch row on the per-point shapes, so every row sums in the
-    order of the batch-of-one contraction and equals that result bit for
-    bit."""
+    broadcast from size 1, runs as a plain einsum); a greedy step over three
+    or more operands is split into pairwise steps, cheapest pair first.  A
+    stacked matmul makes one gemm per batch row on the per-point shapes, so
+    every row sums in the order of the batch-of-one contraction and equals
+    that result bit for bit, whatever the memory layout of the operands."""
     bare, sizes, batched = _spec_parts(spec)
     shapes = tuple([op.shape[op.ndim - n:] for op, n in zip(ops, sizes)])
     plan = _PLANS.get((spec, shapes))
@@ -144,23 +161,44 @@ def contract(spec: str, *ops) -> np.ndarray:
         dims = dict(sized)
         # a letter broadcast from size 1 against a longer axis stays with einsum
         matmul = len(dims) == len(sized)
-        batched, plan = list(batched), []
-        for step in steps:
-            # numpy 2.x steps are (inds, spec, remaining); 1.x has 5 fields, spec third
-            inds, step_spec = step[0], step[1] if len(step) == 3 else step[2]
-            # "..." on each step operand, and result, that carries batch axes
-            dots = ["..." if batched.pop(i) else "" for i in inds]
-            batched.append(any(dots))
-            ins, out = step_spec.split("->")
-            ins = ins.split(",")
+        # the batch marks of the operand list as the replay holds it
+        live, plan = ["..." if b else "" for b in batched], []
+
+        def emit(inds, ins, out):
+            dots = [live.pop(i) for i in inds]
+            live.append("..." if any(dots) else "")
             if matmul and len(ins) == 2:
                 run = _matmul_step(*ins, out, dims)
             else:
-                run = (",".join(d + s for d, s in zip(dots, ins)) + "->"
-                       + ("..." if batched[-1] else "") + out)
+                run = ",".join(d + s for d, s in zip(dots, ins)) + "->" + live[-1] + out
             plan.append((inds, run))
+
+        for step in steps:
+            # numpy 2.x steps are (inds, spec, remaining); 1.x has 5 fields, spec third
+            inds, step_spec = step[0], step[1] if len(step) == 3 else step[2]
+            ins, out = step_spec.split("->")
+            ins = ins.split(",")
+            if not matmul or len(ins) < 2:
+                emit(inds, ins, out)
+                continue
+            # pairwise steps; a step over three or more operands (greedy found
+            # no pair within its size limit, or nothing is summed) is split,
+            # cheapest pair first.  pos holds the places of the step's
+            # operands in the operand list
+            pos, subs = list(inds), list(ins)
+            while len(subs) > 1:
+                x, y, keep = _cheapest_pair(subs, out, dims) if len(subs) > 2 else (0, 1, out)
+                if pos[x] < pos[y]:
+                    x, y = y, x    # the replay pops the later place first
+                emit((pos[x], pos[y]), [subs[x], subs[y]], keep)
+                rest = [k for k in range(len(subs)) if k not in (x, y)]
+                pos = [pos[k] - (pos[x] < pos[k]) - (pos[y] < pos[k]) for k in rest]
+                pos.append(len(live) - 1)
+                subs = [subs[k] for k in rest] + [keep]
         _PLANS[spec, shapes] = plan
-    operands = list(ops)
+    # the gemm path np.matmul takes, and so the bits it sums to, depends on
+    # the strides of its stacks; from C-ordered operands those are the plan's
+    operands = [np.asarray(op, order="C") for op in ops]
     for inds, run in plan:
         pair = [operands.pop(i) for i in inds]
         operands.append(np.einsum(run, *pair) if isinstance(run, str)

@@ -6,7 +6,7 @@ import pytest
 from vielbein.frame import epsilon_pair, omega_mixed
 from vielbein.gauge import evaluate_gauge
 from vielbein.jetlinalg import JetArray, jet_einsum, jet_matinv
-from vielbein.tensors import eta
+from vielbein.tensors import eta, levi_civita
 
 
 def fd_grad(f, x, h=1e-6):
@@ -98,6 +98,23 @@ def el_residual_connection(section):
     wmix = omega_mixed(section.sp)
     u = cp.de + np.einsum("jre,el->rlj", wmix, cp.e)
     return epsilon_pair(cp.e, m - 3, "lij", "rst", ["rlj"], "ist", u) / math.factorial(m - 3)
+
+
+def dense_epsilon_pair(e, n_e, coord_tail, frame_tail, extras, out, *operands,
+                       absolute=False):
+    """``frame.epsilon_pair`` as one dense contraction of two Levi-Civita
+    tables and ``n_e`` frame copies; with ``absolute``, the same sum over the
+    absolute values of its terms."""
+    qs, fs = "ABCDEFGH"[:n_e], "IJKLMNOP"[:n_e]
+    inputs = [qs + coord_tail, fs + frame_tail]
+    inputs += ["..." + f + q for f, q in zip(fs, qs)] + ["..." + x for x in extras]
+    eps = levi_civita(e.shape[-1])
+    ops = [eps, eps, *[e] * n_e, *operands]
+    if absolute:
+        ops = [np.abs(op) for op in ops]
+    # intermediates of up to 2**20 entries, where numpy's default limit would
+    # fall back to one naive loop over every index
+    return np.einsum(",".join(inputs) + "->..." + out, *ops, optimize=("greedy", 2**20))
 
 
 @pytest.fixture

@@ -1,7 +1,7 @@
 """``jetlinalg.contract``: numpy's optimised einsum, planned once per key.
 
 Every ``(spec, per-point operand shapes)`` key the bundled configs plan, and
-random 2- and 3-operand specs, are replayed on random operands against
+random 2- to 4-operand specs, are replayed on random operands against
 ``np.einsum(..., optimize=True)``, and each batch row against the unbatched
 call; planning happens once per key, whatever the batch, as does building
 ``jet_einsum``'s product-rule terms; and no contraction under ``src/``
@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from vielbein import jetlinalg
 from vielbein.cli import main
@@ -26,14 +26,29 @@ CONFIGS = sorted((ROOT / "configs").glob("*.json"))
 
 
 @pytest.fixture(scope="module")
-def bundled_keys(tmp_path_factory):
-    """The (spec, shapes) keys planned while running every bundled config."""
+def bundled_plans(tmp_path_factory):
+    """The plans cached while running every bundled config, by (spec, shapes)."""
     out = tmp_path_factory.mktemp("bundled")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(jetlinalg, "_PLANS", {})
         for cfg in CONFIGS:
             assert main(["run", str(cfg), "--out", str(out / cfg.stem)]) == 0
-        return sorted(jetlinalg._PLANS)
+        return dict(jetlinalg._PLANS)
+
+
+@pytest.fixture(scope="module")
+def bundled_keys(bundled_plans):
+    """The (spec, shapes) keys planned while running every bundled config."""
+    return sorted(bundled_plans)
+
+
+def test_bundled_plans_have_no_multi_operand_einsum(bundled_plans):
+    # a plain einsum over two or more operands loops in C over every index
+    # and need not sum a batch row as the unbatched call does; only a lone
+    # operand's transpose or trace stays an einsum step
+    slow = [(key, run) for key, plan in bundled_plans.items()
+            for inds, run in plan if isinstance(run, str) and len(inds) > 1]
+    assert not slow
 
 
 def test_bundled_keys_match_numpy(bundled_keys):
@@ -101,13 +116,13 @@ def test_ellipsis_and_trace_match_numpy(spec, shapes):
 
 @st.composite
 def _specs(draw):
-    """A 2- or 3-operand spec with per-point shapes and which operands carry
+    """A 2- to 4-operand spec with per-point shapes and which operands carry
     batch axes: letters may repeat within an operand (a diagonal), be summed
     inside one operand (a trace) or be shared and kept, the contracted set
     may be empty (an outer product), and the output may be 0-d."""
     size = dict(zip("abcdef", draw(st.lists(st.integers(1, 4), min_size=6, max_size=6))))
     subs = draw(st.lists(st.lists(st.sampled_from("abcdef"), max_size=4),
-                         min_size=2, max_size=3))
+                         min_size=2, max_size=4))
     letters = sorted(set().union(*subs))
     out = draw(st.permutations(letters))[:draw(st.integers(0, len(letters)))]
     batched = draw(st.lists(st.booleans(), min_size=len(subs), max_size=len(subs)))
@@ -135,6 +150,39 @@ def test_random_specs_match_numpy_and_are_batch_invariant(case, seed):
         for row in range(n):
             single = [op[row] if b else op for b, op in zip(batched, ops)]
             assert rows[row].tobytes() == contract(spec, *single).tobytes(), (spec, n, row)
+
+
+@settings(deadline=None, max_examples=60)
+@given(case=_specs(), seed=st.integers(0, 2**16))
+def test_strided_operands_sum_as_contiguous_ones(case, seed):
+    # the same values in another memory layout (the batch axis last in
+    # memory, as fancy indexing leaves it) give the same bits, batched and
+    # row by row
+    spec, shapes, batched = case
+    assume(any(batched))
+    rng = np.random.default_rng(seed)
+    for n in (1, 3, 16):
+        ops = [np.moveaxis(rng.standard_normal(s + (n,)), -1, 0) if b
+               else rng.standard_normal(s) for b, s in zip(batched, shapes)]
+        rows = contract(spec, *ops)
+        contiguous = contract(spec, *[op.copy() for op in ops])
+        assert rows.tobytes() == contiguous.tobytes(), spec
+        for row in range(n):
+            single = [op[row] if b else op for b, op in zip(batched, ops)]
+            assert rows[row].tobytes() == contract(spec, *single).tobytes(), (spec, n, row)
+
+
+def test_fancy_indexed_operand_sums_as_its_contiguous_copy():
+    # the m=4 theta-density shapes, with a batch of three minors laid out as
+    # fancy indexing leaves them (strides (8, 144, 24))
+    rng = np.random.default_rng(0)
+    minors = np.moveaxis(rng.standard_normal((6, 6, 3)), -1, 0)
+    assert minors.strides == (8, 144, 24)
+    ops = (rng.standard_normal((6, 4, 4)), rng.standard_normal((6, 4, 4)),
+           rng.standard_normal((3, 4, 4, 4, 4)))
+    spec = "Qij,Fst,...FQ,...ijst->..."
+    want = contract(spec, ops[0], ops[1], np.ascontiguousarray(minors), ops[2])
+    assert contract(spec, ops[0], ops[1], minors, ops[2]).tobytes() == want.tobytes()
 
 
 def _vacuum_job(tmp_path, name, points):

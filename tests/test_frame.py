@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vielbein import frame
 from vielbein.frame import (
@@ -11,6 +12,7 @@ from vielbein.frame import (
     curvature,
     curvature_to_coordinate,
     einstein_density,
+    epsilon_pair,
     evaluate_coframe,
     kretschmann_scalar,
     metric_inverse,
@@ -29,7 +31,7 @@ from vielbein.solutions import (
 )
 from vielbein.tensors import Signature
 
-from conftest import connection_via_metric, metric, sigma
+from conftest import connection_via_metric, dense_epsilon_pair, metric, sigma
 
 RINDLER_PT = (0.3, 2.0, -0.5, 1.0)
 SCHW_PT = (0.0, 4.0, math.pi / 2, 0.3)
@@ -359,3 +361,64 @@ def test_dimension_six_smoke(rng):
     dens = einstein_density(cp, curvature(sp))
     ref = np.linalg.det(cp.e) * np.einsum("lj,jr->lr", orc.einstein, cp.einv)
     assert np.allclose(dens, ref, atol=1e-9)
+
+
+@st.composite
+def _epsilon_cases(draw):
+    """An ``epsilon_pair`` call as the library makes them: dimension m,
+    ``n_e`` tied frame factors, and every tail letter either kept in the
+    output (at most three) or shared with one of up to three extra operands
+    (at most four each), which may also carry letters of their own (sizes
+    1-3)."""
+    m = draw(st.integers(3, 5))
+    n_e = draw(st.integers(0, m - 2))
+    k = m - n_e
+    letters = "".join(draw(st.permutations("ghijklnorstxyz")))
+    coord_tail, frame_tail, own = letters[:k], letters[k:2 * k], letters[2 * k:2 * k + 2]
+    sizes = dict.fromkeys(coord_tail + frame_tail, m)
+    sizes.update(zip(own, draw(st.lists(st.integers(1, 3), min_size=2, max_size=2))))
+    tails = draw(st.permutations(coord_tail + frame_tail))
+    n_out = draw(st.integers(max(0, 2 * k - 12), 3))
+    out, shared = "".join(tails[:n_out]), tails[n_out:]
+    # consecutive runs of at most four shared letters, one per extra operand
+    n_x = draw(st.integers(max(1, -(-len(shared) // 4)), 3))
+    extras = []
+    for x in range(n_x):
+        left = 4 * (n_x - x - 1)
+        size = (len(shared) if x == n_x - 1 else
+                draw(st.integers(max(0, len(shared) - left), min(4, len(shared)))))
+        mine, shared = list(shared[:size]), shared[size:]
+        mine += draw(st.lists(st.sampled_from(own), max_size=2, unique=True))
+        extras.append("".join(draw(st.permutations(mine or [own[0]]))))
+    return m, n_e, coord_tail, frame_tail, extras, out, sizes
+
+
+@settings(deadline=None, max_examples=40)
+@given(case=_epsilon_cases(), seed=st.integers(0, 2**16))
+def test_epsilon_pair_matches_dense_symbols_and_is_batch_invariant(case, seed):
+    # the sum over sorted slot subsets (frame minors against dual tables)
+    # equals the dense two-symbol contraction, and each batch row equals the
+    # unbatched call bit for bit
+    m, n_e, coord_tail, frame_tail, extras, out, sizes = case
+    args = (n_e, coord_tail, frame_tail, extras, out)
+    rng = np.random.default_rng(seed)
+    for n in (1, 3, 16):
+        e = rng.standard_normal((n, m, m))
+        ops = [rng.standard_normal((n,) + tuple(sizes[c] for c in x)) for x in extras]
+        rows = epsilon_pair(e, *args, *ops)
+        want = dense_epsilon_pair(e, *args, *ops)
+        bound = 1e-13 * dense_epsilon_pair(e, *args, *ops, absolute=True)
+        assert rows.shape == want.shape and np.all(np.abs(rows - want) <= bound)
+        for row in range(n):
+            one = epsilon_pair(e[row], *args, *[op[row] for op in ops])
+            assert np.asarray(one).tobytes() == rows[row].tobytes(), (case, n, row)
+
+
+def test_epsilon_pair_takes_any_number_of_frame_factors(rng):
+    # m=7 with five tied frame factors: no limit on n_e
+    e = rng.standard_normal((7, 7))
+    u = rng.standard_normal((7, 7))
+    got = epsilon_pair(e, 5, "ij", "st", ["is"], "jt", u)
+    want = dense_epsilon_pair(e, 5, "ij", "st", ["is"], "jt", u)
+    bound = 1e-13 * dense_epsilon_pair(e, 5, "ij", "st", ["is"], "jt", u, absolute=True)
+    assert np.all(np.abs(got - want) <= bound)
