@@ -436,7 +436,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (EvaluationError, ExprError, DegenerateFrameError, GaugeError) as exc:
+    except (EvaluationError, *_POINT_ERRORS) as exc:
         print(f"evaluation error: {exc}", file=sys.stderr)
         return 3
 

@@ -7,11 +7,11 @@ one place.  The specs address the value axes of one point, behind a leading
 last.
 
 Every contraction of two or more operands goes through :func:`contract`: it
-plans each (spec, per-point operand shapes) pair once with numpy's greedy
-path search, caches the plan, and afterwards only runs its pairwise steps,
-each as one stacked ``np.matmul``.  A stacked matmul makes one gemm per batch
-row on the per-point shapes, so a row of a batch sums exactly as a single
-point does.
+plans each (spec, per-point operand shapes) pair once as a chain of pairwise
+steps, cheapest pair first, caches the plan, and afterwards only runs its
+steps, each as one stacked ``np.matmul``.  A stacked matmul makes one gemm
+per batch row on the per-point shapes, so a row of a batch sums exactly as a
+single point does.
 
 First-order arrays (``hess=None``) are the workhorse wherever only one more
 derivative order is needed, e.g. when the connection coefficients and their
@@ -40,8 +40,7 @@ __all__ = [
 # letters reserved for derivative axes inside jet_einsum specs
 _DERIV_LETTERS = "ZYXWV"
 
-# (spec, per-point operand shapes) -> [(operand positions, step), ...], where a
-# step is a _matmul_step recipe or a plain einsum spec
+# (spec, per-point operand shapes) -> [(operand positions, _matmul_step recipe), ...]
 _PLANS: dict = {}
 
 
@@ -113,96 +112,80 @@ def _run_matmul(step: tuple, pair: list) -> np.ndarray:
 
 
 def _cheapest_pair(subs: list, out: str, dims: dict) -> tuple:
-    """The pair ``(x, y, kept subscript)`` of ``subs`` whose contraction
-    toward ``out`` loops over the fewest index values, then keeps the
+    """The pair ``(x, y, kept subscript)`` of ``subs`` to contract first
+    toward ``out``: a pair sharing a letter before an outer product, then the
+    one that loops over the fewest index values, then the one that keeps the
     smallest intermediate; ties go to the first pair."""
     best = None
     for x, y in combinations(range(len(subs)), 2):
         rest = out + "".join(s for k, s in enumerate(subs) if k not in (x, y))
         letters = "".join(dict.fromkeys(subs[x] + subs[y]))
         keep = "".join(c for c in letters if c in rest)
-        key = (math.prod(dims[c] for c in letters), math.prod(dims[c] for c in keep))
+        key = (not set(subs[x]) & set(subs[y]),
+               math.prod(dims[c] for c in letters), math.prod(dims[c] for c in keep))
         if best is None or key < best[0]:
             best = key, (x, y, keep)
     return best[1]
 
 
 @lru_cache(maxsize=None)
-def _spec_parts(spec: str) -> tuple[str, tuple[int, ...], tuple[bool, ...]]:
-    """``spec`` without its ``...``, the number of per-point axes of each
-    operand, and which operands carry the leading batch axes."""
+def _spec_parts(spec: str) -> tuple[tuple[str, ...], str]:
+    """The per-point subscripts of ``spec``'s operands and of its output,
+    without the leading ``...``; a lone operand is followed by ``""``, the
+    scalar 1 it is paired with."""
     ins, out = spec.split("->")
     subs = ins.split(",")
     if any(s.find("...") > 0 for s in subs + [out]):
         raise ValueError(f"batch axes must lead every subscript of {spec!r}")
-    bare = [s.replace("...", "") for s in subs]
-    return (",".join(bare) + "->" + out.replace("...", ""),
-            tuple(len(s) for s in bare), tuple(s.startswith("...") for s in subs))
+    bare = tuple(s.replace("...", "") for s in subs)
+    return bare + ("",) * (len(bare) == 1), out.replace("...", "")
+
+
+def _plan(spec: str, shapes: tuple) -> list:
+    """The pairwise steps of ``spec`` on operands of per-point ``shapes``, as
+    ``[(operand positions, _matmul_step recipe), ...]``: the cheapest pair
+    first, until one operand is left."""
+    subs, out = _spec_parts(spec)
+    dims = {}
+    for sub, shape in zip(subs, shapes):
+        if len(sub) != len(shape):
+            raise ValueError(f"operand {sub!r} of {spec!r} has shape {shape}")
+        for c, n in zip(sub, shape):
+            if dims.setdefault(c, n) != n:
+                raise ValueError(f"letter {c!r} of {spec!r} has sizes {dims[c]} and {n}")
+    subs = list(subs)
+    plan = []
+    while len(subs) > 1:
+        x, y, keep = _cheapest_pair(subs, out, dims) if len(subs) > 2 else (0, 1, out)
+        # the replay pops the later operand first and appends the product
+        plan.append(((y, x), _matmul_step(subs[y], subs[x], keep, dims)))
+        subs = [s for k, s in enumerate(subs) if k not in (x, y)] + [keep]
+    return plan
 
 
 def contract(spec: str, *ops) -> np.ndarray:
-    """Optimised ``np.einsum(spec, *ops)`` over ndarrays, where a leading
-    ``...`` marks batch axes.  numpy's greedy path is planned once per (spec,
-    per-point operand shapes), whatever the batch, and replayed pairwise,
-    each step as one stacked ``np.matmul`` (a lone operand, or a letter
-    broadcast from size 1, runs as a plain einsum); a greedy step over three
-    or more operands is split into pairwise steps, cheapest pair first.  A
-    stacked matmul makes one gemm per batch row on the per-point shapes, so
-    every row sums in the order of the batch-of-one contraction and equals
-    that result bit for bit, whatever the memory layout of the operands."""
-    bare, sizes, batched = _spec_parts(spec)
-    shapes = tuple([op.shape[op.ndim - n:] for op, n in zip(ops, sizes)])
+    """``np.einsum(spec, *ops)`` over ndarrays, where a leading ``...`` marks
+    batch axes, as a chain of pairwise contractions, cheapest pair first.
+    The chain is planned once per (spec, per-point operand shapes), whatever
+    the batch, and each of its steps runs as one stacked ``np.matmul`` (a
+    lone operand is paired with the scalar 1).  A stacked matmul makes one
+    gemm per batch row on the per-point shapes, so every row sums in the
+    order of the batch-of-one contraction and equals that result bit for
+    bit, whatever the memory layout of the operands.  Unlike einsum, a letter
+    never broadcasts from size 1: one with two sizes raises ``ValueError``."""
+    subs, _ = _spec_parts(spec)
+    if len(ops) == 1:
+        ops += (np.ones(()),)
+    shapes = tuple([op.shape[op.ndim - len(s):] for op, s in zip(ops, subs, strict=True)])
     plan = _PLANS.get((spec, shapes))
     if plan is None:
-        _, steps = np.einsum_path(bare, *[np.empty(s) for s in shapes],
-                                  optimize="greedy", einsum_call=True)
-        sized = {(c, n) for sub, shape in zip(bare.split("->")[0].split(","), shapes)
-                 for c, n in zip(sub, shape)}
-        dims = dict(sized)
-        # a letter broadcast from size 1 against a longer axis stays with einsum
-        matmul = len(dims) == len(sized)
-        # the batch marks of the operand list as the replay holds it
-        live, plan = ["..." if b else "" for b in batched], []
-
-        def emit(inds, ins, out):
-            dots = [live.pop(i) for i in inds]
-            live.append("..." if any(dots) else "")
-            if matmul and len(ins) == 2:
-                run = _matmul_step(*ins, out, dims)
-            else:
-                run = ",".join(d + s for d, s in zip(dots, ins)) + "->" + live[-1] + out
-            plan.append((inds, run))
-
-        for step in steps:
-            # numpy 2.x steps are (inds, spec, remaining); 1.x has 5 fields, spec third
-            inds, step_spec = step[0], step[1] if len(step) == 3 else step[2]
-            ins, out = step_spec.split("->")
-            ins = ins.split(",")
-            if not matmul or len(ins) < 2:
-                emit(inds, ins, out)
-                continue
-            # pairwise steps; a step over three or more operands (greedy found
-            # no pair within its size limit, or nothing is summed) is split,
-            # cheapest pair first.  pos holds the places of the step's
-            # operands in the operand list
-            pos, subs = list(inds), list(ins)
-            while len(subs) > 1:
-                x, y, keep = _cheapest_pair(subs, out, dims) if len(subs) > 2 else (0, 1, out)
-                if pos[x] < pos[y]:
-                    x, y = y, x    # the replay pops the later place first
-                emit((pos[x], pos[y]), [subs[x], subs[y]], keep)
-                rest = [k for k in range(len(subs)) if k not in (x, y)]
-                pos = [pos[k] - (pos[x] < pos[k]) - (pos[y] < pos[k]) for k in rest]
-                pos.append(len(live) - 1)
-                subs = [subs[k] for k in rest] + [keep]
-        _PLANS[spec, shapes] = plan
+        plan = _PLANS[spec, shapes] = _plan(spec, shapes)
     # the gemm path np.matmul takes, and so the bits it sums to, depends on
     # the strides of its stacks; from C-ordered operands those are the plan's
     operands = [np.asarray(op, order="C") for op in ops]
-    for inds, run in plan:
+    for inds, step in plan:
         pair = [operands.pop(i) for i in inds]
-        operands.append(np.einsum(run, *pair) if isinstance(run, str)
-                        else _run_matmul(run, pair))
+        operands.append(_run_matmul(step, pair))
     return operands[0]
 
 

@@ -1,11 +1,13 @@
-"""``jetlinalg.contract``: numpy's optimised einsum, planned once per key.
+"""``jetlinalg.contract``: einsum as a chain of stacked-matmul pairs, planned
+once per key.
 
 Every ``(spec, per-point operand shapes)`` key the bundled configs plan, and
 random 2- to 4-operand specs, are replayed on random operands against
 ``np.einsum(..., optimize=True)``, and each batch row against the unbatched
-call; planning happens once per key, whatever the batch, as does building
-``jet_einsum``'s product-rule terms; and no contraction under ``src/``
-bypasses the plan cache.
+call; the bundled plans are all pairwise matmul steps that contract before
+they take outer products; planning happens once per key, whatever the batch,
+as does building ``jet_einsum``'s product-rule terms; and no contraction
+under ``src/`` bypasses the plan cache.
 """
 
 import ast
@@ -44,11 +46,19 @@ def bundled_keys(bundled_plans):
 
 def test_bundled_plans_have_no_multi_operand_einsum(bundled_plans):
     # a plain einsum over two or more operands loops in C over every index
-    # and need not sum a batch row as the unbatched call does; only a lone
-    # operand's transpose or trace stays an einsum step
+    # and need not sum a batch row as the unbatched call does; every step is
+    # a pair run as one stacked matmul
     slow = [(key, run) for key, plan in bundled_plans.items()
-            for inds, run in plan if isinstance(run, str) and len(inds) > 1]
+            for inds, run in plan if isinstance(run, str) or len(inds) != 2]
     assert not slow
+
+
+def test_bundled_plans_contract_before_outer_products(bundled_plans):
+    # a step whose contracted size is 1 is an outer product; run ahead of a
+    # contraction it blows up the intermediate the later steps loop over
+    outer = [(key, k) for key, plan in bundled_plans.items() if len(plan) > 1
+             for k, (_, (prep_a, *_)) in enumerate(plan) if prep_a[3][2] == 1]
+    assert not outer
 
 
 def test_bundled_keys_match_numpy(bundled_keys):
@@ -105,6 +115,7 @@ def test_one_plan_per_spec_whatever_the_batch(monkeypatch):
 @pytest.mark.parametrize("spec,shapes", [
     ("...ij,jk,k->...i", [(3, 2, 4, 5), (5, 6), (6,)]),
     ("ii->", [(4, 4)]),
+    ("...ii->...", [(3, 4, 4)]),
 ])
 def test_ellipsis_and_trace_match_numpy(spec, shapes):
     rng = np.random.default_rng(1)
@@ -112,6 +123,18 @@ def test_ellipsis_and_trace_match_numpy(spec, shapes):
     want = np.einsum(spec, *ops, optimize=True)
     for _ in range(2):   # planned, then replayed from the cache
         np.testing.assert_allclose(contract(spec, *ops), want, rtol=1e-13, atol=1e-15)
+    # only the first operand carries batch axes; each row sums as it alone
+    rows = contract(spec, *ops)
+    lead = ops[0].ndim - len(spec.split("->")[0].split(",")[0].lstrip("."))
+    for idx in np.ndindex(*ops[0].shape[:lead]):
+        single = contract(spec, ops[0][idx], *ops[1:])
+        assert rows[idx].tobytes() == single.tobytes(), idx
+
+
+def test_a_letter_with_two_sizes_is_refused():
+    # einsum would broadcast the size-1 axis and return 3.0
+    with pytest.raises(ValueError, match="sizes"):
+        contract("i,i->", np.ones(1), np.ones(3))
 
 
 @st.composite
@@ -198,14 +221,14 @@ def _vacuum_job(tmp_path, name, points):
 
 def test_each_key_is_planned_once(tmp_path, monkeypatch):
     calls = []
-    einsum_path = np.einsum_path
+    plan = jetlinalg._plan
 
     def counting(*args, **kwargs):
         calls.append(args[0])
-        return einsum_path(*args, **kwargs)
+        return plan(*args, **kwargs)
 
     monkeypatch.setattr(jetlinalg, "_PLANS", {})
-    monkeypatch.setattr(np, "einsum_path", counting)
+    monkeypatch.setattr(jetlinalg, "_plan", counting)
     assert main(_vacuum_job(tmp_path, "one", 1)) == 0
     planned = set(jetlinalg._PLANS)
     n_calls = len(calls)
@@ -265,4 +288,5 @@ def test_contractions_cannot_bypass_the_plan_cache():
                 planners.append((path.name, func))
     assert not bypass, f"np.einsum(optimize=...) outside contract: {bypass}"
     assert not direct, f"multi-operand np.einsum outside contract: {direct}"
-    assert planners == [("jetlinalg.py", "contract")]
+    # contract plans every path itself
+    assert not planners, f"np.einsum_path in src/: {planners}"
