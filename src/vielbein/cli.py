@@ -369,13 +369,13 @@ def run_job(job: JobConfig, out_dir: Path, write_csv: bool) -> tuple[int, dict]:
 
 
 def _list_solutions() -> str:
-    lines = ["available solutions:"]
-    for name, factory in sorted(SOLUTIONS.items()):
-        sig = inspect.signature(factory)
-        args = ", ".join(f"{p.name}={p.default!r}" for p in sig.parameters.values())
-        lines.append(f"  {name}({args})")
-    lines.append("  random_kaluza(seed=0, amplitude=0.1, k=1.3)   [checks needing a potential]")
-    return "\n".join(lines)
+    def entry(name, factory):
+        params = inspect.signature(factory).parameters.values()
+        return f"  {name}(" + ", ".join(f"{p.name}={p.default!r}" for p in params) + ")"
+
+    entries = [entry(name, factory) for name, factory in sorted(SOLUTIONS.items())]
+    kaluza = entry("random_kaluza", random_kaluza) + "   [checks needing a potential]"
+    return "\n".join(["available solutions:", *entries, kaluza])
 
 
 def _not_a_number(name: str):

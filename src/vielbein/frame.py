@@ -25,8 +25,7 @@ inverse; the torsion-free closure (:func:`torsion_residual`) is its round trip.
 The double-epsilon densities (:func:`epsilon_pair`) sum ``n_e`` frame factors
 tied to two permutation symbols over sorted index subsets only: the
 ``n_e`` x ``n_e`` minors of the frame against the symbols' dual tables (the
-generalized Kronecker delta expansion), for any ``n_e``; the dense symbols
-meet the frame only at ``n_e <= 1``, where the minors are the frame itself.
+generalized Kronecker delta expansion), by one route for every ``n_e``.
 """
 
 from __future__ import annotations
@@ -255,25 +254,24 @@ def curvature(sp: SpinConnectionPoint) -> CurvaturePoint:
 
 
 @lru_cache(maxsize=None)
-def _compound_tables(m: int, n_e: int) -> tuple[np.ndarray, np.ndarray]:
+def _compound_tables(m: int, n_e: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The tables of the ``n_e``-th compound of an m x m frame, over the
-    sorted ``n_e``-subsets S of range(m):
+    sorted ``n_e``-subsets S of range(m) (one empty subset at ``n_e = 0``):
 
     * the read-only dual table ``D[F, tail...] = eps[S[F]..., tail...]``;
     * the Leibniz terms of the minors det(e[S[F], S[Q]]) as positions in the
-      frame flattened per point and followed by its negative: entry
-      ``[p, a, Q, F]`` addresses e[S[F, a], S[Q, perm_p(a)]], negated at
-      ``a = 0`` for an odd permutation ``perm_p``."""
-    subsets = np.array(list(combinations(range(m), n_e)))
-    dual = levi_civita(m)[tuple(subsets.T)]
+      frame flattened per point: entry ``[p, a, Q, F]`` addresses
+      e[S[F, a], S[Q, perm_p(a)]];
+    * the sign of each permutation ``perm_p``, as ``[p, 1, 1]``."""
+    subsets = np.array(list(combinations(range(m), n_e)), dtype=int)    # [F, a]
+    eps = levi_civita(m)
+    dual = eps.reshape((m ** n_e,) + eps.shape[n_e:])[subsets @ m ** np.arange(n_e)[::-1]]
     dual.setflags(write=False)
-    perms = list(permutations(range(n_e)))
-    odd = np.array([levi_civita(n_e)[p] < 0 for p in perms])
+    perms = np.array(list(permutations(range(n_e))), dtype=int)    # [p, a]
+    sign = (-1.0) ** np.triu(perms[:, :, None] > perms[:, None, :], 1).sum(axis=(1, 2))
     rows = subsets.T[None, :, None, :]                          # S[F, a]
     cols = subsets[:, perms].transpose(1, 2, 0)[..., None]     # S[Q, perm_p(a)]
-    flat = rows * m + cols
-    flat[:, 0] += (odd * m * m)[:, None, None]
-    return dual, flat
+    return dual, rows * m + cols, sign[:, None, None]
 
 
 def epsilon_pair(e: np.ndarray, n_e: int, coord_tail: str, frame_tail: str,
@@ -290,24 +288,16 @@ def epsilon_pair(e: np.ndarray, n_e: int, coord_tail: str, frame_tail: str,
     ``n_e! D[Q, coord_tail] D[F, frame_tail] det(e[F, Q])``: ``D`` is the
     symbol restricted to sorted leading slots and ``det(e[F, Q])`` the
     ``n_e`` x ``n_e`` minors of the frame (its ``n_e``-th compound matrix),
-    for any ``n_e``.  The frame-tied dual ``F<frame_tail>,...QF`` is
-    contracted first, then the rest.  At ``n_e <= 1`` the minors are the
-    frame itself and ``D`` the symbol, and the whole block is one planned
-    contraction."""
+    for every ``n_e``: at 0 the one minor is the empty determinant, 1, and at
+    1 the minors are the frame itself.  The frame-tied dual
+    ``F<frame_tail>,...QF`` is contracted first, then the rest."""
     m = e.shape[-1]
-    tail = ["..." + x for x in extras]
-    if n_e <= 1:
-        eps = levi_civita(m)
-        spec = ",".join(["Q" * n_e + coord_tail, "F" * n_e + frame_tail,
-                         *["...FQ"] * n_e, *tail]) + "->..." + out
-        return contract(spec, eps, eps, *[e] * n_e, *operands)
-    dual, flat = _compound_tables(m, n_e)
-    e_flat = e.reshape(e.shape[:-2] + (m * m,))
-    terms = np.take(np.concatenate([e_flat, -e_flat], axis=-1), flat, axis=-1)
-    minors = terms.prod(axis=-3).sum(axis=-3)    # [..., Q, F]
+    dual, flat, sign = _compound_tables(m, n_e)
+    terms = np.take(e.reshape(e.shape[:-2] + (m * m,)), flat, axis=-1)
+    minors = (terms.prod(axis=-3) * sign).sum(axis=-3)    # [..., Q, F]
     tied = contract(f"F{frame_tail},...QF->...Q{frame_tail}", dual, minors)
-    spec = ",".join([f"Q{coord_tail}", f"...Q{frame_tail}", *tail]) + "->..." + out
-    return math.factorial(n_e) * contract(spec, dual, tied, *operands)
+    spec = ",".join([f"Q{coord_tail}", f"...Q{frame_tail}", *["..." + x for x in extras]])
+    return math.factorial(n_e) * contract(spec + "->..." + out, dual, tied, *operands)
 
 
 def einstein_density(cp: CoframePoint, curv: CurvaturePoint) -> np.ndarray:

@@ -6,12 +6,13 @@ one place.  The specs address the value axes of one point, behind a leading
 ``...`` for any batch axes (a block of grid points); derivative axes come
 last.
 
-Every contraction of two or more operands goes through :func:`contract`: it
-plans each (spec, per-point operand shapes) pair once as a chain of pairwise
-steps, cheapest pair first, caches the plan, and afterwards only runs its
-steps, each as one stacked ``np.matmul``.  A stacked matmul makes one gemm
-per batch row on the per-point shapes, so a row of a batch sums exactly as a
-single point does.
+Every contraction goes through :func:`contract`: it plans each (spec,
+per-point operand shapes) pair once as a chain of pairwise steps, cheapest
+pair first, caches the plan, and afterwards only runs its steps, each as one
+stacked ``np.matmul`` of two operands.  A stacked matmul makes one gemm per
+batch row on the per-point shapes, so a row of a batch sums exactly as a
+single point does.  A lone operand, a trace or a diagonal is refused: those
+stay plain ``np.einsum`` calls where they are made.
 
 First-order arrays (``hess=None``) are the workhorse wherever only one more
 derivative order is needed, e.g. when the connection coefficients and their
@@ -45,31 +46,17 @@ _PLANS: dict = {}
 
 
 def _matmul_step(a: str, b: str, out: str, dims: dict) -> tuple:
-    """The step ``a,b->out`` (per-point subscripts) as one stacked matmul:
-    ``(prep_a, prep_b, kept, out_axes)``.  Each ``prep`` is ``(pad, count,
-    axes, shape)``.  The optional einsum ``pad`` takes the diagonal of a
-    letter repeated within the operand and spreads it, by an outer product
-    with ones, over the letters summed inside the other operand, which so
-    become contracted letters; neither sums anything, so every sum of the
-    step is the gemm's.  Then the ``count`` per-point axes go to (shared kept
-    S, free in A, contracted K) order for A and (S, K, free in B) for B, and
-    reshape to (s, m, k) and (s, k, n).  The (s, m, n) product reshapes to
-    ``kept`` and ``out_axes`` puts it in the step's output order.  Axes of
-    ``None`` are the identity."""
-    uniq_a, uniq_b = "".join(dict.fromkeys(a)), "".join(dict.fromkeys(b))
-    only_a = "".join(c for c in uniq_a if c not in uniq_b + out)
-    only_b = "".join(c for c in uniq_b if c not in uniq_a + out)
-
-    def pad(sub, uniq, extra):
-        if sub == uniq and not extra:
-            return None
-        return f"...{sub},{extra}->...{uniq}{extra}", np.ones([dims[c] for c in extra])
-
-    a2, b2 = uniq_a + only_b, uniq_b + only_a
-    shared = [c for c in out if c in a2 and c in b2]
-    free_a = [c for c in out if c in a2 and c not in b2]
-    free_b = [c for c in out if c in b2 and c not in a2]
-    summed = [c for c in a2 if c not in out]
+    """The step ``a,b->out`` (per-point subscripts, each letter of ``a`` and
+    ``b`` in the other or in ``out``) as one stacked matmul: ``(prep_a,
+    prep_b, kept, out_axes)``.  Each ``prep`` is ``(count, axes, shape)``:
+    the ``count`` per-point axes go to (shared kept S, free in A, contracted
+    K) order for A and (S, K, free in B) for B, and reshape to (s, m, k) and
+    (s, k, n).  The (s, m, n) product reshapes to ``kept`` and ``out_axes``
+    puts it in the step's output order; axes of ``None`` are the identity."""
+    shared = [c for c in out if c in a and c in b]
+    free_a = [c for c in out if c in a and c not in b]
+    free_b = [c for c in out if c in b and c not in a]
+    summed = [c for c in a if c not in out]
 
     def order(sub, letters):
         axes = tuple(sub.index(c) for c in letters)
@@ -80,17 +67,14 @@ def _matmul_step(a: str, b: str, out: str, dims: dict) -> tuple:
 
     s, m, k, n = map(size, (shared, free_a, summed, free_b))
     kept = shared + free_a + free_b
-    return ((pad(a, uniq_a, only_b), len(a2), order(a2, shared + free_a + summed), (s, m, k)),
-            (pad(b, uniq_b, only_a), len(b2), order(b2, shared + summed + free_b), (s, k, n)),
+    return ((len(a), order(a, shared + free_a + summed), (s, m, k)),
+            (len(b), order(b, shared + summed + free_b), (s, k, n)),
             tuple(dims[c] for c in kept), order("".join(kept), out))
 
 
-def _as_stack(x: np.ndarray, pad: tuple | None, count: int, axes: tuple | None,
-              shape: tuple) -> np.ndarray:
-    """``x`` padded, with its last ``count`` axes in ``axes`` order, reshaped
-    to ``shape`` behind its batch axes."""
-    if pad is not None:
-        x = np.einsum(pad[0], x, pad[1])
+def _as_stack(x: np.ndarray, count: int, axes: tuple | None, shape: tuple) -> np.ndarray:
+    """``x`` with its last ``count`` axes in ``axes`` order, reshaped to
+    ``shape`` behind its batch axes."""
     lead = x.ndim - count
     if axes is not None:
         x = x.transpose(*range(lead), *[lead + i for i in axes])
@@ -130,15 +114,20 @@ def _cheapest_pair(subs: list, out: str, dims: dict) -> tuple:
 
 @lru_cache(maxsize=None)
 def _spec_parts(spec: str) -> tuple[tuple[str, ...], str]:
-    """The per-point subscripts of ``spec``'s operands and of its output,
-    without the leading ``...``; a lone operand is followed by ``""``, the
-    scalar 1 it is paired with."""
+    """The per-point subscripts of ``spec``'s operands and output, without
+    ``...``; anything but a contraction (two or more operands, each letter
+    once in two or more subscripts) raises ``ValueError``."""
     ins, out = spec.split("->")
     subs = ins.split(",")
     if any(s.find("...") > 0 for s in subs + [out]):
         raise ValueError(f"batch axes must lead every subscript of {spec!r}")
-    bare = tuple(s.replace("...", "") for s in subs)
-    return bare + ("",) * (len(bare) == 1), out.replace("...", "")
+    bare = [s.replace("...", "") for s in subs + [out]]
+    letters = "".join(bare)
+    if (len(subs) < 2 or any(len(set(s)) < len(s) for s in bare)
+            or any(letters.count(c) < 2 for c in letters)):
+        raise ValueError(f"{spec!r} is no contraction: two or more operands, "
+                         "each letter once in two or more subscripts")
+    return tuple(bare[:-1]), bare[-1]
 
 
 def _plan(spec: str, shapes: tuple) -> list:
@@ -167,15 +156,14 @@ def contract(spec: str, *ops) -> np.ndarray:
     """``np.einsum(spec, *ops)`` over ndarrays, where a leading ``...`` marks
     batch axes, as a chain of pairwise contractions, cheapest pair first.
     The chain is planned once per (spec, per-point operand shapes), whatever
-    the batch, and each of its steps runs as one stacked ``np.matmul`` (a
-    lone operand is paired with the scalar 1).  A stacked matmul makes one
-    gemm per batch row on the per-point shapes, so every row sums in the
-    order of the batch-of-one contraction and equals that result bit for
-    bit, whatever the memory layout of the operands.  Unlike einsum, a letter
-    never broadcasts from size 1: one with two sizes raises ``ValueError``."""
+    the batch, and each of its steps runs as one stacked ``np.matmul`` of two
+    operands.  A stacked matmul makes one gemm per batch row on the per-point
+    shapes, so every row sums in the order of the batch-of-one contraction
+    and equals that result bit for bit, whatever the memory layout of the
+    operands.  Unlike einsum, a letter never broadcasts from size 1: one with
+    two sizes raises ``ValueError``, as does a spec that is no contraction
+    (a lone operand, a trace or a diagonal; see :func:`_spec_parts`)."""
     subs, _ = _spec_parts(spec)
-    if len(ops) == 1:
-        ops += (np.ones(()),)
     shapes = tuple([op.shape[op.ndim - len(s):] for op, s in zip(ops, subs, strict=True)])
     plan = _PLANS.get((spec, shapes))
     if plan is None:

@@ -429,10 +429,16 @@ def test_bad_inline_solution(tmp_path):
     assert main(["run", _write(tmp_path, cfg)]) == 2
 
 
-def test_list_solutions(capsys):
+def test_list_solutions(capsys, monkeypatch):
     assert main(["--list-solutions"]) == 0
     out = capsys.readouterr().out
     assert "schwarzschild" in out and "reissner_nordstrom" in out
+    assert "  schwarzschild(M=1.0)\n" in out
+    assert "  random_kaluza(seed=0, amplitude=0.1, k=1.3)   [checks needing a potential]" in out
+    # the defaults shown are read from the factory's signature
+    monkeypatch.setattr(cli, "random_kaluza", lambda seed=7, amplitude=0.2, k=2.0: None)
+    assert main(["--list-solutions"]) == 0
+    assert "  random_kaluza(seed=7, amplitude=0.2, k=2.0)   [" in capsys.readouterr().out
 
 
 def test_no_command_prints_usage():

@@ -6,12 +6,15 @@ random 2- to 4-operand specs, are replayed on random operands against
 ``np.einsum(..., optimize=True)``, and each batch row against the unbatched
 call; the bundled plans are all pairwise matmul steps that contract before
 they take outer products; planning happens once per key, whatever the batch,
-as does building ``jet_einsum``'s product-rule terms; and no contraction
-under ``src/`` bypasses the plan cache.
+as does building ``jet_einsum``'s product-rule terms; a spec that is no
+contraction (a trace, a diagonal, a lone operand) is refused before any
+array is made; and no contraction under ``src/`` bypasses the plan cache or
+passes a literal spec that ``contract`` refuses.
 """
 
 import ast
 import json
+import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -57,7 +60,7 @@ def test_bundled_plans_contract_before_outer_products(bundled_plans):
     # a step whose contracted size is 1 is an outer product; run ahead of a
     # contraction it blows up the intermediate the later steps loop over
     outer = [(key, k) for key, plan in bundled_plans.items() if len(plan) > 1
-             for k, (_, (prep_a, *_)) in enumerate(plan) if prep_a[3][2] == 1]
+             for k, (_, (prep_a, *_)) in enumerate(plan) if prep_a[2][2] == 1]
     assert not outer
 
 
@@ -114,8 +117,6 @@ def test_one_plan_per_spec_whatever_the_batch(monkeypatch):
 
 @pytest.mark.parametrize("spec,shapes", [
     ("...ij,jk,k->...i", [(3, 2, 4, 5), (5, 6), (6,)]),
-    ("ii->", [(4, 4)]),
-    ("...ii->...", [(3, 4, 4)]),
 ])
 def test_ellipsis_and_trace_match_numpy(spec, shapes):
     rng = np.random.default_rng(1)
@@ -137,17 +138,40 @@ def test_a_letter_with_two_sizes_is_refused():
         contract("i,i->", np.ones(1), np.ones(3))
 
 
+@pytest.mark.parametrize("spec,shapes", [
+    ("ii->", [(4, 4)]),                           # a trace
+    ("...ii->...", [(3, 4, 4)]),                  # a batched trace
+    ("ij->j", [(4, 4)]),                          # a lone operand
+    ("ab,b->", [(3, 4), (4,)]),                   # a sum inside one operand
+    ("abcde,fghij->", [(4,) * 5, (4,) * 5]),      # ten sums inside one operand
+])
+def test_non_contractions_are_refused(spec, shapes):
+    # each is refused by its spec alone, before any plan or array is made
+    ops = [np.ones(s) for s in shapes]
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="no contraction"):
+            contract(spec, *ops)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+    assert (spec, tuple(shapes)) not in jetlinalg._PLANS
+
+
 @st.composite
 def _specs(draw):
     """A 2- to 4-operand spec with per-point shapes and which operands carry
-    batch axes: letters may repeat within an operand (a diagonal), be summed
-    inside one operand (a trace) or be shared and kept, the contracted set
-    may be empty (an outer product), and the output may be 0-d."""
+    batch axes, of the forms ``contract`` accepts: no letter repeats within
+    an operand, a letter of one operand only is kept in the output, one of
+    two or more operands is kept or summed, the contracted set may be empty
+    (an outer product), and the output may be 0-d."""
     size = dict(zip("abcdef", draw(st.lists(st.integers(1, 4), min_size=6, max_size=6))))
-    subs = draw(st.lists(st.lists(st.sampled_from("abcdef"), max_size=4),
+    subs = draw(st.lists(st.lists(st.sampled_from("abcdef"), max_size=4, unique=True),
                          min_size=2, max_size=4))
-    letters = sorted(set().union(*subs))
-    out = draw(st.permutations(letters))[:draw(st.integers(0, len(letters)))]
+    own = [c for c in "abcdef" if sum(c in sub for sub in subs) == 1]
+    kept = [c for c in sorted(set().union(*subs)) if c not in own and draw(st.booleans())]
+    out = draw(st.permutations(own + kept))
     batched = draw(st.lists(st.booleans(), min_size=len(subs), max_size=len(subs)))
     spec = (",".join("..." * b + "".join(sub) for b, sub in zip(batched, subs))
             + "->" + "..." * any(batched) + "".join(out))
@@ -271,7 +295,7 @@ def _numpy_calls(tree: ast.AST, func: str = "<module>"):
 def test_contractions_cannot_bypass_the_plan_cache():
     sources = sorted((ROOT / "src").rglob("*.py"))
     assert sources
-    bypass, direct, planners = [], [], []
+    bypass, direct, planners, specs = [], [], [], []
     for path in sources:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for func, attr, call in _numpy_calls(tree):
@@ -280,13 +304,28 @@ def test_contractions_cannot_bypass_the_plan_cache():
                 bypass.append(where)
             # a spec and two or more operands (or an unpacked list of them);
             # single-operand transposes and traces stay plain einsums
-            if (attr == "einsum" and path.name != "jetlinalg.py"
+            if (attr == "einsum"
                     and (len(call.args) > 2
                          or any(isinstance(arg, ast.Starred) for arg in call.args))):
                 direct.append(where)
             if attr == "einsum_path":
                 planners.append((path.name, func))
+        specs += [(f"{path.relative_to(ROOT)}:{node.lineno}", node.args[0].value)
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id in ("contract", "jet_einsum") and node.args
+                  and isinstance(node.args[0], ast.Constant)]
     assert not bypass, f"np.einsum(optimize=...) outside contract: {bypass}"
-    assert not direct, f"multi-operand np.einsum outside contract: {direct}"
+    assert not direct, f"multi-operand np.einsum in src/: {direct}"
     # contract plans every path itself
     assert not planners, f"np.einsum_path in src/: {planners}"
+    # every literal spec is of a form contract accepts, so a refused one
+    # fails here rather than on a grid run
+    assert len(specs) > 30
+    refused = []
+    for where, spec in specs:
+        try:
+            jetlinalg._spec_parts(spec)
+        except ValueError:
+            refused.append((where, spec))
+    assert not refused, f"specs contract refuses: {refused}"

@@ -368,8 +368,9 @@ def _epsilon_cases(draw):
     """An ``epsilon_pair`` call as the library makes them: dimension m,
     ``n_e`` tied frame factors, and every tail letter either kept in the
     output (at most three) or shared with one of up to three extra operands
-    (at most four each), which may also carry letters of their own (sizes
-    1-3)."""
+    (at most four each), which may also share letters of their own (sizes
+    1-3) among themselves; as in the library, no letter is summed inside one
+    operand."""
     m = draw(st.integers(3, 5))
     n_e = draw(st.integers(0, m - 2))
     k = m - n_e
@@ -389,7 +390,16 @@ def _epsilon_cases(draw):
                 draw(st.integers(max(0, len(shared) - left), min(4, len(shared)))))
         mine, shared = list(shared[:size]), shared[size:]
         mine += draw(st.lists(st.sampled_from(own), max_size=2, unique=True))
-        extras.append("".join(draw(st.permutations(mine or [own[0]]))))
+        extras.append(mine or [own[0]])
+    # an own letter in one extra operand only is shared with the next one,
+    # or dropped when there is no other (the last holds a tail letter)
+    for c in own:
+        holders = [x for x, mine in enumerate(extras) if c in mine]
+        if len(holders) == 1 and n_x == 1:
+            extras[0].remove(c)
+        elif len(holders) == 1:
+            extras[(holders[0] + 1) % n_x].append(c)
+    extras = ["".join(draw(st.permutations(x))) for x in extras]
     return m, n_e, coord_tail, frame_tail, extras, out, sizes
 
 
