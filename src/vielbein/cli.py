@@ -73,6 +73,14 @@ class ConfigError(Exception):
     pass
 
 
+def _number(value, field: str, integer: bool = False):
+    """``value`` if it is a JSON number (an integer, with ``integer``), else a config
+    error naming ``field``; json's true and false are Python ints, and are refused."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise ConfigError(f"{field}: {value!r} is not {'an integer' if integer else 'a number'}")
+    return value
+
+
 class EvaluationError(Exception):
     """Evaluation failed at a specific grid point."""
 
@@ -105,22 +113,19 @@ class JobConfig:
         grid = raw.get("grid")
         if not isinstance(grid, Mapping) or not ({"ranges", "points"} & set(grid)):
             raise ConfigError("grid must be an object with 'ranges' or 'points'")
-        def _positive(v) -> bool:   # and finite, also as a float (no 10**400)
-            return (not isinstance(v, bool) and isinstance(v, (int, float))
-                    and 0 < v <= sys.float_info.max)
+        def _positive(v, field: str) -> float:   # and finite, also as a float (no 10**400)
+            if not 0 < _number(v, field) <= sys.float_info.max:
+                raise ConfigError(f"{field} must be a positive finite number")
+            return float(v)
 
-        tol = raw.get("tolerance")
-        if not _positive(tol):
-            raise ConfigError("tolerance must be a positive finite number")
+        tol = _positive(raw.get("tolerance"), "tolerance")
         tolerances = raw.get("tolerances", {})
-        if not isinstance(tolerances, Mapping) or not all(
-                _positive(v) for v in tolerances.values()):
+        if not isinstance(tolerances, Mapping):
             raise ConfigError("tolerances must map check ids to positive finite numbers")
-        seed = raw.get("seed", 0)
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ConfigError("seed must be an integer")
+        tolerances = {k: _positive(v, f"tolerances.{k}") for k, v in tolerances.items()}
+        seed = _number(raw.get("seed", 0), "seed", integer=True)
         return JobConfig(check=check, solution=dict(solution), grid=dict(grid),
-                         tolerance=float(tol), tolerances=dict(tolerances), seed=seed)
+                         tolerance=tol, tolerances=tolerances, seed=seed)
 
     def tol_for(self, check_id: str) -> float:
         return float(self.tolerances.get(check_id, self.tolerance))
@@ -133,7 +138,8 @@ def _build_inline(spec: Mapping):
         rows = spec["tetrad"]
         entries = [[parse(cell, m) if isinstance(cell, str) else float(cell)
                     for cell in row] for row in rows]
-        params = {k: float(v) for k, v in spec.get("params", {}).items()}
+        params = {k: float(_number(v, f"solution.inline.params.{k}"))
+                  for k, v in spec.get("params", {}).items()}
         tetrad = CoframeField(entries, sig, params)
         potential = None
         if "A" in spec:
@@ -155,6 +161,8 @@ def _resolve_solution(ref: Mapping):
         return "inline", params, tetrad, kcfg
     name = ref["name"]
     params = dict(ref.get("params", {}))
+    for key, value in params.items():
+        _number(value, f"solution.params.{key}")
     if name == "random_kaluza":
         try:
             kcfg = random_kaluza(**params)
@@ -168,21 +176,21 @@ def _resolve_solution(ref: Mapping):
     return name, params, sol.tetrad, sol.kaluza_config()
 
 
-def _grid_axis(r: Mapping) -> np.ndarray:
-    lo, hi = float(r["lo"]), float(r["hi"])
+def _grid_axis(r: Mapping, field: str) -> np.ndarray:
+    lo, hi = (float(_number(r[k], f"{field}.{k}")) for k in ("lo", "hi"))
     if not math.isfinite(hi - lo):   # np.linspace would step by inf or nan
         raise ConfigError(f"grid range {lo!r} to {hi!r} overflows a float")
-    return np.linspace(lo, hi, int(r["n"]))
+    return np.linspace(lo, hi, _number(r["n"], f"{field}.n", integer=True))
 
 
 def _grid_points(grid: Mapping, dim: int) -> list[tuple[float, ...]]:
     try:
         if "points" in grid:
-            pts = [tuple(float(c) for c in p) for p in grid["points"]]
+            pts = [tuple(float(_number(c, "grid.points")) for c in p) for p in grid["points"]]
         else:
             if len(grid["ranges"]) != dim:
                 raise ConfigError(f"grid.ranges needs {dim} entries")
-            axes = [_grid_axis(r) for r in grid["ranges"]]
+            axes = [_grid_axis(r, f"grid.ranges[{a}]") for a, r in enumerate(grid["ranges"])]
             mesh = np.stack(np.meshgrid(*axes, indexing="ij"), -1)
             pts = list(map(tuple, mesh.reshape(-1, dim).tolist()))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -321,6 +329,8 @@ def run_job(job: JobConfig, out_dir: Path, write_csv: bool) -> tuple[int, dict]:
     blocks = []   # (block, named residuals), kept only for the CSV
     start = 0
     for block, named, e in _grid_residuals(job, tetrad, kcfg, points):
+        if unknown := sorted(set(job.tolerances) - set(named)):   # at the first block
+            raise ConfigError(f"tolerances name no check id of this job: {unknown}")
         n = len(block)
         for check_id, arr in named.items():
             comps = np.abs(arr).reshape(n, -1)

@@ -22,8 +22,9 @@ coordinate (Latin) indices with the metric built from the frame.  The spin
 connection comes from the frame-index anholonomy coefficients, with no metric
 inverse; the torsion-free closure (:func:`torsion_residual`) is its round trip.
 
-The double-epsilon densities (:func:`epsilon_pair`) sum ``n_e`` frame factors
-tied to two permutation symbols over sorted index subsets only: the
+Every double-epsilon block in the package, the Kaluza appendix chain's 4D
+expansion included, goes through :func:`epsilon_pair`: it sums ``n_e`` frame
+factors tied to two permutation symbols over sorted index subsets only, the
 ``n_e`` x ``n_e`` minors of the frame against the symbols' dual tables (the
 generalized Kronecker delta expansion), by one route for every ``n_e``.
 """
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, combinations, permutations
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
@@ -53,7 +54,6 @@ __all__ = [
     "evaluate_coframe",
     "metric_inverse",
     "spin_connection",
-    "omega_mixed",
     "torsion_residual",
     "quadratic_block",
     "curvature",
@@ -146,6 +146,11 @@ class SpinConnectionPoint:
     domega: np.ndarray   # [i, mu, nu, j]
     signature: Signature
 
+    @cached_property
+    def omega_mixed(self) -> np.ndarray:
+        """omega_i^mu_nu: the connection with its second frame index lowered."""
+        return contract("...imn,ns->...ims", self.omega, eta(self.signature))
+
 
 @dataclass(frozen=True)
 class CurvaturePoint:
@@ -224,16 +229,10 @@ def spin_connection(cp: CoframePoint) -> SpinConnectionPoint:
     return SpinConnectionPoint(omega=w.val, domega=w.jac, signature=cp.signature)
 
 
-def omega_mixed(sp: SpinConnectionPoint) -> np.ndarray:
-    """omega_i^mu_nu: the connection with its second frame index lowered."""
-    return contract("...imn,ns->...ims", sp.omega, eta(sp.signature))
-
-
 def torsion_residual(cp: CoframePoint, sp: SpinConnectionPoint) -> np.ndarray:
     """2 E^mu_ij - (omega_i^mu_nu e^nu_j - omega_j^mu_nu e^nu_i); ~0 for the
     connection computed from the same frame point."""
-    wmix = omega_mixed(sp)
-    a = contract("...imn,...nj->...mij", wmix, cp.e)
+    a = contract("...imn,...nj->...mij", sp.omega_mixed, cp.e)
     return 2.0 * cp.E - (a - a.swapaxes(-2, -1))
 
 
@@ -241,7 +240,7 @@ def quadratic_block(sp: SpinConnectionPoint) -> np.ndarray:
     """Q[i, j, lam, sig] = d_j omega_i^{lam sig} + omega_j^lam_eta omega_i^{eta sig};
     the curvature is its antisymmetrization in (i, j)."""
     return (np.einsum("...istj->...ijst", sp.domega)
-            + contract("...jse,...iet->...ijst", omega_mixed(sp), sp.omega))
+            + contract("...jse,...iet->...ijst", sp.omega_mixed, sp.omega))
 
 
 def curvature(sp: SpinConnectionPoint) -> CurvaturePoint:

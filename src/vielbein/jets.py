@@ -42,11 +42,6 @@ class JetArray:
         """Number of base coordinates the derivatives run over."""
         return self.jac.shape[-1]
 
-    def __getitem__(self, idx) -> "JetArray":
-        """Index the value axes; the derivative axes come along whole."""
-        return JetArray(self.val[idx], self.jac[idx],
-                        None if self.hess is None else self.hess[idx])
-
     def full_like(self, c: float) -> "JetArray":
         """The constant ``c`` with this array's shape and order."""
         return JetArray(np.zeros(self.jac.shape[:-1]) + float(c), np.zeros(self.jac.shape),

@@ -32,16 +32,16 @@ from .frame import (
     _coframe_point_from_jets,
     curvature,
     einstein_density,
+    epsilon_pair,
     eval_entries,
     eval_entry,
     metric_inverse,
-    omega_mixed,
     spin_connection,
 )
 from .gauge import GaugeElement, gauge_transform_frame
 from .jets import JetArray, jet_seed
 from .jetlinalg import contract, jet_einsum, jet_matexp
-from .tensors import Signature, eta, levi_civita
+from .tensors import Signature, eta
 from .variational import SectionPoint, el_residual_frame
 
 __all__ = [
@@ -278,13 +278,17 @@ class _KaluzaPoint:
         f1 = JetArray(self.fs.f_coord, self.fs.df_coord)
         einv1 = JetArray(cp.einv, cp.deinv)
         fup1 = jet_einsum("am,bn,...ji,...jm,...in->...ab", et, et, f1, einv1, einv1)
-        wmix = omega_mixed(self.sp)
+        wmix = self.sp.omega_mixed
         term = (fup1.jac
                 + contract("...iae,...eb->...abi", wmix, fup1.val)
                 + contract("...ibe,...ae->...abi", wmix, fup1.val))
         div = contract("...ib,...abi->...a", cp.einv, term)
         return MaxwellResidual(raw=(0.5 * cp.det * self.cfg.k)[..., None] * div,
                                divergence=div)
+
+    def maxwell_coord(self) -> np.ndarray:
+        """The density-weighted Maxwell residual pulled back to a coordinate index."""
+        return contract("...la,...a->...l", self.cp.einv, self.maxwell().raw)
 
     def reduction(self) -> ReductionReport:
         w = self.sp5.omega
@@ -312,43 +316,38 @@ class _KaluzaPoint:
         e_form1 = elb5[..., :4, :4]
         m_form1 = elb5[..., :4, 4]
 
-        # route 2: expansion over 4D-ranged indices in 5D connection
-        # components; terms sharing a contraction are summed before it
+        # route 2: expansion over 4D-ranged indices in 5D connection components;
+        # terms sharing a double-epsilon block are summed before its epsilon_pair
         w = sp5.omega
-        dw = sp5.domega
-        wmix = omega_mixed(sp5)
+        dw = sp5.domega                      # [i, s, t, j]
+        wmix = sp5.omega_mixed
         w44 = w[..., :4, :4, :4]
         wmix44 = wmix[..., :4, :4, :4]
         w_col5 = w[..., :4, :4, 4]           # omega_j^{lam 5}
         w5_44 = w[..., 4, :4, :4]            # omega_5^{lam sig}
         wmix5_44 = wmix[..., 4, :4, :4]      # omega_5^lam_eta
-        dw44 = np.einsum("...istj->...ijst", dw[..., :4, :4, :4, :4])
-        dw5 = dw[..., 4, :4, :4, :4]         # d_j omega_5^{st} -> [s, t, j]
         e4 = cp5.e[..., :4, :4]
-        e5row = cp5.e[..., 4, :4]
-        eps4 = levi_civita(4)
 
-        # quadratic block plus the cross term of the fifth column
-        base = (dw44 + contract("...jse,...iet->...ijst", wmix44, w44)
-                - contract("...js,...it->...ijst", w_col5, w_col5))
-        # fiber block minus its back-reaction; the Maxwell column shares it
-        fiber = (np.einsum("...stj->...jst", dw5)
-                 + contract("...jse,...et->...jst", wmix44, w5_44)
-                 - contract("...se,...jet->...jst", wmix5_44, w44))
+        # quadratic block plus the cross term of the fifth column, [i, s, t, j]
+        base = (dw[..., :4, :4, :4, :4] + contract("...jse,...iet->...istj", wmix44, w44)
+                - contract("...js,...it->...istj", w_col5, w_col5))
+        # fiber block minus its back-reaction, [s, t, j]; Maxwell shares it
+        fiber = (dw[..., 4, :4, :4, :4]
+                 + contract("...jse,...et->...stj", wmix44, w5_44)
+                 - contract("...se,...jet->...stj", wmix5_44, w44))
         fifth = contract("...te,...je->...jt", wmix5_44, w_col5)
-        e_form2 = (
-            0.5 * contract("plij,nrst,...ijst,...np->...lr", eps4, eps4, base, e4)
-            + 0.5 * contract("plij,nrst,...jst,...p,...ni->...lr", eps4, eps4, fiber,
-                             e5row, e4)
-            + 0.5 * contract("plij,nrst,...jt,...np,...si->...lr", eps4, eps4, fifth,
-                             e4, e4))
-        fiber_e = contract("qpli,mnst,...ist,...mq->...lnp", eps4, eps4, fiber, e4)
-        m_form2 = -0.25 * contract("...lnp,...np->...l", fiber_e, e4)
+        # eps[p, l, i, j] = eps[i, p, l, j] (an even shift) puts the fiber term's
+        # tied slot first; the n_e = 2 terms move one slot per symbol (signs cancel)
+        e_form2 = 0.5 * (
+            epsilon_pair(e4, 1, "lij", "rst", ["istj"], "lr", base)
+            + epsilon_pair(e4, 1, "plj", "rst", ["stj", "p"], "lr", fiber, cp5.e[..., 4, :4])
+            + epsilon_pair(e4, 2, "lj", "rt", ["jt"], "lr", fifth))
+        m_form2 = -0.25 * epsilon_pair(e4, 2, "li", "st", ["sti"], "l", fiber)
 
         # route 3: stress-sourced Einstein block of the tetrad alone, and the
         # divergence form pulled back to a coordinate index
         e_form3 = self.einstein_maxwell()
-        m_form3 = contract("...la,...a->...l", self.cp.einv, self.maxwell().raw)
+        m_form3 = self.maxwell_coord()
 
         return ChainReport(
             einstein_forms=(e_form1, e_form2, e_form3),
@@ -514,12 +513,9 @@ def covariance_check(cfg: KaluzaConfig, point: Sequence[float],
     kp2 = _KaluzaPoint(cfg2, point)
     dev_f = float(np.abs(kp1.fs.f_coord - kp2.fs.f_coord).max())
 
-    em1 = contract("lr,rm->lm", kp1.einstein_maxwell(), kp1.cp.e)
-    em2 = contract("lr,rm->lm", kp2.einstein_maxwell(), kp2.cp.e)
+    (em1, mx1), (em2, mx2) = [(contract("lr,rm->lm", kp.einstein_maxwell(), kp.cp.e),
+                               kp.maxwell_coord()) for kp in (kp1, kp2)]
     dev_em = float(np.abs(em1 - em2).max())
-
-    mx1 = contract("la,a->l", kp1.cp.einv, kp1.maxwell().raw)
-    mx2 = contract("la,a->l", kp2.cp.einv, kp2.maxwell().raw)
     dev_mx = float(np.abs(mx1 - mx2).max())
 
     # point-level path through the 5D blocked gauge element

@@ -25,7 +25,6 @@ from .frame import (
     SpinConnectionPoint,
     epsilon_pair,
     evaluate_coframe,
-    omega_mixed,
     quadratic_block,
     spin_connection,
 )
@@ -63,7 +62,7 @@ def section_point(field, point: Sequence[float]) -> SectionPoint:
 def contact_pullback(section: SectionPoint) -> np.ndarray:
     """Coefficients of the pulled-back contact two-forms over dx^a ^ dx^b;
     identically zero exactly when the section is holonomic."""
-    cp, wmix = section.cp, omega_mixed(section.sp)
+    cp, wmix = section.cp, section.sp.omega_mixed
     t = contract("...amn,...nb->...mab", wmix, cp.e)
     return cp.de.swapaxes(-2, -1) - cp.de + t - t.swapaxes(-2, -1)
 
@@ -96,7 +95,7 @@ def omega_shuffle_identity(section: SectionPoint) -> np.ndarray:
     """
     m = section.m
     e = section.cp.e
-    wmix = omega_mixed(section.sp)
+    wmix = section.sp.omega_mixed
 
     lhs = epsilon_pair(e, m - 2, "ij", "st", ["jsh"], "iht", wmix) / math.factorial(m - 2)
     rhs = epsilon_pair(e, m - 3, "lij", "xst", ["yl", "jxy"], "ist", e, wmix) * (

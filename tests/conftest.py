@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from vielbein.frame import epsilon_pair, omega_mixed
+from vielbein.frame import epsilon_pair
 from vielbein.gauge import evaluate_gauge
 from vielbein.jetlinalg import JetArray, jet_einsum, jet_matinv
 from vielbein.tensors import eta, levi_civita
@@ -95,7 +95,7 @@ def el_residual_connection(section):
     exactly when the section is kinematically admissible (torsion-free
     closure)."""
     m, cp = section.m, section.cp
-    wmix = omega_mixed(section.sp)
+    wmix = section.sp.omega_mixed
     u = cp.de + np.einsum("jre,el->rlj", wmix, cp.e)
     return epsilon_pair(cp.e, m - 3, "lij", "rst", ["rlj"], "ist", u) / math.factorial(m - 3)
 

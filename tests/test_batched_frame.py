@@ -24,7 +24,6 @@ from vielbein.frame import (
     evaluate_coframe,
     kretschmann_scalar,
     metric_inverse,
-    omega_mixed,
     oracle_from_coframe,
     quadratic_block,
     spin_connection,
@@ -57,7 +56,7 @@ def _outputs(cp) -> dict:
     out = {name: getattr(cp, name)
            for name in ("e", "de", "dde", "einv", "deinv", "E", "det")}
     out.update(
-        omega=sp.omega, domega=sp.domega, omega_mixed=omega_mixed(sp),
+        omega=sp.omega, domega=sp.domega, omega_mixed=sp.omega_mixed,
         quadratic_block=quadratic_block(sp), R=cv.R, metric_inverse=metric_inverse(cp),
         torsion=torsion_residual(cp, sp), contact=contact_pullback(sec),
         theta=theta_density(sec), shuffle=omega_shuffle_identity(sec),

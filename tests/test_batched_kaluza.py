@@ -16,9 +16,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vielbein import cli, kaluza
+from vielbein import cli, frame, kaluza
 from vielbein.cli import JobConfig, main
 from vielbein.frame import spin_connection
+from vielbein.jetlinalg import contract
 from vielbein.kaluza import _KaluzaPoint, em_stress
 from vielbein.solutions import random_kaluza
 
@@ -124,3 +125,19 @@ def test_one_spin_connection_per_kaluza_block(tmp_path, monkeypatch):
     }), encoding="utf-8")
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
     assert sorted(calls) == [(12, 4, 4), (12, 5, 5)]
+
+
+# the frame index is lowered once per spin connection: the 4D one of an
+# identities block; the 5D and the 4D ones of an appendixA block
+@pytest.mark.parametrize("name, lowerings", [("identities_random", 1), ("appendixA_rn", 2)])
+def test_one_lowering_per_spin_connection(name, lowerings, monkeypatch):
+    job, tetrad, kcfg, points = _bundled_job(name)
+    specs = []
+
+    def counting(spec, *ops):
+        specs.append(spec)
+        return contract(spec, *ops)
+
+    monkeypatch.setattr(frame, "contract", counting)
+    cli._block_residuals(job, tetrad, kcfg, points)
+    assert specs.count("...imn,ns->...ims") == lowerings

@@ -133,6 +133,17 @@ def test_malformed_configs_exit_two(tmp_path, capsys):
         {**VAC, "grid": {**VAC["grid"], "note": "1e400"}},
         {**VAC, "solution": {"name": "schwarzschild", "params": {"M": "1e400"}}},
         {**VAC, "tolerance": "-1e400"},
+        # a boolean is no number, and a fraction no count of points
+        {**VAC, "grid": {"ranges": [VAC["grid"]["ranges"][0], {"lo": 3, "hi": 10, "n": 2.7},
+                                    *VAC["grid"]["ranges"][2:]]}},
+        {**VAC, "grid": {"ranges": [{"lo": 0, "hi": 0, "n": True}, *VAC["grid"]["ranges"][1:]]}},
+        {**VAC, "grid": {"ranges": [{"lo": True, "hi": 1, "n": 1}, *VAC["grid"]["ranges"][1:]]}},
+        {**VAC, "grid": {"points": [[0.0, True, 1.2, 0.3]]}},
+        {**VAC, "solution": {"name": "schwarzschild", "params": {"M": True}}},
+        # a tolerance for no check of the job would leave its check on the global one
+        {**VAC, "check": "einstein-maxwell",
+         "solution": {"name": "reissner_nordstrom", "params": {"M": 1.0, "Q": 0.5}},
+         "grid": {"points": [[0.0, 3.0, 1.2, 0.3]]}, "tolerances": {"maxwel": 1e-3}},
     ]:
         path = tmp_path / "job.json"
         path.write_text(json.dumps(broken).replace('"1e400"', "1e400")
@@ -141,6 +152,9 @@ def test_malformed_configs_exit_two(tmp_path, capsys):
         errs.append(capsys.readouterr().err)
     assert all("config error" in err for err in errs)
     assert "'tolerance_overrides'" in "".join(errs) and "'debug'" in "".join(errs)
+    for field in ("grid.ranges[1].n: 2.7", "grid.ranges[0].n: True", "grid.ranges[0].lo: True",
+                  "grid.points: True", "solution.params.M: True", "'maxwel'"):
+        assert field in "".join(errs), field
     assert not (tmp_path / "o").exists()
 
 

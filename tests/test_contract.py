@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from vielbein import jetlinalg
+from vielbein import frame, jetlinalg
 from vielbein.cli import main
 from vielbein.jetlinalg import JetArray, contract, jet_einsum
 
@@ -279,25 +279,51 @@ def test_product_terms_built_once_per_key():
     assert (info.misses, info.hits) == (3, 6)
 
 
-def _numpy_calls(tree: ast.AST, func: str = "<module>"):
-    """(enclosing function, numpy attribute, call node) for np.* calls."""
+def _calls(tree: ast.AST, func: str = "<module>"):
+    """(enclosing function, call node) for every call."""
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield from _numpy_calls(node, node.name)
+            yield from _calls(node, node.name)
             continue
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id in ("np", "numpy")):
-            yield func, node.func.attr, node
-        yield from _numpy_calls(node, func)
+        if isinstance(node, ast.Call):
+            yield func, node
+        yield from _calls(node, func)
+
+
+def _numpy_calls(tree: ast.AST):
+    """(enclosing function, numpy attribute, call node) for np.* calls."""
+    for func, call in _calls(tree):
+        if (isinstance(call.func, ast.Attribute) and isinstance(call.func.value, ast.Name)
+                and call.func.value.id in ("np", "numpy")):
+            yield func, call.func.attr, call
+
+
+def _literal_epsilon_pair_specs(call: ast.Call) -> list[str]:
+    """The specs ``frame.epsilon_pair`` builds for a call with literal index
+    strings, read off the specs it passes to ``contract``."""
+    tails = [ast.literal_eval(arg) for arg in call.args[2:6]]
+    built = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(frame, "contract", lambda spec, *ops: built.append(spec) or np.zeros(()))
+        frame.epsilon_pair(np.eye(4), 0, *tails)
+    return built
 
 
 def test_contractions_cannot_bypass_the_plan_cache():
     sources = sorted((ROOT / "src").rglob("*.py"))
     assert sources
-    bypass, direct, planners, specs = [], [], [], []
+    bypass, direct, planners, specs, symbols, pairs = [], [], [], [], [], 0
     for path in sources:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for func, call in _calls(tree):
+            where = f"{path.relative_to(ROOT)}:{call.lineno}"
+            name = call.func.id if isinstance(call.func, ast.Name) else None
+            # the permutation symbol is built for the dual tables alone
+            if name == "levi_civita" and (path.name, func) != ("frame.py", "_compound_tables"):
+                symbols.append(where)
+            if name == "epsilon_pair":
+                pairs += 1
+                specs += [(where, spec) for spec in _literal_epsilon_pair_specs(call)]
         for func, attr, call in _numpy_calls(tree):
             where = f"{path.relative_to(ROOT)}:{call.lineno}"
             if attr == "einsum" and any(k.arg == "optimize" for k in call.keywords):
@@ -319,6 +345,8 @@ def test_contractions_cannot_bypass_the_plan_cache():
     assert not direct, f"multi-operand np.einsum in src/: {direct}"
     # contract plans every path itself
     assert not planners, f"np.einsum_path in src/: {planners}"
+    assert not symbols, f"levi_civita outside frame._compound_tables: {symbols}"
+    assert pairs >= 9
     # every literal spec is of a form contract accepts, so a refused one
     # fails here rather than on a grid run
     assert len(specs) > 30
