@@ -14,8 +14,9 @@ import argparse
 import inspect
 import json
 import math
-import operator
+import os
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from pathlib import Path
@@ -133,21 +134,25 @@ class JobConfig:
 
 def _build_inline(spec: Mapping):
     try:
-        sig = Signature(*[int(v) for v in spec["signature"]])
+        sig = Signature(*[_number(v, f"solution.inline.signature[{i}]", integer=True)
+                          for i, v in enumerate(spec["signature"])])
         m = sig.m
-        rows = spec["tetrad"]
-        entries = [[parse(cell, m) if isinstance(cell, str) else float(cell)
-                    for cell in row] for row in rows]
+
+        def entry(cell, field: str):   # an expression string or a number
+            return parse(cell, m) if isinstance(cell, str) else float(_number(cell, field))
+
+        entries = [[entry(cell, f"solution.inline.tetrad[{a}][{b}]") for b, cell in enumerate(row)]
+                   for a, row in enumerate(spec["tetrad"])]
         params = {k: float(_number(v, f"solution.inline.params.{k}"))
                   for k, v in spec.get("params", {}).items()}
         tetrad = CoframeField(entries, sig, params)
         potential = None
         if "A" in spec:
-            potential = tuple(parse(cell, m) if isinstance(cell, str) else float(cell)
-                              for cell in spec["A"])
-        k = float(spec.get("k", 1.0))
+            potential = tuple(entry(cell, f"solution.inline.A[{a}]")
+                              for a, cell in enumerate(spec["A"]))
+        k = float(_number(spec.get("k", 1.0), "solution.inline.k"))
         return tetrad, potential, k, params
-    except (KeyError, TypeError, ValueError, ExprError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, ExprError) as exc:
         raise ConfigError(f"bad inline solution: {exc}") from None
 
 
@@ -281,30 +286,61 @@ def _grid_residuals(job: JobConfig, tetrad, kcfg, points, size: int | None = Non
             yield block, named, e
 
 
-def _write_csv(path: Path, dim: int, blocks, per_check: Mapping[str, list[float]]) -> None:
-    """Stream points.csv point by point from the blocks' residual arrays: each check's
-    components in row-major order, then its norm.  No field needs quoting (ids are
-    [a-z0-9_], the rest float reprs), so the rows are those csv.writer writes.
+class _CsvStream:
+    """points.csv, written block by block into a temporary file beside it and moved
+    into place by ``commit``.  The directory and the file are made at the first
+    ``write``; leaving the ``with`` block removes whatever ``commit`` has not moved,
+    so a failing job leaves no points.csv and no temporary file.
 
-    Once per job, from the first block's per-point shapes (the same in every block):
-    the row tails ``,check_id,component_id,``.  Once per block: one (points, tails)
-    value array, each check's components then its norm column from ``per_check``.
-    Per point: one string, the coordinates prefixed to every tail and value repr."""
-    tails = [f",{check_id},{'_'.join(map(str, i))},"
-             for check_id, arr in sorted(blocks[0][1].items())
-             for i in [*np.ndindex(arr.shape[1:]), ("norm",)]]
-    start = 0
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(f"x{i + 1}" for i in range(dim)) + ",check_id,component_id,value\r\n")
-        for block, named in blocks:
-            n = len(block)
-            values = np.concatenate([col for check_id, arr in sorted(named.items()) for col in (
-                arr.reshape(n, -1), np.array(per_check[check_id][start:start + n])[:, None])], 1)
-            start += n
-            for point, row in zip(block, values):   # tolist per point bounds the memory
-                head = ",".join(map(repr, point))
-                cells = map(operator.add, tails, map(repr, row.tolist()))
-                fh.write(head + ("\r\n" + head).join(cells) + "\r\n")
+    Rows: per point, per sorted check, its components in row-major order, then its
+    norm.  No field needs quoting (ids are [a-z0-9_], the rest float reprs), so the
+    rows are those csv.writer writes.  Once per job, from the first block's
+    per-point shapes (the same in every block): a (rows, 4) object array of
+    coordinates, row tail ``,check_id,component_id,``, value and line end, with the
+    tails and line ends filled in.  Once per block: one (points, rows) value array,
+    and one repr per distinct value, keyed on its bits (0.0 and -0.0 differ).  Per
+    point: its coordinates and value reprs set in that array, and one join."""
+
+    def __init__(self, path: Path):
+        self.path = path
+        self.tmp = path.with_name(f".{path.name}.tmp")
+        self.fh = self.cells = None
+
+    def __enter__(self) -> "_CsvStream":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self.fh is not None:
+            self.fh.close()
+            self.tmp.unlink(missing_ok=True)
+
+    def write(self, block, named: Mapping[str, np.ndarray],
+              norms: Mapping[str, np.ndarray]) -> None:
+        """The rows of ``block``, from its residual arrays and per-point norms."""
+        if self.fh is None:
+            tails = [f",{check_id},{'_'.join(map(str, i))},"
+                     for check_id, arr in sorted(named.items())
+                     for i in [*np.ndindex(arr.shape[1:]), ("norm",)]]
+            self.cells = np.empty((len(tails), 4), dtype=object)
+            self.cells[:, 1], self.cells[:, 3] = tails, "\r\n"
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self.fh = self.tmp.open("w", newline="", encoding="utf-8")
+            self.fh.write(",".join(f"x{i + 1}" for i in range(len(block[0])))
+                          + ",check_id,component_id,value\r\n")
+        n, cells = len(block), self.cells
+        values = np.concatenate([col for check_id, arr in sorted(named.items())
+                                 for col in (arr.reshape(n, -1), norms[check_id][:, None])],
+                                1, dtype=np.float64)
+        keys, index = np.unique(values.view(np.int64), return_inverse=True)
+        reprs = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)
+        # numpy 1.x returns the inverse flat, 2.x in the input's shape
+        for point, row in zip(block, index.reshape(values.shape)):
+            cells[:, 0], cells[:, 2] = ",".join(map(repr, point)), reprs[row]
+            self.fh.write("".join(cells.ravel().tolist()))
+
+    def commit(self) -> None:
+        self.fh.close()
+        os.replace(self.tmp, self.path)
 
 
 def run_job(job: JobConfig, out_dir: Path, write_csv: bool) -> tuple[int, dict]:
@@ -315,8 +351,7 @@ def run_job(job: JobConfig, out_dir: Path, write_csv: bool) -> tuple[int, dict]:
         params.setdefault("seed", job.seed)
         sol_ref["params"] = params
     label, params, tetrad, kcfg = _resolve_solution(sol_ref)
-    dim = tetrad.signature.m
-    points = _grid_points(job.grid, dim)
+    points = _grid_points(job.grid, tetrad.signature.m)
     if job.check in KALUZA_CHECKS and kcfg is None:
         raise ConfigError(f"check {job.check!r} needs a solution with a potential")
     for name in ("report.json", "points.csv"):   # no output outlives the run that wrote it
@@ -326,55 +361,56 @@ def run_job(job: JobConfig, out_dir: Path, write_csv: bool) -> tuple[int, dict]:
     # per check, at its worst point: (norm, grid index, component id, tetrad values);
     # ties go to the first point in grid order, then to the first component
     worst: dict[str, tuple] = {}
-    blocks = []   # (block, named residuals), kept only for the CSV
     start = 0
-    for block, named, e in _grid_residuals(job, tetrad, kcfg, points):
-        if unknown := sorted(set(job.tolerances) - set(named)):   # at the first block
-            raise ConfigError(f"tolerances name no check id of this job: {unknown}")
-        n = len(block)
-        for check_id, arr in named.items():
-            comps = np.abs(arr).reshape(n, -1)
-            norms = comps.max(axis=1)
-            per_check.setdefault(check_id, []).extend(norms.tolist())
-            i = int(norms.argmax())
-            if check_id not in worst or norms[i] > worst[check_id][0]:
-                idx = np.unravel_index(int(comps[i].argmax()), arr.shape[1:])
-                worst[check_id] = (norms[i], start + i, "_".join(map(str, idx)), e[i])
-        start += n
-        if write_csv:
-            blocks.append((block, named))
-    point_records = [{"x": list(point), "norms": {c: col[n] for c, col in per_check.items()}}
-                     for n, point in enumerate(points)]
+    with _CsvStream(out_dir / "points.csv") if write_csv else nullcontext() as csv_out:
+        for block, named, e in _grid_residuals(job, tetrad, kcfg, points):
+            if unknown := sorted(set(job.tolerances) - set(named)):   # at the first block
+                raise ConfigError(f"tolerances name no check id of this job: {unknown}")
+            n = len(block)
+            block_norms = {}
+            for check_id, arr in named.items():
+                comps = np.abs(arr).reshape(n, -1)
+                block_norms[check_id] = norms = comps.max(axis=1)
+                per_check.setdefault(check_id, []).extend(norms.tolist())
+                i = int(norms.argmax())
+                if check_id not in worst or norms[i] > worst[check_id][0]:
+                    idx = np.unravel_index(int(comps[i].argmax()), arr.shape[1:])
+                    worst[check_id] = (norms[i], start + i, "_".join(map(str, idx)), e[i])
+            start += n
+            if csv_out:
+                csv_out.write(block, named, block_norms)
+        point_records = [{"x": list(point), "norms": {c: col[n] for c, col in per_check.items()}}
+                         for n, point in enumerate(points)]
 
-    results = []
-    for check_id, norms in sorted(per_check.items()):
-        tol, mx = job.tol_for(check_id), max(norms)
-        _, point, comp, e = worst[check_id]
-        results.append({"check_id": check_id, "max": mx, "mean": sum(norms) / len(norms),
-                        "tolerance": tol, "passed": mx <= tol, "worst_point": point,
-                        "worst_component": comp, "cond_e": float(np.linalg.cond(e))})
-    all_pass = all(r["passed"] for r in results)
+        results = []
+        for check_id, norms in sorted(per_check.items()):
+            tol, mx = job.tol_for(check_id), max(norms)
+            _, point, comp, e = worst[check_id]
+            results.append({"check_id": check_id, "max": mx, "mean": sum(norms) / len(norms),
+                            "tolerance": tol, "passed": mx <= tol, "worst_point": point,
+                            "worst_component": comp, "cond_e": float(np.linalg.cond(e))})
+        all_pass = all(r["passed"] for r in results)
 
-    report = {
-        "format": 2,
-        "tool": {"name": "vielbein", "version": __version__},
-        "check": job.check,
-        "solution": {"label": label, "params": params},
-        "seed": job.seed,
-        # an explicit point list is not echoed: points[].x lists it, in grid order
-        "grid": {k: v for k, v in job.grid.items() if k != "points"},
-        "n_points": len(points),
-        "points": point_records,
-        "results": results,
-        "passed": all_pass,
-    }
+        report = {
+            "format": 2,
+            "tool": {"name": "vielbein", "version": __version__},
+            "check": job.check,
+            "solution": {"label": label, "params": params},
+            "seed": job.seed,
+            # an explicit point list is not echoed: points[].x lists it, in grid order
+            "grid": {k: v for k, v in job.grid.items() if k != "points"},
+            "n_points": len(points),
+            "points": point_records,
+            "results": results,
+            "passed": all_pass,
+        }
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    # one compact line: without indent, json runs its C encoder
-    text = json.dumps(report, sort_keys=True, separators=(",", ":"), allow_nan=False)
-    (out_dir / "report.json").write_text(text + "\n", encoding="utf-8")
-    if write_csv:
-        _write_csv(out_dir / "points.csv", dim, blocks, per_check)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        # one compact line: without indent, json runs its C encoder
+        text = json.dumps(report, sort_keys=True, separators=(",", ":"), allow_nan=False)
+        (out_dir / "report.json").write_text(text + "\n", encoding="utf-8")
+        if csv_out:
+            csv_out.commit()
     return (0 if all_pass else 1), report
 
 

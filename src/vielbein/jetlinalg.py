@@ -239,7 +239,8 @@ def jet_matinv(a: JetArray) -> JetArray:
 
 
 def jet_matexp(a: JetArray) -> JetArray:
-    """Matrix exponential of a square matrix of jets (scaling and squaring)."""
+    """Matrix exponential of a square matrix of jets (scaling and squaring).
+    Raises ValueError if the series does not converge, as on a non-finite entry."""
     n = a.val.shape[0]
     norm = np.linalg.norm(a.val, ord=np.inf)
     squarings = max(0, int(np.ceil(np.log2(norm))) + 1) if norm > 1.0 else 0
@@ -254,10 +255,14 @@ def jet_matexp(a: JetArray) -> JetArray:
     while True:
         term = jet_einsum("ab,bc->ac", term, x) * (1.0 / k)
         total = total + term
-        size = max(np.abs(term.val).max(), np.abs(term.jac).max(),
-                   0.0 if term.hess is None else np.abs(term.hess).max())
-        if size < 1e-17 or k > 80:
+        # np.max, not max: a NaN after the first argument would be dropped
+        size = np.max([np.abs(term.val).max(), np.abs(term.jac).max(),
+                       0.0 if term.hess is None else np.abs(term.hess).max()])
+        if size < 1e-17:
             break
+        if k > 80 or not np.isfinite(size):   # a partial sum would be a silent approximation
+            raise ValueError(f"matrix exponential series has not converged: term {k} "
+                             f"has size {size:.2e}")
         k += 1
     for _ in range(squarings):
         total = jet_einsum("ab,bc->ac", total, total)

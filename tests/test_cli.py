@@ -3,6 +3,7 @@ import io
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -288,7 +289,7 @@ CSV_FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS),
 
 @st.composite
 def _csv_jobs(draw):
-    """(dim, blocks, per_check) as run_job hands them to _write_csv: 1-3 checks of
+    """(dim, blocks, per_check) for the block-by-block writer: 1-3 checks of
     different per-point shapes, full blocks of one size and a partial last block."""
     dim = draw(st.integers(1, 5))
     shapes = draw(st.lists(st.sampled_from([(1,), (3,), (2, 2), (4, 4, 4), (2, 1, 3)]),
@@ -317,16 +318,46 @@ _EDGE_JOB = (2, [([(-0.0, 5e-324), (1e16, 1e-05)],
                  ([(1.0, -1.0)], {"a": np.array([[-0.0]]),
                                   "b_2": np.array(EDGE_FLOATS[::2]).reshape(1, 2, 2)})],
              {"a": [1.7976931348623157e308, 1e16, 0.0], "b_2": [5e-324, 1e-05, -0.0]})
+# values repeat within and across blocks, each block ranks them differently, and
+# 0.0 and -0.0 share the middle block
+_REPEAT_JOB = (1, [([(0.5,)], {"c": np.array([[0.25, -0.0, 0.25]])}),
+                   ([(1.0,), (1.5,)], {"c": np.array([[0.0, 0.25, -0.0], [3.0, 3.0, 0.0]])}),
+                   ([(2.0,)], {"c": np.array([[-0.25, 0.25, 1e-300]])})],
+               {"c": [0.25, 0.25, 3.0, 0.25]})
+
+
+def _stream_csv(path, blocks, per_check):
+    """Write the job through the block-by-block writer, each block with its own
+    slice of the norms, as run_job does."""
+    start = 0
+    with cli._CsvStream(path) as out:
+        for block, named in blocks:
+            n = len(block)
+            out.write(block, named, {c: np.array(col[start:start + n])
+                                     for c, col in per_check.items()})
+            start += n
+        out.commit()
 
 
 @settings(deadline=None, max_examples=60)
 @given(job=_csv_jobs())
 @example(job=_EDGE_JOB)
+@example(job=_REPEAT_JOB)
 def test_write_csv_matches_nested_reference(tmp_path_factory, job):
     dim, blocks, per_check = job
     path = tmp_path_factory.mktemp("csv") / "points.csv"
-    cli._write_csv(path, dim, blocks, per_check)
+    _stream_csv(path, blocks, per_check)
     assert path.read_bytes() == _reference_csv(dim, blocks, per_check).encode("utf-8")
+    assert [p.name for p in path.parent.iterdir()] == ["points.csv"]
+
+
+def test_csv_stream_removes_its_file_on_error(tmp_path):
+    _, blocks, per_check = _REPEAT_JOB
+    with pytest.raises(KeyError), cli._CsvStream(tmp_path / "points.csv") as out:
+        out.write(*blocks[0], {"c": np.array(per_check["c"][:1])})
+        assert [p.name for p in tmp_path.iterdir()] == [".points.csv.tmp"]
+        out.write(*blocks[1], {})   # no norms: fails mid-stream
+    assert list(tmp_path.iterdir()) == []
 
 
 def _ranges(*spans):
@@ -341,8 +372,8 @@ def _ranges(*spans):
     ({**VAC, "grid": _ranges((0, 0, 1), (3, 10, 5), (0.6, 2.5, 5), (0.1, 0.3, 3))}, [64, 11]),
 ], ids=["einstein-maxwell", "vacuum"])
 def test_csv_rows_across_blocks(tmp_path, cfg, sizes):
-    # the row tails are built from the first block and the norms read at a running
-    # offset: every row of every block must still be its point's own value
+    # the row tails are built from the first block and each block's values are
+    # formatted apart: every row of every block must still be its point's own value
     out = tmp_path / "out"
     assert main(["run", _write(tmp_path, cfg), "--out", str(out), "--csv"]) == 0
     job = cli.JobConfig.from_dict(cfg)
@@ -363,6 +394,28 @@ def test_csv_rows_across_blocks(tmp_path, cfg, sizes):
     assert [(tuple(map(float, r[:4])), r[4], r[5], float(r[6])) for r in rows] == expected
 
 
+def test_csv_memory_does_not_grow_with_the_grid(tmp_path):
+    # points.csv is written as the blocks pass: on 1024 points (16 blocks, ~450 rows
+    # a point) holding every block's residuals to the end would add ~3.4 MB
+    cfg = {"check": "identities",
+           "solution": {"name": "random_polynomial", "params": {"seed": 5, "amplitude": 0.1}},
+           "grid": _ranges((-0.2, 0.2, 4), (-0.3, 0.3, 4), (0.4, 0.5, 8), (0.0, 0.1, 8)),
+           "tolerance": 1e-9}
+    path = _write(tmp_path, cfg)
+    # one block first, untraced, so that neither traced run pays for filling the caches
+    warm = {**cfg, "grid": _ranges((-0.2, 0.2, 4), (-0.3, 0.3, 4), (0.4, 0.5, 4), (0, 0, 1))}
+    assert main(["run", _write(tmp_path, warm, "warm.json"), "--out", str(tmp_path / "w")]) == 0
+    peaks = []
+    for args in ([], ["--csv"]):
+        tracemalloc.start()
+        try:
+            assert main(["run", path, "--out", str(tmp_path / "out"), *args]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 2**20, peaks
+
+
 def test_outputs_of_an_earlier_run_are_removed(tmp_path):
     # a run without --csv must not leave the previous run's points.csv beside its report
     configs = Path(__file__).resolve().parent.parent / "configs"
@@ -379,6 +432,20 @@ def test_failed_run_removes_earlier_outputs(tmp_path):
     cfg = {**VAC, "grid": {"points": [[0.0, 1.0, 1.2, 0.3]]}}   # inside the horizon
     assert main(["run", _write(tmp_path, cfg), "--out", str(out), "--csv"]) == 3
     assert not (out / "report.json").exists() and not (out / "points.csv").exists()
+
+
+@pytest.mark.parametrize("cfg, code, left", [
+    (VAC, 0, ["points.csv", "report.json"]),
+    # the first block of 64 passes and is written, the second fails inside the horizon
+    ({**VAC, "grid": {"points": [[0.0, 3.0 + r / 8, 1.2, 0.3] for r in range(64)]
+                                + [[0.0, 1.0, 1.2, 0.3]]}}, 3, []),
+    # refused at the first block, before the directory is made
+    ({**VAC, "tolerances": {"vacum": 1e-3}}, 2, None),
+], ids=["pass", "later-block-error", "unknown-tolerance"])
+def test_csv_job_leaves_no_temporary_file(tmp_path, cfg, code, left):
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, cfg), "--out", str(out), "--csv"]) == code
+    assert (sorted(p.name for p in out.iterdir()) if out.exists() else None) == left
 
 
 def test_seed_override_recorded(tmp_path):
@@ -441,6 +508,29 @@ def test_bad_inline_solution(tmp_path):
         "tolerance": 1e-8,
     }
     assert main(["run", _write(tmp_path, cfg)]) == 2
+
+
+# a flat frame with a constant potential: every check passes
+_INLINE_RN = {"signature": [1, 3], "A": ["0.1", 0, 0, 0], "k": 2,
+              "tetrad": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}
+
+
+# json's true is a Python int, which float() and int() read as 1
+@pytest.mark.parametrize("check, inline, field", [
+    ("vacuum", {**_INLINE_RN, "tetrad": [[True, 0, 0, 0], *_INLINE_RN["tetrad"][1:]]},
+     "solution.inline.tetrad[0][0]: True"),
+    ("einstein-maxwell", {**_INLINE_RN, "A": ["0.1", 0, True, 0]}, "solution.inline.A[2]: True"),
+    ("einstein-maxwell", {**_INLINE_RN, "k": True}, "solution.inline.k: True"),
+    ("vacuum", {**_INLINE_RN, "signature": [True, 3]}, "solution.inline.signature[0]: True"),
+], ids=["tetrad", "A", "k", "signature"])
+def test_inline_boolean_is_no_number(tmp_path, capsys, check, inline, field):
+    cfg = {**VAC, "check": check, "solution": {"inline": inline},
+           "grid": {"points": [[0.0, 0.5, 0.0, 0.0]]}}
+    assert main(["run", _write(tmp_path, {**cfg, "solution": {"inline": _INLINE_RN}}),
+                 "--out", str(tmp_path / "ok")]) == 0
+    assert main(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_list_solutions(capsys, monkeypatch):

@@ -126,6 +126,19 @@ def test_jet_matexp_scaling_and_squaring():
     assert np.allclose(ex.val, sla.expm(b.val), atol=1e-12)
 
 
+@pytest.mark.parametrize("where, value", [("val", np.nan), ("jac", np.inf), ("hess", np.inf),
+                                          ("jac", 1e200)])
+def test_jet_matexp_refuses_a_series_that_does_not_converge(where, value):
+    # nan < 1e-17 is false, so a NaN term never meets the stopping test; a finite
+    # 1e200 derivative still has terms of ~1e68 after 80 of them
+    b = _matrix_jets([["0", "x1"], ["x1", "0"]], POINT)
+    if value == 1e200:
+        b = b.drop_hess()   # its products would overflow to inf
+    getattr(b, where)[0, 1, ...] = value
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not converged"):
+        jet_matexp(b)
+
+
 def test_chart_transfer_quadratic_map():
     # scalar field F known in the target chart; transfer of (F o map) jets
     # must reproduce the field's own jets at the image point
