@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Recompute every frozen normalization constant from scratch.
 
-The library hard-codes four empirically determined constants:
+The library hard-codes five empirically determined constants:
 
 * the curvature density equals det(e) * G^l_j e^j_rho with unit factor,
 * the Lagrangian density equals -1/2 * det(e) * scalar curvature,
@@ -33,11 +33,16 @@ from vielbein.solutions import (
     random_polynomial,
     reissner_nordstrom,
 )
-from vielbein.variational import el_residual_frame, section_point, theta_density
+from vielbein.variational import (
+    THETA_RATIO,
+    el_residual_frame,
+    section_point,
+    theta_density,
+)
 
 FROZEN = {
     "density_vs_oracle": 1.0,
-    "theta_ratio": -0.5,
+    "theta_ratio": THETA_RATIO,
     "frame_residual_ratio": 1.0,
     "em_coupling_k2": EM_COUPLING_K2,
     "fiber_obstruction": 0.375,

@@ -43,6 +43,7 @@ from .kaluza import KaluzaConfig, _KaluzaPoint
 from .solutions import SOLUTIONS, make_solution, random_kaluza
 from .tensors import Signature
 from .variational import (
+    THETA_RATIO,
     SectionPoint,
     contact_pullback,
     omega_shuffle_identity,
@@ -64,10 +65,6 @@ BLOCK_SIZE = 64
 # (VmHWM of a 192-point appendixA job on Reissner-Nordstrom: 31.9 MB point by
 # point, and by block size 12 -> 31.8, 16 -> 31.9, 32 -> 33.2, 64 -> 37.4 MB)
 KALUZA_BLOCK_SIZE = 16
-
-# frozen regression constant: density coefficient of the Lagrangian scalar,
-# L = THETA_RATIO * det(e) * scalar_curvature (see scripts/calibrate_constants.py)
-THETA_RATIO = -0.5
 
 
 class ConfigError(Exception):

@@ -8,13 +8,15 @@ coordinate jets may carry a leading batch axis, in which case one walk of the
 tree evaluates the expression at every point of the block.
 
 Operator precedence, tightest first: ``^``, unary ``-``, ``* /``, ``+ -``.
-Binary operators of equal precedence associate to the left.  Functions:
-sin, cos, sqrt, exp, ln.  No user-defined functions, no simplification.
+Every binary operator, ``^`` included, associates to the left (``2^3^2`` is
+64); a minus right after ``^`` binds only what follows it.  Functions: sin,
+cos, sqrt, exp, ln.  No user-defined functions, no simplification.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
@@ -97,6 +99,24 @@ _FUNCTIONS = {
     "ln": jets.ln,
 }
 
+
+def _pow(a, b):
+    if isinstance(a, jets.JetArray) or isinstance(b, jets.JetArray):
+        return a ** b
+    return math.pow(a, b)  # rejects negative base with fractional exponent
+
+
+# Each binary operator's precedence (higher binds tighter) and function, read
+# by the parser, the printer and the evaluator; unary minus sits below '^'.
+_BINOPS = {
+    "+": (1, operator.add),
+    "-": (1, operator.sub),
+    "*": (2, operator.mul),
+    "/": (2, operator.truediv),
+    "^": (4, _pow),
+}
+_NEG_PREC, _ATOM_PREC = 3, 5
+
 _COORD_RE = re.compile(r"x(\d+)\Z")
 _TOKEN_RE = re.compile(
     r"(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
@@ -129,80 +149,45 @@ class _Parser:
         self.dim = dim
         self.i = 0
 
-    def peek(self):
-        return self.tokens[self.i]
-
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
     def expect_op(self, op: str):
-        kind, text, off = self.peek()
-        if kind != "op" or text != op:
+        _, text, off = self.tokens[self.i]
+        if text != op:
             raise ParseError(f"expected {op!r}", off)
-        self.advance()
+        self.i += 1
 
-    def parse_expr(self) -> Expr:
-        node = self.parse_term()
+    def parse_binary(self, min_prec: int) -> Expr:
+        """Precedence climbing: the longest expression from here whose binary
+        operators all bind at least as tightly as ``min_prec``.  A leading
+        minus takes an operand at its own precedence, or at ``min_prec`` when
+        that is tighter: a minus right after '^' binds only what follows it."""
+        if self.tokens[self.i][1] == "-":
+            self.i += 1
+            node = Neg(self.parse_binary(max(min_prec, _NEG_PREC)))
+        else:
+            node = self.parse_atom()
         while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                node = BinOp(text, node, self.parse_term())
-            else:
+            op = self.tokens[self.i][1]
+            prec = _BINOPS[op][0] if op in _BINOPS else 0
+            if prec < min_prec:
                 return node
-
-    def parse_term(self) -> Expr:
-        node = self.parse_unary()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                node = BinOp(text, node, self.parse_unary())
-            else:
-                return node
-
-    def parse_unary(self) -> Expr:
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "-":
-            self.advance()
-            return Neg(self.parse_unary())
-        return self.parse_power()
-
-    def parse_power(self) -> Expr:
-        node = self.parse_atom()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text == "^":
-                self.advance()
-                node = BinOp("^", node, self.parse_exponent())
-            else:
-                return node
-
-    def parse_exponent(self) -> Expr:
-        # allow a sign directly after '^' (e.g. x2^-2) without giving the
-        # minus scope over the whole power chain
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "-":
-            self.advance()
-            return Neg(self.parse_exponent())
-        return self.parse_atom()
+            self.i += 1
+            # prec + 1: every operator associates to the left, '^' included
+            node = BinOp(op, node, self.parse_binary(prec + 1))
 
     def parse_atom(self) -> Expr:
-        kind, text, off = self.advance()
+        kind, text, off = self.tokens[self.i]
+        self.i += 1
         if kind == "num":
             return Num(float(text))
         if kind == "name":
             coord = _COORD_RE.match(text)
-            nkind, ntext, _ = self.peek()
-            if nkind == "op" and ntext == "(":
+            if self.tokens[self.i][1] == "(":
                 if coord:
                     raise ParseError(f"coordinate {text!r} is not callable", off)
                 if text not in _FUNCTIONS:
                     raise ParseError(f"unknown function {text!r}", off)
-                self.advance()
-                arg = self.parse_expr()
+                self.i += 1
+                arg = self.parse_binary(1)
                 self.expect_op(")")
                 return Call(text, arg)
             if coord:
@@ -213,8 +198,8 @@ class _Parser:
                     )
                 return Coord(index)
             return Param(text)
-        if kind == "op" and text == "(":
-            node = self.parse_expr()
+        if text == "(":
+            node = self.parse_binary(1)
             self.expect_op(")")
             return node
         raise ParseError(f"unexpected token {text!r}" if text else "unexpected end of input", off)
@@ -224,14 +209,11 @@ def parse(text: str, dim: int) -> Expr:
     if not text or not text.strip():
         raise ParseError("empty expression", 0)
     parser = _Parser(_tokenize(text), dim)
-    node = parser.parse_expr()
-    kind, text_, off = parser.peek()
+    node = parser.parse_binary(1)
+    kind, text_, off = parser.tokens[parser.i]
     if kind != "end":
         raise ParseError(f"trailing input {text_!r}", off)
     return node
-
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
 
 
 def to_text(node: Expr) -> str:
@@ -241,18 +223,18 @@ def to_text(node: Expr) -> str:
 
 def _print(node: Expr, parent_prec: int) -> str:
     if isinstance(node, Num):
-        text, prec = repr(node.value), _PREC["atom"]
+        text, prec = repr(node.value), _ATOM_PREC
     elif isinstance(node, Coord):
-        text, prec = f"x{node.index}", _PREC["atom"]
+        text, prec = f"x{node.index}", _ATOM_PREC
     elif isinstance(node, Param):
-        text, prec = node.name, _PREC["atom"]
+        text, prec = node.name, _ATOM_PREC
     elif isinstance(node, Call):
-        text, prec = f"{node.func}({_print(node.arg, 0)})", _PREC["atom"]
+        text, prec = f"{node.func}({_print(node.arg, 0)})", _ATOM_PREC
     elif isinstance(node, Neg):
-        prec = _PREC["neg"]
+        prec = _NEG_PREC
         text = "-" + _print(node.operand, prec)
     elif isinstance(node, BinOp):
-        prec = _PREC[node.op]
+        prec = _BINOPS[node.op][0]
         # left-associative: the right operand needs strictly tighter binding
         left, right = _print(node.left, prec), _print(node.right, prec + 1)
         text = f"{left}^{right}" if node.op == "^" else f"{left} {node.op} {right}"
@@ -268,20 +250,6 @@ def eval_jet(node: Expr, coords: Sequence, params: Mapping[str, float] | None = 
     return _eval(node, coords, params or {})
 
 
-def _apply_binop(op: str, a, b):
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return a / b
-    if isinstance(a, jets.JetArray) or isinstance(b, jets.JetArray):
-        return a ** b
-    return math.pow(a, b)  # rejects negative base with fractional exponent
-
-
 def _eval(node: Expr, coords, params):
     if isinstance(node, Num):
         return node.value
@@ -295,16 +263,13 @@ def _eval(node: Expr, coords, params):
     if isinstance(node, Neg):
         return -_eval(node.operand, coords, params)
     if isinstance(node, BinOp):
-        a = _eval(node.left, coords, params)
-        b = _eval(node.right, coords, params)
-        try:
-            return _apply_binop(node.op, a, b)
-        except (ZeroDivisionError, ValueError, OverflowError) as exc:
-            raise EvalError(str(exc), to_text(node)) from None
-    if isinstance(node, Call):
-        arg = _eval(node.arg, coords, params)
-        try:
-            return _FUNCTIONS[node.func](arg)
-        except (ZeroDivisionError, ValueError, OverflowError) as exc:
-            raise EvalError(str(exc), to_text(node)) from None
-    raise TypeError(f"not an Expr node: {node!r}")  # pragma: no cover
+        func, args = _BINOPS[node.op][1], (_eval(node.left, coords, params),
+                                            _eval(node.right, coords, params))
+    elif isinstance(node, Call):
+        func, args = _FUNCTIONS[node.func], (_eval(node.arg, coords, params),)
+    else:  # pragma: no cover
+        raise TypeError(f"not an Expr node: {node!r}")
+    try:
+        return func(*args)
+    except (ZeroDivisionError, ValueError, OverflowError) as exc:
+        raise EvalError(str(exc), to_text(node)) from None

@@ -35,11 +35,11 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, combinations, permutations
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union, get_args
 
 import numpy as np
 
-from .expr import BinOp, Call, Coord, Neg, Num, Param, eval_jet
+from .expr import Expr, eval_jet
 from .jets import JetArray, jet_seed, jet_stack
 from .jetlinalg import contract, jet_einsum, jet_matinv
 from .tensors import Signature, eta, levi_civita
@@ -66,9 +66,9 @@ __all__ = [
     "epsilon_pair",
 ]
 
-_EXPR_NODES = (Num, Coord, Param, Neg, BinOp, Call)
+_EXPR_NODES = get_args(Expr)
 
-FieldEntry = Union[Num, Coord, Param, Neg, BinOp, Call, float, int, Callable]
+FieldEntry = Union[Expr, float, int, Callable]
 
 
 class DegenerateFrameError(Exception):

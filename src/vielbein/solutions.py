@@ -156,7 +156,7 @@ class NamedSolution:
                             params=dict(self.params))
 
 
-def _diag_field(texts: Sequence[str], signature: Signature,
+def _diag_field(texts: Sequence[str | float], signature: Signature,
                 params: Mapping[str, float]) -> CoframeField:
     m = signature.m
     entries = [[0.0] * m for _ in range(m)]
@@ -166,11 +166,9 @@ def _diag_field(texts: Sequence[str], signature: Signature,
 
 
 def minkowski(dim: int = 4) -> NamedSolution:
-    sig = Signature(1, dim - 1)
-    entries = [[1.0 if mu == i else 0.0 for i in range(dim)] for mu in range(dim)]
     return NamedSolution(
         name="minkowski",
-        tetrad=CoframeField(entries, sig),
+        tetrad=_diag_field([1.0] * dim, Signature(1, dim - 1), {}),
         params={},
         flags=frozenset({"vacuum", "flat"}),
         box=((-2.0, 2.0),) * dim,
@@ -178,12 +176,9 @@ def minkowski(dim: int = 4) -> NamedSolution:
 
 
 def rindler() -> NamedSolution:
-    sig = Signature(1, 3)
-    entries = [[1.0 if mu == i else 0.0 for i in range(4)] for mu in range(4)]
-    entries[0][0] = parse("x2", 4)
     return NamedSolution(
         name="rindler",
-        tetrad=CoframeField(entries, sig),
+        tetrad=_diag_field(["x2", 1.0, 1.0, 1.0], Signature(1, 3), {}),
         params={},
         flags=frozenset({"vacuum", "flat"}),
         box=((-2.0, 2.0), (0.5, 3.0), (-2.0, 2.0), (-2.0, 2.0)),
@@ -236,11 +231,9 @@ def reissner_nordstrom(M: float = 1.0, Q: float = 0.5) -> NamedSolution:
 def constant_F(B: float = 1.0) -> NamedSolution:
     """Flat tetrad with a linear potential: constant field strength, trivially
     divergence-free but not an Einstein-Maxwell solution."""
-    sig = Signature(1, 3)
-    entries = [[1.0 if mu == i else 0.0 for i in range(4)] for mu in range(4)]
     return NamedSolution(
         name="constant_F",
-        tetrad=CoframeField(entries, sig),
+        tetrad=_diag_field([1.0] * 4, Signature(1, 3), {}),
         params={"B": B},
         flags=frozenset({"flat", "vacuum", "maxwell"}),
         box=((-2.0, 2.0),) * 4,

@@ -36,6 +36,7 @@ __all__ = [
     "section_point",
     "contact_pullback",
     "theta_density",
+    "THETA_RATIO",
     "theta_gauge_invariance_check",
     "omega_shuffle_identity",
     "el_residual_frame",
@@ -65,6 +66,11 @@ def contact_pullback(section: SectionPoint) -> np.ndarray:
     cp, wmix = section.cp, section.sp.omega_mixed
     t = contract("...amn,...nb->...mab", wmix, cp.e)
     return cp.de.swapaxes(-2, -1) - cp.de + t - t.swapaxes(-2, -1)
+
+
+# frozen regression constant: the density coefficient of the Lagrangian scalar,
+# L = THETA_RATIO * det(e) * scalar_curvature (see scripts/calibrate_constants.py)
+THETA_RATIO = -0.5
 
 
 def theta_density(section: SectionPoint) -> np.ndarray:

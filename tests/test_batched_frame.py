@@ -135,7 +135,10 @@ def test_non_finite_point_named_before_later_degenerate_point(tmp_path, capsys):
     points = [(0.0, 0.5, 1.0, 0.0), (0.0, 1e-310, 1.0, 0.0), (0.0, 0.7, 1.0, 0.0),
               (0.0, 0.5, 0.0, 0.0), (0.0, 0.6, 1.0, 0.0)]
     tetrad = [["1 + 0*ln(x2)", 0, 0, 0], [0, "x3", 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-    assert main(_vacuum_job(tmp_path, points, tetrad)) == 3
+    # the overflow and 0*inf in jets.py only warn today (ROADMAP item 6); this
+    # fails once they raise at the expression node
+    with pytest.warns(RuntimeWarning):
+        assert main(_vacuum_job(tmp_path, points, tetrad)) == 3
     err = capsys.readouterr().err
     assert f"at point {points[1]}: non-finite residual vacuum" in err
     assert "degenerate" not in err

@@ -217,7 +217,10 @@ NAN_JOB = {
 def test_non_finite_residual_exit_three(tmp_path, capsys, order):
     cfg = {**NAN_JOB, "grid": {"points": [NAN_GRID[i] for i in order]}}
     out = tmp_path / "out"
-    assert main(["run", _write(tmp_path, cfg), "--out", str(out), "--csv"]) == 3
+    # the overflow and 0*inf in jets.py only warn today (ROADMAP item 6); this
+    # fails once they raise at the expression node
+    with pytest.warns(RuntimeWarning):
+        assert main(["run", _write(tmp_path, cfg), "--out", str(out), "--csv"]) == 3
     err = capsys.readouterr().err
     assert "1e-310" in err and "vacuum" in err and "non-finite" in err
     assert not (out / "report.json").exists() and not (out / "points.csv").exists()

@@ -76,6 +76,39 @@ def test_syntax_error_offsets():
         parse("(1 + 2", 1)
 
 
+# Each edge input with the exact tree it parses to, or the exact ParseError
+# message, offset included (parsed at dim=2).
+_EDGES = [
+    ("x1^", "unexpected end of input (at offset 3)"),
+    ("x1^-", "unexpected end of input (at offset 4)"),
+    ("2*-x1^2", BinOp("*", Num(2.0), Neg(BinOp("^", Coord(1), Num(2.0))))),
+    ("x1^-x2^2", BinOp("^", BinOp("^", Coord(1), Neg(Coord(2))), Num(2.0))),
+    ("--x1", Neg(Neg(Coord(1)))),
+    ("-x1^-2", Neg(BinOp("^", Coord(1), Neg(Num(2.0))))),
+    ("sin x1", "trailing input 'x1' (at offset 4)"),
+    ("x1(2)", "coordinate 'x1' is not callable (at offset 0)"),
+    ("()", "unexpected token ')' (at offset 1)"),
+    ("1 2", "trailing input '2' (at offset 2)"),
+    ("x0", "coordinate 'x0' out of range for dimension 2 (at offset 0)"),
+    ("x1^+2", "unexpected token '+' (at offset 3)"),
+    ("-sin(x1)^2", Neg(BinOp("^", Call("sin", Coord(1)), Num(2.0)))),
+    ("2^-3^2", BinOp("^", BinOp("^", Num(2.0), Neg(Num(3.0))), Num(2.0))),
+    ("foo(x1)", "unknown function 'foo' (at offset 0)"),
+    ("x1 + (2", "expected ')' (at offset 7)"),
+    ("a - -b * c", BinOp("-", Param("a"), BinOp("*", Neg(Param("b")), Param("c")))),
+]
+
+
+@pytest.mark.parametrize("text, want", _EDGES, ids=[t for t, _ in _EDGES])
+def test_parse_edge_cases(text, want):
+    if isinstance(want, str):
+        with pytest.raises(ParseError) as err:
+            parse(text, 2)
+        assert str(err.value) == want
+    else:
+        assert parse(text, 2) == want
+
+
 def test_unknown_function():
     with pytest.raises(ParseError) as err:
         parse("foo(x1)", 2)

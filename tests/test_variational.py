@@ -17,6 +17,7 @@ from vielbein.solutions import (
 )
 from vielbein.tensors import Signature, eta
 from vielbein.variational import (
+    THETA_RATIO,
     SectionPoint,
     contact_pullback,
     el_residual_frame,
@@ -28,10 +29,8 @@ from vielbein.variational import (
 
 from conftest import el_residual_connection
 
-# frozen regression constants (see scripts/calibrate_constants.py):
-# density of the pulled-back Lagrangian against det(e) * scalar curvature,
-# and the frame-variation residual against the curvature density
-THETA_RATIO = -0.5
+# frozen regression constant (see scripts/calibrate_constants.py): the
+# frame-variation residual against the curvature density
 FRAME_RESIDUAL_RATIO = 1.0
 
 
