@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import __version__
-from .expr import ExprError, parse
+from .expr import ExprError, Param, parse
 from .frame import (
     CoframeField,
     DegenerateFrameError,
@@ -129,19 +129,32 @@ class JobConfig:
         return float(self.tolerances.get(check_id, self.tolerance))
 
 
+def _param_names(node) -> set[str]:
+    """The parameter names an expression reads; a bare function name reads as one."""
+    if isinstance(node, Param):
+        return {node.name}
+    return set().union(*[_param_names(v) for v in vars(node).values()
+                         if not isinstance(v, (str, int, float))])
+
+
 def _build_inline(spec: Mapping):
     try:
         sig = Signature(*[_number(v, f"solution.inline.signature[{i}]", integer=True)
                           for i, v in enumerate(spec["signature"])])
         m = sig.m
+        params = {k: float(_number(v, f"solution.inline.params.{k}"))
+                  for k, v in spec.get("params", {}).items()}
 
         def entry(cell, field: str):   # an expression string or a number
-            return parse(cell, m) if isinstance(cell, str) else float(_number(cell, field))
+            if not isinstance(cell, str):
+                return float(_number(cell, field))
+            node = parse(cell, m)
+            if undefined := sorted(_param_names(node) - params.keys()):
+                raise ConfigError(f"{field}: undefined parameter {undefined[0]!r}")
+            return node
 
         entries = [[entry(cell, f"solution.inline.tetrad[{a}][{b}]") for b, cell in enumerate(row)]
                    for a, row in enumerate(spec["tetrad"])]
-        params = {k: float(_number(v, f"solution.inline.params.{k}"))
-                  for k, v in spec.get("params", {}).items()}
         tetrad = CoframeField(entries, sig, params)
         potential = None
         if "A" in spec:

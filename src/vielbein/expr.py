@@ -271,5 +271,5 @@ def _eval(node: Expr, coords, params):
         raise TypeError(f"not an Expr node: {node!r}")
     try:
         return func(*args)
-    except (ZeroDivisionError, ValueError, OverflowError) as exc:
+    except (ArithmeticError, ValueError) as exc:   # numpy's FloatingPointError included
         raise EvalError(str(exc), to_text(node)) from None

@@ -17,7 +17,7 @@ conventions used throughout, after the batch axes (0-based array axes,
 * ``domega[i, mu, nu, j]`` d_j omega_i^{mu nu}
 * ``R[j, i, lam, sig]``    curvature two-form components
 
-Frame (Greek) indices are raised and lowered with the flat signature metric,
+Frame (Greek) indices are raised and lowered by the flat metric's sign vector,
 coordinate (Latin) indices with the metric built from the frame.  The spin
 connection comes from the frame-index anholonomy coefficients, with no metric
 inverse; the torsion-free closure (:func:`torsion_residual`) is its round trip.
@@ -41,8 +41,8 @@ import numpy as np
 
 from .expr import Expr, eval_jet
 from .jets import JetArray, jet_seed, jet_stack
-from .jetlinalg import contract, jet_einsum, jet_matinv
-from .tensors import Signature, eta, levi_civita
+from .jetlinalg import _signed, contract, jet_einsum, jet_matinv
+from .tensors import Signature, eta, eta_signs, levi_civita
 
 __all__ = [
     "DegenerateFrameError",
@@ -92,8 +92,9 @@ def eval_entry(entry: FieldEntry, jets: Sequence[JetArray],
 def eval_entries(entries: Iterable[FieldEntry], jets: Sequence[JetArray],
                  params: Mapping[str, float], shape: tuple[int, ...]) -> JetArray:
     """Entries in row-major order, evaluated and stacked to value ``shape``
-    (after the jets' own batch axes)."""
-    return jet_stack([eval_entry(entry, jets, params) for entry in entries], shape)
+    (after the jets' own batch axes); an overflow or ``0 * inf`` raises at its node."""
+    with np.errstate(invalid="raise", over="raise"):
+        return jet_stack([eval_entry(entry, jets, params) for entry in entries], shape)
 
 
 class CoframeField:
@@ -149,7 +150,7 @@ class SpinConnectionPoint:
     @cached_property
     def omega_mixed(self) -> np.ndarray:
         """omega_i^mu_nu: the connection with its second frame index lowered."""
-        return contract("...imn,ns->...ims", self.omega, eta(self.signature))
+        return self.omega * eta_signs(self.signature)
 
 
 @dataclass(frozen=True)
@@ -202,21 +203,20 @@ def evaluate_coframe(field, point: Sequence[float]) -> CoframePoint:
 
 
 def metric_inverse(cp: CoframePoint) -> np.ndarray:
-    et = eta(cp.signature)
-    return contract("mn,...im,...jn->...ij", et, cp.einv, cp.einv)
+    return contract("...im,...jm->...ij", cp.einv * eta_signs(cp.signature), cp.einv)
 
 
 def _connection_jets(cp: CoframePoint) -> JetArray:
-    et = eta(cp.signature)
+    s = eta_signs(cp.signature)
     e1 = JetArray(cp.e, cp.de)
     einv1 = JetArray(cp.einv, cp.deinv)
     E1 = JetArray(cp.E, 0.5 * (cp.dde - cp.dde.swapaxes(-3, -2)))
     # anholonomy coefficients T_{sig alp bet} = eta_{sig mu} E^mu_ij e_alp^i e_bet^j
-    t1 = jet_einsum("sm,...mij,...ia,...jb->...sab", et, E1, einv1, einv1)
+    t1 = _signed(jet_einsum("...sij,...ia,...jb->...sab", E1, einv1, einv1), s[:, None, None])
     # Ricci rotation coefficients omega_{alp mu bet} solving 2 T_{mu alp bet}
     # = omega_{alp mu bet} - omega_{bet mu alp}
     w1 = t1 + t1.transpose((1, 0, 2)) - t1.transpose((1, 2, 0))
-    w_up = jet_einsum("...ai,ms,nb,...asb->...imn", e1, et, et, w1)
+    w_up = _signed(jet_einsum("...ai,...amn->...imn", e1, w1), s[:, None] * s)
     return (w_up - w_up.transpose((0, 2, 1))) * 0.5
 
 
@@ -317,9 +317,9 @@ def coordinate_oracle(field, point: Sequence[float]) -> OraclePoint:
 def oracle_from_coframe(cp: CoframePoint) -> OraclePoint:
     """Christoffel/Riemann/Einstein from the metric alone, independent of the
     frame-side connection assembly; serves as cross-check oracle."""
-    et = eta(cp.signature)
     e2 = JetArray(cp.e, cp.de, cp.dde)
-    g2 = jet_einsum("mn,...mi,...nj->...ij", et, e2, e2)
+    # the one dense eta operand left: signing the frame jets would copy dde
+    g2 = jet_einsum("mn,...mi,...nj->...ij", eta(cp.signature), e2, e2)
     g1 = JetArray(g2.val, g2.jac)
     dg1 = JetArray(g2.jac, g2.hess)
     ginv1 = jet_matinv(g1)
@@ -343,19 +343,19 @@ def spin_connection_via_christoffels(cp: CoframePoint, gamma: np.ndarray) -> np.
     used to validate the frame-side assembly."""
     inner = (contract("...kij,...jn->...kin", gamma, cp.einv)
              + np.einsum("...kni->...kin", cp.deinv))
-    w_mixed = contract("...mk,...kin->...imn", cp.e, inner)
-    return contract("...ims,sn->...imn", w_mixed, eta(cp.signature))
+    w_up = contract("...mk,...kin->...imn", cp.e, inner)
+    return np.multiply(w_up, eta_signs(cp.signature), out=w_up)
 
 
 def curvature_to_coordinate(cp: CoframePoint, curv: CurvaturePoint) -> np.ndarray:
     """Frame curvature converted to R^a_{b j i} with coordinate indices only."""
-    et = eta(cp.signature)
-    mixed = contract("...jils,st->...jilt", curv.R, et)
-    return contract("...al,...jilt,...tb->...abji", cp.einv, mixed, cp.e)
+    e_signed = cp.e * eta_signs(cp.signature)[:, None]
+    return contract("...al,...jilt,...tb->...abji", cp.einv, curv.R, e_signed)
 
 
 def kretschmann_scalar(cp: CoframePoint, curv: CurvaturePoint) -> np.ndarray:
     gi = metric_inverse(cp)
-    et = eta(cp.signature)
-    return contract("...jils,...JILS,...jJ,...iI,lL,sS->...", curv.R, curv.R,
-                    gi, gi, et, et)
+    s = eta_signs(cp.signature)
+    r_up = contract("...jils,...jJ,...iI->...JIls", curv.R, gi, gi)
+    r_up *= s[:, None] * s
+    return contract("...JIls,...JIls->...", r_up, curv.R)

@@ -27,8 +27,8 @@ from .frame import (
     eval_entries,
 )
 from .jets import JetArray, jet_seed, jet_stack
-from .jetlinalg import chart_transfer, jet_einsum, jet_matexp, jet_matinv
-from .tensors import Signature, eta
+from .jetlinalg import _signed, chart_transfer, jet_einsum, jet_matexp, jet_matinv
+from .tensors import Signature, eta, eta_signs
 
 __all__ = [
     "GaugeError",
@@ -129,14 +129,13 @@ def gauge_transform_omega(sp: SpinConnectionPoint, cp: CoframePoint,
     """Connection gauge law: homogeneous rotation plus the -Lambda^{-1} dLambda
     inhomogeneity, with the derivative block chained into the new chart."""
     gp = evaluate_gauge(ge, cp.x)
-    et = eta(sp.signature)
     lam1 = gp.lam.drop_hess()
     dlam1 = JetArray(gp.lam.jac, gp.lam.hess)
     linv1 = jet_matinv(lam1)
     k1 = JetArray(gp.k, gp.dk)
     w1 = JetArray(sp.omega, sp.domega)
     t1 = jet_einsum("ms,ng,ji,jsg->imn", lam1, lam1, k1, w1)
-    t2 = jet_einsum("ab,mah,hi,bn->imn", linv1, dlam1, k1, et)
+    t2 = _signed(jet_einsum("an,mah,hi->imn", linv1, dlam1, k1), eta_signs(sp.signature))
     wbar = t1 - t2
     wbar = chart_transfer(wbar, gp.k, None)
     wbar = (wbar - wbar.transpose((0, 2, 1))) * 0.5

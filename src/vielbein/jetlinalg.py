@@ -226,6 +226,13 @@ def jet_einsum(spec: str, *ops) -> JetArray:
     return JetArray(*acc)
 
 
+def _signed(a: JetArray, signs: np.ndarray) -> JetArray:
+    """First-order jets fresh from a contraction, scaled in place by ``signs``."""
+    np.multiply(a.val, signs, out=a.val)
+    np.multiply(a.jac, signs[..., None], out=a.jac)
+    return a
+
+
 def jet_matinv(a: JetArray) -> JetArray:
     """Inverse of a square matrix of jets, over any leading batch axes."""
     iv = np.linalg.inv(a.val)

@@ -10,6 +10,7 @@ second derivatives (``hess``, two appended axes).  Arithmetic and the
 functions below act elementwise, so one evaluation over the seeded
 coordinates of an ``(N, m)`` block covers all N points.  Any element out of
 a function's domain raises the error ``math`` raises; floats go to ``math``.
+Overflow and ``0 * inf`` raise under the ``np.errstate`` of ``frame.eval_entries``.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ class JetArray:
         # math.pow's domain errors, for u^p and the derivatives' u^(p-2)
         if (p != math.floor(p) and (u < 0.0).any()) or (p < 2.0 and (u == 0.0).any()):
             raise ValueError("math domain error")
-        f0, f1, f2 = _math_overflow(lambda: [np.power(u, q) for q in (p, p - 1.0, p - 2.0)])
+        f0, f1, f2 = [np.power(u, q) for q in (p, p - 1.0, p - 2.0)]
         return _unary(self, f0, p * f1, p * (p - 1.0) * f2)
 
     def __rpow__(self, base) -> "JetArray":
@@ -173,16 +174,6 @@ def _spread(v, k: int):
     return v[(...,) + (None,) * k] if v.ndim else v
 
 
-def _math_overflow(compute):
-    """``compute()``, with numpy's overflow (a result rounded to infinity from
-    finite arguments) raised as math's range error."""
-    try:
-        with np.errstate(over="raise"):
-            return compute()
-    except FloatingPointError:
-        raise OverflowError("math range error") from None
-
-
 def _sin_cos(u: JetArray):
     if np.isinf(u.val).any():
         raise ValueError("math domain error")
@@ -220,7 +211,7 @@ def sqrt(u):
 def exp(u):
     if not isinstance(u, JetArray):
         return math.exp(u)
-    w = _math_overflow(lambda: np.exp(u.val))
+    w = np.exp(u.val)
     return _unary(u, w, w, w)
 
 

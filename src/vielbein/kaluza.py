@@ -40,8 +40,8 @@ from .frame import (
 )
 from .gauge import GaugeElement, gauge_transform_frame
 from .jets import JetArray, jet_seed
-from .jetlinalg import contract, jet_einsum, jet_matexp
-from .tensors import Signature, eta
+from .jetlinalg import _signed, contract, jet_einsum, jet_matexp
+from .tensors import Signature, eta_signs
 from .variational import SectionPoint, el_residual_frame
 
 __all__ = [
@@ -258,12 +258,11 @@ class _KaluzaPoint:
         f = da - da.swapaxes(-2, -1)
         df = dda - dda.swapaxes(-3, -2)
         einv = self.cp.einv
-        et = eta(SIG4)
+        s = eta_signs(SIG4)
         f_frame = contract("...ji,...jm,...in->...mn", f, einv, einv)
-        f_frame_up = et @ f_frame @ et
         return FieldStrengthPoint(
-            f_coord=f, df_coord=df, f_frame=f_frame, f_frame_up=f_frame_up,
-            f_frame_mixed=et @ f_frame,
+            f_coord=f, df_coord=df, f_frame=f_frame, f_frame_up=f_frame * (s[:, None] * s),
+            f_frame_mixed=f_frame * s[:, None],
         )
 
     def einstein_maxwell(self) -> np.ndarray:
@@ -274,10 +273,10 @@ class _KaluzaPoint:
 
     def maxwell(self) -> MaxwellResidual:
         cp = self.cp
-        et = eta(SIG4)
+        s = eta_signs(SIG4)
         f1 = JetArray(self.fs.f_coord, self.fs.df_coord)
         einv1 = JetArray(cp.einv, cp.deinv)
-        fup1 = jet_einsum("am,bn,...ji,...jm,...in->...ab", et, et, f1, einv1, einv1)
+        fup1 = _signed(jet_einsum("...ji,...ja,...ib->...ab", f1, einv1, einv1), s[:, None] * s)
         wmix = self.sp.omega_mixed
         term = (fup1.jac
                 + contract("...iae,...eb->...abi", wmix, fup1.val)

@@ -17,7 +17,7 @@ import numpy as np
 from . import expr
 from .expr import Expr, parse
 from .frame import CoframeField
-from .tensors import Signature
+from .tensors import Signature, eta_signs
 
 __all__ = [
     "Poly",
@@ -286,7 +286,7 @@ def random_so_generator(rng: np.random.Generator, sig: Signature,
     position dependence supplies nontrivial derivatives.
     """
     m = sig.m
-    signs = np.concatenate([-np.ones(sig.p), np.ones(sig.q)])
+    signs = eta_signs(sig)
     entries = [[0.0] * m for _ in range(m)]
     for i in range(m):
         for j in range(i + 1, m):

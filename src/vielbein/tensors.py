@@ -3,7 +3,7 @@
 Everything here is dense and small (dimension <= 8): permutation symbols are
 materialized once per dimension as sign tables, which removes parity
 bookkeeping from every downstream contraction, and flat metrics once per
-signature.  Both are returned read-only, since every caller shares them.
+signature (applied as sign vectors, :func:`eta_signs`), all of them read-only.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from itertools import permutations
 
 import numpy as np
 
-__all__ = ["Signature", "eta", "levi_civita"]
+__all__ = ["Signature", "eta", "eta_signs", "levi_civita"]
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,12 @@ def eta(sig: Signature) -> np.ndarray:
     et = np.diag(np.concatenate([-np.ones(sig.p), np.ones(sig.q)]))
     et.setflags(write=False)
     return et
+
+
+@lru_cache(maxsize=None)
+def eta_signs(sig: Signature) -> np.ndarray:
+    """The diagonal of :func:`eta` (a read-only view), to apply eta as a sign flip."""
+    return eta(sig).diagonal()
 
 
 @lru_cache(maxsize=None)

@@ -5,7 +5,7 @@ import pytest
 
 from vielbein.frame import epsilon_pair
 from vielbein.gauge import evaluate_gauge
-from vielbein.jetlinalg import JetArray, jet_einsum, jet_matinv
+from vielbein.jetlinalg import JetArray, contract, jet_einsum, jet_matinv
 from vielbein.tensors import eta, levi_civita
 
 
@@ -98,6 +98,55 @@ def el_residual_connection(section):
     wmix = section.sp.omega_mixed
     u = cp.de + np.einsum("jre,el->rlj", wmix, cp.e)
     return epsilon_pair(cp.e, m - 3, "lij", "rst", ["rlj"], "ist", u) / math.factorial(m - 3)
+
+
+# The library applies the flat metric as its sign vector; these are its
+# formulas with eta as a dense contraction operand, which they must equal.
+
+def dense_connection(cp):
+    """omega_i^{mu nu} with its first derivatives, lowered and raised by eta."""
+    et = eta(cp.signature)
+    e1 = JetArray(cp.e, cp.de)
+    einv1 = JetArray(cp.einv, cp.deinv)
+    E1 = JetArray(cp.E, 0.5 * (cp.dde - cp.dde.swapaxes(-3, -2)))
+    t1 = jet_einsum("sm,...mij,...ia,...jb->...sab", et, E1, einv1, einv1)
+    w1 = t1 + t1.transpose((1, 0, 2)) - t1.transpose((1, 2, 0))
+    w_up = jet_einsum("...ai,ms,nb,...asb->...imn", e1, et, et, w1)
+    return (w_up - w_up.transpose((0, 2, 1))) * 0.5
+
+
+def dense_omega_mixed(sp):
+    return contract("...imn,ns->...ims", sp.omega, eta(sp.signature))
+
+
+def dense_metric_inverse(cp):
+    return contract("mn,...im,...jn->...ij", eta(cp.signature), cp.einv, cp.einv)
+
+
+def dense_christoffel_omega(cp, gamma):
+    inner = (contract("...kij,...jn->...kin", gamma, cp.einv)
+             + np.einsum("...kni->...kin", cp.deinv))
+    w_mixed = contract("...mk,...kin->...imn", cp.e, inner)
+    return contract("...ims,sn->...imn", w_mixed, eta(cp.signature))
+
+
+def dense_curvature_to_coordinate(cp, curv):
+    mixed = contract("...jils,st->...jilt", curv.R, eta(cp.signature))
+    return contract("...al,...jilt,...tb->...abji", cp.einv, mixed, cp.e)
+
+
+def dense_field_strength_up(f_frame, sig):
+    """F^{mu nu} and F^mu_nu from F_{mu nu}."""
+    et = eta(sig)
+    return et @ f_frame @ et, et @ f_frame
+
+
+def dense_fup1(cp, fs):
+    """F^{ab} with its first derivatives, raised by two eta operands."""
+    et = eta(cp.signature)
+    f1 = JetArray(fs.f_coord, fs.df_coord)
+    einv1 = JetArray(cp.einv, cp.deinv)
+    return jet_einsum("am,bn,...ji,...jm,...in->...ab", et, et, f1, einv1, einv1)
 
 
 def dense_epsilon_pair(e, n_e, coord_tail, frame_tail, extras, out, *operands,

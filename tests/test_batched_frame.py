@@ -129,17 +129,14 @@ def test_one_spin_connection_per_block(tmp_path, monkeypatch):
 
 
 def test_non_finite_point_named_before_later_degenerate_point(tmp_path, capsys):
-    # 0*ln(x2) overflows its derivative at x2 = 1e-310 (point 1, a NaN
-    # residual); e^2_2 = x3 vanishes at point 3, which fails the block as a
-    # whole; the error still names point 1, the first failing point
+    # 0*ln(x2) overflows its derivative at x2 = 1e-310 (point 1, raised at the
+    # expression node); e^2_2 = x3 vanishes at point 3; the block fails as a
+    # whole, and the error still names point 1, the first failing point
     points = [(0.0, 0.5, 1.0, 0.0), (0.0, 1e-310, 1.0, 0.0), (0.0, 0.7, 1.0, 0.0),
               (0.0, 0.5, 0.0, 0.0), (0.0, 0.6, 1.0, 0.0)]
     tetrad = [["1 + 0*ln(x2)", 0, 0, 0], [0, "x3", 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-    # the overflow and 0*inf in jets.py only warn today (ROADMAP item 6); this
-    # fails once they raise at the expression node
-    with pytest.warns(RuntimeWarning):
-        assert main(_vacuum_job(tmp_path, points, tetrad)) == 3
+    assert main(_vacuum_job(tmp_path, points, tetrad)) == 3
     err = capsys.readouterr().err
-    assert f"at point {points[1]}: non-finite residual vacuum" in err
+    assert f"at point {points[1]}: overflow encountered in divide in 'ln(x2)'" in err
     assert "degenerate" not in err
     assert not (tmp_path / "out" / "report.json").exists()

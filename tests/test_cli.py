@@ -191,6 +191,23 @@ def test_number_to_jet_power_runs(tmp_path):
     assert main(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 0
 
 
+@pytest.mark.parametrize("name", ["M", "sin"])
+def test_undefined_parameter_exit_two(tmp_path, capsys, name):
+    # an inline entry that reads a parameter the config does not define (a bare
+    # function name reads as one) is refused before the grid runs
+    flat = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    for check, inline, field in [
+        ("vacuum", {"tetrad": [[f"1 + 0*{name}", 0, 0, 0], *flat[1:]]}, "tetrad[0][0]"),
+        ("einstein-maxwell",
+         {"tetrad": flat, "params": {"Q": 0.5}, "A": ["Q", 0, 0, f"1 + 0*{name}"]}, "A[3]"),
+    ]:
+        cfg = {**VAC, "check": check, "solution": {"inline": {"signature": [1, 3], **inline}}}
+        assert main(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"solution.inline.{field}: undefined parameter {name!r}" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_negative_base_power_exit_three(tmp_path, capsys):
     cfg = _inline_vacuum("1 + 0*(0-2)^x2")
     assert main(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 3
@@ -199,7 +216,7 @@ def test_negative_base_power_exit_three(tmp_path, capsys):
 
 
 # 0*ln(x2) has a finite value but a 1/x2 derivative that overflows at
-# x2 = 1e-310, so the middle point's residual is NaN
+# x2 = 1e-310, the middle point
 NAN_GRID = [[0.0, 0.5, 0.0, 0.0], [0.0, 1e-310, 0.0, 0.0], [0.0, 0.7, 0.0, 0.0]]
 NAN_JOB = {
     "check": "vacuum",
@@ -217,12 +234,11 @@ NAN_JOB = {
 def test_non_finite_residual_exit_three(tmp_path, capsys, order):
     cfg = {**NAN_JOB, "grid": {"points": [NAN_GRID[i] for i in order]}}
     out = tmp_path / "out"
-    # the overflow and 0*inf in jets.py only warn today (ROADMAP item 6); this
-    # fails once they raise at the expression node
-    with pytest.warns(RuntimeWarning):
-        assert main(["run", _write(tmp_path, cfg), "--out", str(out), "--csv"]) == 3
+    assert main(["run", _write(tmp_path, cfg), "--out", str(out), "--csv"]) == 3
     err = capsys.readouterr().err
-    assert "1e-310" in err and "vacuum" in err and "non-finite" in err
+    # the overflow raises at the expression node, before any residual is formed
+    assert "at point (0.0, 1e-310, 0.0, 0.0): overflow encountered" in err
+    assert "in 'ln(x2)'" in err and "non-finite" not in err
     assert not (out / "report.json").exists() and not (out / "points.csv").exists()
 
 

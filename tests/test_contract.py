@@ -312,7 +312,7 @@ def _literal_epsilon_pair_specs(call: ast.Call) -> list[str]:
 def test_contractions_cannot_bypass_the_plan_cache():
     sources = sorted((ROOT / "src").rglob("*.py"))
     assert sources
-    bypass, direct, planners, specs, symbols, pairs = [], [], [], [], [], 0
+    bypass, direct, planners, specs, symbols, metrics, pairs = [], [], [], [], [], [], 0
     for path in sources:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for func, call in _calls(tree):
@@ -321,6 +321,12 @@ def test_contractions_cannot_bypass_the_plan_cache():
             # the permutation symbol is built for the dual tables alone
             if name == "levi_civita" and (path.name, func) != ("frame.py", "_compound_tables"):
                 symbols.append(where)
+            # the flat metric is applied as its sign vector; a dense eta is left
+            # in the gauge check of Lambda^T eta Lambda and in the oracle's metric,
+            # where signing the frame jets would copy their second derivatives
+            if name == "eta" and path.name != "tensors.py" and (path.name, func) not in (
+                    ("gauge.py", "evaluate_gauge"), ("frame.py", "oracle_from_coframe")):
+                metrics.append(where)
             if name == "epsilon_pair":
                 pairs += 1
                 specs += [(where, spec) for spec in _literal_epsilon_pair_specs(call)]
@@ -346,6 +352,7 @@ def test_contractions_cannot_bypass_the_plan_cache():
     # contract plans every path itself
     assert not planners, f"np.einsum_path in src/: {planners}"
     assert not symbols, f"levi_civita outside frame._compound_tables: {symbols}"
+    assert not metrics, f"dense eta outside its two exempt uses: {metrics}"
     assert pairs >= 9
     # every literal spec is of a form contract accepts, so a refused one
     # fails here rather than on a grid run

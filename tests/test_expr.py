@@ -17,6 +17,7 @@ from vielbein.expr import (
     parse,
     to_text,
 )
+from vielbein.frame import eval_entries
 from vielbein.jets import JetArray, jet_seed
 
 from conftest import fd_grad, fd_hess
@@ -137,6 +138,16 @@ def test_domain_error_reports_subexpression():
     with pytest.raises(EvalError) as err:
         eval_jet(parse("1/x1", 1), jet_seed((0.0,)))
     assert "1.0 / x1" in str(err.value)
+
+
+@pytest.mark.parametrize("text, x1, node", [("x2 + 1/x1", 1e-310, "1.0 / x1"),
+                                             ("1 + 0*exp(x1)", 1e3, "exp(x1)")])
+def test_overflow_raises_at_the_node(text, x1, node):
+    # the first row is finite; an overflow in the second names its node
+    jets = jet_seed([[0.5, 1.0], [x1, 1.0]])
+    with pytest.raises(EvalError) as err:
+        eval_entries([parse(text, 2)], jets, {}, (1,))
+    assert err.value.subexpr == node and "overflow" in str(err.value)
 
 
 def test_unresolved_parameter():

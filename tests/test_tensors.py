@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from vielbein.tensors import Signature, eta, levi_civita
+from vielbein.tensors import Signature, eta, eta_signs, levi_civita
 
 
 def perm_sign(perm):
@@ -25,6 +25,13 @@ def test_eta_examples():
 def test_eta_is_its_own_inverse(p, q):
     e = eta(Signature(p, q))
     assert np.array_equal(e @ e, np.eye(p + q))
+
+
+@pytest.mark.parametrize("p,q", [(1, 3), (1, 4), (0, 4), (2, 2)])
+def test_eta_signs_are_the_diagonal_of_eta(p, q):
+    s = eta_signs(Signature(p, q))
+    assert np.array_equal(s, np.diag(eta(Signature(p, q))))
+    assert s is eta_signs(Signature(p, q)) and not s.flags.writeable
 
 
 def test_invalid_signature():
