@@ -393,12 +393,13 @@ def run_job(job: JobConfig, out_dir: Path, write_csv: bool) -> tuple[int, dict]:
                          for n, point in enumerate(points)]
 
         results = []
-        for check_id, norms in sorted(per_check.items()):
+        conds = np.linalg.cond(np.array([worst[c][3] for c in sorted(per_check)])).tolist()
+        for (check_id, norms), cond in zip(sorted(per_check.items()), conds):
             tol, mx = job.tol_for(check_id), max(norms)
-            _, point, comp, e = worst[check_id]
+            _, point, comp, _ = worst[check_id]
             results.append({"check_id": check_id, "max": mx, "mean": sum(norms) / len(norms),
                             "tolerance": tol, "passed": mx <= tol, "worst_point": point,
-                            "worst_component": comp, "cond_e": float(np.linalg.cond(e))})
+                            "worst_component": comp, "cond_e": cond})
         all_pass = all(r["passed"] for r in results)
 
         report = {

@@ -40,7 +40,7 @@ from typing import Callable, Iterable, Mapping, Sequence, Union, get_args
 import numpy as np
 
 from .expr import Expr, eval_jet
-from .jets import JetArray, jet_seed, jet_stack
+from .jets import JetArray, jet_seed
 from .jetlinalg import _signed, contract, jet_einsum, jet_matinv
 from .tensors import Signature, eta, eta_signs, levi_civita
 
@@ -78,23 +78,33 @@ class DegenerateFrameError(Exception):
 def eval_entry(entry: FieldEntry, jets: Sequence[JetArray],
                params: Mapping[str, float]) -> JetArray:
     """One field entry at the seeded coordinate jets, as a jet of their shape."""
-    if isinstance(entry, _EXPR_NODES):
-        out = eval_jet(entry, jets, params)
-    elif isinstance(entry, (int, float)):
-        out = entry
-    elif callable(entry):
-        out = entry(jets, params)
-    else:
-        raise TypeError(f"unsupported field entry {entry!r}")
-    return out if isinstance(out, JetArray) else jets[0].full_like(float(out))
+    return eval_entries([entry], jets, params, ())
 
 
 def eval_entries(entries: Iterable[FieldEntry], jets: Sequence[JetArray],
                  params: Mapping[str, float], shape: tuple[int, ...]) -> JetArray:
-    """Entries in row-major order, evaluated and stacked to value ``shape``
-    (after the jets' own batch axes); an overflow or ``0 * inf`` raises at its node."""
+    """Entries in row-major order, evaluated and written into zeroed stacks of
+    value ``shape`` (after the jets' own batch axes), a plain number into the
+    values alone; an overflow or ``0 * inf`` raises at its node."""
+    batch, dim, nb = jets[0].jac.shape[:-1], jets[0].dim, jets[0].val.ndim
+    # a slab per entry, moved behind the batch axes at the end, as jet_stack lays them
+    val, jac, hess = [np.zeros((math.prod(shape),) + batch + (dim,) * k) for k in range(3)]
     with np.errstate(invalid="raise", over="raise"):
-        return jet_stack([eval_entry(entry, jets, params) for entry in entries], shape)
+        for k, entry in zip(range(len(val)), entries, strict=True):
+            if isinstance(entry, _EXPR_NODES):
+                out = eval_jet(entry, jets, params)
+            elif isinstance(entry, (int, float)):
+                out = entry
+            elif callable(entry):
+                out = entry(jets, params)
+            else:
+                raise TypeError(f"unsupported field entry {entry!r}")
+            if isinstance(out, JetArray):
+                val[k], jac[k], hess[k] = out.val, out.jac, out.hess
+            else:
+                val[k] = float(out) + 0.0    # as zeros + c: a -0.0 entry reads +0.0
+    return JetArray(*[a.transpose(*range(1, nb + 1), 0, *range(nb + 1, a.ndim)).reshape(
+        batch + shape + a.shape[nb + 1:]) for a in (val, jac, hess)])
 
 
 class CoframeField:

@@ -8,7 +8,8 @@ last.
 
 Every contraction goes through :func:`contract`: it plans each (spec,
 per-point operand shapes) pair once as a chain of pairwise steps, cheapest
-pair first, caches the plan, and afterwards only runs its steps, each as one
+pair first, resolves the plan once per (spec, full operand shapes) into a
+replay of fixed numpy calls, and afterwards only runs those, each step as one
 stacked ``np.matmul`` of two operands.  A stacked matmul makes one gemm per
 batch row on the per-point shapes, so a row of a batch sums exactly as a
 single point does.  A lone operand, a trace or a diagonal is refused: those
@@ -43,6 +44,8 @@ _DERIV_LETTERS = "ZYXWV"
 
 # (spec, per-point operand shapes) -> [(operand positions, _matmul_step recipe), ...]
 _PLANS: dict = {}
+# (spec, full operand shapes) -> _replay steps
+_REPLAYS: dict = {}
 
 
 def _matmul_step(a: str, b: str, out: str, dims: dict) -> tuple:
@@ -70,29 +73,6 @@ def _matmul_step(a: str, b: str, out: str, dims: dict) -> tuple:
     return ((len(a), order(a, shared + free_a + summed), (s, m, k)),
             (len(b), order(b, shared + summed + free_b), (s, k, n)),
             tuple(dims[c] for c in kept), order("".join(kept), out))
-
-
-def _as_stack(x: np.ndarray, count: int, axes: tuple | None, shape: tuple) -> np.ndarray:
-    """``x`` with its last ``count`` axes in ``axes`` order, reshaped to
-    ``shape`` behind its batch axes."""
-    lead = x.ndim - count
-    if axes is not None:
-        x = x.transpose(*range(lead), *[lead + i for i in axes])
-    return x.reshape(x.shape[:lead] + shape)
-
-
-def _run_matmul(step: tuple, pair: list) -> np.ndarray:
-    """The step as one gemm per batch row, each on the per-point shapes.
-    ``pair`` is emptied as it is restacked, so that an intermediate operand
-    is freed as soon as its restacked copy exists."""
-    prep_a, prep_b, kept, out_axes = step
-    a = _as_stack(pair.pop(0), *prep_a)
-    c = np.matmul(a, _as_stack(pair.pop(), *prep_b))
-    lead = c.ndim - 3
-    c = c.reshape(c.shape[:lead] + kept)
-    if out_axes is not None:
-        c = c.transpose(*range(lead), *[lead + i for i in out_axes])
-    return c if c.ndim else c[()]    # a 0-d result stays a numpy scalar, as einsum's
 
 
 def _cheapest_pair(subs: list, out: str, dims: dict) -> tuple:
@@ -152,29 +132,56 @@ def _plan(spec: str, shapes: tuple) -> list:
     return plan
 
 
+def _replay(spec: str, shapes: tuple) -> list:
+    """The plan of ``spec`` resolved for operands of full ``shapes``: per step,
+    the operand positions, each operand's (transpose, reshape) and the
+    product's shape and transpose, a transpose of ``None`` the identity."""
+    subs, _ = _spec_parts(spec)
+    point = tuple([s[len(s) - len(sub):] for s, sub in zip(shapes, subs, strict=True)])
+    if (spec, point) not in _PLANS:
+        _PLANS[spec, point] = _plan(spec, point)
+
+    def full(lead, axes):
+        return None if axes is None else (*range(len(lead)), *[len(lead) + i for i in axes])
+
+    shapes, steps = list(shapes), []
+    for inds, (*preps, kept, out_axes) in _PLANS[spec, point]:
+        pair = [shapes.pop(i) for i in inds]
+        leads = [s[:len(s) - count] for s, (count, _, _) in zip(pair, preps)]
+        lead = np.broadcast_shapes(*leads)
+        shapes.append(lead + kept)
+        stacks = [(full(ld, axes), ld + shape) for ld, (_, axes, shape) in zip(leads, preps)]
+        steps.append((inds, stacks, lead + kept, full(lead, out_axes)))
+    return steps
+
+
 def contract(spec: str, *ops) -> np.ndarray:
     """``np.einsum(spec, *ops)`` over ndarrays, where a leading ``...`` marks
     batch axes, as a chain of pairwise contractions, cheapest pair first.
     The chain is planned once per (spec, per-point operand shapes), whatever
-    the batch, and each of its steps runs as one stacked ``np.matmul`` of two
-    operands.  A stacked matmul makes one gemm per batch row on the per-point
-    shapes, so every row sums in the order of the batch-of-one contraction
-    and equals that result bit for bit, whatever the memory layout of the
-    operands.  Unlike einsum, a letter never broadcasts from size 1: one with
-    two sizes raises ``ValueError``, as does a spec that is no contraction
-    (a lone operand, a trace or a diagonal; see :func:`_spec_parts`)."""
-    subs, _ = _spec_parts(spec)
-    shapes = tuple([op.shape[op.ndim - len(s):] for op, s in zip(ops, subs, strict=True)])
-    plan = _PLANS.get((spec, shapes))
-    if plan is None:
-        plan = _PLANS[spec, shapes] = _plan(spec, shapes)
+    the batch, and resolved once per (spec, full shapes) into a replay whose
+    steps each run one stacked ``np.matmul`` of two operands.  A stacked
+    matmul makes one gemm per batch row on the per-point shapes, so every
+    row sums in the order of the batch-of-one contraction and equals that
+    result bit for bit, whatever the memory layout of the operands.  Unlike
+    einsum, a letter never broadcasts from size 1: one with two sizes raises
+    ``ValueError``, as does a spec that is no contraction (a lone operand, a
+    trace or a diagonal; see :func:`_spec_parts`)."""
+    key = (spec, tuple([op.shape for op in ops]))
+    if key not in _REPLAYS:
+        _REPLAYS[key] = _replay(*key)
     # the gemm path np.matmul takes, and so the bits it sums to, depends on
     # the strides of its stacks; from C-ordered operands those are the plan's
     operands = [np.asarray(op, order="C") for op in ops]
-    for inds, step in plan:
+    for inds, stacks, shape, axes in _REPLAYS[key]:
+        # an operand is freed once restacked, and the restacked pair once multiplied
         pair = [operands.pop(i) for i in inds]
-        operands.append(_run_matmul(step, pair))
-    return operands[0]
+        for k, (perm, target) in enumerate(stacks):
+            pair[k] = (pair[k] if perm is None else pair[k].transpose(perm)).reshape(target)
+        pair = np.matmul(*pair).reshape(shape)
+        operands.append(pair if axes is None else pair.transpose(axes))
+    c = operands[0]
+    return c if c.ndim else c[()]    # a 0-d result stays a numpy scalar, as einsum's
 
 
 @lru_cache(maxsize=None)

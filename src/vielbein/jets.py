@@ -66,7 +66,8 @@ class JetArray:
         return JetArray(self.val - other.val, self.jac - other.jac, h)
 
     def __rsub__(self, other) -> "JetArray":
-        return (-self) + float(other)
+        return JetArray(float(other) - self.val, -self.jac,     # c - v is c + (-v) exactly
+                        None if self.hess is None else -self.hess)
 
     def __mul__(self, other) -> "JetArray":
         if not isinstance(other, JetArray):

@@ -6,7 +6,8 @@ random 2- to 4-operand specs, are replayed on random operands against
 ``np.einsum(..., optimize=True)``, and each batch row against the unbatched
 call; the bundled plans are all pairwise matmul steps that contract before
 they take outer products; planning happens once per key, whatever the batch,
-as does building ``jet_einsum``'s product-rule terms; a spec that is no
+and resolving a replay once per (spec, full operand shapes), as does
+building ``jet_einsum``'s product-rule terms; a spec that is no
 contraction (a trace, a diagonal, a lone operand) is refused before any
 array is made; and no contraction under ``src/`` bypasses the plan cache or
 passes a literal spec that ``contract`` refuses.
@@ -36,6 +37,7 @@ def bundled_plans(tmp_path_factory):
     out = tmp_path_factory.mktemp("bundled")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(jetlinalg, "_PLANS", {})
+        mp.setattr(jetlinalg, "_REPLAYS", {})
         for cfg in CONFIGS:
             assert main(["run", str(cfg), "--out", str(out / cfg.stem)]) == 0
         return dict(jetlinalg._PLANS)
@@ -101,6 +103,7 @@ def test_bundled_keys_are_batch_invariant(bundled_keys):
 
 def test_one_plan_per_spec_whatever_the_batch(monkeypatch):
     monkeypatch.setattr(jetlinalg, "_PLANS", {})
+    monkeypatch.setattr(jetlinalg, "_REPLAYS", {})
     rng = np.random.default_rng(3)
     spec = "...ab,bc,...cde,...e->...ad"
     shapes = [(4, 5), (5, 3), (3, 4, 6), (6,)]
@@ -252,6 +255,7 @@ def test_each_key_is_planned_once(tmp_path, monkeypatch):
         return plan(*args, **kwargs)
 
     monkeypatch.setattr(jetlinalg, "_PLANS", {})
+    monkeypatch.setattr(jetlinalg, "_REPLAYS", {})
     monkeypatch.setattr(jetlinalg, "_plan", counting)
     assert main(_vacuum_job(tmp_path, "one", 1)) == 0
     planned = set(jetlinalg._PLANS)
@@ -261,6 +265,42 @@ def test_each_key_is_planned_once(tmp_path, monkeypatch):
     assert main(_vacuum_job(tmp_path, "many", 65)) == 0
     assert set(jetlinalg._PLANS) == planned
     assert len(calls) == n_calls == len(jetlinalg._PLANS)
+
+
+def _count_calls(monkeypatch, calls: list, name: str):
+    """Wrap ``jetlinalg.<name>`` so that each call appends ``name`` to ``calls``."""
+    run = getattr(jetlinalg, name)
+    monkeypatch.setattr(jetlinalg, name, lambda *args: calls.append(name) or run(*args))
+
+
+def _widened(spec: str, shapes: tuple, n: int) -> tuple:
+    """``shapes`` with the batch axis of each batched operand set to ``n``."""
+    subs = spec.split("->")[0].split(",")
+    return tuple((n,) + s[1:] if sub.startswith("...") and len(s) > len(sub) - 3 else s
+                 for sub, s in zip(subs, shapes))
+
+
+def test_replays_resolved_once_per_full_shapes(tmp_path, monkeypatch):
+    calls = []
+    _count_calls(monkeypatch, calls, "_plan")
+    _count_calls(monkeypatch, calls, "_replay")
+    monkeypatch.setattr(jetlinalg, "_PLANS", {})
+    monkeypatch.setattr(jetlinalg, "_REPLAYS", {})
+    assert main(_vacuum_job(tmp_path, "one", 1)) == 0
+    plans, replays = set(jetlinalg._PLANS), set(jetlinalg._REPLAYS)
+    assert calls.count("_plan") == len(plans) and calls.count("_replay") == len(replays)
+    # a second identical job resolves no replay and plans nothing
+    del calls[:]
+    assert main(_vacuum_job(tmp_path, "again", 1)) == 0
+    assert not calls and set(jetlinalg._REPLAYS) == replays
+    # 65 points span blocks of 64 and 1: one new replay per batched key, for
+    # the batch of 64, and no plan
+    assert main(_vacuum_job(tmp_path, "many", 65)) == 0
+    batched = [(spec, shapes) for spec, shapes in replays if _widened(spec, shapes, 64) != shapes]
+    new = set(jetlinalg._REPLAYS) - replays
+    assert batched and len(new) == len(batched)
+    assert new == {(spec, _widened(spec, shapes, 64)) for spec, shapes in batched}
+    assert calls == ["_replay"] * len(new) and set(jetlinalg._PLANS) == plans
 
 
 def test_product_terms_built_once_per_key():

@@ -13,6 +13,7 @@ from vielbein.frame import (
     curvature_to_coordinate,
     einstein_density,
     epsilon_pair,
+    eval_entries,
     evaluate_coframe,
     kretschmann_scalar,
     metric_inverse,
@@ -20,7 +21,8 @@ from vielbein.frame import (
     spin_connection_via_christoffels,
     torsion_residual,
 )
-from vielbein.expr import parse
+from vielbein.expr import eval_jet, parse
+from vielbein.jets import jet_seed, jet_stack
 from vielbein.kaluza import lift_coframe, lift_point
 from vielbein.solutions import (
     minkowski,
@@ -347,6 +349,32 @@ def test_field_entry_validation():
     field = CoframeField([[object(), 0.0], [0.0, 1.0]], Signature(0, 2))
     with pytest.raises(TypeError):
         evaluate_coframe(field, (0.0, 0.0))
+
+
+@pytest.mark.parametrize("points", [(0.5, -1.5), [(0.5, -1.5), (2.0, 0.25), (-1.0, 3.0)]])
+def test_eval_entries_equal_stacked_full_jets(points):
+    # plain numbers (literal, constant expression, a callable's number, -0.0)
+    # go into zeroed stacks; the result equals stacking a full jet per
+    # entry, bit for bit and in memory layout
+    jets = jet_seed(np.array(points))
+    params = {"M": 2.0}
+    entries = [parse("x1*x2", 2), 2.5, parse("3*M", 2), lambda js, p: 0.5,
+               parse("sin(x2)", 2), -0.0, parse("-0", 2), lambda js, p: js[0] * p["M"]]
+
+    def full_jet(entry):
+        out = (entry(jets, params) if callable(entry) else entry if isinstance(entry, float)
+               else eval_jet(entry, jets, params))
+        return jets[0].full_like(out) if isinstance(out, float) else out
+
+    want = jet_stack([full_jet(entry) for entry in entries], (2, 4))
+    got = eval_entries(entries, jets, params, (2, 4))
+    for a, b in zip((got.val, got.jac, got.hess), (want.val, want.jac, want.hess)):
+        assert a.shape == b.shape and a.strides == b.strides
+        assert a.tobytes() == b.tobytes()
+    with pytest.raises(ValueError):
+        eval_entries(entries, jets, params, (3, 3))
+    with pytest.raises(ValueError):
+        eval_entries(entries, jets, params, (7,))
 
 
 def test_dimension_six_smoke(rng):

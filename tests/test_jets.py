@@ -126,6 +126,22 @@ def test_constant_coercion():
     assert math.isclose(f.jac[0], 2 - 0.5 - 1, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("c", [0.0, -0.0, 1.0, -2.5, 1e300])
+def test_rsub_keeps_the_bits_of_negate_then_add(c):
+    # c - v is exactly c + (-v), signed zeros included
+    signed = np.array([0.0, -0.0, 1.5, -2.25, 1e-300, -1e300, 3.0, 0.0])
+    rng = np.random.default_rng(7)
+    v = jets.JetArray(signed, rng.permutation(signed.repeat(2)).reshape(8, 2),
+                      rng.permutation(signed.repeat(4)).reshape(8, 2, 2))
+    for jet in (v, v.drop_hess()):
+        got, want = c - jet, (-jet) + c
+        assert got.val.tobytes() == want.val.tobytes()
+        assert got.jac.tobytes() == want.jac.tobytes()
+        assert (got.hess is None) == (jet.hess is None)
+        if jet.hess is not None:
+            assert got.hess.tobytes() == want.hess.tobytes()
+
+
 def test_block_seed_and_rows():
     block = np.array([[0.5, -1.0, 2.0], [1.5, 0.25, -0.5]])
     xs = jet_seed(block)
