@@ -45,7 +45,6 @@ from .tensors import Signature
 from .variational import (
     THETA_RATIO,
     SectionPoint,
-    contact_pullback,
     omega_shuffle_identity,
     theta_density,
 )
@@ -105,12 +104,12 @@ class JobConfig:
         check = raw.get("check")
         if check not in CHECK_KINDS:
             raise ConfigError(f"check must be one of {CHECK_KINDS}, got {check!r}")
-        solution = raw.get("solution")
-        if not isinstance(solution, Mapping) or not ({"name", "inline"} & set(solution)):
-            raise ConfigError("solution must be an object with 'name' or 'inline'")
-        grid = raw.get("grid")
-        if not isinstance(grid, Mapping) or not ({"ranges", "points"} & set(grid)):
-            raise ConfigError("grid must be an object with 'ranges' or 'points'")
+        solution, grid = raw.get("solution"), raw.get("grid")
+        for key, value, pair in (("solution", solution, ("name", "inline")),
+                                 ("grid", grid, ("ranges", "points"))):
+            if not isinstance(value, Mapping) or len(set(pair) & set(value)) != 1:
+                raise ConfigError(f"{key} must be an object with exactly one of "
+                                  f"{pair[0]!r} and {pair[1]!r}")
         def _positive(v, field: str) -> float:   # and finite, also as a float (no 10**400)
             if not 0 < _number(v, field) <= sys.float_info.max:
                 raise ConfigError(f"{field} must be a positive finite number")
@@ -191,11 +190,11 @@ def _resolve_solution(ref: Mapping):
     return name, params, sol.tetrad, sol.kaluza_config()
 
 
-def _grid_axis(r: Mapping, field: str) -> np.ndarray:
+def _grid_axis(r: Mapping, field: str, n: int) -> np.ndarray:
     lo, hi = (float(_number(r[k], f"{field}.{k}")) for k in ("lo", "hi"))
     if not math.isfinite(hi - lo):   # np.linspace would step by inf or nan
         raise ConfigError(f"grid range {lo!r} to {hi!r} overflows a float")
-    return np.linspace(lo, hi, _number(r["n"], f"{field}.n", integer=True))
+    return np.linspace(lo, hi, n)
 
 
 def _grid_points(grid: Mapping, dim: int) -> list[tuple[float, ...]]:
@@ -203,11 +202,19 @@ def _grid_points(grid: Mapping, dim: int) -> list[tuple[float, ...]]:
         if "points" in grid:
             pts = [tuple(float(_number(c, "grid.points")) for c in p) for p in grid["points"]]
         else:
-            if len(grid["ranges"]) != dim:
+            ranges = grid["ranges"]
+            if len(ranges) != dim:
                 raise ConfigError(f"grid.ranges needs {dim} entries")
-            axes = [_grid_axis(r, f"grid.ranges[{a}]") for a, r in enumerate(grid["ranges"])]
-            mesh = np.stack(np.meshgrid(*axes, indexing="ij"), -1)
-            pts = list(map(tuple, mesh.reshape(-1, dim).tolist()))
+            counts = [_number(r["n"], f"grid.ranges[{a}].n", integer=True)
+                      for a, r in enumerate(ranges)]
+            try:
+                axes = [_grid_axis(r, f"grid.ranges[{a}]", counts[a])
+                        for a, r in enumerate(ranges)]
+                mesh = np.stack(np.meshgrid(*axes, indexing="ij"), -1)
+                pts = list(map(tuple, mesh.reshape(-1, dim).tolist()))
+            except MemoryError:
+                count = math.prod(counts)
+                raise ConfigError(f"a grid of {count} points is too large to build") from None
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad grid: {exc}") from None
     if not pts:
@@ -246,11 +253,12 @@ def _block_residuals(job: JobConfig, tetrad, kcfg, block) -> tuple[dict, np.ndar
     sec = SectionPoint(cp, sp, holonomic=True)
     orc = oracle_from_coframe(cp)
     if kind == "identities":
+        torsion = torsion_residual(cp, sp)
         omega_dev = sp.omega - spin_connection_via_christoffels(cp, orc.gamma)
         riem_dev = curvature_to_coordinate(cp, curvature(sp)) - orc.riemann
         return {
-            "torsion": torsion_residual(cp, sp),
-            "contact": contact_pullback(sec),
+            "torsion": torsion,
+            "contact": 0.0 - torsion,    # contact_pullback's two-form, from one contraction
             "omega_vs_oracle": omega_dev,
             "curvature_vs_oracle": riem_dev,
             "shuffle_identity": omega_shuffle_identity(sec)[:, None],

@@ -17,6 +17,9 @@ conventions used throughout, after the batch axes (0-based array axes,
 * ``domega[i, mu, nu, j]`` d_j omega_i^{mu nu}
 * ``R[j, i, lam, sig]``    curvature two-form components
 
+Entry grids go through :func:`eval_entries`, the one layout of stacked entry
+jets: C-ordered, batch + entry grid + derivative axes, so never restacked.
+
 Frame (Greek) indices are raised and lowered by the flat metric's sign vector,
 coordinate (Latin) indices with the metric built from the frame.  The spin
 connection comes from the frame-index anholonomy coefficients, with no metric
@@ -83,14 +86,13 @@ def eval_entry(entry: FieldEntry, jets: Sequence[JetArray],
 
 def eval_entries(entries: Iterable[FieldEntry], jets: Sequence[JetArray],
                  params: Mapping[str, float], shape: tuple[int, ...]) -> JetArray:
-    """Entries in row-major order, evaluated and written into zeroed stacks of
-    value ``shape`` (after the jets' own batch axes), a plain number into the
+    """Entries in row-major order, written into zeroed C-ordered stacks of the
+    jets' batch shape + ``shape`` + derivative axes, a plain number into the
     values alone; an overflow or ``0 * inf`` raises at its node."""
-    batch, dim, nb = jets[0].jac.shape[:-1], jets[0].dim, jets[0].val.ndim
-    # a slab per entry, moved behind the batch axes at the end, as jet_stack lays them
-    val, jac, hess = [np.zeros((math.prod(shape),) + batch + (dim,) * k) for k in range(3)]
+    batch, dim, n = jets[0].jac.shape[:-1], jets[0].dim, math.prod(shape)
+    val, jac, hess = [np.zeros(batch + (n,) + (dim,) * k) for k in range(3)]
     with np.errstate(invalid="raise", over="raise"):
-        for k, entry in zip(range(len(val)), entries, strict=True):
+        for k, entry in zip(range(n), entries, strict=True):
             if isinstance(entry, _EXPR_NODES):
                 out = eval_jet(entry, jets, params)
             elif isinstance(entry, (int, float)):
@@ -100,11 +102,11 @@ def eval_entries(entries: Iterable[FieldEntry], jets: Sequence[JetArray],
             else:
                 raise TypeError(f"unsupported field entry {entry!r}")
             if isinstance(out, JetArray):
-                val[k], jac[k], hess[k] = out.val, out.jac, out.hess
+                val[..., k], jac[..., k, :], hess[..., k, :, :] = out.val, out.jac, out.hess
             else:
-                val[k] = float(out) + 0.0    # as zeros + c: a -0.0 entry reads +0.0
-    return JetArray(*[a.transpose(*range(1, nb + 1), 0, *range(nb + 1, a.ndim)).reshape(
-        batch + shape + a.shape[nb + 1:]) for a in (val, jac, hess)])
+                val[..., k] = float(out) + 0.0    # as zeros + c: a -0.0 entry reads +0.0
+    return JetArray(*[a.reshape(batch + shape + a.shape[len(batch) + 1:])
+                      for a in (val, jac, hess)])
 
 
 class CoframeField:

@@ -26,7 +26,8 @@ from .frame import (
     _coframe_point_from_jets,
     eval_entries,
 )
-from .jets import JetArray, jet_seed, jet_stack
+from .expr import Coord
+from .jets import JetArray, jet_seed
 from .jetlinalg import _signed, chart_transfer, jet_einsum, jet_matexp, jet_matinv
 from .tensors import Signature, eta, eta_signs
 
@@ -94,13 +95,11 @@ def evaluate_gauge(ge: GaugeElement, point: Sequence[float]) -> GaugePointData:
     if defect > 1e-12 * max(1.0, np.abs(lam.val).max()) ** 2:
         raise GaugeError(f"Lambda not pseudo-orthogonal at {tuple(point)}: defect {defect:.2e}")
 
-    # the identity chart maps by the coordinate jets themselves
-    if ge.coord_map is None:
-        mapped = jet_stack(jets, (m,))
-    elif len(ge.coord_map) != m:
+    # the identity chart maps by the coordinates themselves
+    coord_map = [Coord(i + 1) for i in range(m)] if ge.coord_map is None else ge.coord_map
+    if len(coord_map) != m:
         raise ValueError(f"coordinate map needs {m} entries")
-    else:
-        mapped = eval_entries(ge.coord_map, jets, params, (m,))
+    mapped = eval_entries(coord_map, jets, params, (m,))
     xbar = tuple(float(v) for v in mapped.val)
     j, dj = mapped.jac, mapped.hess
 

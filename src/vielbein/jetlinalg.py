@@ -243,7 +243,8 @@ def _signed(a: JetArray, signs: np.ndarray) -> JetArray:
 def jet_matinv(a: JetArray) -> JetArray:
     """Inverse of a square matrix of jets, over any leading batch axes."""
     iv = np.linalg.inv(a.val)
-    jac = -contract("...ab,...bcZ,...cd->...adZ", iv, a.jac, iv)
+    # negated into C order, whatever the layout of the product
+    jac = np.negative(contract("...ab,...bcZ,...cd->...adZ", iv, a.jac, iv), order="C")
     hess = None
     if a.hess is not None:
         t1 = -contract("...ab,...bcZY,...cd->...adZY", iv, a.hess, iv)

@@ -10,18 +10,18 @@ second derivatives (``hess``, two appended axes).  Arithmetic and the
 functions below act elementwise, so one evaluation over the seeded
 coordinates of an ``(N, m)`` block covers all N points.  Any element out of
 a function's domain raises the error ``math`` raises; floats go to ``math``.
-Overflow and ``0 * inf`` raise under the ``np.errstate`` of ``frame.eval_entries``.
+Overflow and ``0 * inf`` raise under the ``np.errstate`` of ``frame.eval_entries``,
+the one place that stacks entry jets into one JetArray.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-__all__ = ["JetArray", "jet_seed", "jet_stack", "sin", "cos", "sqrt", "exp", "ln"]
+__all__ = ["JetArray", "jet_seed", "sin", "cos", "sqrt", "exp", "ln"]
 
 
 @dataclass(frozen=True)
@@ -142,22 +142,6 @@ def jet_seed(points) -> list[JetArray]:
     eye = np.eye(m) * np.ones(batch + (1, 1))
     zero = np.zeros(batch + (m, m))
     return [JetArray(x[..., i], eye[..., i, :], zero) for i in range(m)]
-
-
-def jet_stack(items: Sequence[JetArray], shape: tuple[int, ...]) -> JetArray:
-    """Second-order jets of one common shape B, in row-major order, as a
-    single JetArray of shape B + ``shape``."""
-    batch, dim = items[0].jac.shape[:-1], items[0].dim
-
-    def lay(arrays, tail):
-        # np.array stacks on a new first axis (far cheaper than np.stack per
-        # call), which then moves behind the batch axes
-        a, nb = np.array(arrays), len(batch)
-        return a.transpose(*range(1, nb + 1), 0, *range(nb + 1, a.ndim)).reshape(
-            batch + shape + tail)
-
-    return JetArray(lay([j.val for j in items], ()), lay([j.jac for j in items], (dim,)),
-                    lay([j.hess for j in items], (dim, dim)))
 
 
 def _unary(u: JetArray, f0, f1, f2) -> JetArray:

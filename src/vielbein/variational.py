@@ -27,9 +27,9 @@ from .frame import (
     evaluate_coframe,
     quadratic_block,
     spin_connection,
+    torsion_residual,
 )
 from .gauge import GaugeElement, evaluate_gauge, gauge_transform_frame, gauge_transform_omega
-from .jetlinalg import contract
 
 __all__ = [
     "SectionPoint",
@@ -62,10 +62,11 @@ def section_point(field, point: Sequence[float]) -> SectionPoint:
 
 def contact_pullback(section: SectionPoint) -> np.ndarray:
     """Coefficients of the pulled-back contact two-forms over dx^a ^ dx^b;
-    identically zero exactly when the section is holonomic."""
-    cp, wmix = section.cp, section.sp.omega_mixed
-    t = contract("...amn,...nb->...mab", wmix, cp.e)
-    return cp.de.swapaxes(-2, -1) - cp.de + t - t.swapaxes(-2, -1)
+    identically zero exactly when the section is holonomic.  They are
+    d_a e^mu_b - d_b e^mu_a + omega_a^mu_nu e^nu_b - omega_b^mu_nu e^nu_a,
+    the negated torsion residual (de^T - de = -2E), from the same contraction;
+    ``0.0 -`` keeps its exact zeros at +0.0."""
+    return 0.0 - torsion_residual(section.cp, section.sp)
 
 
 # frozen regression constant: the density coefficient of the Lagrangian scalar,

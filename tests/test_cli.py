@@ -141,6 +141,11 @@ def test_malformed_configs_exit_two(tmp_path, capsys):
         {**VAC, "grid": {"ranges": [{"lo": True, "hi": 1, "n": 1}, *VAC["grid"]["ranges"][1:]]}},
         {**VAC, "grid": {"points": [[0.0, True, 1.2, 0.3]]}},
         {**VAC, "solution": {"name": "schwarzschild", "params": {"M": True}}},
+        # both alternatives of a grid or a solution: a job would run one, ignore the other
+        {**VAC, "grid": {**VAC["grid"], "points": [[0.0, 3.0, 1.2, 0.3]]}},
+        {**VAC, "grid": {"ranges": [], "points": [[0.0, 3.0, 1.2, 0.3]]}},
+        {**VAC, "solution": {"name": "schwarzschild",
+                             "inline": {"signature": [1, 3], "tetrad": np.eye(4).tolist()}}},
         # a tolerance for no check of the job would leave its check on the global one
         {**VAC, "check": "einstein-maxwell",
          "solution": {"name": "reissner_nordstrom", "params": {"M": 1.0, "Q": 0.5}},
@@ -154,8 +159,27 @@ def test_malformed_configs_exit_two(tmp_path, capsys):
     assert all("config error" in err for err in errs)
     assert "'tolerance_overrides'" in "".join(errs) and "'debug'" in "".join(errs)
     for field in ("grid.ranges[1].n: 2.7", "grid.ranges[0].n: True", "grid.ranges[0].lo: True",
-                  "grid.points: True", "solution.params.M: True", "'maxwel'"):
+                  "grid.points: True", "solution.params.M: True", "'maxwel'",
+                  "exactly one of 'ranges' and 'points'", "exactly one of 'name' and 'inline'"):
         assert field in "".join(errs), field
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("counts,builder", [((100000, 100000, 1, 1), "linspace"),
+                                            ((100000, 100000, 1, 1), "meshgrid"),
+                                            ((10**12,) * 4, "linspace")])
+def test_grid_too_large_to_build_exit_two(tmp_path, capsys, monkeypatch, counts, builder):
+    # numpy's MemoryError while the grid is built is a config error that
+    # names the point count; no test allocates such a grid for real (the
+    # axes of 10**12 points never reach a real np.linspace)
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate")
+
+    monkeypatch.setattr(cli.np, builder, no_memory)
+    cfg = {**VAC, "grid": {"ranges": [{"lo": 1, "hi": 2, "n": n} for n in counts]}}
+    assert main(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"a grid of {math.prod(counts)} points" in err
     assert not (tmp_path / "o").exists()
 
 

@@ -9,12 +9,15 @@ they take outer products; planning happens once per key, whatever the batch,
 and resolving a replay once per (spec, full operand shapes), as does
 building ``jet_einsum``'s product-rule terms; a spec that is no
 contraction (a trace, a diagonal, a lone operand) is refused before any
-array is made; and no contraction under ``src/`` bypasses the plan cache or
-passes a literal spec that ``contract`` refuses.
+array is made; no contraction under ``src/`` bypasses the plan cache or
+passes a literal spec that ``contract`` refuses; and the first block of each
+bundled config makes no contraction twice on bit-identical operands, apart
+from named exemptions.
 """
 
 import ast
 import json
+import sys
 import tracemalloc
 import zlib
 from pathlib import Path
@@ -23,7 +26,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from vielbein import frame, jetlinalg
+from vielbein import cli, frame, jetlinalg
 from vielbein.cli import main
 from vielbein.jetlinalg import JetArray, contract, jet_einsum
 
@@ -404,3 +407,69 @@ def test_contractions_cannot_bypass_the_plan_cache():
         except ValueError:
             refused.append((where, spec))
     assert not refused, f"specs contract refuses: {refused}"
+
+
+# repeats a block still makes, by (site of the first call, site of the repeat):
+# a site is the function outside jetlinalg that called contract or jet_einsum
+REPEAT_EXEMPTIONS = {
+    # _KaluzaPoint.fs builds the frame field strength that
+    # _KaluzaPoint.maxwell rebuilds as the value term of fup1
+    ("fs", "maxwell"),
+    # the frame-tied dual of one n_e, rebuilt by each epsilon_pair call on
+    # the tetrad (three times at n_e = 1, twice at n_e = 2, per appendixA block)
+    ("epsilon_pair", "epsilon_pair"),
+}
+
+
+def _letters_in_order(spec: str) -> str:
+    """``spec`` with its letters renamed a, b, c, ... in order of appearance."""
+    names = {}
+    return "".join(names.setdefault(c, chr(ord("a") + len(names))) if c.isalpha() else c
+                   for c in spec)
+
+
+def _call_site() -> str:
+    """The name of the function outside jetlinalg that led to this call."""
+    frame_ = sys._getframe(2)
+    while frame_.f_globals.get("__name__") == jetlinalg.__name__:
+        frame_ = frame_.f_back
+    return frame_.f_code.co_name
+
+
+def test_no_contraction_repeats_on_identical_operands(tmp_path, monkeypatch):
+    # the first block of each bundled config makes no contraction twice on
+    # bit-identical operands, letters renamed, apart from the named exemptions
+    run, block_residuals = jetlinalg.contract, cli._block_residuals
+    first, repeats, blocks = {}, {}, []
+
+    def recorded(spec, *operands):
+        if len(blocks) == 1:
+            key = (_letters_in_order(spec),) + tuple(
+                (np.shape(op), np.asarray(op).dtype.str, np.ascontiguousarray(op).tobytes())
+                for op in operands)
+            site = _call_site()
+            if key in first:
+                repeats.setdefault((first[key], site), []).append(spec)
+            else:
+                first[key] = site
+        return run(spec, *operands)
+
+    def counted_block(*args):
+        blocks.append(None)
+        return block_residuals(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("vielbein") and getattr(module, "contract", None) is run:
+            monkeypatch.setattr(module, "contract", recorded)
+    monkeypatch.setattr(cli, "_block_residuals", counted_block)
+    seen = set()
+    for config in CONFIGS:
+        first.clear()
+        repeats.clear()
+        blocks.clear()
+        assert main(["run", str(config), "--out", str(tmp_path / config.stem)]) == 0
+        assert first, config.stem
+        unexpected = {k: v for k, v in repeats.items() if k not in REPEAT_EXEMPTIONS}
+        assert not unexpected, (config.stem, unexpected)
+        seen |= set(repeats)
+    assert seen == REPEAT_EXEMPTIONS    # an exemption no block needs is stale

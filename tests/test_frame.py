@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vielbein import frame
+from vielbein import frame, kaluza
 from vielbein.frame import (
     CoframeField,
     DegenerateFrameError,
@@ -22,7 +22,7 @@ from vielbein.frame import (
     torsion_residual,
 )
 from vielbein.expr import eval_jet, parse
-from vielbein.jets import jet_seed, jet_stack
+from vielbein.jets import jet_seed
 from vielbein.kaluza import lift_coframe, lift_point
 from vielbein.solutions import (
     minkowski,
@@ -354,27 +354,49 @@ def test_field_entry_validation():
 @pytest.mark.parametrize("points", [(0.5, -1.5), [(0.5, -1.5), (2.0, 0.25), (-1.0, 3.0)]])
 def test_eval_entries_equal_stacked_full_jets(points):
     # plain numbers (literal, constant expression, a callable's number, -0.0)
-    # go into zeroed stacks; the result equals stacking a full jet per
-    # entry, bit for bit and in memory layout
+    # go into zeroed stacks; each entry's slice of the C-ordered stacks of
+    # shape batch + (3, 3) + derivative axes equals its full jet, bit for bit
+    # (a -0.0 entry reads +0.0, as in full_like)
     jets = jet_seed(np.array(points))
+    batch = np.shape(jets[0].val)
     params = {"M": 2.0}
     entries = [parse("x1*x2", 2), 2.5, parse("3*M", 2), lambda js, p: 0.5,
-               parse("sin(x2)", 2), -0.0, parse("-0", 2), lambda js, p: js[0] * p["M"]]
+               parse("sin(x2)", 2), -0.0, parse("-0", 2), lambda js, p: js[0] * p["M"],
+               parse("x2", 2)]
 
     def full_jet(entry):
         out = (entry(jets, params) if callable(entry) else entry if isinstance(entry, float)
                else eval_jet(entry, jets, params))
         return jets[0].full_like(out) if isinstance(out, float) else out
 
-    want = jet_stack([full_jet(entry) for entry in entries], (2, 4))
-    got = eval_entries(entries, jets, params, (2, 4))
-    for a, b in zip((got.val, got.jac, got.hess), (want.val, want.jac, want.hess)):
-        assert a.shape == b.shape and a.strides == b.strides
-        assert a.tobytes() == b.tobytes()
+    got = eval_entries(entries, jets, params, (3, 3))
+    assert got.val.shape == batch + (3, 3)
+    assert got.jac.shape == batch + (3, 3, 2) and got.hess.shape == batch + (3, 3, 2, 2)
+    for a in (got.val, got.jac, got.hess):
+        assert a.flags.c_contiguous
+    for k, entry in enumerate(entries):
+        want = full_jet(entry)
+        r, c = divmod(k, 3)
+        assert got.val[..., r, c].tobytes() == want.val.tobytes()
+        assert got.jac[..., r, c, :].tobytes() == want.jac.tobytes()
+        assert got.hess[..., r, c, :, :].tobytes() == want.hess.tobytes()
     with pytest.raises(ValueError):
-        eval_entries(entries, jets, params, (3, 3))
+        eval_entries(entries, jets, params, (2, 4))
     with pytest.raises(ValueError):
-        eval_entries(entries, jets, params, (7,))
+        eval_entries(entries, jets, params, (10,))
+
+
+def test_block_arrays_are_c_contiguous():
+    # every frame and potential array is laid out C-ordered, so contract
+    # never copies one to restack it
+    block = np.array([[0.1, 4.0, 1.2, 0.3], [0.2, 5.0, 1.4, -0.3], [0.0, 6.5, 2.0, 0.9]])
+    cp = evaluate_coframe(schwarzschild(M=1.0).tetrad, block)
+    for name in ("e", "de", "dde", "einv", "deinv", "E", "det"):
+        assert getattr(cp, name).flags.c_contiguous, name
+    cfg = random_kaluza(seed=3)
+    for jet in kaluza.config_jets(cfg, jet_seed(block)):
+        for a in (jet.val, jet.jac, jet.hess):
+            assert a.flags.c_contiguous
 
 
 def test_dimension_six_smoke(rng):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from vielbein import jets
-from vielbein.jets import jet_seed, jet_stack
+from vielbein.jets import jet_seed
 
 from conftest import fd_grad, fd_hess
 
@@ -154,19 +154,6 @@ def test_block_seed_and_rows():
         assert f.val[n] == one.val
         assert np.array_equal(f.jac[n], one.jac)
         assert np.array_equal(f.hess[n], one.hess)
-
-
-def test_stack_layout():
-    xs = jet_seed(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
-    items = [xs[0], xs[1], xs[0] * xs[1], xs[0].full_like(7.0)]
-    grid = jet_stack(items, (2, 2))
-    assert grid.val.shape == (3, 2, 2)
-    assert grid.jac.shape == (3, 2, 2, 2) and grid.hess.shape == (3, 2, 2, 2, 2)
-    for k, item in enumerate(items):
-        r, c = divmod(k, 2)
-        assert np.array_equal(grid.val[:, r, c], item.val)
-        assert np.array_equal(grid.jac[:, r, c], item.jac)
-        assert np.array_equal(grid.hess[:, r, c], item.hess)
 
 
 def test_block_domain_error_on_any_row():
