@@ -78,11 +78,18 @@ def _number(value, field: str, integer: bool = False):
     return value
 
 
+def _object(value, field: str) -> dict:
+    """``value`` as a dict if it is a JSON object, else a config error naming ``field``."""
+    if not isinstance(value, Mapping):
+        raise ConfigError(f"{field}: {value!r} is not an object")
+    return dict(value)
+
+
 class EvaluationError(Exception):
     """Evaluation failed at a specific grid point."""
 
 
-_POINT_ERRORS = (ExprError, DegenerateFrameError, GaugeError)
+_POINT_ERRORS = (ExprError, DegenerateFrameError, GaugeError, np.linalg.LinAlgError)
 
 
 @dataclass(frozen=True)
@@ -142,7 +149,7 @@ def _build_inline(spec: Mapping):
                           for i, v in enumerate(spec["signature"])])
         m = sig.m
         params = {k: float(_number(v, f"solution.inline.params.{k}"))
-                  for k, v in spec.get("params", {}).items()}
+                  for k, v in _object(spec.get("params", {}), "solution.inline.params").items()}
 
         def entry(cell, field: str):   # an expression string or a number
             if not isinstance(cell, str):
@@ -174,13 +181,13 @@ def _resolve_solution(ref: Mapping):
             kcfg = KaluzaConfig(tetrad=tetrad, potential=potential, k=k, params=params)
         return "inline", params, tetrad, kcfg
     name = ref["name"]
-    params = dict(ref.get("params", {}))
+    params = _object(ref.get("params", {}), "solution.params")
     for key, value in params.items():
         _number(value, f"solution.params.{key}")
     if name == "random_kaluza":
         try:
             kcfg = random_kaluza(**params)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad parameters for random_kaluza: {exc}") from None
         return name, params, kcfg.tetrad, kcfg
     try:
@@ -365,7 +372,7 @@ def run_job(job: JobConfig, out_dir: Path, write_csv: bool) -> tuple[int, dict]:
     sol_ref = dict(job.solution)
     if str(sol_ref.get("name", "")).startswith("random"):
         # randomness flows from the job seed unless the solution pins its own
-        params = dict(sol_ref.get("params", {}))
+        params = _object(sol_ref.get("params", {}), "solution.params")
         params.setdefault("seed", job.seed)
         sol_ref["params"] = params
     label, params, tetrad, kcfg = _resolve_solution(sol_ref)

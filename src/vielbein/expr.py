@@ -5,7 +5,10 @@ this module parses them into immutable ASTs and evaluates the ASTs over
 plain floats or over :class:`~vielbein.jets.JetArray` coordinates (same code
 path, so configured fields automatically come with exact derivatives).  The
 coordinate jets may carry a leading batch axis, in which case one walk of the
-tree evaluates the expression at every point of the block.
+tree evaluates the expression at every point of the block.  A field's
+polynomial entries (sums of monomials, :func:`monomial_sum`) can instead run
+together as one stacked program, :func:`eval_monomial_sums`, which replays the
+walk's own jet arithmetic and so gives the walk's jets bit for bit.
 
 Operator precedence, tightest first: ``^``, unary ``-``, ``* /``, ``+ -``.
 Every binary operator, ``^`` included, associates to the left (``2^3^2`` is
@@ -18,8 +21,11 @@ from __future__ import annotations
 import math
 import operator
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
+
+import numpy as np
 
 from . import jets
 
@@ -37,6 +43,8 @@ __all__ = [
     "parse",
     "to_text",
     "eval_jet",
+    "monomial_sum",
+    "eval_monomial_sums",
 ]
 
 
@@ -273,3 +281,146 @@ def _eval(node: Expr, coords, params):
         return func(*args)
     except (ArithmeticError, ValueError) as exc:   # numpy's FloatingPointError included
         raise EvalError(str(exc), to_text(node)) from None
+
+
+def _factor(node: Expr):
+    """(0-based coordinate, exponent) of ``xk`` or ``xk^n`` with n an integer >= 2."""
+    if isinstance(node, Coord):
+        return node.index - 1, 1.0
+    if (isinstance(node, BinOp) and node.op == "^" and isinstance(node.left, Coord)
+            and isinstance(node.right, Num) and node.right.value >= 2.0
+            and float(node.right.value).is_integer()):
+        return node.left.index - 1, float(node.right.value)
+    return None
+
+
+def monomial_sum(node: Expr):
+    """The addends of a sum of monomials, or None for any other expression.
+
+    A sum of monomials is a left-to-right '+'/'-' chain of addends, each a
+    number or ``[-] [number *] f1 * f2 * ...`` with every factor ``xk`` or
+    ``xk^n`` (n an integer >= 2), at least one addend not a number: what
+    ``Poly.to_expr`` prints.  A minus may also sit on the number or the first
+    factor of a product (``-2*x1``, ``-x1*x2``), where the parser puts it.
+    Each addend is ``(negated, number or None, factors)``, a number's factors
+    empty; a bare ``xk`` is None, as the walk hands back the coordinate's own
+    jet."""
+    if isinstance(node, Coord):
+        return None
+    spine = []
+    while isinstance(node, BinOp) and node.op in "+-":
+        spine.append((node.op == "-", node.right))
+        node = node.left
+    spine.append((False, node))
+    addends = []
+    for negated, term in reversed(spine):
+        if isinstance(term, Neg):
+            negated, term = not negated, term.operand
+        factors = []
+        while isinstance(term, BinOp) and term.op == "*":
+            factors.append(_factor(term.right))
+            term = term.left
+        signed = bool(factors) and isinstance(term, Neg)
+        if signed:
+            term = term.operand
+        if isinstance(term, Num):
+            coef = -float(term.value) if signed else float(term.value)
+        else:
+            factors.append(_factor(term))
+            coef = -1.0 if signed else None     # -u is -1.0*u, bit for bit
+        if None in factors:
+            return None
+        addends.append((negated, coef, tuple(reversed(factors))))
+    return tuple(addends) if any(f for _, _, f in addends) else None
+
+
+def _rows(a: np.ndarray, dim: int) -> jets.JetArray:
+    """Views of jets packed one per row: value, gradient and Hessian side by
+    side on the last axis."""
+    return jets.JetArray(a[..., 0], a[..., 1:dim + 1],
+                         a[..., dim + 1:].reshape(a.shape[:-1] + (dim, dim)))
+
+
+def _put(a: np.ndarray, u: jets.JetArray) -> None:
+    rows = _rows(a, u.dim)
+    rows.val[...], rows.jac[...], rows.hess[...] = u.val, u.jac, u.hess
+
+
+def eval_monomial_sums(sums: Sequence, coords: Sequence[jets.JetArray]) -> jets.JetArray:
+    """The jets of sums of monomials (:func:`monomial_sum`) at coordinate jets
+    with Hessians, stacked on one axis after the batch axes.
+
+    The walk's own elementwise jet ops run once per step over every addend,
+    so each entry's jets are :func:`eval_jet`'s bit for bit: one ``**`` per
+    distinct exponent, the number (1.0 if absent; ``1.0*u`` is exact) times
+    the first factor, one product per further factor, the walk's negations
+    after the products, then one add per slot of the chains.  Leading numbers
+    fold as the walk folds floats; a later number adds as the jet (c, -0.0,
+    -0.0), and adding -0.0 is the identity.  Overflow raises as numpy's
+    errstate says; the caller re-runs the walk to name the node."""
+    m, dim = len(coords), coords[0].dim
+    pows = defaultdict(list)          # exponent -> coordinates raised to it
+    terms, consts, chains = [], [], []
+    for addends in sums:
+        slots, lead = [], None        # slots: (is a term, index)
+        for negated, coef, factors in addends:
+            if factors:
+                if lead is not None:
+                    consts.append(lead)
+                    slots.append((False, len(consts) - 1))
+                    lead = None
+                for k, n in factors:
+                    if n != 1.0 and k not in pows[n]:
+                        pows[n].append(k)
+                terms.append((factors, 1.0 if coef is None else coef, negated))
+                slots.append((True, len(terms) - 1))
+            elif slots:
+                consts.append(-coef if negated else coef)
+                slots.append((False, len(consts) - 1))
+            else:                     # leading numbers, as the walk's float fold
+                c = -coef if negated else coef
+                lead = c if lead is None else lead + c
+        chains.append(slots)
+
+    # factor table: the coordinates, then a block of powers per exponent
+    row, blocks, base = {(k, 1.0): k for k in range(m)}, [], m
+    for n, ks in pows.items():
+        row.update({(k, n): base + i for i, k in enumerate(ks)})
+        blocks.append((slice(base, base + len(ks)), n, ks))
+        base += len(ks)
+    # terms with most factors first, so that each product level is a prefix
+    by_len = sorted(range(len(terms)), key=lambda t: -len(terms[t][0]))
+    rank = {t: r for r, t in enumerate(by_len)}
+    nt = len(terms)
+    levels = [[row[terms[t][0][level]] for t in by_len if len(terms[t][0]) > level]
+              for level in range(len(terms[by_len[0]][0]))]
+    coef = np.array([terms[t][1] for t in by_len])
+    sign = np.array([-1.0 if terms[t][2] else 1.0 for t in by_len])
+    # chains with most slots first, so that each slot is a prefix
+    order = sorted(range(len(chains)), key=lambda e: -len(chains[e]))
+    slot_rows = [[rank[i] if is_term else nt + i
+                  for is_term, i in (chains[e][s] for e in order if len(chains[e]) > s)]
+                 for s in range(len(chains[order[0]]))]
+
+    # jets packed one per row, rows first: factors, then addends
+    batch, width = np.shape(coords[0].val), 1 + dim + dim * dim
+    f = np.empty((base,) + batch + (width,))
+    _put(f[:m], jets.JetArray(*[np.array([getattr(c, a) for c in coords])
+                                for a in ("val", "jac", "hess")]))
+    for rows, n, ks in blocks:
+        _put(f[rows], _rows(f[ks], dim) ** n)
+    unit = (1,) * (len(batch) + 1)    # a number per row
+    add = np.empty((nt + len(consts),) + batch + (width,))
+    np.multiply(coef.reshape((-1,) + unit), f[levels[0]], out=add[:nt])
+    for rows in levels[1:]:
+        n = len(rows)
+        _put(add[:n], _rows(add[:n], dim) * _rows(f[rows], dim))
+    add[:nt] *= sign.reshape((-1,) + unit)    # x * -1.0 is -x exactly
+    add[nt:] = -0.0
+    add[nt:, ..., 0] = np.reshape(consts, (-1,) + unit[1:])
+    acc = add[slot_rows[0]]
+    for rows in slot_rows[1:]:
+        acc[:len(rows)] += add[rows]
+    out = _rows(acc[np.argsort(order)], dim)
+    return jets.JetArray(np.moveaxis(out.val, 0, -1), np.moveaxis(out.jac, 0, -2),
+                         np.moveaxis(out.hess, 0, -3))

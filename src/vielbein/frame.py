@@ -42,7 +42,7 @@ from typing import Callable, Iterable, Mapping, Sequence, Union, get_args
 
 import numpy as np
 
-from .expr import Expr, eval_jet
+from .expr import Expr, eval_jet, eval_monomial_sums, monomial_sum
 from .jets import JetArray, jet_seed
 from .jetlinalg import _signed, contract, jet_einsum, jet_matinv
 from .tensors import Signature, eta, eta_signs, levi_civita
@@ -88,11 +88,29 @@ def eval_entries(entries: Iterable[FieldEntry], jets: Sequence[JetArray],
                  params: Mapping[str, float], shape: tuple[int, ...]) -> JetArray:
     """Entries in row-major order, written into zeroed C-ordered stacks of the
     jets' batch shape + ``shape`` + derivative axes, a plain number into the
-    values alone; an overflow or ``0 * inf`` raises at its node."""
+    values alone; an overflow or ``0 * inf`` raises at its node.  The sums of
+    monomials among them run together as one stacked program, whose jets are
+    the tree walk's bit for bit; when it overflows, every entry takes the walk
+    in order, so the error is the walk's."""
     batch, dim, n = jets[0].jac.shape[:-1], jets[0].dim, math.prod(shape)
     val, jac, hess = [np.zeros(batch + (n,) + (dim,) * k) for k in range(3)]
+    entries = tuple(entries)
+    if len(entries) != n:
+        raise ValueError(f"expected {n} entries, got {len(entries)}")
+    sums = {k: form for k, entry in enumerate(entries)
+            if isinstance(entry, _EXPR_NODES) and (form := monomial_sum(entry))}
     with np.errstate(invalid="raise", over="raise"):
-        for k, entry in zip(range(n), entries, strict=True):
+        if sums:
+            try:
+                out = eval_monomial_sums(list(sums.values()), jets)
+            except FloatingPointError:    # the walk below names the failing node
+                sums = {}
+            else:
+                ks = list(sums)
+                val[..., ks], jac[..., ks, :], hess[..., ks, :, :] = out.val, out.jac, out.hess
+        for k, entry in enumerate(entries):
+            if k in sums:
+                continue
             if isinstance(entry, _EXPR_NODES):
                 out = eval_jet(entry, jets, params)
             elif isinstance(entry, (int, float)):
@@ -192,8 +210,9 @@ def _coframe_point_from_jets(point, ja: JetArray, signature: Signature) -> Cofra
     points with the jets' batch shape)."""
     e = ja.val
     x = np.asarray(point, dtype=float)
-    det = np.linalg.det(e)
-    scale = np.prod(np.linalg.norm(e, axis=-1), axis=-1)
+    with np.errstate(over="ignore"):    # an overflow reads inf, and inf is degenerate
+        det = np.linalg.det(e)
+        scale = np.prod(np.linalg.norm(e, axis=-1), axis=-1)
     bad = np.abs(det) <= 1e-12 * np.maximum(scale, 1e-300)
     if bad.any():
         n = tuple(np.argwhere(bad)[0])    # the first degenerate row

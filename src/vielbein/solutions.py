@@ -64,15 +64,6 @@ class Poly:
             coeffs[key] = coeffs.get(key, 0.0) + float(rng.uniform(-1, 1)) * amplitude / n_terms
         return Poly.from_dict(dim, coeffs)
 
-    def __call__(self, x: Sequence[float]) -> float:
-        total = 0.0
-        for exps, c in self.terms:
-            v = c
-            for xi, n in zip(x, exps):
-                v *= xi ** n
-            total += v
-        return total
-
     def grad(self, i: int) -> "Poly":
         """Exact partial derivative along coordinate i (0-based)."""
         coeffs: dict[tuple[int, ...], float] = {}
@@ -242,10 +233,16 @@ def constant_F(B: float = 1.0) -> NamedSolution:
     )
 
 
+def _seeded_rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return np.random.default_rng(seed)
+
+
 def random_polynomial(seed: int = 0, amplitude: float = 0.1, dim: int = 4) -> NamedSolution:
     """Identity plus bounded degree-<=3 polynomial perturbation; smooth and
     nondegenerate on the unit box, with nonvanishing second derivatives."""
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     entries = []
     for mu in range(dim):
         row = []
@@ -270,7 +267,7 @@ def random_kaluza(seed: int = 0, amplitude: float = 0.1, k: float = 1.3):
     anything, which is the point for identity-level suites."""
     from .kaluza import KaluzaConfig
 
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     base = random_polynomial(seed=seed + 104729, amplitude=amplitude, dim=4)
     potential = tuple(Poly.random(rng, 4, degree=3, amplitude=amplitude).to_expr()
                       for _ in range(4))

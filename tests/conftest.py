@@ -39,6 +39,18 @@ def fd_hess(f, x, h=1e-4):
     return out
 
 
+def poly_value(p, x):
+    """A ``Poly`` summed term by term in floats, a reference apart from its
+    expression tree."""
+    total = 0.0
+    for exps, c in p.terms:
+        v = c
+        for xi, n in zip(x, exps):
+            v *= xi ** n
+        total += v
+    return total
+
+
 def _unit(n, i, h):
     u = np.zeros(n)
     u[i] = h

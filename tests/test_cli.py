@@ -183,6 +183,33 @@ def test_grid_too_large_to_build_exit_two(tmp_path, capsys, monkeypatch, counts,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("solution, message", [
+    ({"name": "random_polynomial", "params": 5}, "solution.params: 5 is not an object"),
+    ({"name": "schwarzschild", "params": [1, 2, 3, 4]},
+     "solution.params: [1, 2, 3, 4] is not an object"),
+    ({"inline": {"signature": [1, 3], "tetrad": np.eye(4).tolist(), "params": None}},
+     "solution.inline.params: None is not an object"),
+    # numpy refuses a negative seed; the error names the parameter
+    ({"name": "random_polynomial", "params": {"seed": -3}},
+     "seed must be a non-negative integer, got -3"),
+])
+def test_bad_solution_params_exit_two(tmp_path, capsys, solution, message):
+    cfg = {**VAC, "check": "identities", "solution": solution,
+           "grid": {"points": [[0.1, 0.2, 0.3, 0.4]]}}
+    assert main(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_negative_random_kaluza_seed_exit_two(tmp_path, capsys):
+    cfg = {**VAC, "check": "einstein-maxwell",
+           "solution": {"name": "random_kaluza", "params": {"seed": -3}},
+           "grid": {"points": [[0.1, 0.2, 0.3, 0.4]]}}
+    assert main(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: bad parameters for random_kaluza: seed must be a non-negative" in err
+
+
 def test_missing_potential_exit_two(tmp_path):
     cfg = {
         "check": "reduction",
@@ -629,6 +656,35 @@ def test_error_order_degenerate_before_domain(tmp_path, capsys):
     assert str(points[1]) in err and "degenerate" in err
     assert str(points[3]) not in err
     assert not (out / "report.json").exists()
+
+
+def test_singular_metric_names_the_first_point(tmp_path, capsys):
+    # at x4 = 1e30 the frame passes the degeneracy test but its metric is
+    # singular to working precision: numpy's LinAlgError is a point error
+    ranges = [{"lo": -0.5, "hi": 0.5, "n": 2}] * 3 + [{"lo": 1e30, "hi": 1e30, "n": 1}]
+    cfg = {"check": "identities",
+           "solution": {"name": "random_polynomial", "params": {"seed": 42, "amplitude": 0.1}},
+           "grid": {"ranges": ranges}, "tolerance": 1e-9}
+    assert main(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "evaluation error: at point (-0.5, -0.5, -0.5, 1e+30): Singular matrix" in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_huge_coordinate_is_degenerate_without_a_warning(tmp_path, capsys):
+    # the row norms and the determinant overflow to inf, which is degenerate
+    cfg = {**VAC, "grid": {"points": [[0.0, 1e200, 1.0, 1.0]]}}
+    assert main(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "degenerate frame at (0.0, 1e+200, 1.0, 1.0): det=inf, scale=inf" in err
+
+
+def test_overflow_in_a_polynomial_entry_names_its_node(tmp_path, capsys):
+    cfg = {**_inline_vacuum("1 + 0.5*x1^2*x2"), "grid": {"points": [[1e200, 1.0, 1.0, 1.0]]}}
+    assert main(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert ("evaluation error: at point (1e+200, 1.0, 1.0, 1.0): "
+            "overflow encountered in power in 'x1^2.0'") in err
 
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -14,11 +15,16 @@ from vielbein.expr import (
     Param,
     ParseError,
     eval_jet,
+    eval_monomial_sums,
+    monomial_sum,
     parse,
     to_text,
 )
+from vielbein import expr
 from vielbein.frame import eval_entries
 from vielbein.jets import JetArray, jet_seed
+from vielbein.kaluza import _affine_pullback
+from vielbein.solutions import random_kaluza, random_polynomial
 
 from conftest import fd_grad, fd_hess
 
@@ -141,7 +147,8 @@ def test_domain_error_reports_subexpression():
 
 
 @pytest.mark.parametrize("text, x1, node", [("x2 + 1/x1", 1e-310, "1.0 / x1"),
-                                             ("1 + 0*exp(x1)", 1e3, "exp(x1)")])
+                                             ("1 + 0*exp(x1)", 1e3, "exp(x1)"),
+                                             ("1 + 0.5*x1^2*x2", 1e200, "x1^2.0")])
 def test_overflow_raises_at_the_node(text, x1, node):
     # the first row is finite; an overflow in the second names its node
     jets = jet_seed([[0.5, 1.0], [x1, 1.0]])
@@ -314,3 +321,128 @@ def test_batched_jets_match_rows_and_finite_differences(tree, seed):
         scale = max(1.0, abs(one.val), np.abs(one.jac).max(), np.abs(one.hess).max())
         assert np.allclose(one.jac, fd_grad(f, point), atol=1e-6 * scale)
         assert np.allclose(one.hess, fd_hess(f, point), atol=1e-5 * scale)
+
+
+# Sums of monomials: the recognised form, and the stacked program's jets
+# against the tree walk's, bit for bit.
+
+@pytest.mark.parametrize("text, addends", [
+    ("x1", None),                                  # the walk returns the seed itself
+    ("-x1", ((True, None, ((0, 1.0),)),)),
+    ("1 + 0.1*x2^2", ((False, 1.0, ()), (False, 0.1, ((1, 2.0),)))),
+    ("x1 - -(x2*x1^3)", ((False, None, ((0, 1.0),)), (False, None, ((1, 1.0), (0, 3.0))))),
+    ("-x2*x1^3 - 2*x1", ((False, -1.0, ((1, 1.0), (0, 3.0))), (True, 2.0, ((0, 1.0),)))),
+    ("-0*x1", ((False, -0.0, ((0, 1.0),)),)),
+    ("0.0 - 2", None),                             # numbers only
+    ("x1*2", None),                                # a number after a factor
+    ("2*3*x1", None),
+    ("x1^2.5", None),
+    ("x1^1", None),
+    ("(x1 + 1)*x2", None),                         # no product of sums is expanded
+    ("x1 + (x2 + 1)", None),
+    ("M*x1", None),
+    ("x1/2", None),
+    ("sin(x1) + x2", None),
+    ("2*-x1", None),
+    ("--x1 + 1", None),
+    ("--x1*x2", None),
+])
+def test_monomial_sum_form(text, addends):
+    assert monomial_sum(parse(text, 2)) == addends
+
+
+_NUMBERS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                     st.floats(-3.0, 3.0, allow_nan=False).map(lambda v: round(v, 3)))
+_FACTOR = st.tuples(st.integers(1, 3), st.integers(1, 5)).map(
+    lambda t: Coord(t[0]) if t[1] == 1 else BinOp("^", Coord(t[0]), Num(float(t[1]))))
+
+
+def _product(coef, factors, signed):
+    # signed: a minus on the number, or on the first factor of two or more
+    first = factors[0] if coef is None else Num(coef)
+    node = Neg(first) if signed and (coef is not None or len(factors) > 1) else first
+    for f in factors[int(coef is None):]:
+        node = BinOp("*", node, f)
+    return node
+
+
+_MONOMIAL = st.builds(_product, st.one_of(st.none(), _NUMBERS),
+                      st.lists(_FACTOR, min_size=1, max_size=4), st.booleans())
+_ADDEND = st.tuples(st.one_of(_NUMBERS.map(Num), _MONOMIAL), st.booleans())
+
+
+def _chain(lead, mono, tail, ops):
+    addends = [*lead, mono, *tail]
+    node = None
+    for (term, negated), op in zip(addends, ops):
+        term = Neg(term) if negated else term
+        node = term if node is None else BinOp(op, node, term)
+    return node
+
+
+# leading, inner and trailing numbers around at least one monomial; bare xk excluded
+_SUMS = st.builds(_chain, st.lists(_ADDEND, max_size=3), st.tuples(_MONOMIAL, st.booleans()),
+                  st.lists(_ADDEND, max_size=3),
+                  st.lists(st.sampled_from("+-"), min_size=7, max_size=7)
+                  ).filter(lambda t: not isinstance(t, Coord))
+_COORDS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-2.0, 2.0))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@settings(deadline=None, max_examples=150)
+@given(trees=st.lists(_SUMS, min_size=1, max_size=4),
+       rows=st.lists(st.tuples(_COORDS, _COORDS, _COORDS), min_size=1, max_size=3),
+       batch=st.sampled_from(["point", "one", "block"]))
+def test_monomial_sums_equal_the_walk_bitwise(trees, rows, batch):
+    block = {"point": np.array(rows[0]), "one": np.array(rows[:1]), "block": np.array(rows)}[batch]
+    jets = jet_seed(block)
+    forms = [monomial_sum(t) for t in trees]
+    assert None not in forms
+    out = eval_monomial_sums(forms, jets)
+    for k, tree in enumerate(trees):
+        want = eval_jet(tree, jets)
+        np.testing.assert_array_equal(_bits(out.val[..., k]), _bits(want.val))
+        np.testing.assert_array_equal(_bits(out.jac[..., k, :]), _bits(want.jac))
+        np.testing.assert_array_equal(_bits(out.hess[..., k, :, :]), _bits(want.hess))
+
+
+@pytest.mark.parametrize("points", [(0.3, -0.2, 0.5, 0.1),
+                                    [(0.3, -0.2, 0.5, 0.1), (-1.0, 0.0, 2.0, 0.5)]])
+def test_monomial_sums_on_pulled_back_jets(points):
+    # after a linear chart change each coordinate jet has a full gradient: the
+    # program takes the jets as they are, never the seeds' unit gradients
+    lin_inv = np.linalg.inv(np.eye(4) + 0.2 * np.random.default_rng(1).uniform(-1, 1, (4, 4)))
+    jets = _affine_pullback(jet_seed(points), lin_inv)
+    cfg = random_kaluza(seed=3)
+    trees = [*itertools.chain.from_iterable(cfg.tetrad.entries), *cfg.potential]
+    out = eval_monomial_sums([monomial_sum(t) for t in trees], jets)
+    for k, tree in enumerate(trees):
+        want = eval_jet(tree, jets)
+        np.testing.assert_array_equal(_bits(out.val[..., k]), _bits(want.val))
+        np.testing.assert_array_equal(_bits(out.jac[..., k, :]), _bits(want.jac))
+        np.testing.assert_array_equal(_bits(out.hess[..., k, :, :]), _bits(want.hess))
+
+
+def test_polynomial_fields_never_walk_the_tree(monkeypatch):
+    # random polynomial frames and potentials take the stacked program for every
+    # entry (seeds 0-8 have no entry that is a lone number; such an entry is a
+    # float the walk returns from one node), at a point and on a block
+    calls = []
+    walk = expr._eval
+
+    def spy(node, coords, params):
+        calls.append(node)
+        return walk(node, coords, params)
+
+    monkeypatch.setattr(expr, "_eval", spy)
+    for points in [(0.3, -0.2, 0.5, 0.1), np.random.default_rng(0).uniform(-1, 1, (16, 4))]:
+        jets = jet_seed(points)
+        for seed in range(9):
+            random_polynomial(seed=seed).tetrad.eval_jets(jets)
+            eval_entries(random_kaluza(seed=seed).potential, jets, {}, (4,))
+    assert calls == []
+    eval_entries([parse("sqrt(x2 + 2)", 4)], jets, {}, ())   # the spy sees the walk
+    assert calls
