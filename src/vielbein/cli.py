@@ -78,10 +78,14 @@ def _number(value, field: str, integer: bool = False):
     return value
 
 
-def _object(value, field: str) -> dict:
-    """``value`` as a dict if it is a JSON object, else a config error naming ``field``."""
+def _object(value, field: str, keys: Sequence[str] | None = None) -> dict:
+    """``value`` as a dict if it is a JSON object, else a config error naming
+    ``field``; with ``keys``, a key outside them is a config error naming its path."""
     if not isinstance(value, Mapping):
         raise ConfigError(f"{field}: {value!r} is not an object")
+    if keys is not None and (unknown := sorted(set(value) - set(keys))):
+        paths = [f"{field}.{k}" if field else k for k in unknown]
+        raise ConfigError(f"unknown config key(s): {', '.join(map(repr, paths))}")
     return dict(value)
 
 
@@ -105,9 +109,7 @@ class JobConfig:
     def from_dict(raw: Mapping) -> "JobConfig":
         if not isinstance(raw, Mapping):
             raise ConfigError("top-level config must be a JSON object")
-        unknown = sorted(set(raw) - {f.name for f in fields(JobConfig)})
-        if unknown:
-            raise ConfigError(f"unknown config key(s): {', '.join(map(repr, unknown))}")
+        _object(raw, "", [f.name for f in fields(JobConfig)])
         check = raw.get("check")
         if check not in CHECK_KINDS:
             raise ConfigError(f"check must be one of {CHECK_KINDS}, got {check!r}")
@@ -117,6 +119,13 @@ class JobConfig:
             if not isinstance(value, Mapping) or len(set(pair) & set(value)) != 1:
                 raise ConfigError(f"{key} must be an object with exactly one of "
                                   f"{pair[0]!r} and {pair[1]!r}")
+        _object(grid, "grid", ("ranges", "points"))
+        if "inline" in solution:      # whose params go inside it
+            _object(solution, "solution", ("inline",))
+            _object(solution["inline"], "solution.inline",
+                    ("signature", "tetrad", "A", "k", "params"))
+        else:
+            _object(solution, "solution", ("name", "params"))
         def _positive(v, field: str) -> float:   # and finite, also as a float (no 10**400)
             if not 0 < _number(v, field) <= sys.float_info.max:
                 raise ConfigError(f"{field} must be a positive finite number")
@@ -212,6 +221,8 @@ def _grid_points(grid: Mapping, dim: int) -> list[tuple[float, ...]]:
             ranges = grid["ranges"]
             if len(ranges) != dim:
                 raise ConfigError(f"grid.ranges needs {dim} entries")
+            for a, r in enumerate(ranges):
+                _object(r, f"grid.ranges[{a}]", ("lo", "hi", "n"))
             counts = [_number(r["n"], f"grid.ranges[{a}].n", integer=True)
                       for a, r in enumerate(ranges)]
             try:

@@ -6,9 +6,9 @@ plain floats or over :class:`~vielbein.jets.JetArray` coordinates (same code
 path, so configured fields automatically come with exact derivatives).  The
 coordinate jets may carry a leading batch axis, in which case one walk of the
 tree evaluates the expression at every point of the block.  A field's
-polynomial entries (sums of monomials, :func:`monomial_sum`) can instead run
-together as one stacked program, :func:`eval_monomial_sums`, which replays the
-walk's own jet arithmetic and so gives the walk's jets bit for bit.
+polynomial entries can instead run together as coefficient tables
+(:func:`polynomial`, :func:`eval_polynomials`): closed-form monomial jets, one
+matmul per point, jets equal to the walk's to roundoff.
 
 Operator precedence, tightest first: ``^``, unary ``-``, ``* /``, ``+ -``.
 Every binary operator, ``^`` included, associates to the left (``2^3^2`` is
@@ -21,8 +21,8 @@ from __future__ import annotations
 import math
 import operator
 import re
-from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -43,8 +43,8 @@ __all__ = [
     "parse",
     "to_text",
     "eval_jet",
-    "monomial_sum",
-    "eval_monomial_sums",
+    "polynomial",
+    "eval_polynomials",
 ]
 
 
@@ -283,144 +283,92 @@ def _eval(node: Expr, coords, params):
         raise EvalError(str(exc), to_text(node)) from None
 
 
-def _factor(node: Expr):
-    """(0-based coordinate, exponent) of ``xk`` or ``xk^n`` with n an integer >= 2."""
-    if isinstance(node, Coord):
-        return node.index - 1, 1.0
-    if (isinstance(node, BinOp) and node.op == "^" and isinstance(node.left, Coord)
-            and isinstance(node.right, Num) and node.right.value >= 2.0
-            and float(node.right.value).is_integer()):
-        return node.left.index - 1, float(node.right.value)
-    return None
-
-
-def monomial_sum(node: Expr):
-    """The addends of a sum of monomials, or None for any other expression.
-
-    A sum of monomials is a left-to-right '+'/'-' chain of addends, each a
-    number or ``[-] [number *] f1 * f2 * ...`` with every factor ``xk`` or
-    ``xk^n`` (n an integer >= 2), at least one addend not a number: what
-    ``Poly.to_expr`` prints.  A minus may also sit on the number or the first
-    factor of a product (``-2*x1``, ``-x1*x2``), where the parser puts it.
-    Each addend is ``(negated, number or None, factors)``, a number's factors
-    empty; a bare ``xk`` is None, as the walk hands back the coordinate's own
-    jet."""
-    if isinstance(node, Coord):
+def polynomial(node: Expr, dim: int) -> dict[tuple[float, ...], float] | None:
+    """``{exponents: coefficient}`` (one exponent per coordinate x1..x{dim}) of
+    a '+'/'-' chain, nested or not, of products of numbers, ``xk`` and ``xk^n``
+    (n a non-negative integer), a minus anywhere; else None.  No product of
+    sums is expanded: ``(x1 + 1)*x2`` is None, as are a bare ``xk`` and a
+    constant, which the walk hands back at no cost."""
+    if type(node) is Coord:
         return None
-    spine = []
-    while isinstance(node, BinOp) and node.op in "+-":
-        spine.append((node.op == "-", node.right))
-        node = node.left
-    spine.append((False, node))
-    addends = []
-    for negated, term in reversed(spine):
-        if isinstance(term, Neg):
-            negated, term = not negated, term.operand
-        factors = []
-        while isinstance(term, BinOp) and term.op == "*":
-            factors.append(_factor(term.right))
-            term = term.left
-        signed = bool(factors) and isinstance(term, Neg)
-        if signed:
-            term = term.operand
-        if isinstance(term, Num):
-            coef = -float(term.value) if signed else float(term.value)
-        else:
-            factors.append(_factor(term))
-            coef = -1.0 if signed else None     # -u is -1.0*u, bit for bit
-        if None in factors:
-            return None
-        addends.append((negated, coef, tuple(reversed(factors))))
-    return tuple(addends) if any(f for _, _, f in addends) else None
+    terms: dict[tuple[float, ...], float] = {}
+    addends = [(node, 1.0)]
+    while addends:                   # exact types: this runs per entry per call
+        node, coef = addends.pop()
+        while type(node) is Neg or type(node) is BinOp and node.op in "+-":
+            if type(node) is Neg:
+                coef, node = -coef, node.operand
+            else:
+                addends.append((node.right, -coef if node.op == "-" else coef))
+                node = node.left
+        exps, factors = [0.0] * dim, [node]
+        while factors:
+            f = factors.pop()
+            if type(f) is BinOp and f.op == "*":
+                factors += (f.left, f.right)
+            elif type(f) is Neg:
+                coef = -coef
+                factors.append(f.operand)
+            elif type(f) is Num:
+                coef *= f.value
+            else:
+                n = 1.0
+                if type(f) is BinOp and f.op == "^" and type(f.right) is Num:
+                    f, n = f.left, float(f.right.value)
+                if not (type(f) is Coord and f.index <= dim and n >= 0 and n.is_integer()):
+                    return None
+                exps[f.index - 1] += n
+        key = tuple(exps)
+        terms[key] = terms.get(key, 0.0) + coef
+    return terms if any(map(any, terms)) else None
 
 
-def _rows(a: np.ndarray, dim: int) -> jets.JetArray:
-    """Views of jets packed one per row: value, gradient and Hessian side by
-    side on the last axis."""
-    return jets.JetArray(a[..., 0], a[..., 1:dim + 1],
-                         a[..., dim + 1:].reshape(a.shape[:-1] + (dim, dim)))
-
-
-def _put(a: np.ndarray, u: jets.JetArray) -> None:
-    rows = _rows(a, u.dim)
-    rows.val[...], rows.jac[...], rows.hess[...] = u.val, u.jac, u.hess
-
-
-def eval_monomial_sums(sums: Sequence, coords: Sequence[jets.JetArray]) -> jets.JetArray:
-    """The jets of sums of monomials (:func:`monomial_sum`) at coordinate jets
-    with Hessians, stacked on one axis after the batch axes.
-
-    The walk's own elementwise jet ops run once per step over every addend,
-    so each entry's jets are :func:`eval_jet`'s bit for bit: one ``**`` per
-    distinct exponent, the number (1.0 if absent; ``1.0*u`` is exact) times
-    the first factor, one product per further factor, the walk's negations
-    after the products, then one add per slot of the chains.  Leading numbers
-    fold as the walk folds floats; a later number adds as the jet (c, -0.0,
-    -0.0), and adding -0.0 is the identity.  Overflow raises as numpy's
-    errstate says; the caller re-runs the walk to name the node."""
+def eval_polynomials(polys: Sequence[Mapping[tuple[float, ...], float]],
+                     coords: Sequence[jets.JetArray]) -> jets.JetArray:
+    """The jets of polynomials (:func:`polynomial`) at coordinate jets with
+    Hessians, stacked on one axis after the batch axes: each distinct
+    monomial's jet in the coordinate values u in closed form, one matmul per
+    point of the coefficient matrix against them, and the chain rule through
+    the coordinate jets as one more.  The jets are :func:`eval_jet`'s to
+    roundoff; each batch row is its point alone bit for bit (elementwise
+    steps, one gemm per row).  Overflow raises as numpy's errstate says, and
+    a non-finite jet as FloatingPointError, so the caller can re-run the walk
+    to name the node."""
     m, dim = len(coords), coords[0].dim
-    pows = defaultdict(list)          # exponent -> coordinates raised to it
-    terms, consts, chains = [], [], []
-    for addends in sums:
-        slots, lead = [], None        # slots: (is a term, index)
-        for negated, coef, factors in addends:
-            if factors:
-                if lead is not None:
-                    consts.append(lead)
-                    slots.append((False, len(consts) - 1))
-                    lead = None
-                for k, n in factors:
-                    if n != 1.0 and k not in pows[n]:
-                        pows[n].append(k)
-                terms.append((factors, 1.0 if coef is None else coef, negated))
-                slots.append((True, len(terms) - 1))
-            elif slots:
-                consts.append(-coef if negated else coef)
-                slots.append((False, len(consts) - 1))
-            else:                     # leading numbers, as the walk's float fold
-                c = -coef if negated else coef
-                lead = c if lead is None else lead + c
-        chains.append(slots)
+    monos = list(dict.fromkeys(chain.from_iterable(polys)))
+    coef = np.array([[poly.get(e, 0.0) for e in monos] for poly in polys])
+    # per distinct (coordinate k, exponent a): u^a, a u^(a-1), a(a-1) u^(a-2),
+    # from one power u^(a-2) (1 for a <= 2) and two products
+    pairs = sorted({(k, a) for e in monos for k, a in enumerate(e)})
+    at = {pair: i for i, pair in enumerate(pairs)}
+    ks, a = np.array(pairs).T
+    u = np.stack([c.val for c in coords], -1)[..., ks.astype(int)]
+    batch = u.shape[:-1]
+    low = np.power(u, np.maximum(a - 2.0, 0.0))
+    mid = low * np.where(a >= 2.0, u, 1.0)
+    tab = np.stack([mid * np.where(a >= 1.0, u, 1.0), a * mid,
+                    a * np.maximum(a - 1.0, 0.0) * low], -2)   # batch + (order, pair)
 
-    # factor table: the coordinates, then a block of powers per exponent
-    row, blocks, base = {(k, 1.0): k for k in range(m)}, [], m
-    for n, ks in pows.items():
-        row.update({(k, n): base + i for i, k in enumerate(ks)})
-        blocks.append((slice(base, base + len(ks)), n, ks))
-        base += len(ks)
-    # terms with most factors first, so that each product level is a prefix
-    by_len = sorted(range(len(terms)), key=lambda t: -len(terms[t][0]))
-    rank = {t: r for r, t in enumerate(by_len)}
-    nt = len(terms)
-    levels = [[row[terms[t][0][level]] for t in by_len if len(terms[t][0]) > level]
-              for level in range(len(terms[by_len[0]][0]))]
-    coef = np.array([terms[t][1] for t in by_len])
-    sign = np.array([-1.0 if terms[t][2] else 1.0 for t in by_len])
-    # chains with most slots first, so that each slot is a prefix
-    order = sorted(range(len(chains)), key=lambda e: -len(chains[e]))
-    slot_rows = [[rank[i] if is_term else nt + i
-                  for is_term, i in (chains[e][s] for e in order if len(chains[e]) > s)]
-                 for s in range(len(chains[order[0]]))]
+    # monomial jets in u packed one per column (value, gradient, Hessian): a
+    # slot takes from the factor in u_k its derivative of the order at which k
+    # appears in the slot
+    eye = np.eye(m, dtype=int)
+    order = np.concatenate([0 * eye[:1], eye, (eye[:, None] + eye).reshape(-1, m)]).T
+    mono = np.ones(batch + order.shape[1:] + (len(monos),))   # C order: one gemm a row
+    for k in range(m):
+        mono *= tab[..., order[k][:, None], [at[k, e[k]] for e in monos]]
 
-    # jets packed one per row, rows first: factors, then addends
-    batch, width = np.shape(coords[0].val), 1 + dim + dim * dim
-    f = np.empty((base,) + batch + (width,))
-    _put(f[:m], jets.JetArray(*[np.array([getattr(c, a) for c in coords])
-                                for a in ("val", "jac", "hess")]))
-    for rows, n, ks in blocks:
-        _put(f[rows], _rows(f[ks], dim) ** n)
-    unit = (1,) * (len(batch) + 1)    # a number per row
-    add = np.empty((nt + len(consts),) + batch + (width,))
-    np.multiply(coef.reshape((-1,) + unit), f[levels[0]], out=add[:nt])
-    for rows in levels[1:]:
-        n = len(rows)
-        _put(add[:n], _rows(add[:n], dim) * _rows(f[rows], dim))
-    add[:nt] *= sign.reshape((-1,) + unit)    # x * -1.0 is -x exactly
-    add[nt:] = -0.0
-    add[nt:, ..., 0] = np.reshape(consts, (-1,) + unit[1:])
-    acc = add[slot_rows[0]]
-    for rows in slot_rows[1:]:
-        acc[:len(rows)] += add[rows]
-    out = _rows(acc[np.argsort(order)], dim)
-    return jets.JetArray(np.moveaxis(out.val, 0, -1), np.moveaxis(out.jac, 0, -2),
-                         np.moveaxis(out.hess, 0, -3))
+    # the chain rule through the coordinate jets as one matrix per point, from
+    # packed jets in u to packed jets in the base coordinates
+    du = np.stack([c.jac for c in coords], -2)
+    rule = np.zeros(batch + (1 + m + m * m, 1 + dim + dim * dim))
+    rule[..., 0, 0] = 1.0
+    rule[..., 1:m + 1, 1:dim + 1] = du
+    rule[..., 1:m + 1, dim + 1:] = np.stack([c.hess for c in coords], -3).reshape(batch + (m, -1))
+    rule[..., m + 1:, dim + 1:] = (du[..., :, None, :, None] * du[..., None, :, None, :]
+                                   ).reshape(batch + (m * m, -1))
+    out = np.matmul(np.matmul(coef, mono.swapaxes(-1, -2)), rule)
+    if not np.isfinite(out).all():
+        raise FloatingPointError("non-finite jet of a polynomial entry")
+    return jets.JetArray(out[..., 0], out[..., 1:dim + 1],
+                         out[..., dim + 1:].reshape(out.shape[:-1] + (dim, dim)))

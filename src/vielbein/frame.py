@@ -42,7 +42,7 @@ from typing import Callable, Iterable, Mapping, Sequence, Union, get_args
 
 import numpy as np
 
-from .expr import Expr, eval_jet, eval_monomial_sums, monomial_sum
+from .expr import Expr, eval_jet, eval_polynomials, polynomial
 from .jets import JetArray, jet_seed
 from .jetlinalg import _signed, contract, jet_einsum, jet_matinv
 from .tensors import Signature, eta, eta_signs, levi_civita
@@ -88,28 +88,29 @@ def eval_entries(entries: Iterable[FieldEntry], jets: Sequence[JetArray],
                  params: Mapping[str, float], shape: tuple[int, ...]) -> JetArray:
     """Entries in row-major order, written into zeroed C-ordered stacks of the
     jets' batch shape + ``shape`` + derivative axes, a plain number into the
-    values alone; an overflow or ``0 * inf`` raises at its node.  The sums of
-    monomials among them run together as one stacked program, whose jets are
-    the tree walk's bit for bit; when it overflows, every entry takes the walk
-    in order, so the error is the walk's."""
+    values alone; an overflow or ``0 * inf`` raises at its node.  The
+    polynomial entries among them (:func:`~vielbein.expr.polynomial`) run
+    together as coefficient tables, whose jets are the tree walk's to
+    roundoff; when that overflows, every entry takes the walk in order, so
+    the error is the walk's."""
     batch, dim, n = jets[0].jac.shape[:-1], jets[0].dim, math.prod(shape)
     val, jac, hess = [np.zeros(batch + (n,) + (dim,) * k) for k in range(3)]
     entries = tuple(entries)
     if len(entries) != n:
         raise ValueError(f"expected {n} entries, got {len(entries)}")
-    sums = {k: form for k, entry in enumerate(entries)
-            if isinstance(entry, _EXPR_NODES) and (form := monomial_sum(entry))}
+    polys = {k: poly for k, entry in enumerate(entries)
+             if isinstance(entry, _EXPR_NODES) and (poly := polynomial(entry, len(jets)))}
     with np.errstate(invalid="raise", over="raise"):
-        if sums:
+        if polys:
             try:
-                out = eval_monomial_sums(list(sums.values()), jets)
+                out = eval_polynomials(list(polys.values()), jets)
             except FloatingPointError:    # the walk below names the failing node
-                sums = {}
+                polys = {}
             else:
-                ks = list(sums)
+                ks = list(polys)
                 val[..., ks], jac[..., ks, :], hess[..., ks, :, :] = out.val, out.jac, out.hess
         for k, entry in enumerate(entries):
-            if k in sums:
+            if k in polys:
                 continue
             if isinstance(entry, _EXPR_NODES):
                 out = eval_jet(entry, jets, params)

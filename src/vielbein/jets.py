@@ -11,9 +11,8 @@ functions below act elementwise, so one evaluation over the seeded
 coordinates of an ``(N, m)`` block covers all N points.  Any element out of
 a function's domain raises the error ``math`` raises; floats go to ``math``.
 Overflow and ``0 * inf`` raise under the ``np.errstate`` of ``frame.eval_entries``,
-the one place that lays out entry jets as one JetArray; the sums of monomials
-among them it hands, under that errstate, to ``expr.eval_monomial_sums``,
-which stacks these same ops over all of them.
+the one place that lays out entry jets as one JetArray; the polynomial entries
+among them it hands, under that errstate, to ``expr.eval_polynomials``.
 """
 
 from __future__ import annotations

@@ -149,6 +149,7 @@ class FieldStrengthPoint:
     f_frame: np.ndarray        # F_{mu nu}
     f_frame_up: np.ndarray     # F^{mu nu}
     f_frame_mixed: np.ndarray  # F^mu_nu
+    df_frame_up: np.ndarray    # d_c F^{mu nu}, derivative axis last
 
     @property
     def invariant(self) -> float | np.ndarray:
@@ -255,14 +256,15 @@ class _KaluzaPoint:
     @cached_property
     def fs(self) -> FieldStrengthPoint:
         da, dda = self.pot.jac, self.pot.hess
-        f = da - da.swapaxes(-2, -1)
-        df = dda - dda.swapaxes(-3, -2)
-        einv = self.cp.einv
+        f1 = JetArray(da - da.swapaxes(-2, -1), dda - dda.swapaxes(-3, -2))
+        einv1 = JetArray(self.cp.einv, self.cp.deinv)
         s = eta_signs(SIG4)
-        f_frame = contract("...ji,...jm,...in->...mn", f, einv, einv)
+        # F^{mu nu} and its derivatives, from one signed contraction; the
+        # lowered variants are sign flips of it, exact
+        fup1 = _signed(jet_einsum("...ji,...ja,...ib->...ab", f1, einv1, einv1), s[:, None] * s)
         return FieldStrengthPoint(
-            f_coord=f, df_coord=df, f_frame=f_frame, f_frame_up=f_frame * (s[:, None] * s),
-            f_frame_mixed=f_frame * s[:, None],
+            f_coord=f1.val, df_coord=f1.jac, f_frame=fup1.val * (s[:, None] * s),
+            f_frame_up=fup1.val, f_frame_mixed=fup1.val * s, df_frame_up=fup1.jac,
         )
 
     def einstein_maxwell(self) -> np.ndarray:
@@ -272,15 +274,11 @@ class _KaluzaPoint:
         return dens + (0.5 * cp.det * self.cfg.k ** 2)[..., None, None] * stress.T
 
     def maxwell(self) -> MaxwellResidual:
-        cp = self.cp
-        s = eta_signs(SIG4)
-        f1 = JetArray(self.fs.f_coord, self.fs.df_coord)
-        einv1 = JetArray(cp.einv, cp.deinv)
-        fup1 = _signed(jet_einsum("...ji,...ja,...ib->...ab", f1, einv1, einv1), s[:, None] * s)
+        cp, fs = self.cp, self.fs
         wmix = self.sp.omega_mixed
-        term = (fup1.jac
-                + contract("...iae,...eb->...abi", wmix, fup1.val)
-                + contract("...ibe,...ae->...abi", wmix, fup1.val))
+        term = (fs.df_frame_up
+                + contract("...iae,...eb->...abi", wmix, fs.f_frame_up)
+                + contract("...ibe,...ae->...abi", wmix, fs.f_frame_up))
         div = contract("...ib,...abi->...a", cp.einv, term)
         return MaxwellResidual(raw=(0.5 * cp.det * self.cfg.k)[..., None] * div,
                                divergence=div)

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import re
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -181,6 +182,26 @@ def test_grid_too_large_to_build_exit_two(tmp_path, capsys, monkeypatch, counts,
     err = capsys.readouterr().err
     assert "config error" in err and f"a grid of {math.prod(counts)} points" in err
     assert not (tmp_path / "o").exists()
+
+
+_INLINE = {"signature": [1, 3], "tetrad": np.eye(4).tolist()}
+
+
+@pytest.mark.parametrize("edit, path", [
+    ({"oops": 1}, "oops"),
+    ({"solution": {"name": "schwarzschild", "parms": {"M": 2.0}}}, "solution.parms"),
+    ({"solution": {"inline": {**_INLINE, "parms": {"M": 2.0}}}}, "solution.inline.parms"),
+    ({"solution": {"inline": _INLINE, "params": {"M": 2.0}}}, "solution.params"),
+    ({"grid": {"points": [[0.0, 4.0, 1.0, 0.2]], "step": 2}}, "grid.step"),
+    ({"grid": {"ranges": [*VAC["grid"]["ranges"][:3], {"lo": 0.2, "hi": 0.2, "n": 1, "step": 1}]}},
+     "grid.ranges[3].step"),
+], ids=["top", "solution", "inline", "inline-params", "grid", "range"])
+def test_unknown_key_at_any_level_exits_two(tmp_path, capsys, edit, path):
+    # a misspelt key would otherwise leave its default in force: M = 1, not 2
+    code = main(["run", _write(tmp_path, {**VAC, **edit}), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"unknown config key(s): {path!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("solution, message", [
@@ -772,3 +793,55 @@ def test_report_is_written_by_the_c_encoder(tmp_path, monkeypatch):
     with pytest.raises(AssertionError):
         json.dumps({"a": 1}, indent=2)
     assert main(["run", path, "--out", str(tmp_path / "out"), "--csv"]) == 0
+
+
+# The exit-code contract under random edits of the bundled configs: a value
+# from a small JSON pool set at any path, a key deleted, or an unknown key added.
+_POOL = [None, True, False, 0, -1, 1, 2, 0.5, 1e-30, 1e30, -1e30, "", "x1", "(",
+         "sqrt(x2)", [], [1, 2, 3, 4], {}, {"M": 1.0}]
+
+
+def _paths(value, path=()):
+    """Every path into a JSON value, through object keys and list indices."""
+    yield path
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield from _paths(item, path + (key,))
+
+
+def _at(value, path):
+    for key in path:
+        value = value[key]
+    return value
+
+
+@settings(deadline=None, max_examples=200)
+@given(data=st.data())
+def test_mutated_bundled_configs_keep_the_exit_code_contract(data):
+    cfg = json.loads(data.draw(st.sampled_from(CONFIGS)).read_text(encoding="utf-8"))
+    kind = data.draw(st.sampled_from(["set", "delete", "add"]))
+    paths = list(_paths(cfg))
+    if kind == "add":
+        obj = _at(cfg, data.draw(st.sampled_from([p for p in paths
+                                                  if isinstance(_at(cfg, p), dict)])))
+        obj["zz_" + data.draw(st.sampled_from(["name", "params", "n", "lo"]))] = \
+            data.draw(st.sampled_from(_POOL))
+    else:
+        *parent, key = data.draw(st.sampled_from(
+            [p for p in paths if p and (kind == "set" or isinstance(p[-1], str))]))
+        if kind == "set":
+            _at(cfg, parent)[key] = data.draw(st.sampled_from(_POOL))
+        else:
+            del _at(cfg, parent)[key]
+    for path in _paths(cfg):          # a range of at most 5 points keeps the run short
+        if path[-1:] == ("n",) and type(_at(cfg, path)) is int and _at(cfg, path) > 5:
+            _at(cfg, path[:-1])["n"] = 5
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        code = main(["run", _write(Path(tmp), cfg), "--out", str(out), "--csv"])
+        assert code in (0, 1, 2, 3)
+        if code == 1:
+            assert json.loads((out / "report.json").read_text())["passed"] is False
+    if kind == "add":
+        assert code != 0

@@ -412,9 +412,6 @@ def test_contractions_cannot_bypass_the_plan_cache():
 # repeats a block still makes, by (site of the first call, site of the repeat):
 # a site is the function outside jetlinalg that called contract or jet_einsum
 REPEAT_EXEMPTIONS = {
-    # _KaluzaPoint.fs builds the frame field strength that
-    # _KaluzaPoint.maxwell rebuilds as the value term of fup1
-    ("fs", "maxwell"),
     # the frame-tied dual of one n_e, rebuilt by each epsilon_pair call on
     # the tetrad (three times at n_e = 1, twice at n_e = 2, per appendixA block)
     ("epsilon_pair", "epsilon_pair"),

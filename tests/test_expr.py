@@ -1,9 +1,10 @@
+import functools
 import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vielbein.expr import (
     BinOp,
@@ -15,9 +16,9 @@ from vielbein.expr import (
     Param,
     ParseError,
     eval_jet,
-    eval_monomial_sums,
-    monomial_sum,
+    eval_polynomials,
     parse,
+    polynomial,
     to_text,
 )
 from vielbein import expr
@@ -323,111 +324,161 @@ def test_batched_jets_match_rows_and_finite_differences(tree, seed):
         assert np.allclose(one.hess, fd_hess(f, point), atol=1e-5 * scale)
 
 
-# Sums of monomials: the recognised form, and the stacked program's jets
-# against the tree walk's, bit for bit.
+# Polynomial entries: the recognised form as {exponents: coefficient}, and the
+# coefficient-table jets against the tree walk's.  The closed-form monomial
+# jets and the coefficient matmul take their own operation order, so the jets
+# agree with the walk's to roundoff, not bit for bit.
 
 @pytest.mark.parametrize("text, addends", [
     ("x1", None),                                  # the walk returns the seed itself
-    ("-x1", ((True, None, ((0, 1.0),)),)),
-    ("1 + 0.1*x2^2", ((False, 1.0, ()), (False, 0.1, ((1, 2.0),)))),
-    ("x1 - -(x2*x1^3)", ((False, None, ((0, 1.0),)), (False, None, ((1, 1.0), (0, 3.0))))),
-    ("-x2*x1^3 - 2*x1", ((False, -1.0, ((1, 1.0), (0, 3.0))), (True, 2.0, ((0, 1.0),)))),
-    ("-0*x1", ((False, -0.0, ((0, 1.0),)),)),
+    ("-x1", {(1, 0): -1.0}),
+    ("1 + 0.1*x2^2", {(0, 0): 1.0, (0, 2): 0.1}),
+    ("x1 - -(x2*x1^3)", {(1, 0): 1.0, (3, 1): 1.0}),
+    ("-x2*x1^3 - 2*x1", {(3, 1): -1.0, (1, 0): -2.0}),
+    ("-0*x1", {(1, 0): -0.0}),
     ("0.0 - 2", None),                             # numbers only
-    ("x1*2", None),                                # a number after a factor
-    ("2*3*x1", None),
+    ("x1*2", {(1, 0): 2.0}),                       # a number after a factor
+    ("2*3*x1", {(1, 0): 6.0}),
     ("x1^2.5", None),
-    ("x1^1", None),
+    ("x1^1", {(1, 0): 1.0}),
     ("(x1 + 1)*x2", None),                         # no product of sums is expanded
-    ("x1 + (x2 + 1)", None),
+    ("x1 + (x2 + 1)", {(1, 0): 1.0, (0, 1): 1.0, (0, 0): 1.0}),
     ("M*x1", None),
     ("x1/2", None),
     ("sin(x1) + x2", None),
-    ("2*-x1", None),
-    ("--x1 + 1", None),
-    ("--x1*x2", None),
+    ("2*-x1", {(1, 0): -2.0}),                     # a minus anywhere
+    ("--x1 + 1", {(1, 0): 1.0, (0, 0): 1.0}),
+    ("--x1*x2", {(1, 1): 1.0}),
+    ("x1*x2 - x2*x1 + x1^2*x1", {(1, 1): 0.0, (3, 0): 1.0}),   # like monomials add
+    ("x1^0", None),                                # a constant
+    ("x1^-1", None),
+    ("x1^2^2", None),
+    ("-(x1 - 1)^2", None),
+    ("-(x1*x2 + 2)", {(1, 1): -1.0, (0, 0): -2.0}),
+    ("x1*(x2*3) - 0", {(1, 1): 3.0, (0, 0): 0.0}),
 ])
 def test_monomial_sum_form(text, addends):
-    assert monomial_sum(parse(text, 2)) == addends
+    assert polynomial(parse(text, 2), 2) == addends
 
 
 _NUMBERS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
                      st.floats(-3.0, 3.0, allow_nan=False).map(lambda v: round(v, 3)))
-_FACTOR = st.tuples(st.integers(1, 3), st.integers(1, 5)).map(
+_POWER = st.tuples(st.integers(1, 4), st.integers(0, 5)).map(
     lambda t: Coord(t[0]) if t[1] == 1 else BinOp("^", Coord(t[0]), Num(float(t[1]))))
 
 
-def _product(coef, factors, signed):
-    # signed: a minus on the number, or on the first factor of two or more
-    first = factors[0] if coef is None else Num(coef)
-    node = Neg(first) if signed and (coef is not None or len(factors) > 1) else first
-    for f in factors[int(coef is None):]:
-        node = BinOp("*", node, f)
-    return node
+def _maybe_neg(nodes):
+    return st.tuples(nodes, st.booleans()).map(lambda t: Neg(t[0]) if t[1] else t[0])
 
 
-_MONOMIAL = st.builds(_product, st.one_of(st.none(), _NUMBERS),
-                      st.lists(_FACTOR, min_size=1, max_size=4), st.booleans())
-_ADDEND = st.tuples(st.one_of(_NUMBERS.map(Num), _MONOMIAL), st.booleans())
-
-
-def _chain(lead, mono, tail, ops):
-    addends = [*lead, mono, *tail]
-    node = None
-    for (term, negated), op in zip(addends, ops):
-        term = Neg(term) if negated else term
-        node = term if node is None else BinOp(op, node, term)
-    return node
-
-
-# leading, inner and trailing numbers around at least one monomial; bare xk excluded
-_SUMS = st.builds(_chain, st.lists(_ADDEND, max_size=3), st.tuples(_MONOMIAL, st.booleans()),
-                  st.lists(_ADDEND, max_size=3),
-                  st.lists(st.sampled_from("+-"), min_size=7, max_size=7)
-                  ).filter(lambda t: not isinstance(t, Coord))
+_PRODUCT = st.lists(_maybe_neg(st.one_of(_NUMBERS.map(Num), _POWER)), min_size=1, max_size=4
+                    ).map(lambda fs: functools.reduce(lambda a, b: BinOp("*", a, b), fs))
+# nested +/- chains of products of numbers, xk and xk^n, minus signs anywhere
+_POLYS = st.recursive(
+    _maybe_neg(_PRODUCT),
+    lambda sub: _maybe_neg(st.tuples(st.sampled_from("+-"), sub, sub).map(lambda t: BinOp(*t))),
+    max_leaves=6).filter(lambda t: polynomial(t, 4) is not None)
 _COORDS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-2.0, 2.0))
+_BLOCKS = st.lists(st.tuples(_COORDS, _COORDS, _COORDS, _COORDS), min_size=1, max_size=3)
 
 
 def _bits(a):
     return np.ascontiguousarray(a).view(np.int64)
 
 
-@settings(deadline=None, max_examples=150)
-@given(trees=st.lists(_SUMS, min_size=1, max_size=4),
-       rows=st.lists(st.tuples(_COORDS, _COORDS, _COORDS), min_size=1, max_size=3),
-       batch=st.sampled_from(["point", "one", "block"]))
-def test_monomial_sums_equal_the_walk_bitwise(trees, rows, batch):
-    block = {"point": np.array(rows[0]), "one": np.array(rows[:1]), "block": np.array(rows)}[batch]
-    jets = jet_seed(block)
-    forms = [monomial_sum(t) for t in trees]
-    assert None not in forms
-    out = eval_monomial_sums(forms, jets)
+def _chart(seed):
+    """Seed jets (``seed`` None) or the pulled-back jets of a linear chart change,
+    in which each coordinate jet has a full gradient."""
+    if seed is None:
+        return None
+    return np.linalg.inv(np.eye(4) + 0.2 * np.random.default_rng(seed).uniform(-1, 1, (4, 4)))
+
+
+def _magnitude(tree, jets):
+    """Sum of |terms| of every jet component: the tree with every number made
+    positive and every minus a plus, at coordinate jets of |values|,
+    |gradients| and |Hessians|."""
+    def unsigned(node):
+        if isinstance(node, Num):
+            return Num(abs(node.value))
+        if isinstance(node, Neg):
+            return unsigned(node.operand)
+        if isinstance(node, BinOp):
+            return BinOp("+" if node.op == "-" else node.op, unsigned(node.left),
+                         unsigned(node.right))
+        return node
+
+    return eval_jet(unsigned(tree), [JetArray(abs(j.val), abs(j.jac), abs(j.hess)) for j in jets])
+
+
+def _assert_the_walks_to_roundoff(out, trees, jets):
+    """Each route rounds a few dozen times, each rounding within an ulp of a
+    partial sum of |terms|, or of the smallest normal float where that
+    underflows: the jets may differ by 64 ulps of either."""
     for k, tree in enumerate(trees):
-        want = eval_jet(tree, jets)
-        np.testing.assert_array_equal(_bits(out.val[..., k]), _bits(want.val))
-        np.testing.assert_array_equal(_bits(out.jac[..., k, :]), _bits(want.jac))
-        np.testing.assert_array_equal(_bits(out.hess[..., k, :, :]), _bits(want.hess))
+        want, scale = eval_jet(tree, jets), _magnitude(tree, jets)
+        for got, ref, mag in ((out.val[..., k], want.val, scale.val),
+                              (out.jac[..., k, :], want.jac, scale.jac),
+                              (out.hess[..., k, :, :], want.hess, scale.hess)):
+            bound = 64 * (np.finfo(float).eps * mag + np.finfo(float).tiny)
+            assert np.all(np.abs(got - ref) <= bound), to_text(tree)
+
+
+@settings(deadline=None, max_examples=150)
+@given(trees=st.lists(_POLYS, min_size=1, max_size=4), rows=_BLOCKS,
+       batch=st.sampled_from(["point", "one", "block"]),
+       chart=st.one_of(st.none(), st.integers(0, 2**16)))
+def test_polynomials_match_the_walk_to_roundoff(trees, rows, batch, chart):
+    block = {"point": np.array(rows[0]), "one": np.array(rows[:1]), "block": np.array(rows)}[batch]
+    jets = _affine_pullback(jet_seed(block), _chart(chart))
+    out = eval_polynomials([polynomial(t, 4) for t in trees], jets)
+    _assert_the_walks_to_roundoff(out, trees, jets)
+
+
+@settings(deadline=None, max_examples=60)
+# a block whose monomial stack is not C-ordered takes numpy's loop, not a gemm
+@example(trees=[parse("-1.188*x2^3 + x2^2", 4)], rows=[(0.0,) * 4] * 4 + [(0.0, 1.0, 0.0, 0.0)],
+         chart=None)
+@given(trees=st.lists(_POLYS, min_size=1, max_size=4),
+       rows=st.lists(st.tuples(_COORDS, _COORDS, _COORDS, _COORDS), min_size=2, max_size=16),
+       chart=st.one_of(st.none(), st.integers(0, 2**16)))
+def test_polynomial_block_rows_equal_their_points_bitwise(trees, rows, chart):
+    polys, lin_inv = [polynomial(t, 4) for t in trees], _chart(chart)
+    block = eval_polynomials(polys, _affine_pullback(jet_seed(np.array(rows)), lin_inv))
+    for n, row in enumerate(rows):
+        for points in (np.array(row), np.array([row])):     # batch () and (1,)
+            one = eval_polynomials(polys, _affine_pullback(jet_seed(points), lin_inv))
+            for got, want in ((block.val[n], one.val), (block.jac[n], one.jac),
+                              (block.hess[n], one.hess)):
+                np.testing.assert_array_equal(_bits(got), _bits(want.reshape(got.shape)))
 
 
 @pytest.mark.parametrize("points", [(0.3, -0.2, 0.5, 0.1),
                                     [(0.3, -0.2, 0.5, 0.1), (-1.0, 0.0, 2.0, 0.5)]])
 def test_monomial_sums_on_pulled_back_jets(points):
     # after a linear chart change each coordinate jet has a full gradient: the
-    # program takes the jets as they are, never the seeds' unit gradients
-    lin_inv = np.linalg.inv(np.eye(4) + 0.2 * np.random.default_rng(1).uniform(-1, 1, (4, 4)))
-    jets = _affine_pullback(jet_seed(points), lin_inv)
+    # chain rule takes the jets as they are, never the seeds' unit gradients
+    jets = _affine_pullback(jet_seed(points), _chart(1))
     cfg = random_kaluza(seed=3)
     trees = [*itertools.chain.from_iterable(cfg.tetrad.entries), *cfg.potential]
-    out = eval_monomial_sums([monomial_sum(t) for t in trees], jets)
-    for k, tree in enumerate(trees):
-        want = eval_jet(tree, jets)
-        np.testing.assert_array_equal(_bits(out.val[..., k]), _bits(want.val))
-        np.testing.assert_array_equal(_bits(out.jac[..., k, :]), _bits(want.jac))
-        np.testing.assert_array_equal(_bits(out.hess[..., k, :, :]), _bits(want.hess))
+    out = eval_polynomials([polynomial(t, 4) for t in trees], jets)
+    _assert_the_walks_to_roundoff(out, trees, jets)
+
+
+def test_a_huge_exponent_takes_no_table_of_powers():
+    # exponents index the powers that occur, not a dense 0..n table
+    tree = parse("x1^1000000000", 4)
+    jets = jet_seed((1.0, 0.5, 0.0, 0.0))
+    want = eval_jet(tree, jets)
+    for out in (eval_polynomials([polynomial(tree, 4)], jets),
+                eval_entries([tree], jets, {}, (1,))):
+        np.testing.assert_array_equal(out.val[..., 0], want.val)
+        np.testing.assert_array_equal(out.jac[..., 0, :], want.jac)
+        np.testing.assert_array_equal(out.hess[..., 0, :, :], want.hess)
 
 
 def test_polynomial_fields_never_walk_the_tree(monkeypatch):
-    # random polynomial frames and potentials take the stacked program for every
+    # random polynomial frames and potentials take the coefficient tables for every
     # entry (seeds 0-8 have no entry that is a lone number; such an entry is a
     # float the walk returns from one node), at a point and on a block
     calls = []

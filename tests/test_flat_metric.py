@@ -18,7 +18,6 @@ from conftest import (
     dense_metric_inverse,
     dense_omega_mixed,
 )
-from vielbein import kaluza
 from vielbein.frame import (
     CoframeField,
     curvature,
@@ -77,20 +76,7 @@ def test_field_strength_sign_vector_equals_dense_eta(seed, n, data):
     up, mixed = dense_field_strength_up(fs.f_frame, kp.cp.signature)
     assert np.array_equal(fs.f_frame_up, up)
     assert np.array_equal(fs.f_frame_mixed, mixed)
-    # the raised field strength inside the Maxwell residual, as maxwell() signs
-    # it (a hypothesis test takes no function-scoped monkeypatch fixture)
-    sign, signed = kaluza._signed, []
-
-    def recording(ja, signs):
-        signed.append(sign(ja, signs))
-        return signed[-1]
-
-    kaluza._signed = recording
-    try:
-        kp.maxwell()
-    finally:
-        kaluza._signed = sign
-    [fup1] = signed
+    # the raised field strength with its derivatives, which maxwell() reads
     ref = dense_fup1(kp.cp, fs)
-    assert np.array_equal(fup1.val, ref.val)
-    assert np.array_equal(fup1.jac, ref.jac)
+    assert np.array_equal(fs.f_frame_up, ref.val)
+    assert np.array_equal(fs.df_frame_up, ref.jac)
