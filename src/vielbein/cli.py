@@ -89,6 +89,13 @@ def _object(value, field: str, keys: Sequence[str] | None = None) -> dict:
     return dict(value)
 
 
+def _list(value, field: str) -> list:
+    """``value`` if it is a JSON array (not a string), else a config error naming ``field``."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{field}: {value!r} is not a list")
+    return value
+
+
 class EvaluationError(Exception):
     """Evaluation failed at a specific grid point."""
 
@@ -132,10 +139,8 @@ class JobConfig:
             return float(v)
 
         tol = _positive(raw.get("tolerance"), "tolerance")
-        tolerances = raw.get("tolerances", {})
-        if not isinstance(tolerances, Mapping):
-            raise ConfigError("tolerances must map check ids to positive finite numbers")
-        tolerances = {k: _positive(v, f"tolerances.{k}") for k, v in tolerances.items()}
+        tolerances = {k: _positive(v, f"tolerances.{k}")
+                      for k, v in _object(raw.get("tolerances", {}), "tolerances").items()}
         seed = _number(raw.get("seed", 0), "seed", integer=True)
         return JobConfig(check=check, solution=dict(solution), grid=dict(grid),
                          tolerance=tol, tolerances=tolerances, seed=seed)
@@ -154,41 +159,40 @@ def _param_names(node) -> set[str]:
 
 def _build_inline(spec: Mapping):
     try:
-        sig = Signature(*[_number(v, f"solution.inline.signature[{i}]", integer=True)
-                          for i, v in enumerate(spec["signature"])])
-        m = sig.m
+        sig = Signature(*[_number(v, f"solution.inline.signature[{i}]", integer=True) for i, v
+                          in enumerate(_list(spec["signature"], "solution.inline.signature"))])
         params = {k: float(_number(v, f"solution.inline.params.{k}"))
                   for k, v in _object(spec.get("params", {}), "solution.inline.params").items()}
 
         def entry(cell, field: str):   # an expression string or a number
             if not isinstance(cell, str):
                 return float(_number(cell, field))
-            node = parse(cell, m)
+            node = parse(cell, sig.m)
             if undefined := sorted(_param_names(node) - params.keys()):
                 raise ConfigError(f"{field}: undefined parameter {undefined[0]!r}")
             return node
 
-        entries = [[entry(cell, f"solution.inline.tetrad[{a}][{b}]") for b, cell in enumerate(row)]
-                   for a, row in enumerate(spec["tetrad"])]
+        entries = [[entry(cell, f"solution.inline.tetrad[{a}][{b}]")
+                    for b, cell in enumerate(_list(row, f"solution.inline.tetrad[{a}]"))]
+                   for a, row in enumerate(_list(spec["tetrad"], "solution.inline.tetrad"))]
         tetrad = CoframeField(entries, sig, params)
-        potential = None
-        if "A" in spec:
-            potential = tuple(entry(cell, f"solution.inline.A[{a}]")
-                              for a, cell in enumerate(spec["A"]))
         k = float(_number(spec.get("k", 1.0), "solution.inline.k"))
-        return tetrad, potential, k, params
+        if "A" not in spec:
+            return params, tetrad, None
+        potential = tuple(entry(cell, f"solution.inline.A[{a}]")
+                          for a, cell in enumerate(_list(spec["A"], "solution.inline.A")))
     except (KeyError, TypeError, ValueError, OverflowError, ExprError) as exc:
         raise ConfigError(f"bad inline solution: {exc}") from None
+    try:   # the lift takes a tetrad of signature (1,3) and four potential entries
+        return params, tetrad, KaluzaConfig(tetrad=tetrad, potential=potential, k=k, params=params)
+    except ValueError as exc:
+        raise ConfigError(f"solution.inline.A: {exc}") from None
 
 
 def _resolve_solution(ref: Mapping):
     """Returns (label, params, tetrad_field, kaluza_config_or_None)."""
     if "inline" in ref:
-        tetrad, potential, k, params = _build_inline(ref["inline"])
-        kcfg = None
-        if potential is not None:
-            kcfg = KaluzaConfig(tetrad=tetrad, potential=potential, k=k, params=params)
-        return "inline", params, tetrad, kcfg
+        return ("inline", *_build_inline(ref["inline"]))
     name = ref["name"]
     params = _object(ref.get("params", {}), "solution.params")
     for key, value in params.items():
@@ -387,9 +391,13 @@ def run_job(job: JobConfig, out_dir: Path, write_csv: bool) -> tuple[int, dict]:
         params.setdefault("seed", job.seed)
         sol_ref["params"] = params
     label, params, tetrad, kcfg = _resolve_solution(sol_ref)
-    points = _grid_points(job.grid, tetrad.signature.m)
+    points = _grid_points(job.grid, m := tetrad.signature.m)
     if job.check in KALUZA_CHECKS and kcfg is None:
         raise ConfigError(f"check {job.check!r} needs a solution with a potential")
+    # double-epsilon blocks tie m - 3 frame factors (theta's m - 2); tables stop at m = 8
+    lo = 2 if job.check == "theta-density" else 3
+    if not lo <= m <= 8:
+        raise ConfigError(f"check {job.check!r} needs dimension {lo} to 8, got m = {m}")
     for name in ("report.json", "points.csv"):   # no output outlives the run that wrote it
         (out_dir / name).unlink(missing_ok=True)
 

@@ -26,10 +26,10 @@ connection comes from the frame-index anholonomy coefficients, with no metric
 inverse; the torsion-free closure (:func:`torsion_residual`) is its round trip.
 
 Every double-epsilon block in the package, the Kaluza appendix chain's 4D
-expansion included, goes through :func:`epsilon_pair`: it sums ``n_e`` frame
+expansion included, goes through :func:`epsilon_pair`: it sums the frame
 factors tied to two permutation symbols over sorted index subsets only, the
-``n_e`` x ``n_e`` minors of the frame against the symbols' dual tables (the
-generalized Kronecker delta expansion), by one route for every ``n_e``.
+minors of the frame against the symbols' dual tables (the generalized
+Kronecker delta expansion), and each caller states the paper's prefactor.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ import numpy as np
 from .expr import Expr, eval_jet, eval_polynomials, polynomial
 from .jets import JetArray, jet_seed
 from .jetlinalg import _signed, contract, jet_einsum, jet_matinv
-from .tensors import Signature, eta, eta_signs, levi_civita
+from .tensors import Signature, eta_signs, levi_civita
 
 __all__ = [
     "DegenerateFrameError",
@@ -305,41 +305,39 @@ def _compound_tables(m: int, n_e: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return dual, rows * m + cols, sign[:, None, None]
 
 
-def epsilon_pair(e: np.ndarray, n_e: int, coord_tail: str, frame_tail: str,
+def epsilon_pair(e: np.ndarray, coord_tail: str, frame_tail: str,
                  extras: Sequence[str], out: str, *operands) -> np.ndarray:
-    """Double permutation-symbol block with ``n_e`` copies of the frame ``e``
-    tied slotwise to the two symbols; ``operands`` (index strings ``extras``
-    after their batch axes, letters other than ``F`` and ``Q``) follow the
-    frame factors:
+    """Double permutation-symbol block with the frame ``e`` tied slotwise to
+    the two symbols in the ``n_e = m - len(coord_tail)`` slots the tails leave
+    free; ``operands`` (index strings ``extras`` after their batch axes,
+    letters other than ``F`` and ``Q``) follow the frame factors:
 
-        eps[q..., coord_tail] eps[f..., frame_tail] e[f_1, q_1] ... e[f_n, q_n]
+        eps[q..., coord_tail] eps[f..., frame_tail] e[f_1, q_1] ... e[f_n, q_n] / n_e!
 
-    summed over the tied slots.  Both symbols are antisymmetric in their
-    tied slots, so the sum runs over sorted slot subsets F and Q alone, as
-    ``n_e! D[Q, coord_tail] D[F, frame_tail] det(e[F, Q])``: ``D`` is the
-    symbol restricted to sorted leading slots and ``det(e[F, Q])`` the
-    ``n_e`` x ``n_e`` minors of the frame (its ``n_e``-th compound matrix),
-    for every ``n_e``: at 0 the one minor is the empty determinant, 1, and at
-    1 the minors are the frame itself.  The frame-tied dual
-    ``F<frame_tail>,...QF`` is contracted first, then the rest."""
+    summed over the tied slots.  Both symbols are antisymmetric in their tied
+    slots, so that is the sum over sorted slot subsets F and Q alone,
+    ``D[Q, coord_tail] D[F, frame_tail] det(e[F, Q])``: ``D`` is the symbol
+    restricted to sorted leading slots and ``det(e[F, Q])`` the ``n_e`` x
+    ``n_e`` minors of the frame (its ``n_e``-th compound matrix), for every
+    ``n_e``: at 0 the one minor is the empty determinant, 1, and at 1 the
+    minors are the frame itself.  The frame-tied dual ``F<frame_tail>,...QF``
+    is contracted first, then the rest."""
     m = e.shape[-1]
-    dual, flat, sign = _compound_tables(m, n_e)
+    if len(coord_tail) > m:
+        raise ValueError(f"double-epsilon tail {coord_tail!r} is longer than m = {m}")
+    dual, flat, sign = _compound_tables(m, m - len(coord_tail))
     terms = np.take(e.reshape(e.shape[:-2] + (m * m,)), flat, axis=-1)
     minors = (terms.prod(axis=-3) * sign).sum(axis=-3)    # [..., Q, F]
     tied = contract(f"F{frame_tail},...QF->...Q{frame_tail}", dual, minors)
     spec = ",".join([f"Q{coord_tail}", f"...Q{frame_tail}", *["..." + x for x in extras]])
-    return math.factorial(n_e) * contract(spec + "->..." + out, dual, tied, *operands)
+    return contract(spec + "->..." + out, dual, tied, *operands)
 
 
 def einstein_density(cp: CoframePoint, curv: CurvaturePoint) -> np.ndarray:
     """Double-epsilon contraction of the curvature against m-3 frame factors;
     vanishes exactly on Einstein-vacuum frames.  Free indices: coordinate
     (up) first, frame (down) second."""
-    m = cp.m
-    if m < 3:
-        raise ValueError("einstein density needs dimension >= 3")
-    pref = 1.0 / (math.factorial(m - 3) * 4.0)
-    return pref * epsilon_pair(cp.e, m - 3, "lij", "rst", ["jist"], "lr", curv.R)
+    return 0.25 * epsilon_pair(cp.e, "lij", "rst", ["jist"], "lr", curv.R)
 
 
 def coordinate_oracle(field, point: Sequence[float]) -> OraclePoint:
@@ -349,9 +347,10 @@ def coordinate_oracle(field, point: Sequence[float]) -> OraclePoint:
 def oracle_from_coframe(cp: CoframePoint) -> OraclePoint:
     """Christoffel/Riemann/Einstein from the metric alone, independent of the
     frame-side connection assembly; serves as cross-check oracle."""
+    s = eta_signs(cp.signature)
     e2 = JetArray(cp.e, cp.de, cp.dde)
-    # the one dense eta operand left: signing the frame jets would copy dde
-    g2 = jet_einsum("mn,...mi,...nj->...ij", eta(cp.signature), e2, e2)
+    e2s = JetArray(cp.e * s[:, None], cp.de * s[:, None, None], cp.dde * s[:, None, None, None])
+    g2 = jet_einsum("...mi,...mj->...ij", e2s, e2)
     g1 = JetArray(g2.val, g2.jac)
     dg1 = JetArray(g2.jac, g2.hess)
     ginv1 = jet_matinv(g1)

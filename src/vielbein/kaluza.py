@@ -333,13 +333,12 @@ class _KaluzaPoint:
                  + contract("...jse,...et->...stj", wmix44, w5_44)
                  - contract("...se,...jet->...stj", wmix5_44, w44))
         fifth = contract("...te,...je->...jt", wmix5_44, w_col5)
-        # eps[p, l, i, j] = eps[i, p, l, j] (an even shift) puts the fiber term's
-        # tied slot first; the n_e = 2 terms move one slot per symbol (signs cancel)
-        e_form2 = 0.5 * (
-            epsilon_pair(e4, 1, "lij", "rst", ["istj"], "lr", base)
-            + epsilon_pair(e4, 1, "plj", "rst", ["stj", "p"], "lr", fiber, cp5.e[..., 4, :4])
-            + epsilon_pair(e4, 2, "lj", "rt", ["jt"], "lr", fifth))
-        m_form2 = -0.25 * epsilon_pair(e4, 2, "li", "st", ["sti"], "l", fiber)
+        # the fiber term shares the base term's block (eps[q, p, l, j] = -eps[q, l, p, j]),
+        # the fifth frame row in slot i; the two-factor terms move one slot per symbol
+        fiber5 = cp5.e[..., 4, :4, None, None, None] * fiber[..., None, :, :, :]
+        e_form2 = (0.5 * epsilon_pair(e4, "lij", "rst", ["istj"], "lr", base - fiber5)
+                   + epsilon_pair(e4, "lj", "rt", ["jt"], "lr", fifth))
+        m_form2 = -0.5 * epsilon_pair(e4, "li", "st", ["sti"], "l", fiber)
 
         # route 3: stress-sourced Einstein block of the tetrad alone, and the
         # divergence form pulled back to a coordinate index

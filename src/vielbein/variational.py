@@ -14,7 +14,6 @@ take any leading batch shape; the gauge-invariance defect takes one point.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -76,10 +75,8 @@ THETA_RATIO = -0.5
 
 def theta_density(section: SectionPoint) -> np.ndarray:
     """Scalar coefficient L with the pulled-back Lagrangian m-form = L ds."""
-    m = section.m
-    dens = epsilon_pair(section.cp.e, m - 2, "ij", "st", ["ijst"], "",
-                        quadratic_block(section.sp))
-    return dens / (math.factorial(m - 2) * 2.0)
+    return 0.5 * epsilon_pair(section.cp.e, "ij", "st", ["ijst"], "",
+                              quadratic_block(section.sp))
 
 
 def theta_gauge_invariance_check(section: SectionPoint, ge: GaugeElement) -> float:
@@ -100,13 +97,11 @@ def omega_shuffle_identity(section: SectionPoint) -> np.ndarray:
     differentials (antisymmetrized over the frame pair); returns the max
     deviation.  Holds for arbitrary, not necessarily holonomic, sections.
     """
-    m = section.m
     e = section.cp.e
     wmix = section.sp.omega_mixed
 
-    lhs = epsilon_pair(e, m - 2, "ij", "st", ["jsh"], "iht", wmix) / math.factorial(m - 2)
-    rhs = epsilon_pair(e, m - 3, "lij", "xst", ["yl", "jxy"], "ist", e, wmix) * (
-        -1.0 / (math.factorial(m - 3) * 2.0))
+    lhs = epsilon_pair(e, "ij", "st", ["jsh"], "iht", wmix)
+    rhs = -0.5 * epsilon_pair(e, "lij", "xst", ["yl", "jxy"], "ist", e, wmix)
 
     c_lhs = lhs - lhs.swapaxes(-2, -1)
     c_rhs = rhs - rhs.swapaxes(-2, -1)
@@ -117,7 +112,5 @@ def el_residual_frame(section: SectionPoint) -> np.ndarray:
     """Residual block multiplying the frame variations; on holonomic sections
     it coincides with the curvature density (same contraction, with the
     quadratic block in place of the full curvature)."""
-    m = section.m
-    res = epsilon_pair(section.cp.e, m - 3, "lij", "rst", ["ijst"], "lr",
-                       quadratic_block(section.sp))
-    return res / (math.factorial(m - 3) * 2.0)
+    return 0.5 * epsilon_pair(section.cp.e, "lij", "rst", ["ijst"], "lr",
+                              quadratic_block(section.sp))

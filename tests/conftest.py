@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -106,10 +104,10 @@ def el_residual_connection(section):
     """Euler-Lagrange block multiplying the connection variations; vanishes
     exactly when the section is kinematically admissible (torsion-free
     closure)."""
-    m, cp = section.m, section.cp
+    cp = section.cp
     wmix = section.sp.omega_mixed
     u = cp.de + np.einsum("jre,el->rlj", wmix, cp.e)
-    return epsilon_pair(cp.e, m - 3, "lij", "rst", ["rlj"], "ist", u) / math.factorial(m - 3)
+    return epsilon_pair(cp.e, "lij", "rst", ["rlj"], "ist", u)
 
 
 # The library applies the flat metric as its sign vector; these are its

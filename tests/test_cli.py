@@ -624,6 +624,65 @@ def test_inline_boolean_is_no_number(tmp_path, capsys, check, inline, field):
     assert not (tmp_path / "out").exists()
 
 
+# the lift takes a tetrad of signature (1, 3) and four potential entries, whatever
+# the check; a string, which iterates as its characters, is no list
+@pytest.mark.parametrize("check", ["vacuum", "einstein-maxwell"])
+@pytest.mark.parametrize("inline, message", [
+    ({**_INLINE_RN, "A": ["x2", 0, 0]}, "solution.inline.A: potential needs exactly four"),
+    ({**_INLINE_RN, "A": []}, "solution.inline.A: potential needs exactly four"),
+    ({**_INLINE_RN, "signature": [2, 2]}, "solution.inline.A: tetrad must have signature (1,3)"),
+    ({**_INLINE_RN, "signature": [0, 4]}, "solution.inline.A: tetrad must have signature (1,3)"),
+    ({**_INLINE_RN, "A": "x2"}, "solution.inline.A: 'x2' is not a list"),
+    ({**_INLINE_RN, "tetrad": ["x2", *_INLINE_RN["tetrad"][1:]]},
+     "solution.inline.tetrad[0]: 'x2' is not a list"),
+    ({**_INLINE_RN, "tetrad": "x2"}, "solution.inline.tetrad: 'x2' is not a list"),
+    ({**_INLINE_RN, "signature": "13"}, "solution.inline.signature: '13' is not a list"),
+], ids=["A3", "A0", "sig22", "sig04", "A-str", "row-str", "tetrad-str", "sig-str"])
+def test_inline_potential_the_lift_cannot_take_is_a_config_error(tmp_path, capsys, check,
+                                                                 inline, message):
+    cfg = {**VAC, "check": check, "solution": {"inline": inline},
+           "grid": {"points": [[0.0, 0.5, 0.0, 0.0]]}}
+    assert main(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert not (tmp_path / "out").exists()
+
+
+_FLAT2 = {"inline": {"signature": [1, 1], "tetrad": [[1, 0], [0, 1]]}}
+
+
+def _random_frame(dim):
+    return {"name": "random_polynomial", "params": {"dim": dim}}
+
+
+# the frame-only checks take m = 3..8 (theta-density 2..8), checked before the grid runs
+@pytest.mark.parametrize("check, solution, m", [
+    ("vacuum", _FLAT2, 2),
+    ("identities", _FLAT2, 2),
+    ("vacuum", _random_frame(2), 2),
+    ("identities", _random_frame(2), 2),
+    ("theta-density", _random_frame(1), 1),
+    ("vacuum", _random_frame(9), 9),
+    ("identities", _random_frame(9), 9),
+    ("theta-density", _random_frame(9), 9),
+])
+def test_a_dimension_the_check_cannot_take_is_a_config_error(tmp_path, capsys, check,
+                                                             solution, m):
+    cfg = {**VAC, "check": check, "solution": solution, "grid": {"points": [[0.1] * m]}}
+    assert main(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: check {check!r} needs dimension ")
+    assert f"got m = {m}" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("check, m", [("vacuum", 3), ("identities", 3), ("theta-density", 2)])
+def test_the_least_dimension_of_each_check_runs(tmp_path, check, m):
+    cfg = {**VAC, "check": check, "solution": _random_frame(m), "grid": {"points": [[0.1] * m]}}
+    assert main(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "out")]) in (0, 1)
+    assert (tmp_path / "out" / "report.json").exists()
+
+
 def test_list_solutions(capsys, monkeypatch):
     assert main(["--list-solutions"]) == 0
     out = capsys.readouterr().out

@@ -344,11 +344,11 @@ def _numpy_calls(tree: ast.AST):
 def _literal_epsilon_pair_specs(call: ast.Call) -> list[str]:
     """The specs ``frame.epsilon_pair`` builds for a call with literal index
     strings, read off the specs it passes to ``contract``."""
-    tails = [ast.literal_eval(arg) for arg in call.args[2:6]]
+    tails = [ast.literal_eval(arg) for arg in call.args[1:5]]
     built = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(frame, "contract", lambda spec, *ops: built.append(spec) or np.zeros(()))
-        frame.epsilon_pair(np.eye(4), 0, *tails)
+        frame.epsilon_pair(np.eye(4), *tails)
     return built
 
 
@@ -365,10 +365,9 @@ def test_contractions_cannot_bypass_the_plan_cache():
             if name == "levi_civita" and (path.name, func) != ("frame.py", "_compound_tables"):
                 symbols.append(where)
             # the flat metric is applied as its sign vector; a dense eta is left
-            # in the gauge check of Lambda^T eta Lambda and in the oracle's metric,
-            # where signing the frame jets would copy their second derivatives
-            if name == "eta" and path.name != "tensors.py" and (path.name, func) not in (
-                    ("gauge.py", "evaluate_gauge"), ("frame.py", "oracle_from_coframe")):
+            # only in the gauge check of Lambda^T eta Lambda
+            if name == "eta" and path.name != "tensors.py" and (path.name, func) != (
+                    "gauge.py", "evaluate_gauge"):
                 metrics.append(where)
             if name == "epsilon_pair":
                 pairs += 1
@@ -395,8 +394,8 @@ def test_contractions_cannot_bypass_the_plan_cache():
     # contract plans every path itself
     assert not planners, f"np.einsum_path in src/: {planners}"
     assert not symbols, f"levi_civita outside frame._compound_tables: {symbols}"
-    assert not metrics, f"dense eta outside its two exempt uses: {metrics}"
-    assert pairs >= 9
+    assert not metrics, f"dense eta outside its one exempt use: {metrics}"
+    assert pairs >= 8
     # every literal spec is of a form contract accepts, so a refused one
     # fails here rather than on a grid run
     assert len(specs) > 30
@@ -413,7 +412,7 @@ def test_contractions_cannot_bypass_the_plan_cache():
 # a site is the function outside jetlinalg that called contract or jet_einsum
 REPEAT_EXEMPTIONS = {
     # the frame-tied dual of one n_e, rebuilt by each epsilon_pair call on
-    # the tetrad (three times at n_e = 1, twice at n_e = 2, per appendixA block)
+    # the tetrad (twice at n_e = 1, twice at n_e = 2, per appendixA block)
     ("epsilon_pair", "epsilon_pair"),
 }
 

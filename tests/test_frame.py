@@ -460,14 +460,14 @@ def test_epsilon_pair_matches_dense_symbols_and_is_batch_invariant(case, seed):
     # equals the dense two-symbol contraction, and each batch row equals the
     # unbatched call bit for bit
     m, n_e, coord_tail, frame_tail, extras, out, sizes = case
-    args = (n_e, coord_tail, frame_tail, extras, out)
+    args = (coord_tail, frame_tail, extras, out)
     rng = np.random.default_rng(seed)
     for n in (1, 3, 16):
         e = rng.standard_normal((n, m, m))
         ops = [rng.standard_normal((n,) + tuple(sizes[c] for c in x)) for x in extras]
         rows = epsilon_pair(e, *args, *ops)
-        want = dense_epsilon_pair(e, *args, *ops)
-        bound = 1e-13 * dense_epsilon_pair(e, *args, *ops, absolute=True)
+        want = dense_epsilon_pair(e, n_e, *args, *ops) / math.factorial(n_e)
+        bound = 1e-13 * dense_epsilon_pair(e, n_e, *args, *ops, absolute=True)
         assert rows.shape == want.shape and np.all(np.abs(rows - want) <= bound)
         for row in range(n):
             one = epsilon_pair(e[row], *args, *[op[row] for op in ops])
@@ -478,7 +478,13 @@ def test_epsilon_pair_takes_any_number_of_frame_factors(rng):
     # m=7 with five tied frame factors: no limit on n_e
     e = rng.standard_normal((7, 7))
     u = rng.standard_normal((7, 7))
-    got = epsilon_pair(e, 5, "ij", "st", ["is"], "jt", u)
-    want = dense_epsilon_pair(e, 5, "ij", "st", ["is"], "jt", u)
+    got = epsilon_pair(e, "ij", "st", ["is"], "jt", u)
+    want = dense_epsilon_pair(e, 5, "ij", "st", ["is"], "jt", u) / math.factorial(5)
     bound = 1e-13 * dense_epsilon_pair(e, 5, "ij", "st", ["is"], "jt", u, absolute=True)
     assert np.all(np.abs(got - want) <= bound)
+
+
+@pytest.mark.parametrize("m,tail", [(2, "lij"), (1, "ij"), (4, "abcde")])
+def test_epsilon_pair_refuses_a_tail_longer_than_the_dimension(m, tail):
+    with pytest.raises(ValueError, match=f"tail '{tail}'.*m = {m}"):
+        epsilon_pair(np.eye(m), tail, "rst"[:len(tail)], [], "")
