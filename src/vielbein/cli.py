@@ -39,9 +39,9 @@ from .frame import (
     torsion_residual,
 )
 from .gauge import GaugeError
-from .kaluza import KaluzaConfig, _KaluzaPoint
+from .kaluza import SIG4, KaluzaConfig, _KaluzaPoint
 from .solutions import SOLUTIONS, make_solution, random_kaluza
-from .tensors import Signature
+from .tensors import MAX_DIM, Signature
 from .variational import (
     THETA_RATIO,
     SectionPoint,
@@ -183,10 +183,11 @@ def _build_inline(spec: Mapping):
                           for a, cell in enumerate(_list(spec["A"], "solution.inline.A")))
     except (KeyError, TypeError, ValueError, OverflowError, ExprError) as exc:
         raise ConfigError(f"bad inline solution: {exc}") from None
-    try:   # the lift takes a tetrad of signature (1,3) and four potential entries
+    try:   # the lift takes a tetrad of signature (1,3), then four potential entries
         return params, tetrad, KaluzaConfig(tetrad=tetrad, potential=potential, k=k, params=params)
     except ValueError as exc:
-        raise ConfigError(f"solution.inline.A: {exc}") from None
+        field = "A" if sig == SIG4 else "signature"
+        raise ConfigError(f"solution.inline.{field}: {exc}") from None
 
 
 def _resolve_solution(ref: Mapping):
@@ -194,9 +195,8 @@ def _resolve_solution(ref: Mapping):
     if "inline" in ref:
         return ("inline", *_build_inline(ref["inline"]))
     name = ref["name"]
-    params = _object(ref.get("params", {}), "solution.params")
-    for key, value in params.items():
-        _number(value, f"solution.params.{key}")
+    params = {key: _number(value, f"solution.params.{key}")
+              for key, value in _object(ref.get("params", {}), "solution.params").items()}
     if name == "random_kaluza":
         try:
             kcfg = random_kaluza(**params)
@@ -301,9 +301,8 @@ def _check_finite(block, named: dict[str, np.ndarray]) -> None:
             bad = np.argwhere(~np.isfinite(arr[n]))
             if bad.size:
                 idx = tuple(bad[0])
-                comp = "_".join(str(i) for i in idx)
-                raise EvaluationError(f"at point {point}: non-finite residual "
-                                      f"{check_id} component {comp} = {arr[n][idx]}")
+                raise EvaluationError(f"at point {point}: non-finite residual {check_id} "
+                                      f"component {'_'.join(map(str, idx))} = {arr[n][idx]}")
 
 
 def _grid_residuals(job: JobConfig, tetrad, kcfg, points, size: int | None = None):
@@ -391,13 +390,13 @@ def run_job(job: JobConfig, out_dir: Path, write_csv: bool) -> tuple[int, dict]:
         params.setdefault("seed", job.seed)
         sol_ref["params"] = params
     label, params, tetrad, kcfg = _resolve_solution(sol_ref)
-    points = _grid_points(job.grid, m := tetrad.signature.m)
     if job.check in KALUZA_CHECKS and kcfg is None:
         raise ConfigError(f"check {job.check!r} needs a solution with a potential")
-    # double-epsilon blocks tie m - 3 frame factors (theta's m - 2); tables stop at m = 8
-    lo = 2 if job.check == "theta-density" else 3
-    if not lo <= m <= 8:
-        raise ConfigError(f"check {job.check!r} needs dimension {lo} to 8, got m = {m}")
+    # double-epsilon blocks tie m - 3 frame factors (theta's m - 2); tables stop at MAX_DIM
+    lo, m = (2 if job.check == "theta-density" else 3), tetrad.signature.m
+    if not lo <= m <= MAX_DIM:
+        raise ConfigError(f"check {job.check!r} needs dimension {lo} to {MAX_DIM}, got m = {m}")
+    points = _grid_points(job.grid, m)
     for name in ("report.json", "points.csv"):   # no output outlives the run that wrote it
         (out_dir / name).unlink(missing_ok=True)
 

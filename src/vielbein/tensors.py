@@ -14,7 +14,8 @@ from itertools import permutations
 
 import numpy as np
 
-__all__ = ["Signature", "eta", "eta_signs", "levi_civita"]
+__all__ = ["MAX_DIM", "Signature", "eta", "eta_signs", "levi_civita"]
+MAX_DIM = 8   # the largest dimension whose sign tables are built
 
 
 @dataclass(frozen=True)
@@ -61,6 +62,6 @@ def _levi_civita_table(m: int) -> np.ndarray:
 
 def levi_civita(m: int) -> np.ndarray:
     """Totally antisymmetric sign table with value +1 on (1, 2, ..., m)."""
-    if not 1 <= m <= 8:
+    if not 1 <= m <= MAX_DIM:
         raise ValueError(f"unsupported dimension {m}")
     return _levi_civita_table(m)

@@ -630,8 +630,10 @@ def test_inline_boolean_is_no_number(tmp_path, capsys, check, inline, field):
 @pytest.mark.parametrize("inline, message", [
     ({**_INLINE_RN, "A": ["x2", 0, 0]}, "solution.inline.A: potential needs exactly four"),
     ({**_INLINE_RN, "A": []}, "solution.inline.A: potential needs exactly four"),
-    ({**_INLINE_RN, "signature": [2, 2]}, "solution.inline.A: tetrad must have signature (1,3)"),
-    ({**_INLINE_RN, "signature": [0, 4]}, "solution.inline.A: tetrad must have signature (1,3)"),
+    ({**_INLINE_RN, "signature": [2, 2]},
+     "solution.inline.signature: tetrad must have signature (1,3)"),
+    ({**_INLINE_RN, "signature": [0, 4]},
+     "solution.inline.signature: tetrad must have signature (1,3)"),
     ({**_INLINE_RN, "A": "x2"}, "solution.inline.A: 'x2' is not a list"),
     ({**_INLINE_RN, "tetrad": ["x2", *_INLINE_RN["tetrad"][1:]]},
      "solution.inline.tetrad[0]: 'x2' is not a list"),
@@ -674,6 +676,14 @@ def test_a_dimension_the_check_cannot_take_is_a_config_error(tmp_path, capsys, c
     assert err.startswith(f"config error: check {check!r} needs dimension ")
     assert f"got m = {m}" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_the_dimension_is_checked_before_the_grid(tmp_path, capsys):
+    # a grid of the wrong shape (or a huge mesh) is never looked at for a frame of m = 9
+    cfg = {**VAC, "solution": _random_frame(9), "grid": {"ranges": []}}
+    assert main(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: check 'vacuum' needs dimension 3 to 8, got m = 9\n"
 
 
 @pytest.mark.parametrize("check, m", [("vacuum", 3), ("identities", 3), ("theta-density", 2)])

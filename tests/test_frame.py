@@ -467,7 +467,7 @@ def test_epsilon_pair_matches_dense_symbols_and_is_batch_invariant(case, seed):
         ops = [rng.standard_normal((n,) + tuple(sizes[c] for c in x)) for x in extras]
         rows = epsilon_pair(e, *args, *ops)
         want = dense_epsilon_pair(e, n_e, *args, *ops) / math.factorial(n_e)
-        bound = 1e-13 * dense_epsilon_pair(e, n_e, *args, *ops, absolute=True)
+        bound = 1e-13 * dense_epsilon_pair(e, n_e, *args, *ops, absolute=True) / math.factorial(n_e)
         assert rows.shape == want.shape and np.all(np.abs(rows - want) <= bound)
         for row in range(n):
             one = epsilon_pair(e[row], *args, *[op[row] for op in ops])
@@ -480,7 +480,8 @@ def test_epsilon_pair_takes_any_number_of_frame_factors(rng):
     u = rng.standard_normal((7, 7))
     got = epsilon_pair(e, "ij", "st", ["is"], "jt", u)
     want = dense_epsilon_pair(e, 5, "ij", "st", ["is"], "jt", u) / math.factorial(5)
-    bound = 1e-13 * dense_epsilon_pair(e, 5, "ij", "st", ["is"], "jt", u, absolute=True)
+    bound = 1e-13 * dense_epsilon_pair(e, 5, "ij", "st", ["is"], "jt", u,
+                                       absolute=True) / math.factorial(5)
     assert np.all(np.abs(got - want) <= bound)
 
 
