@@ -5,10 +5,12 @@ this module parses them into immutable ASTs and evaluates the ASTs over
 plain floats or over :class:`~vielbein.jets.JetArray` coordinates (same code
 path, so configured fields automatically come with exact derivatives).  The
 coordinate jets may carry a leading batch axis, in which case one walk of the
-tree evaluates the expression at every point of the block.  A field's
-polynomial entries can instead run together as coefficient tables
-(:func:`polynomial`, :func:`eval_polynomials`): closed-form monomial jets, one
-matmul per point, jets equal to the walk's to roundoff.
+tree evaluates the expression at every point of the block.  :class:`Poly` is
+the one polynomial type: random fields hand their entries as Polys,
+:func:`polynomial` reads a tree of polynomial form into one, and
+:func:`eval_polynomials` runs Polys together as coefficient tables:
+closed-form monomial jets, one matmul per point, jets equal to the walk's to
+roundoff.
 
 Operator precedence, tightest first: ``^``, unary ``-``, ``* /``, ``+ -``.
 Every binary operator, ``^`` included, associates to the left (``2^3^2`` is
@@ -37,6 +39,7 @@ __all__ = [
     "Neg",
     "BinOp",
     "Call",
+    "Poly",
     "ExprError",
     "ParseError",
     "EvalError",
@@ -98,6 +101,78 @@ class Call:
 
 
 Expr = Union[Num, Coord, Param, Neg, BinOp, Call]
+
+
+@dataclass(frozen=True)
+class Poly:
+    """Sparse polynomial in x1..x{dim}, the package's one polynomial format:
+    one (exponents, coefficient) term per distinct monomial, exponents
+    non-negative integers.  Field entries may be Polys, which
+    :func:`eval_polynomials` evaluates as they are; :func:`polynomial` reads an
+    expression tree into one."""
+
+    dim: int
+    terms: tuple[tuple[tuple[int, ...], float], ...]
+
+    @staticmethod
+    def from_dict(dim: int, coeffs: Mapping[tuple[int, ...], float]) -> "Poly":
+        items = tuple(sorted((tuple(e), float(c)) for e, c in coeffs.items() if c != 0.0))
+        return Poly(dim, items)
+
+    @staticmethod
+    def random(rng: np.random.Generator, dim: int, degree: int, amplitude: float,
+               n_terms: int = 4) -> "Poly":
+        coeffs: dict[tuple[int, ...], float] = {}
+        for _ in range(n_terms):
+            exps = [0] * dim
+            for _ in range(int(rng.integers(0, degree + 1))):
+                exps[int(rng.integers(0, dim))] += 1
+            key = tuple(exps)
+            coeffs[key] = coeffs.get(key, 0.0) + float(rng.uniform(-1, 1)) * amplitude / n_terms
+        return Poly.from_dict(dim, coeffs)
+
+    def grad(self, i: int) -> "Poly":
+        """Exact partial derivative along coordinate i (0-based)."""
+        coeffs: dict[tuple[int, ...], float] = {}
+        for exps, c in self.terms:
+            if exps[i] == 0:
+                continue
+            new = list(exps)
+            new[i] -= 1
+            key = tuple(new)
+            coeffs[key] = coeffs.get(key, 0.0) + c * exps[i]
+        return Poly.from_dict(self.dim, coeffs)
+
+    def scale(self, c: float) -> "Poly":
+        return Poly.from_dict(self.dim, {e: c * v for e, v in self.terms})
+
+    def shift(self, offset: float) -> "Poly":
+        coeffs = dict(self.terms)
+        zero = (0,) * self.dim
+        coeffs[zero] = coeffs.get(zero, 0.0) + offset
+        return Poly.from_dict(self.dim, coeffs)
+
+    def to_expr(self) -> Expr:
+        """The terms as a '+'/'-' chain in their order, each ``|c| * xk^n...``,
+        which :func:`polynomial` reads back term for term."""
+        if not self.terms:
+            return Num(0.0)
+        out: Expr | None = None
+        for exps, c in self.terms:
+            node: Expr = Num(abs(c))
+            for i, n in enumerate(exps):
+                if n == 0:
+                    continue
+                power: Expr = Coord(i + 1)
+                if n > 1:
+                    power = BinOp("^", power, Num(float(n)))
+                node = BinOp("*", node, power)
+            if out is None:
+                out = Neg(node) if c < 0 else node
+            else:
+                out = BinOp("-" if c < 0 else "+", out, node)
+        return out
+
 
 _FUNCTIONS = {
     "sin": jets.sin,
@@ -283,9 +358,9 @@ def _eval(node: Expr, coords, params):
         raise EvalError(str(exc), to_text(node)) from None
 
 
-def polynomial(node: Expr, dim: int) -> dict[tuple[float, ...], float] | None:
-    """``{exponents: coefficient}`` (one exponent per coordinate x1..x{dim}) of
-    a '+'/'-' chain, nested or not, of products of numbers, ``xk`` and ``xk^n``
+def polynomial(node: Expr, dim: int) -> Poly | None:
+    """The :class:`Poly` in x1..x{dim}, terms in the order they appear, of a
+    '+'/'-' chain, nested or not, of products of numbers, ``xk`` and ``xk^n``
     (n a non-negative integer), a minus anywhere; else None.  No product of
     sums is expanded: ``(x1 + 1)*x2`` is None, as are a bare ``xk`` and a
     constant, which the walk hands back at no cost."""
@@ -320,23 +395,24 @@ def polynomial(node: Expr, dim: int) -> dict[tuple[float, ...], float] | None:
                 exps[f.index - 1] += n
         key = tuple(exps)
         terms[key] = terms.get(key, 0.0) + coef
-    return terms if any(map(any, terms)) else None
+    return Poly(dim, tuple(terms.items())) if any(map(any, terms)) else None
 
 
-def eval_polynomials(polys: Sequence[Mapping[tuple[float, ...], float]],
-                     coords: Sequence[jets.JetArray]) -> jets.JetArray:
-    """The jets of polynomials (:func:`polynomial`) at coordinate jets with
-    Hessians, stacked on one axis after the batch axes: each distinct
-    monomial's jet in the coordinate values u in closed form, one matmul per
-    point of the coefficient matrix against them, and the chain rule through
-    the coordinate jets as one more.  The jets are :func:`eval_jet`'s to
+def eval_polynomials(polys: Sequence[Poly], coords: Sequence[jets.JetArray]) -> jets.JetArray:
+    """The jets of polynomials at coordinate jets with Hessians, stacked on
+    one axis after the batch axes; a Poly in fewer coordinates than the jets
+    reads x1..x{its dim}.  Each distinct monomial's jet in the coordinate
+    values u in closed form, one matmul per point of the coefficient matrix
+    against them, and the chain rule through the coordinate jets as one
+    more.  The jets are :func:`eval_jet`'s to
     roundoff; each batch row is its point alone bit for bit (elementwise
     steps, one gemm per row).  Overflow raises as numpy's errstate says, and
     a non-finite jet as FloatingPointError, so the caller can re-run the walk
     to name the node."""
     m, dim = len(coords), coords[0].dim
-    monos = list(dict.fromkeys(chain.from_iterable(polys)))
-    coef = np.array([[poly.get(e, 0.0) for e in monos] for poly in polys])
+    rows = [{e + (0,) * (m - poly.dim): c for e, c in poly.terms} for poly in polys]
+    monos = list(dict.fromkeys(chain.from_iterable(rows))) or [(0,) * m]
+    coef = np.array([[row.get(e, 0.0) for e in monos] for row in rows])
     # per distinct (coordinate k, exponent a): u^a, a u^(a-1), a(a-1) u^(a-2),
     # from one power u^(a-2) (1 for a <= 2) and two products
     pairs = sorted({(k, a) for e in monos for k, a in enumerate(e)})

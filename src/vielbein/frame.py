@@ -19,6 +19,9 @@ conventions used throughout, after the batch axes (0-based array axes,
 
 Entry grids go through :func:`eval_entries`, the one layout of stacked entry
 jets: C-ordered, batch + entry grid + derivative axes, so never restacked.
+Its polynomial entries, :class:`~vielbein.expr.Poly` tables as they are and
+trees of polynomial form, run as one coefficient-table evaluation; the rest
+take the expression walk.
 
 Frame (Greek) indices are raised and lowered by the flat metric's sign vector,
 coordinate (Latin) indices with the metric built from the frame.  The spin
@@ -42,7 +45,7 @@ from typing import Callable, Iterable, Mapping, Sequence, Union, get_args
 
 import numpy as np
 
-from .expr import Expr, eval_jet, eval_polynomials, polynomial
+from .expr import Expr, Poly, eval_jet, eval_polynomials, polynomial
 from .jets import JetArray, jet_seed
 from .jetlinalg import _signed, contract, jet_einsum, jet_matinv
 from .tensors import Signature, eta_signs, levi_civita
@@ -71,7 +74,7 @@ __all__ = [
 
 _EXPR_NODES = get_args(Expr)
 
-FieldEntry = Union[Expr, float, int, Callable]
+FieldEntry = Union[Expr, Poly, float, int, Callable]
 
 
 class DegenerateFrameError(Exception):
@@ -89,17 +92,19 @@ def eval_entries(entries: Iterable[FieldEntry], jets: Sequence[JetArray],
     """Entries in row-major order, written into zeroed C-ordered stacks of the
     jets' batch shape + ``shape`` + derivative axes, a plain number into the
     values alone; an overflow or ``0 * inf`` raises at its node.  The
-    polynomial entries among them (:func:`~vielbein.expr.polynomial`) run
-    together as coefficient tables, whose jets are the tree walk's to
-    roundoff; when that overflows, every entry takes the walk in order, so
-    the error is the walk's."""
+    :class:`~vielbein.expr.Poly` entries, as they are, and the trees that
+    :func:`~vielbein.expr.polynomial` reads run together as coefficient
+    tables, whose jets are the tree walk's to roundoff; when that overflows,
+    every entry takes the walk in order, a Poly as its tree, so the error
+    names a node."""
     batch, dim, n = jets[0].jac.shape[:-1], jets[0].dim, math.prod(shape)
     val, jac, hess = [np.zeros(batch + (n,) + (dim,) * k) for k in range(3)]
     entries = tuple(entries)
     if len(entries) != n:
         raise ValueError(f"expected {n} entries, got {len(entries)}")
     polys = {k: poly for k, entry in enumerate(entries)
-             if isinstance(entry, _EXPR_NODES) and (poly := polynomial(entry, len(jets)))}
+             if (poly := entry if type(entry) is Poly else
+                 isinstance(entry, _EXPR_NODES) and polynomial(entry, len(jets)))}
     with np.errstate(invalid="raise", over="raise"):
         if polys:
             try:
@@ -112,6 +117,8 @@ def eval_entries(entries: Iterable[FieldEntry], jets: Sequence[JetArray],
         for k, entry in enumerate(entries):
             if k in polys:
                 continue
+            if type(entry) is Poly:
+                entry = entry.to_expr()
             if isinstance(entry, _EXPR_NODES):
                 out = eval_jet(entry, jets, params)
             elif isinstance(entry, (int, float)):
@@ -131,9 +138,9 @@ def eval_entries(entries: Iterable[FieldEntry], jets: Sequence[JetArray],
 class CoframeField:
     """An m x m grid of scalar entries defining a coframe e^mu = e^mu_i dx^i.
 
-    Entries are expression ASTs, plain numbers, or callables
-    ``(jets, params) -> JetArray``.  Fields are immutable and shareable;
-    evaluation is a pure function of the point.
+    Entries are expression ASTs, :class:`~vielbein.expr.Poly` tables, plain
+    numbers, or callables ``(jets, params) -> JetArray``.  Fields are
+    immutable and shareable; evaluation is a pure function of the point.
     """
 
     def __init__(self, entries, signature: Signature,

@@ -42,8 +42,6 @@ __all__ = [
 # letters reserved for derivative axes inside jet_einsum specs
 _DERIV_LETTERS = "ZYXWV"
 
-# (spec, per-point operand shapes) -> [(operand positions, _matmul_step recipe), ...]
-_PLANS: dict = {}
 # (spec, full operand shapes) -> _replay steps
 _REPLAYS: dict = {}
 
@@ -138,14 +136,12 @@ def _replay(spec: str, shapes: tuple) -> list:
     product's shape and transpose, a transpose of ``None`` the identity."""
     subs, _ = _spec_parts(spec)
     point = tuple([s[len(s) - len(sub):] for s, sub in zip(shapes, subs, strict=True)])
-    if (spec, point) not in _PLANS:
-        _PLANS[spec, point] = _plan(spec, point)
 
     def full(lead, axes):
         return None if axes is None else (*range(len(lead)), *[len(lead) + i for i in axes])
 
     shapes, steps = list(shapes), []
-    for inds, (*preps, kept, out_axes) in _PLANS[spec, point]:
+    for inds, (*preps, kept, out_axes) in _plan(spec, point):
         pair = [shapes.pop(i) for i in inds]
         leads = [s[:len(s) - count] for s, (count, _, _) in zip(pair, preps)]
         lead = np.broadcast_shapes(*leads)
@@ -158,12 +154,12 @@ def _replay(spec: str, shapes: tuple) -> list:
 def contract(spec: str, *ops) -> np.ndarray:
     """``np.einsum(spec, *ops)`` over ndarrays, where a leading ``...`` marks
     batch axes, as a chain of pairwise contractions, cheapest pair first.
-    The chain is planned once per (spec, per-point operand shapes), whatever
-    the batch, and resolved once per (spec, full shapes) into a replay whose
-    steps each run one stacked ``np.matmul`` of two operands.  A stacked
-    matmul makes one gemm per batch row on the per-point shapes, so every
-    row sums in the order of the batch-of-one contraction and equals that
-    result bit for bit, whatever the memory layout of the operands.  Unlike
+    The chain is planned on the per-point operand shapes, so it is the same
+    whatever the batch, once per (spec, full shapes), and resolved into a
+    replay whose steps each run one stacked ``np.matmul`` of two operands.
+    A stacked matmul makes one gemm per batch row on the per-point shapes,
+    so every row sums in the order of the batch-of-one contraction and equals
+    that result bit for bit, whatever the memory layout of the operands.  Unlike
     einsum, a letter never broadcasts from size 1: one with two sizes raises
     ``ValueError``, as does a spec that is no contraction (a lone operand, a
     trace or a diagonal; see :func:`_spec_parts`)."""

@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .expr import Expr
+from .expr import BinOp, Coord, Expr, Poly
 from .frame import (
     CoframePoint,
     SpinConnectionPoint,
@@ -35,7 +35,6 @@ from .frame import (
     epsilon_pair,
     eval_entries,
     eval_entry,
-    metric_inverse,
     spin_connection,
 )
 from .gauge import GaugeElement, gauge_transform_frame
@@ -163,15 +162,10 @@ class StressTensorPoint:
 
 
 def em_stress(cp: CoframePoint, fs: FieldStrengthPoint) -> StressTensorPoint:
-    """Electromagnetic stress: quarter-trace term plus the F.F contraction;
-    traceless in four dimensions."""
-    gi = metric_inverse(cp)
-    f = fs.f_coord
-    f_up = contract("...aj,...bi,...ji->...ab", gi, gi, f)
-    fsq = contract("...ji,...ji->...", f, f_up)
-    fmix = gi @ f                      # F^a_b
-    t = (0.25 * fsq[..., None, None] * cp.einv
-         + contract("...lj,...ji,...ir->...lr", fmix, fmix, cp.einv))
+    """Electromagnetic stress T^l_r = e^l_mu (F.F delta^mu_r / 4 + F^mu_nu F^nu_r),
+    in frame components throughout; traceless in four dimensions."""
+    t = (0.25 * fs.invariant[..., None, None] * cp.einv
+         + contract("...lm,...mn,...nr->...lr", cp.einv, fs.f_frame_mixed, fs.f_frame_mixed))
     return StressTensorPoint(T=t)
 
 
@@ -380,32 +374,15 @@ def restricted_gauge_element(lam4_generator, fiber_shift: Expr | None,
     """5D gauge element of the block form preserving the constraint: the
     frame rotation acts on the tetrad block only, the chart moves the base
     linearly (optional) and shifts the fiber by f(x1..x4)."""
-    from .expr import BinOp, Coord, Num
-
-    gen5 = [[0.0] * 5 for _ in range(5)]
-    for i in range(4):
-        for j in range(4):
-            gen5[i][j] = lam4_generator[i][j]
-
     coord_map = None
     if fiber_shift is not None or base_linear is not None:
-        rows: list[Expr] = []
-        for a in range(4):
-            if base_linear is None:
-                rows.append(Coord(a + 1))
-            else:
-                node: Expr = Num(0.0)
-                for i in range(4):
-                    node = BinOp("+", node, BinOp("*", Num(float(base_linear[a, i])),
-                                                  Coord(i + 1)))
-                rows.append(node)
-        fifth: Expr = Coord(5)
-        if fiber_shift is not None:
-            fifth = BinOp("+", fifth, fiber_shift)
-        rows.append(fifth)
+        units = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+        rows = ([Coord(a + 1) for a in range(4)] if base_linear is None else
+                [Poly(4, tuple(zip(units, map(float, row)))) for row in base_linear])
+        rows.append(Coord(5) if fiber_shift is None else BinOp("+", Coord(5), fiber_shift))
         coord_map = tuple(rows)
-    return GaugeElement(signature=SIG5, generator=tuple(tuple(r) for r in gen5),
-                        coord_map=coord_map)
+    generator = tuple((*row, 0.0) for row in lam4_generator) + ((0.0,) * 5,)
+    return GaugeElement(signature=SIG5, generator=generator, coord_map=coord_map)
 
 
 def _affine_pullback(jets: Sequence[JetArray],
@@ -455,7 +432,7 @@ def transform_config(cfg: KaluzaConfig, lam4_generator, fiber_shift_poly,
     lin_inv = None if base_linear is None else np.linalg.inv(base_linear)
     tetrad = _RotatedTetradField(cfg.tetrad, lam4_generator, cfg.params, lin_inv)
 
-    grads = [fiber_shift_poly.grad(i).to_expr() for i in range(4)]
+    grads = [fiber_shift_poly.grad(i) for i in range(4)]
     pot = tuple(cfg.potential)
     params = dict(cfg.params)
     k = cfg.k
@@ -497,7 +474,7 @@ def covariance_check(cfg: KaluzaConfig, point: Sequence[float],
                      seed: int) -> CovarianceReport:
     """Invariance of observables under a random restricted gauge element
     (position-dependent tetrad rotation plus fiber shift, identity base)."""
-    from .solutions import Poly, random_so_generator
+    from .solutions import random_so_generator
 
     rng = np.random.default_rng(seed)
     amp = 0.25     # perfbench.layers.gauge_element_for draws the same element

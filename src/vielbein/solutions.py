@@ -2,8 +2,10 @@
 
 Every verification suite draws its fixtures from here: closed-form
 solutions (flat space, accelerated chart, static black holes, charged
-black holes) plus seeded random polynomial frames and potentials for
-identity-level checks that hold regardless of any field equation.
+black holes) plus seeded random polynomial frames, potentials and gauge
+elements for identity-level checks that hold regardless of any field
+equation; their entries are :class:`~vielbein.expr.Poly` tables, which the
+frame layer evaluates as they are.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from . import expr
-from .expr import Expr, parse
+from .expr import Poly, parse
 from .frame import CoframeField
 from .tensors import Signature, eta_signs
 
@@ -38,71 +39,6 @@ __all__ = [
 # field equations, fixed once by requiring the charged-black-hole residual
 # to vanish (see scripts/calibrate_constants.py) and validated everywhere.
 EM_COUPLING_K2 = 4.0
-
-
-@dataclass(frozen=True)
-class Poly:
-    """Sparse polynomial with exact gradient, expressible as an AST."""
-
-    dim: int
-    terms: tuple[tuple[tuple[int, ...], float], ...]  # (exponents, coeff)
-
-    @staticmethod
-    def from_dict(dim: int, coeffs: Mapping[tuple[int, ...], float]) -> "Poly":
-        items = tuple(sorted((tuple(e), float(c)) for e, c in coeffs.items() if c != 0.0))
-        return Poly(dim, items)
-
-    @staticmethod
-    def random(rng: np.random.Generator, dim: int, degree: int, amplitude: float,
-               n_terms: int = 4) -> "Poly":
-        coeffs: dict[tuple[int, ...], float] = {}
-        for _ in range(n_terms):
-            exps = [0] * dim
-            for _ in range(int(rng.integers(0, degree + 1))):
-                exps[int(rng.integers(0, dim))] += 1
-            key = tuple(exps)
-            coeffs[key] = coeffs.get(key, 0.0) + float(rng.uniform(-1, 1)) * amplitude / n_terms
-        return Poly.from_dict(dim, coeffs)
-
-    def grad(self, i: int) -> "Poly":
-        """Exact partial derivative along coordinate i (0-based)."""
-        coeffs: dict[tuple[int, ...], float] = {}
-        for exps, c in self.terms:
-            if exps[i] == 0:
-                continue
-            new = list(exps)
-            new[i] -= 1
-            key = tuple(new)
-            coeffs[key] = coeffs.get(key, 0.0) + c * exps[i]
-        return Poly.from_dict(self.dim, coeffs)
-
-    def scale(self, c: float) -> "Poly":
-        return Poly.from_dict(self.dim, {e: c * v for e, v in self.terms})
-
-    def shift(self, offset: float) -> "Poly":
-        coeffs = dict(self.terms)
-        zero = (0,) * self.dim
-        coeffs[zero] = coeffs.get(zero, 0.0) + offset
-        return Poly.from_dict(self.dim, coeffs)
-
-    def to_expr(self) -> Expr:
-        if not self.terms:
-            return expr.Num(0.0)
-        out: Expr | None = None
-        for exps, c in self.terms:
-            node: Expr = expr.Num(abs(c))
-            for i, n in enumerate(exps):
-                if n == 0:
-                    continue
-                power: Expr = expr.Coord(i + 1)
-                if n > 1:
-                    power = expr.BinOp("^", power, expr.Num(float(n)))
-                node = expr.BinOp("*", node, power)
-            if out is None:
-                out = expr.Neg(node) if c < 0 else node
-            else:
-                out = expr.BinOp("-" if c < 0 else "+", out, node)
-        return out
 
 
 @dataclass(frozen=True)
@@ -248,9 +184,7 @@ def random_polynomial(seed: int = 0, amplitude: float = 0.1, dim: int = 4) -> Na
         row = []
         for i in range(dim):
             p = Poly.random(rng, dim, degree=3, amplitude=amplitude)
-            if mu == i:
-                p = p.shift(1.0)
-            row.append(p.to_expr())
+            row.append(p.shift(1.0) if mu == i else p)
         entries.append(row)
     sig = Signature(1, dim - 1)
     return NamedSolution(
@@ -269,8 +203,7 @@ def random_kaluza(seed: int = 0, amplitude: float = 0.1, k: float = 1.3):
 
     rng = _seeded_rng(seed)
     base = random_polynomial(seed=seed + 104729, amplitude=amplitude, dim=4)
-    potential = tuple(Poly.random(rng, 4, degree=3, amplitude=amplitude).to_expr()
-                      for _ in range(4))
+    potential = tuple(Poly.random(rng, 4, degree=3, amplitude=amplitude) for _ in range(4))
     return KaluzaConfig(tetrad=base.tetrad, potential=potential, k=k, params={})
 
 
@@ -288,8 +221,8 @@ def random_so_generator(rng: np.random.Generator, sig: Signature,
     for i in range(m):
         for j in range(i + 1, m):
             p = Poly.random(rng, m, degree=degree, amplitude=amplitude)
-            entries[i][j] = p.scale(signs[i]).to_expr()
-            entries[j][i] = p.scale(-signs[j]).to_expr()
+            entries[i][j] = p.scale(signs[i])
+            entries[j][i] = p.scale(-signs[j])
     return tuple(tuple(row) for row in entries)
 
 
@@ -320,7 +253,7 @@ def random_gauge_element(seed: int, sig: Signature, kind: str = "mixed",
                 bump = Poly.random(rng, m, degree=2, amplitude=0.1 * amplitude)
                 for e, v in bump.terms:
                     coeffs[e] = coeffs.get(e, 0.0) + v
-            rows.append(Poly.from_dict(m, coeffs).to_expr())
+            rows.append(Poly.from_dict(m, coeffs))
         coord_map = tuple(rows)
 
     return GaugeElement(signature=sig, generator=generator, coord_map=coord_map)

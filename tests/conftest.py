@@ -100,6 +100,18 @@ def connection_via_metric(cp):
     return (w_up - w_up.transpose((0, 2, 1))) * 0.5
 
 
+def em_stress_chart(cp, fs):
+    """Electromagnetic stress T^l_r through the coordinate chart: F raised by
+    the inverse metric, F.F plus F^l_j F^j_i, pulled back by e^i_r."""
+    gi = dense_metric_inverse(cp)
+    f = fs.f_coord
+    f_up = contract("...aj,...bi,...ji->...ab", gi, gi, f)
+    fsq = contract("...ji,...ji->...", f, f_up)
+    fmix = gi @ f                      # F^a_b
+    return (0.25 * fsq[..., None, None] * cp.einv
+            + contract("...lj,...ji,...ir->...lr", fmix, fmix, cp.einv))
+
+
 def el_residual_connection(section):
     """Euler-Lagrange block multiplying the connection variations; vanishes
     exactly when the section is kinematically admissible (torsion-free

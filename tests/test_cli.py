@@ -314,6 +314,17 @@ def test_non_finite_residual_exit_three(tmp_path, capsys, order):
     assert not (out / "report.json").exists() and not (out / "points.csv").exists()
 
 
+def test_overflow_in_a_poly_entry_names_its_node(tmp_path, capsys):
+    # a random frame's Poly entries overflow in the coefficient tables; the
+    # walk of each entry's tree then names the node
+    cfg = {"check": "identities",
+           "solution": {"name": "random_polynomial", "params": {"seed": 3}},
+           "grid": {"points": [[1e200, 0.1, 0.2, 0.3]]}, "tolerance": 1e-9, "seed": 0}
+    assert main(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == ("evaluation error: at point (1e+200, 0.1, 0.2, 0.3): "
+                                       "overflow encountered in power in 'x1^2.0'\n")
+
+
 def test_unwritable_out_dir_exit_two(tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("file, not a directory", encoding="utf-8")

@@ -34,16 +34,29 @@ ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = sorted((ROOT / "configs").glob("*.json"))
 
 
+def _recording_plans(mp) -> dict:
+    """Empty the replay cache and record each plan ``jetlinalg._plan`` makes
+    from then on, by (spec, per-point shapes), in the returned dict."""
+    plans, plan = {}, jetlinalg._plan
+
+    def recording(spec, shapes):
+        plans[spec, shapes] = plan(spec, shapes)
+        return plans[spec, shapes]
+
+    mp.setattr(jetlinalg, "_REPLAYS", {})
+    mp.setattr(jetlinalg, "_plan", recording)
+    return plans
+
+
 @pytest.fixture(scope="module")
 def bundled_plans(tmp_path_factory):
-    """The plans cached while running every bundled config, by (spec, shapes)."""
+    """The plans made while running every bundled config, by (spec, shapes)."""
     out = tmp_path_factory.mktemp("bundled")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(jetlinalg, "_PLANS", {})
-        mp.setattr(jetlinalg, "_REPLAYS", {})
+        plans = _recording_plans(mp)
         for cfg in CONFIGS:
             assert main(["run", str(cfg), "--out", str(out / cfg.stem)]) == 0
-        return dict(jetlinalg._PLANS)
+        return plans
 
 
 @pytest.fixture(scope="module")
@@ -105,8 +118,7 @@ def test_bundled_keys_are_batch_invariant(bundled_keys):
 
 
 def test_one_plan_per_spec_whatever_the_batch(monkeypatch):
-    monkeypatch.setattr(jetlinalg, "_PLANS", {})
-    monkeypatch.setattr(jetlinalg, "_REPLAYS", {})
+    plans = _recording_plans(monkeypatch)
     rng = np.random.default_rng(3)
     spec = "...ab,bc,...cde,...e->...ad"
     shapes = [(4, 5), (5, 3), (3, 4, 6), (6,)]
@@ -118,7 +130,8 @@ def test_one_plan_per_spec_whatever_the_batch(monkeypatch):
         rows = contract(spec, *ops)
         assert rows.shape == batch + one.shape
         assert all(rows[idx].tobytes() == one.tobytes() for idx in np.ndindex(*batch))
-    assert list(jetlinalg._PLANS) == [(spec, tuple(shapes))]
+    # each batch resolves its own replay from the plan of the per-point shapes
+    assert list(plans) == [(spec, tuple(shapes))]
 
 
 @pytest.mark.parametrize("spec,shapes", [
@@ -162,7 +175,7 @@ def test_non_contractions_are_refused(spec, shapes):
     finally:
         tracemalloc.stop()
     assert peak < 2**16
-    assert (spec, tuple(shapes)) not in jetlinalg._PLANS
+    assert (spec, tuple(shapes)) not in jetlinalg._REPLAYS
 
 
 @st.composite
@@ -253,21 +266,20 @@ def test_each_key_is_planned_once(tmp_path, monkeypatch):
     calls = []
     plan = jetlinalg._plan
 
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return plan(*args, **kwargs)
+    def counting(*args):
+        calls.append(args)
+        return plan(*args)
 
-    monkeypatch.setattr(jetlinalg, "_PLANS", {})
     monkeypatch.setattr(jetlinalg, "_REPLAYS", {})
     monkeypatch.setattr(jetlinalg, "_plan", counting)
     assert main(_vacuum_job(tmp_path, "one", 1)) == 0
-    planned = set(jetlinalg._PLANS)
-    n_calls = len(calls)
-    assert n_calls == len(planned) > 0
-    # 65 points span two grid blocks; every contraction reuses a plan
+    planned = set(calls)
+    assert len(calls) == len(jetlinalg._REPLAYS) > 0
+    # 65 points span two grid blocks; the block of 64 plans each of its new
+    # replays once, on per-point shapes planned before
     assert main(_vacuum_job(tmp_path, "many", 65)) == 0
-    assert set(jetlinalg._PLANS) == planned
-    assert len(calls) == n_calls == len(jetlinalg._PLANS)
+    assert set(calls) == planned
+    assert len(calls) == len(jetlinalg._REPLAYS)
 
 
 def _count_calls(monkeypatch, calls: list, name: str):
@@ -287,23 +299,23 @@ def test_replays_resolved_once_per_full_shapes(tmp_path, monkeypatch):
     calls = []
     _count_calls(monkeypatch, calls, "_plan")
     _count_calls(monkeypatch, calls, "_replay")
-    monkeypatch.setattr(jetlinalg, "_PLANS", {})
     monkeypatch.setattr(jetlinalg, "_REPLAYS", {})
     assert main(_vacuum_job(tmp_path, "one", 1)) == 0
-    plans, replays = set(jetlinalg._PLANS), set(jetlinalg._REPLAYS)
-    assert calls.count("_plan") == len(plans) and calls.count("_replay") == len(replays)
+    replays = set(jetlinalg._REPLAYS)
+    # each replay plans its spec once, for itself
+    assert calls == ["_replay", "_plan"] * len(replays)
     # a second identical job resolves no replay and plans nothing
     del calls[:]
     assert main(_vacuum_job(tmp_path, "again", 1)) == 0
     assert not calls and set(jetlinalg._REPLAYS) == replays
     # 65 points span blocks of 64 and 1: one new replay per batched key, for
-    # the batch of 64, and no plan
+    # the batch of 64, with its plan
     assert main(_vacuum_job(tmp_path, "many", 65)) == 0
     batched = [(spec, shapes) for spec, shapes in replays if _widened(spec, shapes, 64) != shapes]
     new = set(jetlinalg._REPLAYS) - replays
     assert batched and len(new) == len(batched)
     assert new == {(spec, _widened(spec, shapes, 64)) for spec, shapes in batched}
-    assert calls == ["_replay"] * len(new) and set(jetlinalg._PLANS) == plans
+    assert calls == ["_replay", "_plan"] * len(new)
 
 
 def test_product_terms_built_once_per_key():

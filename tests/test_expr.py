@@ -15,6 +15,7 @@ from vielbein.expr import (
     Num,
     Param,
     ParseError,
+    Poly,
     eval_jet,
     eval_polynomials,
     parse,
@@ -23,9 +24,10 @@ from vielbein.expr import (
 )
 from vielbein import expr
 from vielbein.frame import eval_entries
+from vielbein.gauge import evaluate_gauge
 from vielbein.jets import JetArray, jet_seed
-from vielbein.kaluza import _affine_pullback
-from vielbein.solutions import random_kaluza, random_polynomial
+from vielbein.kaluza import SIG4, SIG5, _affine_pullback
+from vielbein.solutions import random_gauge_element, random_kaluza, random_polynomial
 
 from conftest import fd_grad, fd_hess
 
@@ -331,34 +333,36 @@ def test_batched_jets_match_rows_and_finite_differences(tree, seed):
 
 @pytest.mark.parametrize("text, addends", [
     ("x1", None),                                  # the walk returns the seed itself
-    ("-x1", {(1, 0): -1.0}),
-    ("1 + 0.1*x2^2", {(0, 0): 1.0, (0, 2): 0.1}),
-    ("x1 - -(x2*x1^3)", {(1, 0): 1.0, (3, 1): 1.0}),
-    ("-x2*x1^3 - 2*x1", {(3, 1): -1.0, (1, 0): -2.0}),
-    ("-0*x1", {(1, 0): -0.0}),
+    ("-x1", [((1, 0), -1.0)]),
+    ("1 + 0.1*x2^2", [((0, 0), 1.0), ((0, 2), 0.1)]),
+    ("x1 - -(x2*x1^3)", [((1, 0), 1.0), ((3, 1), 1.0)]),
+    ("-x2*x1^3 - 2*x1", [((3, 1), -1.0), ((1, 0), -2.0)]),
+    ("-0*x1", [((1, 0), -0.0)]),
     ("0.0 - 2", None),                             # numbers only
-    ("x1*2", {(1, 0): 2.0}),                       # a number after a factor
-    ("2*3*x1", {(1, 0): 6.0}),
+    ("x1*2", [((1, 0), 2.0)]),                     # a number after a factor
+    ("2*3*x1", [((1, 0), 6.0)]),
     ("x1^2.5", None),
-    ("x1^1", {(1, 0): 1.0}),
+    ("x1^1", [((1, 0), 1.0)]),
     ("(x1 + 1)*x2", None),                         # no product of sums is expanded
-    ("x1 + (x2 + 1)", {(1, 0): 1.0, (0, 1): 1.0, (0, 0): 1.0}),
+    ("x1 + (x2 + 1)", [((1, 0), 1.0), ((0, 1), 1.0), ((0, 0), 1.0)]),
     ("M*x1", None),
     ("x1/2", None),
     ("sin(x1) + x2", None),
-    ("2*-x1", {(1, 0): -2.0}),                     # a minus anywhere
-    ("--x1 + 1", {(1, 0): 1.0, (0, 0): 1.0}),
-    ("--x1*x2", {(1, 1): 1.0}),
-    ("x1*x2 - x2*x1 + x1^2*x1", {(1, 1): 0.0, (3, 0): 1.0}),   # like monomials add
+    ("2*-x1", [((1, 0), -2.0)]),                   # a minus anywhere
+    ("--x1 + 1", [((1, 0), 1.0), ((0, 0), 1.0)]),
+    ("--x1*x2", [((1, 1), 1.0)]),
+    ("x1*x2 - x2*x1 + x1^2*x1", [((1, 1), 0.0), ((3, 0), 1.0)]),   # like monomials add
     ("x1^0", None),                                # a constant
     ("x1^-1", None),
     ("x1^2^2", None),
     ("-(x1 - 1)^2", None),
-    ("-(x1*x2 + 2)", {(1, 1): -1.0, (0, 0): -2.0}),
-    ("x1*(x2*3) - 0", {(1, 1): 3.0, (0, 0): 0.0}),
+    ("-(x1*x2 + 2)", [((1, 1), -1.0), ((0, 0), -2.0)]),
+    ("x1*(x2*3) - 0", [((1, 1), 3.0), ((0, 0), 0.0)]),
 ])
 def test_monomial_sum_form(text, addends):
-    assert polynomial(parse(text, 2), 2) == addends
+    # a Poly's terms in the order they appear in the chain, which fixes the
+    # order in which eval_polynomials sums them
+    assert polynomial(parse(text, 2), 2) == (addends and Poly(2, tuple(addends)))
 
 
 _NUMBERS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
@@ -460,9 +464,9 @@ def test_monomial_sums_on_pulled_back_jets(points):
     # chain rule takes the jets as they are, never the seeds' unit gradients
     jets = _affine_pullback(jet_seed(points), _chart(1))
     cfg = random_kaluza(seed=3)
-    trees = [*itertools.chain.from_iterable(cfg.tetrad.entries), *cfg.potential]
-    out = eval_polynomials([polynomial(t, 4) for t in trees], jets)
-    _assert_the_walks_to_roundoff(out, trees, jets)
+    polys = [*itertools.chain.from_iterable(cfg.tetrad.entries), *cfg.potential]
+    out = eval_polynomials(polys, jets)
+    _assert_the_walks_to_roundoff(out, [p.to_expr() for p in polys], jets)
 
 
 def test_a_huge_exponent_takes_no_table_of_powers():
@@ -477,23 +481,47 @@ def test_a_huge_exponent_takes_no_table_of_powers():
         np.testing.assert_array_equal(out.hess[..., 0, :, :], want.hess)
 
 
+@pytest.mark.parametrize("points", [(0.3, -0.2, 0.5, 0.1, 0.7),
+                                    np.random.default_rng(1).uniform(-1, 1, (16, 5))])
+def test_poly_entries_equal_their_trees_bitwise(points):
+    # a Poly takes the tables as it is, its tree after recognition: the same
+    # monomials in the same order, so the same bits.  A Poly in x1..x4 reads
+    # the first four of five coordinates; the tree of a constant or of an
+    # empty Poly is a number, which the walk hands back
+    rng = np.random.default_rng(7)
+    polys = [Poly.from_dict(5, {(0,) * 5: -0.5}),
+             *[Poly.random(rng, 5, degree=3, amplitude=0.7) for _ in range(4)],
+             Poly.from_dict(4, {}),
+             *[Poly.random(rng, 4, degree=3, amplitude=0.7) for _ in range(4)],
+             Poly.from_dict(4, {(0,) * 4: 0.25})]
+    jets = jet_seed(points)
+    got = eval_entries(polys, jets, {}, (len(polys),))
+    want = eval_entries([p.to_expr() for p in polys], jets, {}, (len(polys),))
+    for a, b in ((got.val, want.val), (got.jac, want.jac), (got.hess, want.hess)):
+        np.testing.assert_array_equal(_bits(a), _bits(b))
+
+
 def test_polynomial_fields_never_walk_the_tree(monkeypatch):
-    # random polynomial frames and potentials take the coefficient tables for every
-    # entry (seeds 0-8 have no entry that is a lone number; such an entry is a
-    # float the walk returns from one node), at a point and on a block
+    # random polynomial frames, potentials and gauge elements hand Poly
+    # entries, which take the coefficient tables as they are: no tree is
+    # printed or walked, at a point and on a block
     calls = []
-    walk = expr._eval
+    walk, to_expr = expr._eval, Poly.to_expr
 
     def spy(node, coords, params):
         calls.append(node)
         return walk(node, coords, params)
 
     monkeypatch.setattr(expr, "_eval", spy)
+    monkeypatch.setattr(Poly, "to_expr", lambda poly: calls.append(poly) or to_expr(poly))
     for points in [(0.3, -0.2, 0.5, 0.1), np.random.default_rng(0).uniform(-1, 1, (16, 4))]:
         jets = jet_seed(points)
         for seed in range(9):
             random_polynomial(seed=seed).tetrad.eval_jets(jets)
             eval_entries(random_kaluza(seed=seed).potential, jets, {}, (4,))
+    # the "lambda" kind maps by the bare coordinates, which the walk returns
+    for seed, sig, kind in itertools.product(range(9), [SIG4, SIG5], ["linear", "mixed"]):
+        evaluate_gauge(random_gauge_element(seed, sig, kind), (0.3, -0.2, 0.5, 0.1, 0.7)[:sig.m])
     assert calls == []
     eval_entries([parse("sqrt(x2 + 2)", 4)], jets, {}, ())   # the spy sees the walk
     assert calls

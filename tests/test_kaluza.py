@@ -9,6 +9,7 @@ import pytest
 from vielbein import cli
 from vielbein.cli import JobConfig
 from vielbein.expr import parse
+from vielbein.jetlinalg import contract
 from vielbein.frame import (
     curvature,
     einstein_density,
@@ -42,7 +43,7 @@ from vielbein.solutions import (
     schwarzschild,
 )
 
-from conftest import poly_value
+from conftest import em_stress_chart, poly_value
 
 PT = (0.1, 0.4, -0.3, 0.2)
 
@@ -138,6 +139,28 @@ def test_em_stress_traceless(rng):
         t = em_stress(cp, fs).T
         trace = float(np.einsum("lr,rl->", t, cp.e))
         assert abs(trace) < 1e-10
+
+
+@pytest.mark.parametrize("case", [*range(6), "reissner_nordstrom"])
+def test_em_stress_frame_form_matches_the_chart(case):
+    # T^l_r = e^l_mu (F.F delta^mu_r / 4 + F^mu_nu F^nu_r) against the
+    # coordinate-chart formula, on a block: the two sum the same terms in
+    # their own order, so they agree to roundoff of the sum of |terms|
+    if case == "reissner_nordstrom":
+        cfg = reissner_nordstrom(M=1.0, Q=0.5).kaluza_config()
+        points = [(0.0, 4.0, 1.3, 0.2), (0.3, 7.5, 2.0, 1.0), (-1.0, 2.4, 0.5, 3.0)]
+    else:
+        cfg = random_kaluza(seed=case, amplitude=0.3)
+        points = [PT, (-0.5, 0.2, 0.6, -0.1), (0.9, -0.8, 0.0, 0.4)]
+    kp = _KaluzaPoint(cfg, np.array(points))
+    cp, fs = kp.cp, kp.fs
+    got, want = em_stress(cp, fs).T, em_stress_chart(cp, fs)
+    a = np.abs
+    fsq = contract("...mn,...mn->...", a(fs.f_frame), a(fs.f_frame_up))
+    scale = (0.25 * fsq[..., None, None] * a(cp.einv) + contract(
+        "...lm,...mn,...nr->...lr", a(cp.einv), a(fs.f_frame_mixed), a(fs.f_frame_mixed)))
+    assert np.all(a(got - want) <= 64 * np.finfo(float).eps * scale + np.finfo(float).tiny)
+    assert np.abs(got).max() > 1e-4
 
 
 def test_reduction_trivial_potential_embeds_4d_connection():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from vielbein.expr import Num, to_text
+from vielbein import expr
+from vielbein.expr import Num, parse, polynomial, to_text
 from vielbein.frame import (
     curvature,
     einstein_density,
@@ -145,3 +146,12 @@ def test_poly_expr_consistency(rng):
 
 def test_poly_zero_prints_as_number():
     assert to_text(Poly.from_dict(2, {}).to_expr()) == to_text(Num(0.0))
+
+
+def test_one_polynomial_type():
+    # the random fields hand the expression module's Poly, the one format
+    # that polynomial() reads trees into and eval_polynomials takes
+    assert Poly is expr.Poly
+    assert type(polynomial(parse("1 + x1*x2", 2), 2)) is Poly
+    entries = [e for row in random_polynomial(seed=1).tetrad.entries for e in row]
+    assert all(type(e) is Poly for e in [*entries, *random_kaluza(seed=1).potential])
