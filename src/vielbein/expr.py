@@ -8,9 +8,9 @@ coordinate jets may carry a leading batch axis, in which case one walk of the
 tree evaluates the expression at every point of the block.  :class:`Poly` is
 the one polynomial type: random fields hand their entries as Polys,
 :func:`polynomial` reads a tree of polynomial form into one, and
-:func:`eval_polynomials` runs Polys together as coefficient tables:
-closed-form monomial jets, one matmul per point, jets equal to the walk's to
-roundoff.
+:func:`eval_polynomials` runs Polys together as coefficient tables at the
+seeded coordinate jets of :func:`~vielbein.jets.jet_seed`: closed-form
+monomial jets, one matmul per point, jets equal to the walk's to roundoff.
 
 Operator precedence, tightest first: ``^``, unary ``-``, ``* /``, ``+ -``.
 Every binary operator, ``^`` included, associates to the left (``2^3^2`` is
@@ -399,17 +399,22 @@ def polynomial(node: Expr, dim: int) -> Poly | None:
 
 
 def eval_polynomials(polys: Sequence[Poly], coords: Sequence[jets.JetArray]) -> jets.JetArray:
-    """The jets of polynomials at coordinate jets with Hessians, stacked on
-    one axis after the batch axes; a Poly in fewer coordinates than the jets
-    reads x1..x{its dim}.  Each distinct monomial's jet in the coordinate
-    values u in closed form, one matmul per point of the coefficient matrix
-    against them, and the chain rule through the coordinate jets as one
-    more.  The jets are :func:`eval_jet`'s to
-    roundoff; each batch row is its point alone bit for bit (elementwise
+    """The jets of polynomials at the seeded coordinate jets of
+    :func:`~vielbein.jets.jet_seed`, stacked on one axis after the batch
+    axes; a Poly in fewer coordinates than the jets reads x1..x{its dim}.
+    Each distinct monomial's jet in closed form, one matmul per point of the
+    coefficient matrix against them.  Jets that are not seeds (a gradient
+    other than a unit vector, a Hessian other than zero, a dimension other
+    than ``len(coords)``) raise ValueError.  The jets are :func:`eval_jet`'s
+    to roundoff; each batch row is its point alone bit for bit (elementwise
     steps, one gemm per row).  Overflow raises as numpy's errstate says, and
     a non-finite jet as FloatingPointError, so the caller can re-run the walk
     to name the node."""
-    m, dim = len(coords), coords[0].dim
+    m = len(coords)
+    du = np.stack([c.jac for c in coords], -2)
+    if (du.shape[-1] != m or (du != np.eye(m)).any()
+            or any(c.hess is None or c.hess.any() for c in coords)):
+        raise ValueError("polynomial entries are evaluated at seeded coordinate jets only")
     rows = [{e + (0,) * (m - poly.dim): c for e, c in poly.terms} for poly in polys]
     monos = list(dict.fromkeys(chain.from_iterable(rows))) or [(0,) * m]
     coef = np.array([[row.get(e, 0.0) for e in monos] for row in rows])
@@ -425,26 +430,16 @@ def eval_polynomials(polys: Sequence[Poly], coords: Sequence[jets.JetArray]) -> 
     tab = np.stack([mid * np.where(a >= 1.0, u, 1.0), a * mid,
                     a * np.maximum(a - 1.0, 0.0) * low], -2)   # batch + (order, pair)
 
-    # monomial jets in u packed one per column (value, gradient, Hessian): a
-    # slot takes from the factor in u_k its derivative of the order at which k
+    # monomial jets packed one per column (value, gradient, Hessian): a slot
+    # takes from the factor in x_k its derivative of the order at which k
     # appears in the slot
     eye = np.eye(m, dtype=int)
     order = np.concatenate([0 * eye[:1], eye, (eye[:, None] + eye).reshape(-1, m)]).T
     mono = np.ones(batch + order.shape[1:] + (len(monos),))   # C order: one gemm a row
     for k in range(m):
         mono *= tab[..., order[k][:, None], [at[k, e[k]] for e in monos]]
-
-    # the chain rule through the coordinate jets as one matrix per point, from
-    # packed jets in u to packed jets in the base coordinates
-    du = np.stack([c.jac for c in coords], -2)
-    rule = np.zeros(batch + (1 + m + m * m, 1 + dim + dim * dim))
-    rule[..., 0, 0] = 1.0
-    rule[..., 1:m + 1, 1:dim + 1] = du
-    rule[..., 1:m + 1, dim + 1:] = np.stack([c.hess for c in coords], -3).reshape(batch + (m, -1))
-    rule[..., m + 1:, dim + 1:] = (du[..., :, None, :, None] * du[..., None, :, None, :]
-                                   ).reshape(batch + (m * m, -1))
-    out = np.matmul(np.matmul(coef, mono.swapaxes(-1, -2)), rule)
+    out = np.matmul(coef, mono.swapaxes(-1, -2))
     if not np.isfinite(out).all():
         raise FloatingPointError("non-finite jet of a polynomial entry")
-    return jets.JetArray(out[..., 0], out[..., 1:dim + 1],
-                         out[..., dim + 1:].reshape(out.shape[:-1] + (dim, dim)))
+    return jets.JetArray(out[..., 0], out[..., 1:m + 1],
+                         out[..., m + 1:].reshape(out.shape[:-1] + (m, m)))

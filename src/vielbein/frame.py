@@ -20,8 +20,9 @@ conventions used throughout, after the batch axes (0-based array axes,
 Entry grids go through :func:`eval_entries`, the one layout of stacked entry
 jets: C-ordered, batch + entry grid + derivative axes, so never restacked.
 Its polynomial entries, :class:`~vielbein.expr.Poly` tables as they are and
-trees of polynomial form, run as one coefficient-table evaluation; the rest
-take the expression walk.
+trees of polynomial form, run as one coefficient-table evaluation, which
+takes the seeded coordinate jets of :func:`~vielbein.jets.jet_seed` only;
+the rest take the expression walk.
 
 Frame (Greek) indices are raised and lowered by the flat metric's sign vector,
 coordinate (Latin) indices with the metric built from the frame.  The spin

@@ -2,14 +2,14 @@
 
 A gauge element pairs a pseudo-orthogonal matrix field (given directly or as
 the exponential of a generator with eta-antisymmetric entries) with an
-optional coordinate map.  Transforms act on evaluated points; the new chart
-derivatives come from the chain rule through jets.
+optional polynomial coordinate map.  Transforms act on evaluated points; the
+new chart derivatives come from the chain rule through jets.
 
-Frame values, their first derivatives, and the transformed connection with
-its first derivatives are exact for arbitrary smooth maps.  The transformed
-second-derivative block additionally assumes the coordinate-map entries are
-polynomials of degree <= 2 (the map Hessian is then exactly the top order
-carried by the jets); the bundled generators respect this.
+The map and its Jacobian run as polynomials through
+:func:`~vielbein.expr.eval_polynomials`, so the inverse Jacobian is built
+from the Jacobian's own jets and every transformed block, the frame's second
+derivatives included, is exact at any degree of the map.  A chart entry
+that is not a polynomial in the coordinates raises :class:`GaugeError`.
 """
 
 from __future__ import annotations
@@ -23,10 +23,11 @@ import numpy as np
 from .frame import (
     CoframePoint,
     SpinConnectionPoint,
+    _EXPR_NODES,
     _coframe_point_from_jets,
     eval_entries,
 )
-from .expr import Coord
+from .expr import Coord, Poly, eval_polynomials, polynomial, to_text
 from .jets import JetArray, jet_seed
 from .jetlinalg import _signed, chart_transfer, jet_einsum, jet_matexp, jet_matinv
 from .tensors import Signature, eta, eta_signs
@@ -51,7 +52,9 @@ class GaugeElement:
 
     Exactly one of ``lam`` (explicit entry grid) and ``generator``
     (entry grid A with eta*A antisymmetric, exponentiated at evaluation)
-    must be given; ``coord_map=None`` means the identity chart.
+    must be given; ``coord_map=None`` means the identity chart.  ``params``
+    resolve the rotation's entries; the chart entries are polynomials in the
+    coordinates alone.
     """
 
     signature: Signature
@@ -99,17 +102,39 @@ def evaluate_gauge(ge: GaugeElement, point: Sequence[float]) -> GaugePointData:
     coord_map = [Coord(i + 1) for i in range(m)] if ge.coord_map is None else ge.coord_map
     if len(coord_map) != m:
         raise ValueError(f"coordinate map needs {m} entries")
-    mapped = eval_entries(coord_map, jets, params, (m,))
-    xbar = tuple(float(v) for v in mapped.val)
-    j, dj = mapped.jac, mapped.hess
+    polys = [_chart_poly(entry, m) for entry in coord_map]
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            out = eval_polynomials(polys + [p.grad(i) for p in polys for i in range(m)], jets)
+    except FloatingPointError as exc:
+        raise GaugeError(f"coordinate map at {tuple(point)}: {exc}") from None
+    xbar = tuple(float(v) for v in out.val[:m])
+    # the Jacobian's own jets: its second derivatives are the map's third
+    jmat = JetArray(*(a[m:].reshape((m, m) + a.shape[1:]) for a in (out.val, out.jac, out.hess)))
+    j, dj = jmat.val, jmat.jac
 
     det_j = float(np.linalg.det(j))
     if abs(det_j) < 1e-12:
         raise GaugeError(f"singular coordinate map at {tuple(point)}")
-    # the Jacobian's second derivatives (third of the map) vanish at degree <= 2
-    kj = jet_matinv(JetArray(j, dj, np.zeros(dj.shape + (m,))))
+    kj = jet_matinv(jmat)
     return GaugePointData(xbar=xbar, lam=lam, j=j, dj=dj, k=kj.val, dk=kj.jac,
                           ddk=kj.hess, det_j=det_j)
+
+
+def _chart_poly(entry, m: int) -> Poly:
+    """A chart entry as a Poly in x1..x{m}: a Poly, a number, a coordinate or
+    a tree that :func:`~vielbein.expr.polynomial` reads."""
+    if type(entry) is Poly and entry.dim <= m:
+        return Poly(m, tuple((e + (0,) * (m - entry.dim), c) for e, c in entry.terms))
+    if isinstance(entry, (int, float)):
+        return Poly.from_dict(m, {(0,) * m: entry})
+    if type(entry) is Coord and entry.index <= m:
+        return Poly(m, ((tuple(int(i == entry.index - 1) for i in range(m)), 1.0),))
+    poly = isinstance(entry, _EXPR_NODES) and polynomial(entry, m)
+    if not poly:
+        text = to_text(entry) if isinstance(entry, _EXPR_NODES) else repr(entry)
+        raise GaugeError(f"coordinate map entry '{text}' is not a polynomial in x1..x{m}")
+    return poly
 
 
 def gauge_transform_frame(cp: CoframePoint, ge: GaugeElement) -> CoframePoint:

@@ -12,7 +12,9 @@ coordinates of an ``(N, m)`` block covers all N points.  Any element out of
 a function's domain raises the error ``math`` raises; floats go to ``math``.
 Overflow and ``0 * inf`` raise under the ``np.errstate`` of ``frame.eval_entries``,
 the one place that lays out entry jets as one JetArray; the polynomial entries
-among them it hands, under that errstate, to ``expr.eval_polynomials``.
+among them it hands, under that errstate, to ``expr.eval_polynomials``, which
+takes the coordinate jets of :func:`jet_seed` only: unit gradients, zero
+Hessians, one coordinate per derivative axis.
 """
 
 from __future__ import annotations

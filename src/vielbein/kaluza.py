@@ -9,7 +9,10 @@ The module verifies, for arbitrary smooth configurations, that the 5D
 torsion-free connection collapses to closed forms in the field strength
 (reduction identities), and that the constrained field equations decompose
 into the four-dimensional Einstein block sourced by the electromagnetic
-stress tensor plus the Maxwell divergence block.
+stress tensor plus the Maxwell divergence block.  Covariance is checked
+under the restricted gauge group: frame rotations of the tetrad and fiber
+shifts of A.  Neither moves the base chart, so every field here is evaluated
+at the seeded coordinates of :func:`~vielbein.jets.jet_seed`.
 
 As in the frame layer, the checks (bar the covariance check) take any
 leading batch shape, and each row equals that point's own result bit for
@@ -369,88 +372,47 @@ def appendix_chain_check(cfg: KaluzaConfig, point: Sequence[float]) -> ChainRepo
     return _KaluzaPoint(cfg, point).chain()
 
 
-def restricted_gauge_element(lam4_generator, fiber_shift: Expr | None,
-                             base_linear: np.ndarray | None = None) -> GaugeElement:
+def restricted_gauge_element(lam4_generator, fiber_shift: Expr | None) -> GaugeElement:
     """5D gauge element of the block form preserving the constraint: the
-    frame rotation acts on the tetrad block only, the chart moves the base
-    linearly (optional) and shifts the fiber by f(x1..x4)."""
+    frame rotation acts on the tetrad block only, and the chart shifts the
+    fiber by f(x1..x4)."""
     coord_map = None
-    if fiber_shift is not None or base_linear is not None:
-        units = [tuple(int(i == j) for j in range(4)) for i in range(4)]
-        rows = ([Coord(a + 1) for a in range(4)] if base_linear is None else
-                [Poly(4, tuple(zip(units, map(float, row)))) for row in base_linear])
-        rows.append(Coord(5) if fiber_shift is None else BinOp("+", Coord(5), fiber_shift))
-        coord_map = tuple(rows)
+    if fiber_shift is not None:
+        coord_map = (*[Coord(a + 1) for a in range(4)], BinOp("+", Coord(5), fiber_shift))
     generator = tuple((*row, 0.0) for row in lam4_generator) + ((0.0,) * 5,)
     return GaugeElement(signature=SIG5, generator=generator, coord_map=coord_map)
 
 
-def _affine_pullback(jets: Sequence[JetArray],
-                     lin_inv: np.ndarray | None) -> list[JetArray]:
-    """Jets of the source coordinates x = L^-1 xbar, expressed in the new chart."""
-    if lin_inv is None:
-        return list(jets[:4])
-    out = []
-    for i in range(4):
-        acc = jets[0] * lin_inv[i, 0]
-        for a in range(1, 4):
-            acc = acc + jets[a] * lin_inv[i, a]
-        out.append(acc)
-    return out
-
-
 class _RotatedTetradField:
-    """Tetrad transformed by a pointwise rotation and an affine base change,
-    evaluated directly in the new chart.  Takes the jets of one point: the
-    rotation goes through :func:`jet_matexp`, which has no batch axes."""
+    """Tetrad transformed by a pointwise rotation.  Takes the jets of one
+    point: the rotation goes through :func:`jet_matexp`, which has no batch
+    axes."""
 
     signature = SIG4
     dim = 4
 
-    def __init__(self, base, generator, params, lin_inv: np.ndarray | None):
+    def __init__(self, base, generator, params):
         self.base = base
         self.generator = generator
         self.params = dict(params)
-        self.lin_inv = lin_inv
 
     def eval_jets(self, jets: Sequence[JetArray]) -> JetArray:
-        xjets = _affine_pullback(jets, self.lin_inv)
-        tet = self.base.eval_jets(xjets)
-        gen = eval_entries(chain.from_iterable(self.generator), xjets, self.params, (4, 4))
-        lam = jet_matexp(gen)
-        out = jet_einsum("ms,si->mi", lam, tet)
-        if self.lin_inv is not None:
-            out = jet_einsum("mi,ij->mj", out, self.lin_inv)
-        return out
+        tet = self.base.eval_jets(jets)
+        gen = eval_entries(chain.from_iterable(self.generator), jets, self.params, (4, 4))
+        return jet_einsum("ms,si->mi", jet_matexp(gen), tet)
 
 
-def transform_config(cfg: KaluzaConfig, lam4_generator, fiber_shift_poly,
-                     base_linear: np.ndarray | None = None) -> KaluzaConfig:
+def transform_config(cfg: KaluzaConfig, lam4_generator, fiber_shift_poly) -> KaluzaConfig:
     """Field-level action of a restricted gauge element on a configuration:
     rotated tetrad, potential shifted by the fiber gradient (a pure gauge
-    term), base chart moved linearly when requested."""
-    lin_inv = None if base_linear is None else np.linalg.inv(base_linear)
-    tetrad = _RotatedTetradField(cfg.tetrad, lam4_generator, cfg.params, lin_inv)
-
+    term)."""
+    tetrad = _RotatedTetradField(cfg.tetrad, lam4_generator, cfg.params)
     grads = [fiber_shift_poly.grad(i) for i in range(4)]
-    pot = tuple(cfg.potential)
-    params = dict(cfg.params)
-    k = cfg.k
+    pot, params, k = tuple(cfg.potential), dict(cfg.params), cfg.k
 
     def make_entry(j: int):
-        def entry(jets, prms):
-            xjets = _affine_pullback(jets, lin_inv)
-            total = None
-            for i in range(4):
-                weight = float(i == j) if lin_inv is None else lin_inv[i, j]
-                if weight == 0.0:
-                    continue
-                contrib = (eval_entry(pot[i], xjets, params)
-                           + eval_entry(grads[i], xjets, params) * (1.0 / k)) * weight
-                total = contrib if total is None else total + contrib
-            return total if total is not None else jets[0] * 0.0
-
-        return entry
+        return lambda jets, prms: (eval_entry(pot[j], jets, params)
+                                   + eval_entry(grads[j], jets, params) * (1.0 / k))
 
     new_pot = tuple(make_entry(j) for j in range(4))
     return KaluzaConfig(tetrad=tetrad, potential=new_pot, k=k, params=params)

@@ -232,8 +232,8 @@ def random_gauge_element(seed: int, sig: Signature, kind: str = "mixed",
 
     kinds: "lambda" (position-dependent rotation, identity chart), "linear"
     (constant rotation, invertible linear chart), "mixed" (both, with a
-    quadratic chart perturbation).  Chart entries stay at degree <= 2 so all
-    jet-transferred derivative blocks are exact.
+    quadratic chart perturbation).  Chart entries are Polys, which the gauge
+    layer transfers exactly.
     """
     from .gauge import GaugeElement
 

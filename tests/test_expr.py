@@ -26,7 +26,7 @@ from vielbein import expr
 from vielbein.frame import eval_entries
 from vielbein.gauge import evaluate_gauge
 from vielbein.jets import JetArray, jet_seed
-from vielbein.kaluza import SIG4, SIG5, _affine_pullback
+from vielbein.kaluza import SIG4, SIG5
 from vielbein.solutions import random_gauge_element, random_kaluza, random_polynomial
 
 from conftest import fd_grad, fd_hess
@@ -390,14 +390,6 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.int64)
 
 
-def _chart(seed):
-    """Seed jets (``seed`` None) or the pulled-back jets of a linear chart change,
-    in which each coordinate jet has a full gradient."""
-    if seed is None:
-        return None
-    return np.linalg.inv(np.eye(4) + 0.2 * np.random.default_rng(seed).uniform(-1, 1, (4, 4)))
-
-
 def _magnitude(tree, jets):
     """Sum of |terms| of every jet component: the tree with every number made
     positive and every minus a plus, at coordinate jets of |values|,
@@ -430,43 +422,50 @@ def _assert_the_walks_to_roundoff(out, trees, jets):
 
 @settings(deadline=None, max_examples=150)
 @given(trees=st.lists(_POLYS, min_size=1, max_size=4), rows=_BLOCKS,
-       batch=st.sampled_from(["point", "one", "block"]),
-       chart=st.one_of(st.none(), st.integers(0, 2**16)))
-def test_polynomials_match_the_walk_to_roundoff(trees, rows, batch, chart):
+       batch=st.sampled_from(["point", "one", "block"]))
+def test_polynomials_match_the_walk_to_roundoff(trees, rows, batch):
     block = {"point": np.array(rows[0]), "one": np.array(rows[:1]), "block": np.array(rows)}[batch]
-    jets = _affine_pullback(jet_seed(block), _chart(chart))
+    jets = jet_seed(block)
     out = eval_polynomials([polynomial(t, 4) for t in trees], jets)
     _assert_the_walks_to_roundoff(out, trees, jets)
 
 
 @settings(deadline=None, max_examples=60)
 # a block whose monomial stack is not C-ordered takes numpy's loop, not a gemm
-@example(trees=[parse("-1.188*x2^3 + x2^2", 4)], rows=[(0.0,) * 4] * 4 + [(0.0, 1.0, 0.0, 0.0)],
-         chart=None)
+@example(trees=[parse("-1.188*x2^3 + x2^2", 4)], rows=[(0.0,) * 4] * 4 + [(0.0, 1.0, 0.0, 0.0)])
 @given(trees=st.lists(_POLYS, min_size=1, max_size=4),
-       rows=st.lists(st.tuples(_COORDS, _COORDS, _COORDS, _COORDS), min_size=2, max_size=16),
-       chart=st.one_of(st.none(), st.integers(0, 2**16)))
-def test_polynomial_block_rows_equal_their_points_bitwise(trees, rows, chart):
-    polys, lin_inv = [polynomial(t, 4) for t in trees], _chart(chart)
-    block = eval_polynomials(polys, _affine_pullback(jet_seed(np.array(rows)), lin_inv))
+       rows=st.lists(st.tuples(_COORDS, _COORDS, _COORDS, _COORDS), min_size=2, max_size=16))
+def test_polynomial_block_rows_equal_their_points_bitwise(trees, rows):
+    polys = [polynomial(t, 4) for t in trees]
+    block = eval_polynomials(polys, jet_seed(np.array(rows)))
     for n, row in enumerate(rows):
         for points in (np.array(row), np.array([row])):     # batch () and (1,)
-            one = eval_polynomials(polys, _affine_pullback(jet_seed(points), lin_inv))
+            one = eval_polynomials(polys, jet_seed(points))
             for got, want in ((block.val[n], one.val), (block.jac[n], one.jac),
                               (block.hess[n], one.hess)):
                 np.testing.assert_array_equal(_bits(got), _bits(want.reshape(got.shape)))
 
 
-@pytest.mark.parametrize("points", [(0.3, -0.2, 0.5, 0.1),
-                                    [(0.3, -0.2, 0.5, 0.1), (-1.0, 0.0, 2.0, 0.5)]])
-def test_monomial_sums_on_pulled_back_jets(points):
-    # after a linear chart change each coordinate jet has a full gradient: the
-    # chain rule takes the jets as they are, never the seeds' unit gradients
-    jets = _affine_pullback(jet_seed(points), _chart(1))
-    cfg = random_kaluza(seed=3)
-    polys = [*itertools.chain.from_iterable(cfg.tetrad.entries), *cfg.potential]
-    out = eval_polynomials(polys, jets)
-    _assert_the_walks_to_roundoff(out, [p.to_expr() for p in polys], jets)
+_NOT_SEEDS = {
+    "a missing coordinate": lambda js: js[:3],
+    "swapped seeds": lambda js: [js[1], js[0], *js[2:]],
+    "a scaled seed": lambda js: [js[0] * 2.0, *js[1:]],
+    "a squared seed": lambda js: [js[0] * js[0], *js[1:]],   # unit gradient at x1 = 0.5
+}
+
+
+@pytest.mark.parametrize("points", [(0.5, -0.2, 0.3, 0.1),
+                                    [(0.5, -0.2, 0.3, 0.1), (0.5, 0.0, 2.0, 0.5)]])
+@pytest.mark.parametrize("case", list(_NOT_SEEDS))
+def test_eval_polynomials_takes_seeded_jets_only(case, points):
+    # the monomial jets at the seeds are the entries' jets, with no chain
+    # rule: coordinate jets other than unit gradients and zero Hessians, one
+    # per derivative axis, are refused, not evaluated wrong
+    polys = [polynomial(parse("x1^3*x2 - 2*x3*x4^2 + 0.5", 4), 4)]
+    seeds = jet_seed(points)
+    eval_polynomials(polys, seeds)
+    with pytest.raises(ValueError, match="seeded coordinate jets"):
+        eval_polynomials(polys, _NOT_SEEDS[case](seeds))
 
 
 def test_a_huge_exponent_takes_no_table_of_powers():
@@ -519,8 +518,10 @@ def test_polynomial_fields_never_walk_the_tree(monkeypatch):
         for seed in range(9):
             random_polynomial(seed=seed).tetrad.eval_jets(jets)
             eval_entries(random_kaluza(seed=seed).potential, jets, {}, (4,))
-    # the "lambda" kind maps by the bare coordinates, which the walk returns
-    for seed, sig, kind in itertools.product(range(9), [SIG4, SIG5], ["linear", "mixed"]):
+    # a chart entry, the bare coordinates of the identity chart included, is
+    # read as a Poly
+    for seed, sig, kind in itertools.product(range(9), [SIG4, SIG5],
+                                             ["lambda", "linear", "mixed"]):
         evaluate_gauge(random_gauge_element(seed, sig, kind), (0.3, -0.2, 0.5, 0.1, 0.7)[:sig.m])
     assert calls == []
     eval_entries([parse("sqrt(x2 + 2)", 4)], jets, {}, ())   # the spy sees the walk

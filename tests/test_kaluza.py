@@ -8,8 +8,10 @@ import pytest
 
 from vielbein import cli
 from vielbein.cli import JobConfig
-from vielbein.expr import parse
+from vielbein.expr import parse, polynomial
 from vielbein.jetlinalg import contract
+from vielbein.jets import jet_seed
+from vielbein.gauge import gauge_transform_frame
 from vielbein.frame import (
     curvature,
     einstein_density,
@@ -30,6 +32,7 @@ from vielbein.kaluza import (
     lift_point,
     maxwell_residual,
     reduction_check,
+    restricted_gauge_element,
     transform_config,
 )
 from vielbein.solutions import (
@@ -319,50 +322,50 @@ def test_transform_config_preserves_field_strength():
     assert np.allclose(g1, g2, atol=1e-12)
 
 
-def test_transform_config_linear_base_two_path():
-    cfg = random_kaluza(seed=37, amplitude=0.1, k=1.5)
-    rng = np.random.default_rng(2)
-    lin = np.eye(4) + 0.2 * rng.uniform(-1, 1, (4, 4))
-    gen = random_so_generator(rng, SIG4, amplitude=0.15)
-    f_poly = Poly.random(rng, 4, degree=2, amplitude=0.15)
-    cfg2 = transform_config(cfg, gen, f_poly, base_linear=lin)
-    xbar = tuple(lin @ np.array(PT))
-    lin_inv = np.linalg.inv(lin)
-    fs1 = field_strength(cfg, PT)
-    fs2 = field_strength(cfg2, xbar)
-    pulled = np.einsum("ij,ia,jb->ab", fs1.f_coord, lin_inv, lin_inv)
-    assert np.allclose(fs2.f_coord, pulled, atol=1e-10)
-
-
-def test_restricted_gauge_point_path_with_linear_base():
-    # 5D blocked gauge element with fiber shift and linear base chart: the
-    # constraint rows survive and the fifth row matches the field-level
-    # transformed potential at the image point
-    from vielbein.frame import eval_entry
-    from vielbein.gauge import gauge_transform_frame
-    from vielbein.jets import jet_seed
-    from vielbein.kaluza import restricted_gauge_element
-
+def test_restricted_gauge_point_path_with_fiber_shift():
+    # 5D blocked gauge element with a rotation and a fiber shift: the
+    # constraint rows survive, the base point stays, the fiber moves by f and
+    # the fifth row matches the field-level transformed potential
     cfg = random_kaluza(seed=55, amplitude=0.1, k=1.4)
     rng = np.random.default_rng(4)
-    lin = np.eye(4) + 0.2 * rng.uniform(-1, 1, (4, 4))
     gen = random_so_generator(rng, SIG4, amplitude=0.2)
     f_poly = Poly.random(rng, 4, degree=2, amplitude=0.2)
 
-    ge5 = restricted_gauge_element(gen, f_poly.to_expr(), base_linear=lin)
+    ge5 = restricted_gauge_element(gen, f_poly.to_expr())
     cp5 = evaluate_coframe(lift_coframe(cfg), lift_point(PT))
     cp5bar = gauge_transform_frame(cp5, ge5)
     assert cp5bar.e[4, 4] == pytest.approx(1.0, abs=1e-12)
     assert np.abs(cp5bar.e[:4, 4]).max() < 1e-12
-    assert cp5bar.x[:4] == pytest.approx(tuple(lin @ np.array(PT)))
+    assert cp5bar.x[:4] == PT
     assert cp5bar.x[4] == pytest.approx(poly_value(f_poly, PT))
 
-    cfg2 = transform_config(cfg, gen, f_poly, base_linear=lin)
-    xbar = tuple(lin @ np.array(PT))
-    jets = jet_seed(xbar)
+    cfg2 = transform_config(cfg, gen, f_poly)
+    jets = jet_seed(PT)
     abar = np.array([eval_entry(entry, jets, cfg2.params).val
                      for entry in cfg2.potential])
     assert np.allclose(cp5bar.e[4, :4], -cfg.k * abar, atol=1e-12)
+
+
+@pytest.mark.parametrize("shift", ["0.2*x1^3", "0.2*x1*x2*x3", 1, 2, 3, 4])
+def test_point_and_field_paths_agree_to_second_order(shift):
+    # the point path moves the lifted frame through the blocked gauge
+    # element, the field path lifts the transformed configuration at the
+    # image point; with a cubic fiber shift the second derivatives of the
+    # frame carry the third derivatives of f, which reach the point path
+    # only through the Hessian of the inverse Jacobian
+    rng = np.random.default_rng(shift if isinstance(shift, int) else 9)
+    cfg = random_kaluza(seed=61, amplitude=0.1, k=1.3)
+    gen = random_so_generator(rng, SIG4, amplitude=0.25, degree=2)
+    f_poly = (polynomial(parse(shift, 4), 4) if isinstance(shift, str)
+              else Poly.random(rng, 4, degree=3, amplitude=0.25))
+    assert max(sum(e) for e, _ in f_poly.terms) == 3
+
+    cp5 = evaluate_coframe(lift_coframe(cfg), lift_point(PT))
+    cp5bar = gauge_transform_frame(cp5, restricted_gauge_element(gen, f_poly.to_expr()))
+    want = evaluate_coframe(lift_coframe(transform_config(cfg, gen, f_poly)), cp5bar.x)
+    for got, ref in ((cp5bar.e, want.e), (cp5bar.de, want.de), (cp5bar.dde, want.dde)):
+        # each path rounds a few dozen times on terms of size ~max|ref|
+        assert np.abs(got - ref).max() <= 64 * np.finfo(float).eps * max(1.0, np.abs(ref).max())
 
 
 def test_covariance_random_trials():
