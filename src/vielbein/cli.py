@@ -325,6 +325,15 @@ def _grid_residuals(job: JobConfig, tetrad, kcfg, points, size: int | None = Non
             yield block, named, e
 
 
+def _component_ids(shape: tuple[int, ...]) -> list[str]:
+    """``i_j_k`` for each index of ``shape``, in the row-major order of ``np.ndindex``."""
+    ids = [""]
+    for axis, n in enumerate(shape):
+        sep = "_" if axis else ""
+        ids = [f"{head}{sep}{i}" for head in ids for i in range(n)]
+    return ids
+
+
 class _CsvStream:
     """points.csv, written block by block into a temporary file beside it and moved
     into place by ``commit``.  The directory and the file are made at the first
@@ -357,9 +366,9 @@ class _CsvStream:
               norms: Mapping[str, np.ndarray]) -> None:
         """The rows of ``block``, from its residual arrays and per-point norms."""
         if self.fh is None:
-            tails = [f",{check_id},{'_'.join(map(str, i))},"
+            tails = [f",{check_id},{component},"
                      for check_id, arr in sorted(named.items())
-                     for i in [*np.ndindex(arr.shape[1:]), ("norm",)]]
+                     for component in [*_component_ids(arr.shape[1:]), "norm"]]
             self.cells = np.empty((len(tails), 4), dtype=object)
             self.cells[:, 1], self.cells[:, 3] = tails, "\r\n"
             self.path.parent.mkdir(parents=True, exist_ok=True)

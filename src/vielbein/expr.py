@@ -25,7 +25,7 @@ import operator
 import re
 from dataclasses import dataclass
 from itertools import chain
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Protocol, Sequence, Union
 
 import numpy as np
 
@@ -40,6 +40,7 @@ __all__ = [
     "BinOp",
     "Call",
     "Poly",
+    "RandomSource",
     "ExprError",
     "ParseError",
     "EvalError",
@@ -103,6 +104,15 @@ class Call:
 Expr = Union[Num, Coord, Param, Neg, BinOp, Call]
 
 
+class RandomSource(Protocol):
+    """The draws random fields make: ``numpy.random.Generator`` has them, and so
+    has the package's own seeded generator (``solutions._seeded_rng``)."""
+
+    def integers(self, low: int, high: int) -> int: ...
+
+    def uniform(self, low: float, high: float) -> float: ...
+
+
 @dataclass(frozen=True)
 class Poly:
     """Sparse polynomial in x1..x{dim}, the package's one polynomial format:
@@ -120,7 +130,7 @@ class Poly:
         return Poly(dim, items)
 
     @staticmethod
-    def random(rng: np.random.Generator, dim: int, degree: int, amplitude: float,
+    def random(rng: RandomSource, dim: int, degree: int, amplitude: float,
                n_terms: int = 4) -> "Poly":
         coeffs: dict[tuple[int, ...], float] = {}
         for _ in range(n_terms):

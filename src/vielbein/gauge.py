@@ -74,8 +74,6 @@ class GaugePointData:
 
     xbar: tuple[float, ...]
     lam: JetArray          # (m, m) second order
-    j: np.ndarray          # dxbar^a / dx^i
-    dj: np.ndarray         # d_j of j
     k: np.ndarray          # inverse Jacobian dx^i / dxbar^a
     dk: np.ndarray
     ddk: np.ndarray
@@ -111,14 +109,12 @@ def evaluate_gauge(ge: GaugeElement, point: Sequence[float]) -> GaugePointData:
     xbar = tuple(float(v) for v in out.val[:m])
     # the Jacobian's own jets: its second derivatives are the map's third
     jmat = JetArray(*(a[m:].reshape((m, m) + a.shape[1:]) for a in (out.val, out.jac, out.hess)))
-    j, dj = jmat.val, jmat.jac
 
-    det_j = float(np.linalg.det(j))
+    det_j = float(np.linalg.det(jmat.val))
     if abs(det_j) < 1e-12:
         raise GaugeError(f"singular coordinate map at {tuple(point)}")
     kj = jet_matinv(jmat)
-    return GaugePointData(xbar=xbar, lam=lam, j=j, dj=dj, k=kj.val, dk=kj.jac,
-                          ddk=kj.hess, det_j=det_j)
+    return GaugePointData(xbar=xbar, lam=lam, k=kj.val, dk=kj.jac, ddk=kj.hess, det_j=det_j)
 
 
 def _chart_poly(entry, m: int) -> Poly:

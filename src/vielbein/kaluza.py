@@ -436,9 +436,9 @@ def covariance_check(cfg: KaluzaConfig, point: Sequence[float],
                      seed: int) -> CovarianceReport:
     """Invariance of observables under a random restricted gauge element
     (position-dependent tetrad rotation plus fiber shift, identity base)."""
-    from .solutions import random_so_generator
+    from .solutions import _seeded_rng, random_so_generator
 
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     amp = 0.25     # perfbench.layers.gauge_element_for draws the same element
     lam4_gen = random_so_generator(rng, SIG4, amplitude=amp, degree=2)
     f_poly = Poly.random(rng, 4, degree=3, amplitude=amp)

@@ -11,12 +11,13 @@ frame layer evaluates as they are.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .expr import Poly, parse
+from .expr import Poly, RandomSource, parse
 from .frame import CoframeField
 from .tensors import Signature, eta_signs
 
@@ -65,7 +66,7 @@ class NamedSolution:
             inside = self.domain_constraint(point)
         return inside
 
-    def sample_points(self, rng: np.random.Generator, n: int) -> list[tuple[float, ...]]:
+    def sample_points(self, rng: RandomSource, n: int) -> list[tuple[float, ...]]:
         pts = []
         while len(pts) < n:
             p = tuple(float(rng.uniform(lo, hi)) for lo, hi in self.box)
@@ -169,10 +170,100 @@ def constant_F(B: float = 1.0) -> NamedSolution:
     )
 
 
-def _seeded_rng(seed: int) -> np.random.Generator:
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hasher(h: int, mult: int) -> Callable[[int], int]:
+    """``SeedSequence``'s running 32-bit hash: each call steps ``h`` by ``mult``."""
+    def hashmix(v: int) -> int:
+        nonlocal h
+        v ^= h
+        h = h * mult & _M32
+        v = v * h & _M32
+        return v ^ v >> 16
+    return hashmix
+
+
+class _PCG64:
+    """numpy's ``default_rng(seed)`` stream, bit for bit, for the two draws the
+    package makes.  PCG64 is O'Neill's XSL-RR 128/64 generator (HMC-CS-2014-0905),
+    seeded as numpy's ``SeedSequence`` hashes an int; ``integers`` is Lemire's
+    bounded draw (ACM TOMACS 29(1), 2019) on 32-bit halves of the 64-bit output,
+    the second half kept for the next draw; ``uniform`` scales a 53-bit double.
+    Being pure Python, drawing a frame never imports ``numpy.random``."""
+
+    def __init__(self, seed: int):
+        words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+        hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+
+        def mix(x: int, y: int) -> int:
+            r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+            return r ^ r >> 16
+
+        pool = [hashmix(w) for w in (words + [0] * 4)[:4]]
+        for s in range(4):
+            for d in range(4):
+                if d != s:
+                    pool[d] = mix(pool[d], hashmix(pool[s]))
+        for w in words[4:]:
+            for d in range(4):
+                pool[d] = mix(pool[d], hashmix(w))
+        out = _hasher(0x8B51F9DD, 0x58F38DED)
+        u = [out(pool[i % 4]) for i in range(8)]
+        u0, u1, u2, u3 = (u[i] | u[i + 1] << 32 for i in range(0, 8, 2))
+        self.inc = (u2 << 64 | u3) << 1 & _M128 | 1
+        self.state = ((self.inc + (u0 << 64 | u1)) * _PCG_MULT + self.inc) & _M128
+        self.half: int | None = None
+
+    def _next64(self) -> int:
+        self.state = s = (self.state * _PCG_MULT + self.inc) & _M128
+        x, r = (s >> 64 ^ s) & _M64, s >> 122
+        return (x >> r | x << (64 - r)) & _M64
+
+    def _next32(self) -> int:
+        if self.half is not None:
+            x, self.half = self.half, None
+            return x
+        x = self._next64()
+        self.half = x >> 32
+        return x & _M32
+
+    def integers(self, low: int, high: int) -> int:
+        r = high - low - 1
+        if r < 0:
+            raise ValueError("low >= high")
+        if r >= _M32:
+            raise ValueError(f"a range of {r + 1} (2**32 or more) is not supported")
+        if r == 0:
+            return low
+        m = self._next32() * (r + 1)
+        if m & _M32 < r + 1:
+            t = (_M32 - r) % (r + 1)
+            while m & _M32 < t:
+                m = self._next32() * (r + 1)
+        return low + (m >> 32)
+
+    def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
+        low, span = float(low), float(high) - float(low)
+        if not math.isfinite(span):
+            raise OverflowError("high - low range exceeds valid bounds")
+        if math.copysign(1.0, span) < 0:
+            raise ValueError("high - low < 0")
+        n = 1 if size is None else int(np.prod(size))
+        draws = [low + span * ((self._next64() >> 11) * 2.0 ** -53) for _ in range(n)]
+        return draws[0] if size is None else np.array(draws).reshape(size)
+
+
+def _seeded_rng(seed: int) -> _PCG64:
+    """The generator behind every seeded draw: numpy's ``default_rng(seed)`` stream."""
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise TypeError(f"seed must be a non-negative integer, got {seed!r}") from None
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    return np.random.default_rng(seed)
+    return _PCG64(seed)
 
 
 def random_polynomial(seed: int = 0, amplitude: float = 0.1, dim: int = 4) -> NamedSolution:
@@ -207,7 +298,7 @@ def random_kaluza(seed: int = 0, amplitude: float = 0.1, k: float = 1.3):
     return KaluzaConfig(tetrad=base.tetrad, potential=potential, k=k, params={})
 
 
-def random_so_generator(rng: np.random.Generator, sig: Signature,
+def random_so_generator(rng: RandomSource, sig: Signature,
                         amplitude: float = 0.3, degree: int = 2):
     """Entry grid A with eta*A antisymmetric: exp(A) lies in SO(p, q).
 
@@ -237,7 +328,7 @@ def random_gauge_element(seed: int, sig: Signature, kind: str = "mixed",
     """
     from .gauge import GaugeElement
 
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     m = sig.m
     degree = 0 if kind == "linear" else 2
     generator = random_so_generator(rng, sig, amplitude=amplitude, degree=degree)

@@ -2,7 +2,10 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -14,6 +17,8 @@ from hypothesis import example, given, settings, strategies as st
 from vielbein import cli
 from vielbein.cli import main
 from vielbein.frame import SpinConnectionPoint, evaluate_coframe, spin_connection
+
+ROOT = Path(__file__).resolve().parent.parent
 
 VAC = {
     "check": "vacuum",
@@ -210,9 +215,11 @@ def test_unknown_key_at_any_level_exits_two(tmp_path, capsys, edit, path):
      "solution.params: [1, 2, 3, 4] is not an object"),
     ({"inline": {"signature": [1, 3], "tetrad": np.eye(4).tolist(), "params": None}},
      "solution.inline.params: None is not an object"),
-    # numpy refuses a negative seed; the error names the parameter
+    # the seeded generator refuses a negative or non-integer seed, naming it
     ({"name": "random_polynomial", "params": {"seed": -3}},
      "seed must be a non-negative integer, got -3"),
+    ({"name": "random_polynomial", "params": {"seed": 3.0}},
+     "seed must be a non-negative integer, got 3.0"),
 ])
 def test_bad_solution_params_exit_two(tmp_path, capsys, solution, message):
     cfg = {**VAC, "check": "identities", "solution": solution,
@@ -329,6 +336,24 @@ def test_unwritable_out_dir_exit_two(tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("file, not a directory", encoding="utf-8")
     assert main(["run", _write(tmp_path, VAC), "--out", str(blocker)]) == 2
+
+
+def test_random_frame_jobs_never_import_numpy_random(tmp_path):
+    # seeded frames are drawn in pure Python; importing numpy.random would cost
+    # every job ~6 MB of resident memory
+    script = ("import json, sys\n"
+              "from vielbein.cli import main\n"
+              "codes = [main(['run', c, '--out', o]) for c, o in zip(*[iter(sys.argv[1:])] * 2)]\n"
+              "print(json.dumps([codes, 'numpy.random' in sys.modules]))\n")
+    # the bundled random_polynomial identities job and random_kaluza reduction job
+    jobs = [str(p) for name in ("identities_random", "reduction_random")
+            for p in (ROOT / "configs" / f"{name}.json", tmp_path / name)]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    run = subprocess.run([sys.executable, "-c", script, *jobs], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout.splitlines()[-1]) == [[0, 0], False]
 
 
 def test_reports_are_byte_deterministic(tmp_path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from vielbein import expr
 from vielbein.expr import Num, parse, polynomial, to_text
@@ -19,10 +20,13 @@ from vielbein.solutions import (
     minkowski,
     random_kaluza,
     random_polynomial,
+    random_so_generator,
     reissner_nordstrom,
     rindler,
     schwarzschild,
+    _seeded_rng,
 )
+from vielbein.tensors import Signature
 
 from conftest import fd_grad, poly_value
 
@@ -155,3 +159,59 @@ def test_one_polynomial_type():
     assert type(polynomial(parse("1 + x1*x2", 2), 2)) is Poly
     entries = [e for row in random_polynomial(seed=1).tetrad.entries for e in row]
     assert all(type(e) is Poly for e in [*entries, *random_kaluza(seed=1).potential])
+
+
+# Ranges that are not powers of two: a small one, and ones just above 2^31,
+# where Lemire's draw rejects about half its 32-bit halves.
+_RANGES = st.one_of(st.integers(1, 40), st.integers(2**31 + 1, 2**32 - 1)).filter(
+    lambda n: n & (n - 1))
+_BOUNDS = st.floats(-1e300, 1e300)
+_DRAWS = st.lists(st.one_of(
+    st.tuples(st.just("integers"), st.integers(-2**40, 2**40), _RANGES),
+    st.tuples(st.just("uniform"), _BOUNDS, _BOUNDS),
+    st.tuples(st.just("matrix"), st.integers(1, 5), _BOUNDS)), max_size=40)
+
+
+def _draw(rng, op, a, b):
+    if op == "integers":
+        return int(rng.integers(a, a + b))
+    if op == "uniform":   # numpy refuses high < low; min and max of equal zeros keep their order
+        return float(rng.uniform(min(a, b), max(a, b)))
+    return rng.uniform(-abs(b), abs(b), size=(a, a)).tolist()
+
+
+@settings(deadline=None, max_examples=80)
+@given(seed=st.integers(0, 2**256), draws=_DRAWS)
+@example(seed=0, draws=[])
+@example(seed=2**256, draws=[("integers", 0, 2**31 + 1)] * 9 + [("matrix", 3, 1.0)])
+def test_seeded_rng_is_numpys_stream(seed, draws):
+    # seeds up to 2^256 take up to nine 32-bit words, more than the pool's four
+    ours, ref = _seeded_rng(seed), np.random.default_rng(seed)
+    assert [_draw(ours, *d) for d in draws] == [_draw(ref, *d) for d in draws]
+    assert (Poly.random(ours, 4, degree=3, amplitude=0.1)
+            == Poly.random(ref, 4, degree=3, amplitude=0.1))
+    for sig in (Signature(1, 3), Signature(2, 3)):
+        assert random_so_generator(ours, sig) == random_so_generator(ref, sig)
+
+
+def test_seeded_rng_refuses_what_numpy_refuses():
+    ours, ref = _seeded_rng(5), np.random.default_rng(5)
+    for rng in (ours, ref):
+        for low, high in ((3, 3), (3, 2)):
+            with pytest.raises(ValueError):
+                rng.integers(low, high)
+        for low, high in ((-1e308, 1e308), (0.0, float("inf")), (0.0, float("nan"))):
+            with pytest.raises(OverflowError):
+                rng.uniform(low, high)
+        for low, high in ((1.0, 0.0), (0.0, -0.0)):
+            with pytest.raises(ValueError):
+                rng.uniform(low, high)
+    # numpy draws these with 64-bit halves, which the seeded generator lacks
+    for span in (2**32, 2**40):
+        with pytest.raises(ValueError, match="not supported"):
+            ours.integers(0, span)
+    for make in (_seeded_rng, np.random.default_rng):
+        with pytest.raises(TypeError):
+            make(3.0)
+        with pytest.raises(ValueError):
+            make(-3)
