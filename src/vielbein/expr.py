@@ -130,15 +130,15 @@ class Poly:
         return Poly(dim, items)
 
     @staticmethod
-    def random(rng: RandomSource, dim: int, degree: int, amplitude: float,
-               n_terms: int = 4) -> "Poly":
+    def random(rng: RandomSource, dim: int, degree: int, amplitude: float) -> "Poly":
+        """Four random monomials of degree <= ``degree``, each times amplitude * U(-1, 1) / 4."""
         coeffs: dict[tuple[int, ...], float] = {}
-        for _ in range(n_terms):
+        for _ in range(4):
             exps = [0] * dim
             for _ in range(int(rng.integers(0, degree + 1))):
                 exps[int(rng.integers(0, dim))] += 1
             key = tuple(exps)
-            coeffs[key] = coeffs.get(key, 0.0) + float(rng.uniform(-1, 1)) * amplitude / n_terms
+            coeffs[key] = coeffs.get(key, 0.0) + float(rng.uniform(-1, 1)) * amplitude / 4
         return Poly.from_dict(dim, coeffs)
 
     def grad(self, i: int) -> "Poly":

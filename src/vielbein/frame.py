@@ -203,10 +203,8 @@ class OraclePoint:
 
     gamma: np.ndarray          # [k, i, j] Levi-Civita connection
     riemann: np.ndarray        # [a, b, c, d] = R^a_{b c d}
-    ricci: np.ndarray
     scalar: np.ndarray         # float64 scalar at a single point
     einstein: np.ndarray       # mixed G^l_j
-    g: np.ndarray
     ginv: np.ndarray
 
 
@@ -373,8 +371,8 @@ def oracle_from_coframe(cp: CoframePoint) -> OraclePoint:
     scalar = contract("...bd,...bd->...", ginv1.val, ricci)
     einstein_lo = ricci - 0.5 * g1.val * np.asarray(scalar)[..., None, None]
     einstein_mixed = ginv1.val @ einstein_lo
-    return OraclePoint(gamma=gam, riemann=riem, ricci=ricci, scalar=scalar,
-                       einstein=einstein_mixed, g=g1.val, ginv=ginv1.val)
+    return OraclePoint(gamma=gam, riemann=riem, scalar=scalar,
+                       einstein=einstein_mixed, ginv=ginv1.val)
 
 
 def spin_connection_via_christoffels(cp: CoframePoint, gamma: np.ndarray) -> np.ndarray:

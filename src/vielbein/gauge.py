@@ -1,7 +1,7 @@
 """Local frame rotations combined with coordinate-chart changes.
 
 A gauge element pairs a pseudo-orthogonal matrix field (given directly or as
-the exponential of a generator with eta-antisymmetric entries) with an
+the Cayley transform of a generator with eta-antisymmetric entries) with an
 optional polynomial coordinate map.  Transforms act on evaluated points; the
 new chart derivatives come from the chain rule through jets.
 
@@ -29,7 +29,7 @@ from .frame import (
 )
 from .expr import Coord, Poly, eval_polynomials, polynomial, to_text
 from .jets import JetArray, jet_seed
-from .jetlinalg import _signed, chart_transfer, jet_einsum, jet_matexp, jet_matinv
+from .jetlinalg import _signed, chart_transfer, jet_cayley, jet_einsum, jet_matinv
 from .tensors import Signature, eta, eta_signs
 
 __all__ = [
@@ -50,11 +50,11 @@ class GaugeError(Exception):
 class GaugeElement:
     """Lambda(x) in SO(p, q) plus a coordinate map x -> xbar.
 
-    Exactly one of ``lam`` (explicit entry grid) and ``generator``
-    (entry grid A with eta*A antisymmetric, exponentiated at evaluation)
-    must be given; ``coord_map=None`` means the identity chart.  ``params``
-    resolve the rotation's entries; the chart entries are polynomials in the
-    coordinates alone.
+    Exactly one of ``lam`` (explicit entry grid) and ``generator`` (entry
+    grid A with eta*A antisymmetric, taken to (I - A/2)^-1 (I + A/2) at
+    evaluation) must be given; ``coord_map=None`` means the identity chart.
+    ``params`` resolve the rotation's entries; the chart entries are
+    polynomials in the coordinates alone.
     """
 
     signature: Signature
@@ -88,12 +88,12 @@ def evaluate_gauge(ge: GaugeElement, point: Sequence[float]) -> GaugePointData:
     grid = ge.lam if ge.lam is not None else ge.generator
     lam = eval_entries(chain.from_iterable(grid), jets, params, (m, m))
     if ge.lam is None:
-        lam = jet_matexp(lam)
+        lam = jet_cayley(lam)
 
     et = eta(ge.signature)
     defect = np.abs(lam.val.T @ et @ lam.val - et).max()
-    # the roundoff of Lambda^T eta Lambda grows like max|Lambda|^2
-    if defect > 1e-12 * max(1.0, np.abs(lam.val).max()) ** 2:
+    # the roundoff of Lambda^T eta Lambda grows like max|Lambda|^2; a NaN fails
+    if not defect <= 1e-12 * max(1.0, np.abs(lam.val).max()) ** 2:
         raise GaugeError(f"Lambda not pseudo-orthogonal at {tuple(point)}: defect {defect:.2e}")
 
     # the identity chart maps by the coordinates themselves

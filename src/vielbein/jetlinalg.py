@@ -35,7 +35,7 @@ __all__ = [
     "contract",
     "jet_einsum",
     "jet_matinv",
-    "jet_matexp",
+    "jet_cayley",
     "chart_transfer",
 ]
 
@@ -249,35 +249,17 @@ def jet_matinv(a: JetArray) -> JetArray:
     return JetArray(iv, jac, hess)
 
 
-def jet_matexp(a: JetArray) -> JetArray:
-    """Matrix exponential of a square matrix of jets (scaling and squaring).
-    Raises ValueError if the series does not converge, as on a non-finite entry."""
-    n = a.val.shape[0]
-    norm = np.linalg.norm(a.val, ord=np.inf)
-    squarings = max(0, int(np.ceil(np.log2(norm))) + 1) if norm > 1.0 else 0
-    x = a * (0.5 ** squarings)
-
-    dim = a.dim
-    ident = JetArray(np.eye(n), np.zeros((n, n, dim)),
-                     None if a.hess is None else np.zeros((n, n, dim, dim)))
-    total = ident
-    term = ident
-    k = 1
-    while True:
-        term = jet_einsum("ab,bc->ac", term, x) * (1.0 / k)
-        total = total + term
-        # np.max, not max: a NaN after the first argument would be dropped
-        size = np.max([np.abs(term.val).max(), np.abs(term.jac).max(),
-                       0.0 if term.hess is None else np.abs(term.hess).max()])
-        if size < 1e-17:
-            break
-        if k > 80 or not np.isfinite(size):   # a partial sum would be a silent approximation
-            raise ValueError(f"matrix exponential series has not converged: term {k} "
-                             f"has size {size:.2e}")
-        k += 1
-    for _ in range(squarings):
-        total = jet_einsum("ab,bc->ac", total, total)
-    return total
+def jet_cayley(a: JetArray) -> JetArray:
+    """Cayley transform (I - a/2)^-1 (I + a/2) = 2 (I - a/2)^-1 - I of a square
+    matrix of jets, over any leading batch axes; with eta*a antisymmetric it
+    lies in SO(p, q).  A singular I - a/2 raises ``np.linalg.LinAlgError``, a
+    non-finite entry ``ValueError`` (an infinite one would map to -I)."""
+    if not all(np.isfinite(c).all() for c in (a.val, a.jac, a.hess) if c is not None):
+        raise ValueError("Cayley transform of a matrix with a non-finite entry")
+    eye = np.eye(a.val.shape[-1])
+    half = a * -0.5
+    inv = jet_matinv(JetArray(eye + half.val, half.jac, half.hess)) * 2.0
+    return JetArray(inv.val - eye, inv.jac, inv.hess)
 
 
 def chart_transfer(q: JetArray, k_val: np.ndarray, k_jac: np.ndarray | None) -> JetArray:

@@ -42,7 +42,7 @@ from .frame import (
 )
 from .gauge import GaugeElement, gauge_transform_frame
 from .jets import JetArray, jet_seed
-from .jetlinalg import _signed, contract, jet_einsum, jet_matexp
+from .jetlinalg import _signed, contract, jet_cayley, jet_einsum
 from .tensors import Signature, eta_signs
 from .variational import SectionPoint, el_residual_frame
 
@@ -384,9 +384,8 @@ def restricted_gauge_element(lam4_generator, fiber_shift: Expr | None) -> GaugeE
 
 
 class _RotatedTetradField:
-    """Tetrad transformed by a pointwise rotation.  Takes the jets of one
-    point: the rotation goes through :func:`jet_matexp`, which has no batch
-    axes."""
+    """Tetrad transformed by a pointwise rotation: the Cayley transform of an
+    SO(1, 3) generator grid, at one point or a block of points."""
 
     signature = SIG4
     dim = 4
@@ -399,7 +398,7 @@ class _RotatedTetradField:
     def eval_jets(self, jets: Sequence[JetArray]) -> JetArray:
         tet = self.base.eval_jets(jets)
         gen = eval_entries(chain.from_iterable(self.generator), jets, self.params, (4, 4))
-        return jet_einsum("ms,si->mi", jet_matexp(gen), tet)
+        return jet_einsum("...ms,...si->...mi", jet_cayley(gen), tet)
 
 
 def transform_config(cfg: KaluzaConfig, lam4_generator, fiber_shift_poly) -> KaluzaConfig:
@@ -439,9 +438,10 @@ def covariance_check(cfg: KaluzaConfig, point: Sequence[float],
     from .solutions import _seeded_rng, random_so_generator
 
     rng = _seeded_rng(seed)
-    amp = 0.25     # perfbench.layers.gauge_element_for draws the same element
-    lam4_gen = random_so_generator(rng, SIG4, amplitude=amp, degree=2)
-    f_poly = Poly.random(rng, 4, degree=3, amplitude=amp)
+    # amplitudes scaled to each draw's degree: the element stays O(0.25) at any point
+    s = 1.0 + float(np.abs(point).max())
+    lam4_gen = random_so_generator(rng, SIG4, amplitude=0.25 / s ** 2, degree=2)
+    f_poly = Poly.random(rng, 4, degree=3, amplitude=0.25 / s ** 3)
     cfg2 = transform_config(cfg, lam4_gen, f_poly)
 
     kp1 = _KaluzaPoint(cfg, point)

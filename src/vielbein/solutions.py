@@ -300,7 +300,7 @@ def random_kaluza(seed: int = 0, amplitude: float = 0.1, k: float = 1.3):
 
 def random_so_generator(rng: RandomSource, sig: Signature,
                         amplitude: float = 0.3, degree: int = 2):
-    """Entry grid A with eta*A antisymmetric: exp(A) lies in SO(p, q).
+    """Entry grid A with eta*A antisymmetric: its Cayley transform lies in SO(p, q).
 
     Built as A = eta*B with B an antisymmetric matrix of bounded random
     polynomials, so pseudo-orthogonality is exact up to roundoff while the
@@ -323,8 +323,8 @@ def random_gauge_element(seed: int, sig: Signature, kind: str = "mixed",
 
     kinds: "lambda" (position-dependent rotation, identity chart), "linear"
     (constant rotation, invertible linear chart), "mixed" (both, with a
-    quadratic chart perturbation).  Chart entries are Polys, which the gauge
-    layer transfers exactly.
+    quadratic chart perturbation).  Rotations are Cayley transforms of
+    :func:`random_so_generator` grids; chart entries are Polys, transferred exactly.
     """
     from .gauge import GaugeElement
 

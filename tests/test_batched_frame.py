@@ -65,7 +65,7 @@ def _outputs(cp) -> dict:
         curvature_to_coordinate=curvature_to_coordinate(cp, cv),
         kretschmann=kretschmann_scalar(cp, cv),
         **{f"oracle_{k}": getattr(orc, k)
-           for k in ("gamma", "riemann", "ricci", "scalar", "einstein", "g", "ginv")})
+           for k in ("gamma", "riemann", "scalar", "einstein", "ginv")})
     return {k: np.asarray(v) for k, v in out.items()}
 
 

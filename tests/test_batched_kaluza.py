@@ -20,8 +20,9 @@ from hypothesis import given, settings, strategies as st
 from vielbein import cli, frame, kaluza
 from vielbein.cli import JobConfig, main
 from vielbein.frame import spin_connection
+from vielbein.jets import jet_seed
 from vielbein.kaluza import _KaluzaPoint, em_stress
-from vielbein.solutions import random_kaluza
+from vielbein.solutions import Poly, _seeded_rng, random_kaluza, random_so_generator
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -64,6 +65,25 @@ def test_batched_kaluza_rows_equal_single_points(seed, batch, data):
             got = rows[name][idx]
             assert got.shape == want.shape, name
             assert got.tobytes() == want.tobytes(), (name, idx)
+
+
+@pytest.mark.parametrize("seed", [2, 9])
+def test_gauge_transformed_config_rows_equal_single_points(seed):
+    # the rotated tetrad takes a block through the Cayley transform, so the
+    # transformed configuration runs every check on a block as well
+    cfg = random_kaluza(seed=seed, amplitude=0.15)
+    rng = _seeded_rng(seed)
+    gen = random_so_generator(rng, kaluza.SIG4, amplitude=0.25, degree=2)
+    cfg2 = kaluza.transform_config(cfg, gen, Poly.random(rng, 4, degree=3, amplitude=0.25))
+    pts = np.linspace(-0.6, 0.6, 20).reshape(5, 4)
+    tet = cfg2.tetrad.eval_jets(jet_seed(pts))
+    rows = _outputs(_KaluzaPoint(cfg2, pts))
+    for k, pt in enumerate(pts):
+        alone = cfg2.tetrad.eval_jets(jet_seed(pt))
+        for got, want in ((tet.val, alone.val), (tet.jac, alone.jac), (tet.hess, alone.hess)):
+            assert got[k].tobytes() == want.tobytes()
+        for name, want in _outputs(_KaluzaPoint(cfg2, tuple(pt))).items():
+            assert rows[name][k].tobytes() == want.tobytes(), (name, k)
 
 
 def test_report_types_take_any_batch_shape():

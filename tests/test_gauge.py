@@ -80,8 +80,9 @@ def test_constant_lambda_keeps_zero_omega():
 
 
 def test_position_dependent_rotation_inhomogeneous_term():
-    # rotation in the (3,4) frame plane by angle x1 acting on the flat frame:
-    # the transported connection is pure gauge, with unit-size component
+    # generator x1 in the (3,4) frame plane acting on the flat frame: its Cayley
+    # transform rotates by the angle 2*atan(x1/2), so the transported connection
+    # is pure gauge, with the component d/dx1 of that angle, 1/(1 + x1^2/4)
     gen = [[0.0] * 4 for _ in range(4)]
     gen[2][3] = parse("x1", 4)
     gen[3][2] = parse("-x1", 4)
@@ -89,7 +90,7 @@ def test_position_dependent_rotation_inhomogeneous_term():
     cp = evaluate_coframe(minkowski().tetrad, PT)
     sp = spin_connection(cp)
     spb = gauge_transform_omega(sp, cp, ge)
-    assert abs(spb.omega[0, 2, 3]) == pytest.approx(1.0, abs=1e-12)
+    assert abs(spb.omega[0, 2, 3]) == pytest.approx(1.0 / (1.0 + PT[0] ** 2 / 4), abs=1e-12)
     # two-path: the same answer comes from recomputing the connection of the
     # transformed frame
     cpb = gauge_transform_frame(cp, ge)
@@ -138,11 +139,13 @@ def test_commuting_diagram_E_vs_omega_paths(kind, dim, rng):
 
 
 def test_gauge_rejects_non_orthogonal_lambda():
-    lam = np.eye(4)
-    lam[0, 1] = 0.1
-    ge = GaugeElement(signature=SIG4, lam=tuple(map(tuple, lam)))
-    with pytest.raises(GaugeError):
-        evaluate_gauge(ge, PT)
+    # a NaN entry makes a NaN defect, which must fail the bound too
+    for entry in (0.1, math.nan):
+        lam = np.eye(4)
+        lam[0, 1] = entry
+        ge = GaugeElement(signature=SIG4, lam=tuple(map(tuple, lam)))
+        with pytest.raises(GaugeError):
+            evaluate_gauge(ge, PT)
 
 
 def test_gauge_rejects_defect_relative_to_lambda_size():

@@ -1,16 +1,20 @@
+from itertools import chain
+
 import numpy as np
 import pytest
 
 from vielbein.expr import eval_jet, parse
 from vielbein.frame import eval_entries
+from vielbein.gauge import GaugeElement, evaluate_gauge
 from vielbein.jets import jet_seed
 from vielbein.jetlinalg import (
     JetArray,
     chart_transfer,
+    jet_cayley,
     jet_einsum,
-    jet_matexp,
     jet_matinv,
 )
+from vielbein.solutions import _seeded_rng, random_so_generator
 from vielbein.tensors import Signature, eta
 
 
@@ -90,53 +94,48 @@ def test_jet_matinv_derivatives():
     assert np.allclose(inv.hess, ref.hess, atol=1e-11)
 
 
-def test_jet_matexp_orthogonality_and_derivative():
-    sig = Signature(1, 2)
+@pytest.mark.parametrize("sig", [Signature(1, 2), Signature(1, 3), Signature(2, 2),
+                                 Signature(1, 4)])
+def test_jet_cayley_lies_in_so_pq_on_a_block(sig):
+    m = sig.m
     et = eta(sig)
-    gen_texts = [["0", "x1 + x2^2", "0.5*x2"],
-                 ["-(x1 + x2^2)", "0", "-0.3*x1*x2"],
-                 ["-0.5*x2", "0.3*x1*x2", "0"]]
-    # A = eta*B with B antisymmetric gives exp(A) in SO(p, q)
-    b = _matrix_jets(gen_texts, POINT)
-    a = jet_einsum("ab,bc->ac", et, b)
-    ex = jet_matexp(a)
-    assert np.abs(ex.val.T @ et @ ex.val - et).max() < 1e-13
-    h = 1e-7
-
-    import scipy.linalg as sla
-
-    def lam(p):
-        return sla.expm(et @ _eval_plain(gen_texts, p))
-
-    for k in range(2):
-        dp = np.array(POINT, float)
-        dm = dp.copy()
-        dp[k] += h
-        dm[k] -= h
-        fd = (lam(dp) - lam(dm)) / (2 * h)
-        assert np.allclose(ex.jac[..., k], fd, atol=1e-6)
+    gen = random_so_generator(_seeded_rng(7 + m), sig, amplitude=1.0, degree=2)
+    pts = np.array([[0.6 * (k - 1) + 0.1 * i for i in range(m)] for k in range(3)])
+    lam = jet_cayley(eval_entries(chain.from_iterable(gen), jet_seed(pts), {}, (m, m)))
+    for k, pt in enumerate(pts):
+        val = lam.val[k]
+        assert np.abs(val.T @ et @ val - et).max() < 4e-15
+        assert np.linalg.det(val) == pytest.approx(1.0, abs=1e-14)
+        alone = jet_cayley(eval_entries(chain.from_iterable(gen), jet_seed(pt), {}, (m, m)))
+        for got, ref in ((lam.val[k], alone.val), (lam.jac[k], alone.jac),
+                         (lam.hess[k], alone.hess)):
+            assert np.array_equal(got, ref)
 
 
-def test_jet_matexp_scaling_and_squaring():
-    big = [["0", "3 + x1"], ["3 + x1", "0"]]
-    b = _matrix_jets(big, POINT)
-    ex = jet_matexp(b)
-    import scipy.linalg as sla
+def test_jet_cayley_exact_jets_of_a_plane_rotation():
+    # the Cayley transform of t*J, J = [[0, 1], [-1, 0]], in closed form
+    t = "(sin(x1) + x1*x2^2 - 0.4*x2)"
+    c, s = f"(1 - {t}^2/4)/(1 + {t}^2/4)", f"{t}/(1 + {t}^2/4)"
+    lam = jet_cayley(_matrix_jets([["0", t], [f"-{t}", "0"]], POINT))
+    ref = _matrix_jets([[c, s], [f"-{s}", c]], POINT)
+    for got, want in ((lam.val, ref.val), (lam.jac, ref.jac), (lam.hess, ref.hess)):
+        assert np.abs(got - want).max() < 1e-13
 
-    assert np.allclose(ex.val, sla.expm(b.val), atol=1e-12)
+
+def test_jet_cayley_raises_on_a_singular_generator():
+    # a boost generator of parameter 2 makes I - A/2 singular
+    ge = GaugeElement(signature=Signature(1, 1), generator=((0.0, 2.0), (2.0, 0.0)))
+    with pytest.raises(np.linalg.LinAlgError):
+        evaluate_gauge(ge, POINT)
 
 
-@pytest.mark.parametrize("where, value", [("val", np.nan), ("jac", np.inf), ("hess", np.inf),
-                                          ("jac", 1e200)])
-def test_jet_matexp_refuses_a_series_that_does_not_converge(where, value):
-    # nan < 1e-17 is false, so a NaN term never meets the stopping test; a finite
-    # 1e200 derivative still has terms of ~1e68 after 80 of them
+@pytest.mark.parametrize("where, value", [("val", np.nan), ("jac", np.inf), ("hess", np.inf)])
+def test_jet_cayley_refuses_a_non_finite_entry(where, value):
+    # an infinite generator would map to -I, and a NaN one would pass through
     b = _matrix_jets([["0", "x1"], ["x1", "0"]], POINT)
-    if value == 1e200:
-        b = b.drop_hess()   # its products would overflow to inf
     getattr(b, where)[0, 1, ...] = value
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not converged"):
-        jet_matexp(b)
+    with pytest.raises(ValueError, match="non-finite"):
+        jet_cayley(b)
 
 
 def test_chart_transfer_quadratic_map():
