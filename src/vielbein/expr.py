@@ -339,11 +339,16 @@ def _print(node: Expr, parent_prec: int) -> str:
 
 
 def eval_jet(node: Expr, coords: Sequence, params: Mapping[str, float] | None = None):
-    """Evaluate over JetArray coordinates (or plain floats) and named parameters."""
-    return _eval(node, coords, params or {})
+    """Evaluate over JetArray coordinates (or plain floats) and named parameters.
+    A node object reached twice, as a subtree shared by two parents, is walked
+    once: the walk memoises by node identity."""
+    return _eval(node, coords, params or {}, {})
 
 
-def _eval(node: Expr, coords, params):
+def _eval(node: Expr, coords, params, memo: dict):
+    """The walk below ``node``; ``memo`` maps the id of each operator node
+    walked so far to (node, value), and holding the node keeps its id from
+    being reused while the memo lives."""
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Coord):
@@ -353,19 +358,23 @@ def _eval(node: Expr, coords, params):
             return float(params[node.name])
         except KeyError:
             raise EvalError(f"unresolved parameter {node.name!r}", to_text(node)) from None
+    if id(node) in memo:
+        return memo[id(node)][1]
     if isinstance(node, Neg):
-        return -_eval(node.operand, coords, params)
-    if isinstance(node, BinOp):
-        func, args = _BINOPS[node.op][1], (_eval(node.left, coords, params),
-                                            _eval(node.right, coords, params))
+        func, args = operator.neg, (_eval(node.operand, coords, params, memo),)
+    elif isinstance(node, BinOp):
+        func, args = _BINOPS[node.op][1], (_eval(node.left, coords, params, memo),
+                                            _eval(node.right, coords, params, memo))
     elif isinstance(node, Call):
-        func, args = _FUNCTIONS[node.func], (_eval(node.arg, coords, params),)
+        func, args = _FUNCTIONS[node.func], (_eval(node.arg, coords, params, memo),)
     else:  # pragma: no cover
         raise TypeError(f"not an Expr node: {node!r}")
     try:
-        return func(*args)
+        out = func(*args)
     except (ArithmeticError, ValueError) as exc:   # numpy's FloatingPointError included
         raise EvalError(str(exc), to_text(node)) from None
+    memo[id(node)] = node, out
+    return out
 
 
 def polynomial(node: Expr, dim: int) -> Poly | None:

@@ -34,19 +34,23 @@ expansion included, goes through :func:`epsilon_pair`: it sums the frame
 factors tied to two permutation symbols over sorted index subsets only, the
 minors of the frame against the symbols' dual tables (the generalized
 Kronecker delta expansion), and each caller states the paper's prefactor.
+The frame side of that sum, :func:`frame_compound`, is one stacked matmul of
+the minors against the dual table, and a :class:`CoframePoint` builds it once
+per tied-factor count for every block on its frame.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain, combinations, permutations
 from typing import Callable, Iterable, Mapping, Sequence, Union, get_args
 
 import numpy as np
 
-from .expr import Expr, Poly, eval_jet, eval_polynomials, polynomial
+from . import expr
+from .expr import Expr, Poly, eval_polynomials, polynomial
 from .jets import JetArray, jet_seed
 from .jetlinalg import _signed, contract, jet_einsum, jet_matinv
 from .tensors import Signature, eta_signs, levi_civita
@@ -70,6 +74,7 @@ __all__ = [
     "spin_connection_via_christoffels",
     "curvature_to_coordinate",
     "kretschmann_scalar",
+    "frame_compound",
     "epsilon_pair",
 ]
 
@@ -97,7 +102,8 @@ def eval_entries(entries: Iterable[FieldEntry], jets: Sequence[JetArray],
     :func:`~vielbein.expr.polynomial` reads run together as coefficient
     tables, whose jets are the tree walk's to roundoff; when that overflows,
     every entry takes the walk in order, a Poly as its tree, so the error
-    names a node."""
+    names a node.  The walks share one memo, so a subtree that several
+    entries hold as one object is walked once."""
     batch, dim, n = jets[0].jac.shape[:-1], jets[0].dim, math.prod(shape)
     val, jac, hess = [np.zeros(batch + (n,) + (dim,) * k) for k in range(3)]
     entries = tuple(entries)
@@ -115,13 +121,14 @@ def eval_entries(entries: Iterable[FieldEntry], jets: Sequence[JetArray],
             else:
                 ks = list(polys)
                 val[..., ks], jac[..., ks, :], hess[..., ks, :, :] = out.val, out.jac, out.hess
+        memo: dict = {}
         for k, entry in enumerate(entries):
             if k in polys:
                 continue
             if type(entry) is Poly:
                 entry = entry.to_expr()
             if isinstance(entry, _EXPR_NODES):
-                out = eval_jet(entry, jets, params)
+                out = expr._eval(entry, jets, params, memo)
             elif isinstance(entry, (int, float)):
                 out = entry
             elif callable(entry):
@@ -174,10 +181,17 @@ class CoframePoint:
     E: np.ndarray
     signature: Signature
     det: np.ndarray          # float64 scalar at a single point
+    _compounds: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def m(self) -> int:
         return self.signature.m
+
+    def compound(self, n_e: int) -> np.ndarray:
+        """:func:`frame_compound` of this frame, built on first use per ``n_e``."""
+        if n_e not in self._compounds:
+            self._compounds[n_e] = frame_compound(self.e, n_e)
+        return self._compounds[n_e]
 
 
 @dataclass(frozen=True)
@@ -299,7 +313,11 @@ def _compound_tables(m: int, n_e: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     * the Leibniz terms of the minors det(e[S[F], S[Q]]) as positions in the
       frame flattened per point: entry ``[p, a, Q, F]`` addresses
       e[S[F, a], S[Q, perm_p(a)]];
-    * the sign of each permutation ``perm_p``, as ``[p, 1, 1]``."""
+    * the sign of each permutation ``perm_p``, as ``[p, 1, 1]``.
+
+    ``D`` serves both symbols: flattened over its tail, the frame side's
+    matmul (:func:`frame_compound`, cached per frame point), and as it is,
+    the coordinate side's contraction in :func:`epsilon_pair`."""
     subsets = np.array(list(combinations(range(m), n_e)), dtype=int)    # [F, a]
     eps = levi_civita(m)
     dual = eps.reshape((m ** n_e,) + eps.shape[n_e:])[subsets @ m ** np.arange(n_e)[::-1]]
@@ -311,12 +329,27 @@ def _compound_tables(m: int, n_e: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return dual, rows * m + cols, sign[:, None, None]
 
 
-def epsilon_pair(e: np.ndarray, coord_tail: str, frame_tail: str,
+def frame_compound(e: np.ndarray, n_e: int) -> np.ndarray:
+    """The frame side of a double-epsilon block, ``tied[..., Q, tail...] =
+    sum_F D[F, tail...] det(e[S[F], S[Q]])`` (see :func:`_compound_tables`).
+    ``D`` has at most one nonzero, +-1, per tail tuple, so each entry is one
+    signed minor exactly; one stacked matmul against the flattened ``D``, a
+    gemm per batch row, builds them faster than a gather or a ``contract``."""
+    m = e.shape[-1]
+    dual, flat, sign = _compound_tables(m, n_e)
+    terms = np.take(e.reshape(e.shape[:-2] + (m * m,)), flat, axis=-1)
+    minors = (terms.prod(axis=-3) * sign).sum(axis=-3)    # [..., Q, F]
+    tied = np.matmul(minors, dual.reshape(len(dual), -1))
+    return tied.reshape(minors.shape[:-1] + dual.shape[1:])
+
+
+def epsilon_pair(frame: CoframePoint | np.ndarray, coord_tail: str, frame_tail: str,
                  extras: Sequence[str], out: str, *operands) -> np.ndarray:
-    """Double permutation-symbol block with the frame ``e`` tied slotwise to
-    the two symbols in the ``n_e = m - len(coord_tail)`` slots the tails leave
-    free; ``operands`` (index strings ``extras`` after their batch axes,
-    letters other than ``F`` and ``Q``) follow the frame factors:
+    """Double permutation-symbol block with the frame ``e`` (a frame point's,
+    or a bare frame array) tied slotwise to the two symbols in the
+    ``n_e = m - len(coord_tail)`` slots the tails leave free; ``operands``
+    (index strings ``extras`` after their batch axes, letters other than
+    ``F`` and ``Q``) follow the frame factors:
 
         eps[q..., coord_tail] eps[f..., frame_tail] e[f_1, q_1] ... e[f_n, q_n] / n_e!
 
@@ -326,24 +359,24 @@ def epsilon_pair(e: np.ndarray, coord_tail: str, frame_tail: str,
     restricted to sorted leading slots and ``det(e[F, Q])`` the ``n_e`` x
     ``n_e`` minors of the frame (its ``n_e``-th compound matrix), for every
     ``n_e``: at 0 the one minor is the empty determinant, 1, and at 1 the
-    minors are the frame itself.  The frame-tied dual ``F<frame_tail>,...QF``
-    is contracted first, then the rest."""
-    m = e.shape[-1]
+    minors are the frame itself.  The frame side, summed over F, is
+    :func:`frame_compound`; a frame point caches it, so every block on one
+    frame shares it.  The coordinate-side dual is contracted with it and the
+    operands in one ``contract`` call."""
+    m = frame.m if isinstance(frame, CoframePoint) else frame.shape[-1]
     if len(coord_tail) > m:
         raise ValueError(f"double-epsilon tail {coord_tail!r} is longer than m = {m}")
-    dual, flat, sign = _compound_tables(m, m - len(coord_tail))
-    terms = np.take(e.reshape(e.shape[:-2] + (m * m,)), flat, axis=-1)
-    minors = (terms.prod(axis=-3) * sign).sum(axis=-3)    # [..., Q, F]
-    tied = contract(f"F{frame_tail},...QF->...Q{frame_tail}", dual, minors)
+    n_e = m - len(coord_tail)
+    tied = frame.compound(n_e) if isinstance(frame, CoframePoint) else frame_compound(frame, n_e)
     spec = ",".join([f"Q{coord_tail}", f"...Q{frame_tail}", *["..." + x for x in extras]])
-    return contract(spec + "->..." + out, dual, tied, *operands)
+    return contract(spec + "->..." + out, _compound_tables(m, n_e)[0], tied, *operands)
 
 
 def einstein_density(cp: CoframePoint, curv: CurvaturePoint) -> np.ndarray:
     """Double-epsilon contraction of the curvature against m-3 frame factors;
     vanishes exactly on Einstein-vacuum frames.  Free indices: coordinate
     (up) first, frame (down) second."""
-    return 0.25 * epsilon_pair(cp.e, "lij", "rst", ["jist"], "lr", curv.R)
+    return 0.25 * epsilon_pair(cp, "lij", "rst", ["jist"], "lr", curv.R)
 
 
 def coordinate_oracle(field, point: Sequence[float]) -> OraclePoint:

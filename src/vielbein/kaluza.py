@@ -232,8 +232,9 @@ class _KaluzaPoint:
 
     def __init__(self, cfg: KaluzaConfig, point):
         self.cfg = cfg
-        self.tet, self.pot = config_jets(cfg, jet_seed(point))
-        self.cp = _coframe_point_from_jets(point, self.tet, SIG4)
+        self.x = np.asarray(point, dtype=float)
+        self.tet, self.pot = config_jets(cfg, jet_seed(self.x))
+        self.cp = _coframe_point_from_jets(self.x, self.tet, SIG4)
 
     @cached_property
     def sp(self) -> SpinConnectionPoint:
@@ -244,7 +245,8 @@ class _KaluzaPoint:
         # the entries never read x5, so padding the 4D jets with zero x5
         # derivatives equals evaluating the lifted field at 5D seeds
         ja = _lift_jets(self.tet, self.pot, self.cfg.k, 5)
-        return _coframe_point_from_jets(np.insert(self.cp.x, 4, 0.0, axis=-1), ja, SIG5)
+        x5 = np.concatenate([self.x, np.zeros(self.x.shape[:-1] + (1,))], axis=-1)
+        return _coframe_point_from_jets(x5, ja, SIG5)
 
     @cached_property
     def sp5(self) -> SpinConnectionPoint:
@@ -320,7 +322,6 @@ class _KaluzaPoint:
         w_col5 = w[..., :4, :4, 4]           # omega_j^{lam 5}
         w5_44 = w[..., 4, :4, :4]            # omega_5^{lam sig}
         wmix5_44 = wmix[..., 4, :4, :4]      # omega_5^lam_eta
-        e4 = cp5.e[..., :4, :4]
 
         # quadratic block plus the cross term of the fifth column, [i, s, t, j]
         base = (dw[..., :4, :4, :4, :4] + contract("...jse,...iet->...istj", wmix44, w44)
@@ -331,11 +332,13 @@ class _KaluzaPoint:
                  - contract("...se,...jet->...stj", wmix5_44, w44))
         fifth = contract("...te,...je->...jt", wmix5_44, w_col5)
         # the fiber term shares the base term's block (eps[q, p, l, j] = -eps[q, l, p, j]),
-        # the fifth frame row in slot i; the two-factor terms move one slot per symbol
+        # the fifth frame row in slot i; the two-factor terms move one slot per symbol.
+        # The tetrad block of cp5.e is self.cp.e bit for bit, so the blocks take
+        # the compounds self.cp caches, which route 3 shares
         fiber5 = cp5.e[..., 4, :4, None, None, None] * fiber[..., None, :, :, :]
-        e_form2 = (0.5 * epsilon_pair(e4, "lij", "rst", ["istj"], "lr", base - fiber5)
-                   + epsilon_pair(e4, "lj", "rt", ["jt"], "lr", fifth))
-        m_form2 = -0.5 * epsilon_pair(e4, "li", "st", ["sti"], "l", fiber)
+        e_form2 = (0.5 * epsilon_pair(self.cp, "lij", "rst", ["istj"], "lr", base - fiber5)
+                   + epsilon_pair(self.cp, "lj", "rt", ["jt"], "lr", fifth))
+        m_form2 = -0.5 * epsilon_pair(self.cp, "li", "st", ["sti"], "l", fiber)
 
         # route 3: stress-sourced Einstein block of the tetrad alone, and the
         # divergence form pulled back to a coordinate index

@@ -17,7 +17,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .expr import Poly, RandomSource, parse
+from .expr import BinOp, Expr, Num, Poly, RandomSource, parse
 from .frame import CoframeField
 from .tensors import Signature, eta_signs
 
@@ -84,13 +84,21 @@ class NamedSolution:
                             params=dict(self.params))
 
 
-def _diag_field(texts: Sequence[str | float], signature: Signature,
+def _diag_field(texts: Sequence[str | float | Expr], signature: Signature,
                 params: Mapping[str, float]) -> CoframeField:
     m = signature.m
     entries = [[0.0] * m for _ in range(m)]
     for i, t in enumerate(texts):
         entries[i][i] = parse(t, m) if isinstance(t, str) else t
     return CoframeField(entries, signature, params)
+
+
+def _static_spherical(lapse: str, params: Mapping[str, float]) -> CoframeField:
+    """diag(N, 1/N, r, r sin(theta)) with r = x2 and theta = x3; the radial
+    entry divides by the lapse tree N itself, so a block walks N once."""
+    n = parse(lapse, 4)
+    return _diag_field([n, BinOp("/", Num(1.0), n), "x2", "x2*sin(x3)"],
+                       Signature(1, 3), params)
 
 
 def minkowski(dim: int = 4) -> NamedSolution:
@@ -116,11 +124,7 @@ def rindler() -> NamedSolution:
 def schwarzschild(M: float = 1.0) -> NamedSolution:
     if M <= 0:
         raise ValueError("mass must be positive")
-    sig = Signature(1, 3)
-    tetrad = _diag_field(
-        ["sqrt(1 - 2*M/x2)", "1/sqrt(1 - 2*M/x2)", "x2", "x2*sin(x3)"],
-        sig, {"M": M},
-    )
+    tetrad = _static_spherical("sqrt(1 - 2*M/x2)", {"M": M})
     margin = 0.3
     return NamedSolution(
         name="schwarzschild",
@@ -135,13 +139,8 @@ def schwarzschild(M: float = 1.0) -> NamedSolution:
 def reissner_nordstrom(M: float = 1.0, Q: float = 0.5) -> NamedSolution:
     if M <= 0 or M * M < Q * Q:
         raise ValueError("need M > 0 and M^2 >= Q^2 for an outer static domain")
-    sig = Signature(1, 3)
     params = {"M": M, "Q": Q}
-    tetrad = _diag_field(
-        ["sqrt(1 - 2*M/x2 + Q^2/x2^2)", "1/sqrt(1 - 2*M/x2 + Q^2/x2^2)",
-         "x2", "x2*sin(x3)"],
-        sig, params,
-    )
+    tetrad = _static_spherical("sqrt(1 - 2*M/x2 + Q^2/x2^2)", params)
     r_plus = M + math.sqrt(M * M - Q * Q)
     margin = 0.3
     return NamedSolution(

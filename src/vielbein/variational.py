@@ -75,7 +75,7 @@ THETA_RATIO = -0.5
 
 def theta_density(section: SectionPoint) -> np.ndarray:
     """Scalar coefficient L with the pulled-back Lagrangian m-form = L ds."""
-    return 0.5 * epsilon_pair(section.cp.e, "ij", "st", ["ijst"], "",
+    return 0.5 * epsilon_pair(section.cp, "ij", "st", ["ijst"], "",
                               quadratic_block(section.sp))
 
 
@@ -97,11 +97,10 @@ def omega_shuffle_identity(section: SectionPoint) -> np.ndarray:
     differentials (antisymmetrized over the frame pair); returns the max
     deviation.  Holds for arbitrary, not necessarily holonomic, sections.
     """
-    e = section.cp.e
-    wmix = section.sp.omega_mixed
+    cp, wmix = section.cp, section.sp.omega_mixed
 
-    lhs = epsilon_pair(e, "ij", "st", ["jsh"], "iht", wmix)
-    rhs = -0.5 * epsilon_pair(e, "lij", "xst", ["yl", "jxy"], "ist", e, wmix)
+    lhs = epsilon_pair(cp, "ij", "st", ["jsh"], "iht", wmix)
+    rhs = -0.5 * epsilon_pair(cp, "lij", "xst", ["yl", "jxy"], "ist", cp.e, wmix)
 
     c_lhs = lhs - lhs.swapaxes(-2, -1)
     c_rhs = rhs - rhs.swapaxes(-2, -1)
@@ -112,5 +111,5 @@ def el_residual_frame(section: SectionPoint) -> np.ndarray:
     """Residual block multiplying the frame variations; on holonomic sections
     it coincides with the curvature density (same contraction, with the
     quadratic block in place of the full curvature)."""
-    return 0.5 * epsilon_pair(section.cp.e, "lij", "rst", ["ijst"], "lr",
+    return 0.5 * epsilon_pair(section.cp, "lij", "rst", ["ijst"], "lr",
                               quadratic_block(section.sp))

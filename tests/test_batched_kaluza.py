@@ -164,3 +164,15 @@ def test_one_lowering_per_spin_connection(name, lowerings, monkeypatch):
     monkeypatch.setattr(frame.SpinConnectionPoint, "omega_mixed", prop)
     cli._block_residuals(job, tetrad, kcfg, points)
     assert len(calls) == lowerings
+
+
+def test_appendix_chain_builds_each_compound_once(monkeypatch):
+    # the five double-epsilon blocks of a chain block take three frame
+    # compounds: the 5D frame's at n_e = 2, and the tetrad's at n_e = 1 and 2,
+    # which route 2 (on the tetrad block of the 5D frame) shares with route 3
+    built, build = [], frame.frame_compound
+    monkeypatch.setattr(frame, "frame_compound",
+                        lambda e, n_e: built.append((e.shape[-1], n_e)) or build(e, n_e))
+    pts = np.random.default_rng(4).uniform(-0.5, 0.5, (8, 4))
+    _KaluzaPoint(random_kaluza(seed=4, amplitude=0.15), pts).chain()
+    assert sorted(built) == [(4, 1), (4, 2), (5, 2)]

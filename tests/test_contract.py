@@ -421,12 +421,9 @@ def test_contractions_cannot_bypass_the_plan_cache():
 
 
 # repeats a block still makes, by (site of the first call, site of the repeat):
-# a site is the function outside jetlinalg that called contract or jet_einsum
-REPEAT_EXEMPTIONS = {
-    # the frame-tied dual of one n_e, rebuilt by each epsilon_pair call on
-    # the tetrad (twice at n_e = 1, twice at n_e = 2, per appendixA block)
-    ("epsilon_pair", "epsilon_pair"),
-}
+# a site is the function outside jetlinalg that called contract or jet_einsum.
+# None is left: a frame point builds each frame-tied dual once
+REPEAT_EXEMPTIONS: set = set()
 
 
 def _letters_in_order(spec: str) -> str:

@@ -160,6 +160,31 @@ def test_overflow_raises_at_the_node(text, x1, node):
     assert err.value.subexpr == node and "overflow" in str(err.value)
 
 
+def test_a_shared_subtree_is_walked_once(monkeypatch):
+    # the walk memoises by node identity: a subtree object held twice, in one
+    # tree or by two entries of one eval_entries call, takes one sqrt, and the
+    # jets are those of the trees parsed apart, bit for bit.  A failure inside
+    # it still names the shared node
+    sqrt, calls = expr._FUNCTIONS["sqrt"], []
+    monkeypatch.setitem(expr._FUNCTIONS, "sqrt", lambda u: calls.append(u) or sqrt(u))
+    lapse = parse("sqrt(x2 - 1)", 2)
+    entries = [lapse, BinOp("*", lapse, BinOp("/", Num(1.0), lapse))]
+    apart = [parse(to_text(e), 2) for e in entries]
+    jets = jet_seed([[0.5, 2.0], [0.1, 3.5]])
+    for walk, n_apart in ((lambda es: eval_jet(es[1], jets), 2),
+                          (lambda es: eval_entries(es, jets, {}, (2,)), 3)):
+        calls.clear()
+        got = walk(entries)
+        assert len(calls) == 1
+        want = walk(apart)
+        assert len(calls) == 1 + n_apart
+        for a, b in ((got.val, want.val), (got.jac, want.jac), (got.hess, want.hess)):
+            assert a.tobytes() == b.tobytes()
+    with pytest.raises(EvalError) as err:
+        eval_entries(entries, jet_seed([[0.5, 2.0], [0.1, 0.5]]), {}, (2,))
+    assert err.value.subexpr == "sqrt(x2 - 1.0)" and "negative" in str(err.value)
+
+
 def test_unresolved_parameter():
     with pytest.raises(EvalError) as err:
         eval_jet(parse("M*x1", 1), [2.0], {})
@@ -507,9 +532,9 @@ def test_polynomial_fields_never_walk_the_tree(monkeypatch):
     calls = []
     walk, to_expr = expr._eval, Poly.to_expr
 
-    def spy(node, coords, params):
+    def spy(node, coords, params, memo):
         calls.append(node)
-        return walk(node, coords, params)
+        return walk(node, coords, params, memo)
 
     monkeypatch.setattr(expr, "_eval", spy)
     monkeypatch.setattr(Poly, "to_expr", lambda poly: calls.append(poly) or to_expr(poly))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from vielbein.frame import (
     epsilon_pair,
     eval_entries,
     evaluate_coframe,
+    frame_compound,
     kretschmann_scalar,
     metric_inverse,
     spin_connection,
@@ -23,6 +25,7 @@ from vielbein.frame import (
 )
 from vielbein.expr import eval_jet, parse
 from vielbein.jets import jet_seed
+from vielbein.jetlinalg import contract
 from vielbein.kaluza import lift_coframe, lift_point
 from vielbein.solutions import (
     minkowski,
@@ -489,3 +492,47 @@ def test_epsilon_pair_takes_any_number_of_frame_factors(rng):
 def test_epsilon_pair_refuses_a_tail_longer_than_the_dimension(m, tail):
     with pytest.raises(ValueError, match=f"tail '{tail}'.*m = {m}"):
         epsilon_pair(np.eye(m), tail, "rst"[:len(tail)], [], "")
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_frame_compound_equals_the_dense_dual_contraction(m, rng):
+    # the frame side of epsilon_pair, one signed minor per entry, equals the
+    # contraction of the dual table against the same minors for every n_e,
+    # on a batch and at a point, a frame with exact zeros included; the sign
+    # of a zero is the one difference allowed.  Each batch row is its point
+    # alone, bit for bit
+    frames = [rng.standard_normal((5, m, m)), rng.standard_normal((m, m)),
+              np.diag(rng.uniform(0.5, 2.0, m))]
+    for n_e in range(m + 1):
+        dual, flat, sign, *_ = frame._compound_tables(m, n_e)
+        tail = "abcdeg"[:m - n_e]
+        subsets = list(itertools.combinations(range(m), n_e))
+        for e in frames:
+            terms = np.take(e.reshape(e.shape[:-2] + (m * m,)), flat, axis=-1)
+            minors = (terms.prod(axis=-3) * sign).sum(axis=-3)     # [..., Q, F]
+            dets = np.stack([np.stack([np.linalg.det(e[..., f, :][..., q]) if n_e
+                                       else np.ones(e.shape[:-2]) for f in subsets], -1)
+                             for q in subsets], -2)
+            assert np.allclose(minors, dets, rtol=1e-12, atol=1e-12)
+            want = contract(f"F{tail},...QF->...Q{tail}", dual, minors)
+            got = frame_compound(e, n_e)
+            assert got.shape == want.shape == e.shape[:-2] + (len(subsets),) + (m,) * len(tail)
+            assert (got + 0.0).tobytes() == (want + 0.0).tobytes(), (m, n_e, e.shape)
+            for row in range(len(e) if e.ndim == 3 else 0):
+                assert got[row].tobytes() == frame_compound(e[row], n_e).tobytes()
+
+
+def test_frame_points_build_each_compound_once(monkeypatch):
+    # a frame point caches its compound per n_e; epsilon_pair on the point
+    # equals the call on its bare frame array bit for bit
+    cp = evaluate_coframe(random_polynomial(seed=3).tetrad,
+                          np.random.default_rng(2).uniform(-0.5, 0.5, (6, 4)))
+    built, build = [], frame.frame_compound
+    monkeypatch.setattr(frame, "frame_compound",
+                        lambda e, n_e: built.append(n_e) or build(e, n_e))
+    u = np.random.default_rng(3).standard_normal((6, 4, 4))
+    cases = [("lij", "rst", ["jt"], "lirs"), ("li", "rs", ["ls"], "ir")] * 2
+    got = [epsilon_pair(cp, *tails, u) for tails in cases]
+    assert built == [1, 2] and cp.compound(1) is cp.compound(1)
+    for tails, block in zip(cases, got):
+        assert block.tobytes() == epsilon_pair(cp.e, *tails, u).tobytes()

@@ -5,13 +5,14 @@ from hypothesis import example, given, settings, strategies as st
 from vielbein import expr
 from vielbein.expr import Num, parse, polynomial, to_text
 from vielbein.frame import (
+    CoframeField,
     curvature,
     einstein_density,
     evaluate_coframe,
     spin_connection,
 )
 from vielbein.jets import jet_seed
-from vielbein.kaluza import einstein_maxwell_residual, maxwell_residual
+from vielbein.kaluza import _KaluzaPoint, einstein_maxwell_residual, maxwell_residual
 from vielbein.solutions import (
     Poly,
     SOLUTIONS,
@@ -215,3 +216,28 @@ def test_seeded_rng_refuses_what_numpy_refuses():
             make(3.0)
         with pytest.raises(ValueError):
             make(-3)
+
+
+@pytest.mark.parametrize("make", [schwarzschild, reissner_nordstrom])
+def test_named_solutions_walk_their_lapse_once(make, monkeypatch):
+    # e^1 = 1/lapse divides by the lapse tree of e^0 itself, so one tetrad
+    # evaluation, at a point, on a block and inside an appendix-chain block,
+    # takes one sqrt; the jets are those of the entries parsed apart, bit for bit
+    sol = make()
+    sqrt, calls = expr._FUNCTIONS["sqrt"], []
+    monkeypatch.setitem(expr._FUNCTIONS, "sqrt", lambda u: calls.append(u) or sqrt(u))
+    apart = CoframeField([[e if isinstance(e, float) else parse(to_text(e), 4) for e in row]
+                          for row in sol.tetrad.entries], sol.tetrad.signature, sol.params)
+    points = sol.sample_points(_seeded_rng(5), 12)
+    for pts in (points, points[0]):
+        calls.clear()
+        got = sol.tetrad.eval_jets(jet_seed(pts))
+        assert len(calls) == 1
+        want = apart.eval_jets(jet_seed(pts))
+        assert len(calls) == 3
+        for a, b in ((got.val, want.val), (got.jac, want.jac), (got.hess, want.hess)):
+            assert a.tobytes() == b.tobytes()
+    if sol.potential is not None:
+        calls.clear()
+        _KaluzaPoint(sol.kaluza_config(), points).chain()
+        assert len(calls) == 1
