@@ -51,8 +51,17 @@ from .variational import (
 
 __all__ = ["JobConfig", "ConfigError", "run_job", "main", "main_entry"]
 
-CHECK_KINDS = ("vacuum", "einstein-maxwell", "identities", "reduction",
-               "appendixA", "theta-density")
+# per check kind, the ids of the residuals it reports (and a tolerance may name)
+CHECK_IDS = {
+    "vacuum": ("vacuum",),
+    "einstein-maxwell": ("einstein_maxwell", "maxwell"),
+    "identities": ("torsion", "contact", "omega_vs_oracle", "curvature_vs_oracle",
+                   "shuffle_identity"),
+    "reduction": ("reduction",),
+    "appendixA": ("chain_einstein", "chain_maxwell"),
+    "theta-density": ("theta_density",),
+}
+CHECK_KINDS = tuple(CHECK_IDS)
 KALUZA_CHECKS = ("einstein-maxwell", "reduction", "appendixA")
 
 # grid points evaluated together: enough to spread numpy's per-call cost,
@@ -141,6 +150,8 @@ class JobConfig:
         tol = _positive(raw.get("tolerance"), "tolerance")
         tolerances = {k: _positive(v, f"tolerances.{k}")
                       for k, v in _object(raw.get("tolerances", {}), "tolerances").items()}
+        if unknown := sorted(set(tolerances) - set(CHECK_IDS[check])):
+            raise ConfigError(f"tolerances name no check id of this job: {unknown}")
         seed = _number(raw.get("seed", 0), "seed", integer=True)
         return JobConfig(check=check, solution=dict(solution), grid=dict(grid),
                          tolerance=tol, tolerances=tolerances, seed=seed)
@@ -217,10 +228,15 @@ def _grid_axis(r: Mapping, field: str, n: int) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def _grid_points(grid: Mapping, dim: int) -> list[tuple[float, ...]]:
+def _grid_points(grid: Mapping, dim: int) -> np.ndarray:
+    """The grid as one C-ordered (points, dim) float array, in grid order: an
+    explicit point list as listed, ranges as their mesh, the last axis fastest."""
     try:
         if "points" in grid:
-            pts = [tuple(float(_number(c, "grid.points")) for c in p) for p in grid["points"]]
+            pts = [[float(_number(c, "grid.points")) for c in p] for p in grid["points"]]
+            if any(len(p) != dim for p in pts):
+                raise ConfigError(f"grid points must have {dim} coordinates")
+            pts = np.array(pts, dtype=float).reshape(-1, dim)
         else:
             ranges = grid["ranges"]
             if len(ranges) != dim:
@@ -232,17 +248,14 @@ def _grid_points(grid: Mapping, dim: int) -> list[tuple[float, ...]]:
             try:
                 axes = [_grid_axis(r, f"grid.ranges[{a}]", counts[a])
                         for a, r in enumerate(ranges)]
-                mesh = np.stack(np.meshgrid(*axes, indexing="ij"), -1)
-                pts = list(map(tuple, mesh.reshape(-1, dim).tolist()))
+                pts = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, dim)
             except MemoryError:
                 count = math.prod(counts)
                 raise ConfigError(f"a grid of {count} points is too large to build") from None
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad grid: {exc}") from None
-    if not pts:
+    if not len(pts):
         raise ConfigError("grid is empty")
-    if any(len(p) != dim for p in pts):
-        raise ConfigError(f"grid points must have {dim} coordinates")
     if not np.isfinite(pts).all():
         raise ConfigError("grid coordinates must be finite")
     return pts
@@ -296,12 +309,12 @@ def _check_finite(block, named: dict[str, np.ndarray]) -> None:
     non-finite residual component."""
     if all(np.isfinite(arr).all() for arr in named.values()):
         return
-    for n, point in enumerate(block):
+    for n, point in enumerate(block.tolist()):
         for check_id, arr in sorted(named.items()):
             bad = np.argwhere(~np.isfinite(arr[n]))
             if bad.size:
                 idx = tuple(bad[0])
-                raise EvaluationError(f"at point {point}: non-finite residual {check_id} "
+                raise EvaluationError(f"at point {tuple(point)}: non-finite residual {check_id} "
                                       f"component {'_'.join(map(str, idx))} = {arr[n][idx]}")
 
 
@@ -318,7 +331,7 @@ def _grid_residuals(job: JobConfig, tetrad, kcfg, points, size: int | None = Non
             named, e = _block_residuals(job, tetrad, kcfg, block)
         except _POINT_ERRORS as exc:
             if size == 1:
-                raise EvaluationError(f"at point {block[0]}: {exc}") from exc
+                raise EvaluationError(f"at point {tuple(block[0].tolist())}: {exc}") from exc
             yield from _grid_residuals(job, tetrad, kcfg, block, 1)
         else:
             _check_finite(block, named)
@@ -373,7 +386,7 @@ class _CsvStream:
             self.cells[:, 1], self.cells[:, 3] = tails, "\r\n"
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self.fh = self.tmp.open("w", newline="", encoding="utf-8")
-            self.fh.write(",".join(f"x{i + 1}" for i in range(len(block[0])))
+            self.fh.write(",".join(f"x{i + 1}" for i in range(block.shape[1]))
                           + ",check_id,component_id,value\r\n")
         n, cells = len(block), self.cells
         values = np.concatenate([col for check_id, arr in sorted(named.items())
@@ -382,7 +395,7 @@ class _CsvStream:
         keys, index = np.unique(values.view(np.int64), return_inverse=True)
         reprs = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)
         # numpy 1.x returns the inverse flat, 2.x in the input's shape
-        for point, row in zip(block, index.reshape(values.shape)):
+        for point, row in zip(block.tolist(), index.reshape(values.shape)):
             cells[:, 0], cells[:, 2] = ",".join(map(repr, point)), reprs[row]
             self.fh.write("".join(cells.ravel().tolist()))
 
@@ -416,8 +429,6 @@ def run_job(job: JobConfig, out_dir: Path, write_csv: bool) -> tuple[int, dict]:
     start = 0
     with _CsvStream(out_dir / "points.csv") if write_csv else nullcontext() as csv_out:
         for block, named, e in _grid_residuals(job, tetrad, kcfg, points):
-            if unknown := sorted(set(job.tolerances) - set(named)):   # at the first block
-                raise ConfigError(f"tolerances name no check id of this job: {unknown}")
             n = len(block)
             block_norms = {}
             for check_id, arr in named.items():
@@ -431,8 +442,8 @@ def run_job(job: JobConfig, out_dir: Path, write_csv: bool) -> tuple[int, dict]:
             start += n
             if csv_out:
                 csv_out.write(block, named, block_norms)
-        point_records = [{"x": list(point), "norms": {c: col[n] for c, col in per_check.items()}}
-                         for n, point in enumerate(points)]
+        point_records = [{"x": point, "norms": {c: col[n] for c, col in per_check.items()}}
+                         for n, point in enumerate(points.tolist())]
 
         results = []
         conds = np.linalg.cond(np.array([worst[c][3] for c in sorted(per_check)])).tolist()

@@ -63,7 +63,6 @@ __all__ = [
     "CurvaturePoint",
     "OraclePoint",
     "evaluate_coframe",
-    "metric_inverse",
     "spin_connection",
     "torsion_residual",
     "quadratic_block",
@@ -172,7 +171,7 @@ class CoframeField:
 
 @dataclass(frozen=True)
 class CoframePoint:
-    x: tuple                 # the point's coordinates; nested per batch axis
+    x: np.ndarray            # the point's coordinates, batch axes + (m,), as given
     e: np.ndarray
     de: np.ndarray
     dde: np.ndarray
@@ -222,13 +221,10 @@ class OraclePoint:
     ginv: np.ndarray
 
 
-def _nested(x: np.ndarray) -> tuple:
-    return tuple(map(_nested, x)) if x.ndim > 1 else tuple(x.tolist())
-
-
 def _coframe_point_from_jets(point, ja: JetArray, signature: Signature) -> CoframePoint:
     """The frame point of the jets ``ja`` at ``point`` (a point, or an array of
-    points with the jets' batch shape)."""
+    points with the jets' batch shape), which it holds as ``x`` without a copy
+    when it is already a float64 array."""
     e = ja.val
     x = np.asarray(point, dtype=float)
     with np.errstate(over="ignore"):    # an overflow reads inf, and inf is degenerate
@@ -242,7 +238,7 @@ def _coframe_point_from_jets(point, ja: JetArray, signature: Signature) -> Cofra
     inv = jet_matinv(JetArray(e, ja.jac))
     E = 0.5 * (ja.jac - ja.jac.swapaxes(-2, -1))
     return CoframePoint(
-        x=_nested(x), e=e, de=ja.jac, dde=ja.hess, einv=inv.val, deinv=inv.jac, E=E,
+        x=x, e=e, de=ja.jac, dde=ja.hess, einv=inv.val, deinv=inv.jac, E=E,
         signature=signature, det=det,
     )
 
@@ -252,10 +248,6 @@ def evaluate_coframe(field, point: Sequence[float]) -> CoframePoint:
     jets = jet_seed(point)
     ja = field.eval_jets(jets)
     return _coframe_point_from_jets(point, ja, field.signature)
-
-
-def metric_inverse(cp: CoframePoint) -> np.ndarray:
-    return contract("...im,...jm->...ij", cp.einv * eta_signs(cp.signature), cp.einv)
 
 
 def _connection_jets(cp: CoframePoint) -> JetArray:
@@ -424,8 +416,8 @@ def curvature_to_coordinate(cp: CoframePoint, curv: CurvaturePoint) -> np.ndarra
 
 
 def kretschmann_scalar(cp: CoframePoint, curv: CurvaturePoint) -> np.ndarray:
-    gi = metric_inverse(cp)
     s = eta_signs(cp.signature)
+    gi = contract("...im,...jm->...ij", cp.einv * s, cp.einv)    # the inverse metric
     r_up = contract("...jils,...jJ,...iI->...JIls", curv.R, gi, gi)
     r_up *= s[:, None] * s
     return contract("...JIls,...JIls->...", r_up, curv.R)

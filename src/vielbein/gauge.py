@@ -1,8 +1,8 @@
 """Local frame rotations combined with coordinate-chart changes.
 
-A gauge element pairs a pseudo-orthogonal matrix field (given directly or as
-the Cayley transform of a generator with eta-antisymmetric entries) with an
-optional polynomial coordinate map.  Transforms act on evaluated points; the
+A gauge element pairs a pseudo-orthogonal matrix field, the Cayley transform
+of a generator with eta-antisymmetric entries, with an optional polynomial
+coordinate map.  Transforms act on evaluated points; the
 new chart derivatives come from the chain rule through jets.
 
 The map and its Jacobian run as polynomials through
@@ -50,29 +50,24 @@ class GaugeError(Exception):
 class GaugeElement:
     """Lambda(x) in SO(p, q) plus a coordinate map x -> xbar.
 
-    Exactly one of ``lam`` (explicit entry grid) and ``generator`` (entry
-    grid A with eta*A antisymmetric, taken to (I - A/2)^-1 (I + A/2) at
-    evaluation) must be given; ``coord_map=None`` means the identity chart.
-    ``params`` resolve the rotation's entries; the chart entries are
-    polynomials in the coordinates alone.
+    ``generator`` is an entry grid A with eta*A antisymmetric, taken to
+    Lambda = (I - A/2)^-1 (I + A/2) at evaluation (the zero grid gives I);
+    ``coord_map=None`` means the identity chart.  ``params`` resolve the
+    generator's entries; the chart entries are polynomials in the
+    coordinates alone.
     """
 
     signature: Signature
-    lam: tuple | None = None
-    generator: tuple | None = None
+    generator: tuple
     coord_map: tuple | None = None
     params: Mapping[str, float] | None = None
-
-    def __post_init__(self):
-        if (self.lam is None) == (self.generator is None):
-            raise ValueError("give exactly one of lam / generator")
 
 
 @dataclass(frozen=True)
 class GaugePointData:
     """All gauge ingredients evaluated at one base point."""
 
-    xbar: tuple[float, ...]
+    xbar: np.ndarray       # (m,), the point in the new chart
     lam: JetArray          # (m, m) second order
     k: np.ndarray          # inverse Jacobian dx^i / dxbar^a
     dk: np.ndarray
@@ -84,17 +79,15 @@ def evaluate_gauge(ge: GaugeElement, point: Sequence[float]) -> GaugePointData:
     m = ge.signature.m
     params = dict(ge.params or {})
     jets = jet_seed(point)
+    at = tuple(np.asarray(point, dtype=float).tolist())    # as messages print it
 
-    grid = ge.lam if ge.lam is not None else ge.generator
-    lam = eval_entries(chain.from_iterable(grid), jets, params, (m, m))
-    if ge.lam is None:
-        lam = jet_cayley(lam)
+    lam = jet_cayley(eval_entries(chain.from_iterable(ge.generator), jets, params, (m, m)))
 
     et = eta(ge.signature)
     defect = np.abs(lam.val.T @ et @ lam.val - et).max()
     # the roundoff of Lambda^T eta Lambda grows like max|Lambda|^2; a NaN fails
     if not defect <= 1e-12 * max(1.0, np.abs(lam.val).max()) ** 2:
-        raise GaugeError(f"Lambda not pseudo-orthogonal at {tuple(point)}: defect {defect:.2e}")
+        raise GaugeError(f"Lambda not pseudo-orthogonal at {at}: defect {defect:.2e}")
 
     # the identity chart maps by the coordinates themselves
     coord_map = [Coord(i + 1) for i in range(m)] if ge.coord_map is None else ge.coord_map
@@ -105,16 +98,16 @@ def evaluate_gauge(ge: GaugeElement, point: Sequence[float]) -> GaugePointData:
         with np.errstate(over="raise", invalid="raise"):
             out = eval_polynomials(polys + [p.grad(i) for p in polys for i in range(m)], jets)
     except FloatingPointError as exc:
-        raise GaugeError(f"coordinate map at {tuple(point)}: {exc}") from None
-    xbar = tuple(float(v) for v in out.val[:m])
+        raise GaugeError(f"coordinate map at {at}: {exc}") from None
     # the Jacobian's own jets: its second derivatives are the map's third
     jmat = JetArray(*(a[m:].reshape((m, m) + a.shape[1:]) for a in (out.val, out.jac, out.hess)))
 
     det_j = float(np.linalg.det(jmat.val))
     if abs(det_j) < 1e-12:
-        raise GaugeError(f"singular coordinate map at {tuple(point)}")
+        raise GaugeError(f"singular coordinate map at {at}")
     kj = jet_matinv(jmat)
-    return GaugePointData(xbar=xbar, lam=lam, k=kj.val, dk=kj.jac, ddk=kj.hess, det_j=det_j)
+    return GaugePointData(xbar=out.val[:m], lam=lam, k=kj.val, dk=kj.jac, ddk=kj.hess,
+                          det_j=det_j)
 
 
 def _chart_poly(entry, m: int) -> Poly:

@@ -108,10 +108,12 @@ def _spec_parts(spec: str) -> tuple[tuple[str, ...], str]:
     return tuple(bare[:-1]), bare[-1]
 
 
-def _plan(spec: str, shapes: tuple) -> list:
+@lru_cache(maxsize=None)
+def _plan(spec: str, shapes: tuple) -> tuple:
     """The pairwise steps of ``spec`` on operands of per-point ``shapes``, as
-    ``[(operand positions, _matmul_step recipe), ...]``: the cheapest pair
-    first, until one operand is left."""
+    ``((operand positions, _matmul_step recipe), ...)``: the cheapest pair
+    first, until one operand is left.  Planned once per (spec, shapes), so
+    every batch shape of the same per-point operands replays one plan."""
     subs, out = _spec_parts(spec)
     dims = {}
     for sub, shape in zip(subs, shapes):
@@ -127,7 +129,7 @@ def _plan(spec: str, shapes: tuple) -> list:
         # the replay pops the later operand first and appends the product
         plan.append(((y, x), _matmul_step(subs[y], subs[x], keep, dims)))
         subs = [s for k, s in enumerate(subs) if k not in (x, y)] + [keep]
-    return plan
+    return tuple(plan)
 
 
 def _replay(spec: str, shapes: tuple) -> list:

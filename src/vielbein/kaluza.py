@@ -232,9 +232,8 @@ class _KaluzaPoint:
 
     def __init__(self, cfg: KaluzaConfig, point):
         self.cfg = cfg
-        self.x = np.asarray(point, dtype=float)
-        self.tet, self.pot = config_jets(cfg, jet_seed(self.x))
-        self.cp = _coframe_point_from_jets(self.x, self.tet, SIG4)
+        self.tet, self.pot = config_jets(cfg, jet_seed(point))
+        self.cp = _coframe_point_from_jets(point, self.tet, SIG4)
 
     @cached_property
     def sp(self) -> SpinConnectionPoint:
@@ -245,7 +244,7 @@ class _KaluzaPoint:
         # the entries never read x5, so padding the 4D jets with zero x5
         # derivatives equals evaluating the lifted field at 5D seeds
         ja = _lift_jets(self.tet, self.pot, self.cfg.k, 5)
-        x5 = np.concatenate([self.x, np.zeros(self.x.shape[:-1] + (1,))], axis=-1)
+        x5 = np.concatenate([self.cp.x, np.zeros_like(self.cp.x[..., :1])], axis=-1)
         return _coframe_point_from_jets(x5, ja, SIG5)
 
     @cached_property

@@ -145,6 +145,16 @@ def dense_metric_inverse(cp):
     return contract("mn,...im,...jn->...ij", eta(cp.signature), cp.einv, cp.einv)
 
 
+def dense_kretschmann(cp, curv):
+    """R_{ji ls} R^{ji ls}, the coordinate pair raised by the dense inverse
+    metric and the frame pair by eta as a contraction operand."""
+    gi = dense_metric_inverse(cp)
+    et = eta(cp.signature)
+    r_up = contract("...jils,...jJ,...iI->...JIls", curv.R, gi, gi)
+    r_up = contract("...JIls,lL,sS->...JILS", r_up, et, et)
+    return contract("...JIls,...JIls->...", r_up, curv.R)
+
+
 def dense_christoffel_omega(cp, gamma):
     inner = (contract("...kij,...jn->...kin", gamma, cp.einv)
              + np.einsum("...kni->...kin", cp.deinv))

@@ -121,11 +121,20 @@ def test_kaluza_residuals_do_not_depend_on_the_block_size(name):
         blocks = list(cli._grid_residuals(job, tetrad, kcfg, points, size))
         runs[size] = {cid: np.concatenate([named[cid] for _, named, _ in blocks])
                       for cid in blocks[0][1]}
-        assert [p for block, *_ in blocks for p in block] == points
+        grid = np.concatenate([block for block, *_ in blocks])
+        assert grid.shape == points.shape and grid.tobytes() == points.tobytes()
     assert runs[1].keys() == runs[None].keys()
     for cid, rows in runs[None].items():
         assert rows.shape[0] == len(points)
         assert rows.tobytes() == runs[1][cid].tobytes(), cid
+
+
+def test_kaluza_frame_points_hold_the_block():
+    # the 4D frame point holds the block it was given; the lift pads it with x5 = 0
+    block = np.array([[0.1, 3.0, 1.2, 0.3], [0.2, 4.5, 1.1, -0.2]])
+    kp = _KaluzaPoint(random_kaluza(seed=3, amplitude=0.15, k=1.1), block)
+    assert kp.cp.x is block
+    assert kp.cp5.x.tolist() == [[*row, 0.0] for row in block.tolist()]
 
 
 def test_one_spin_connection_per_kaluza_block(tmp_path, monkeypatch):

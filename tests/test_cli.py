@@ -16,7 +16,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from vielbein import cli
 from vielbein.cli import main
+from vielbein.expr import parse
 from vielbein.frame import SpinConnectionPoint, evaluate_coframe, spin_connection
+from vielbein.gauge import GaugeElement, GaugeError, gauge_transform_frame
+from vielbein.solutions import minkowski
+from vielbein.tensors import Signature
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -454,13 +458,13 @@ _REPEAT_JOB = (1, [([(0.5,)], {"c": np.array([[0.25, -0.0, 0.25]])}),
 
 
 def _stream_csv(path, blocks, per_check):
-    """Write the job through the block-by-block writer, each block with its own
-    slice of the norms, as run_job does."""
+    """Write the job through the block-by-block writer, each block as a
+    (points, dim) array with its own slice of the norms, as run_job does."""
     start = 0
     with cli._CsvStream(path) as out:
         for block, named in blocks:
             n = len(block)
-            out.write(block, named, {c: np.array(col[start:start + n])
+            out.write(np.array(block), named, {c: np.array(col[start:start + n])
                                      for c, col in per_check.items()})
             start += n
         out.commit()
@@ -480,10 +484,11 @@ def test_write_csv_matches_nested_reference(tmp_path_factory, job):
 
 def test_csv_stream_removes_its_file_on_error(tmp_path):
     _, blocks, per_check = _REPEAT_JOB
+    (first, named_first), (second, named_second) = blocks[:2]
     with pytest.raises(KeyError), cli._CsvStream(tmp_path / "points.csv") as out:
-        out.write(*blocks[0], {"c": np.array(per_check["c"][:1])})
+        out.write(np.array(first), named_first, {"c": np.array(per_check["c"][:1])})
         assert [p.name for p in tmp_path.iterdir()] == [".points.csv.tmp"]
-        out.write(*blocks[1], {})   # no norms: fails mid-stream
+        out.write(np.array(second), named_second, {})   # no norms: fails mid-stream
     assert list(tmp_path.iterdir()) == []
 
 
@@ -512,7 +517,7 @@ def test_csv_rows_across_blocks(tmp_path, cfg, sizes):
         rows = list(csv.reader(fh))[1:]
     expected, records = [], iter(report["points"])
     for block, named, _ in blocks:
-        for n, point in enumerate(block):
+        for n, point in enumerate(map(tuple, block.tolist())):
             norms = next(records)["norms"]
             for check_id, arr in sorted(named.items()):
                 expected += [(point, check_id, "_".join(map(str, idx)), arr[n][idx])
@@ -566,13 +571,111 @@ def test_failed_run_removes_earlier_outputs(tmp_path):
     # the first block of 64 passes and is written, the second fails inside the horizon
     ({**VAC, "grid": {"points": [[0.0, 3.0 + r / 8, 1.2, 0.3] for r in range(64)]
                                 + [[0.0, 1.0, 1.2, 0.3]]}}, 3, []),
-    # refused at the first block, before the directory is made
+    # refused with the config, before the directory is made
     ({**VAC, "tolerances": {"vacum": 1e-3}}, 2, None),
 ], ids=["pass", "later-block-error", "unknown-tolerance"])
 def test_csv_job_leaves_no_temporary_file(tmp_path, cfg, code, left):
     out = tmp_path / "out"
     assert main(["run", _write(tmp_path, cfg), "--out", str(out), "--csv"]) == code
     assert (sorted(p.name for p in out.iterdir()) if out.exists() else None) == left
+
+
+def test_unknown_tolerance_is_refused_before_the_grid_runs(tmp_path, capsys):
+    # the one point is on the horizon, where the first block raises: the
+    # config error still wins, since the ids a check reports are known up front
+    cfg = {**VAC, "grid": {"points": [[0.0, 2.0, 1.0, 1.0]]}, "tolerances": {"nosuch": 1e-3}}
+    assert main(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: tolerances name no check id of this job: ['nosuch']" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("check", cli.CHECK_KINDS)
+def test_each_check_reports_its_check_ids(check):
+    # the ids a tolerance may name are the ids the check's block reports
+    cfg = {"check": check,
+           "solution": {"name": "reissner_nordstrom", "params": {"M": 1.0, "Q": 0.5}},
+           "grid": {"points": [[0.0, 3.0, 1.2, 0.3], [0.1, 4.0, 1.1, 0.2]]}, "tolerance": 1.0}
+    job = cli.JobConfig.from_dict(cfg)
+    _, _, tetrad, kcfg = cli._resolve_solution(job.solution)
+    named, _ = cli._block_residuals(job, tetrad, kcfg, cli._grid_points(job.grid, 4))
+    assert sorted(named) == sorted(cli.CHECK_IDS[check])
+
+
+def test_ranges_and_the_equal_point_list_give_the_same_outputs(tmp_path):
+    points = cli._grid_points(VAC["grid"], 4)
+    listed = {**VAC, "grid": {"points": points.tolist()}}
+    outs = []
+    for name, cfg in (("ranges", VAC), ("points", listed)):
+        out = tmp_path / name
+        assert main(["run", _write(tmp_path, cfg, f"{name}.json"), "--out", str(out),
+                     "--csv"]) == 0
+        report = json.loads((out / "report.json").read_text())
+        outs.append(([p["x"] for p in report["points"]], [p["norms"] for p in report["points"]],
+                     (out / "points.csv").read_bytes()))
+    assert outs[0] == outs[1]
+    assert outs[0][0] == points.tolist() and len(outs[0][0]) == 25
+
+
+def test_grid_is_one_array_and_blocks_are_its_rows(monkeypatch):
+    # one C-ordered (points, m) float array for both grid kinds; each block is
+    # a row slice of it, and the block's frame point holds that slice as x
+    for grid in (VAC["grid"], {"points": [[0, 3, 1.2, 0.3], [0.5, 4.0, 1, 2]]}):
+        points = cli._grid_points(grid, 4)
+        assert points.dtype == np.float64 and points.flags.c_contiguous
+        assert points.shape[1] == 4
+    points = cli._grid_points(VAC["grid"], 4)
+    seen = []
+    monkeypatch.setattr(cli, "spin_connection", lambda cp: seen.append(cp) or spin_connection(cp))
+    job = cli.JobConfig.from_dict(VAC)
+    _, _, tetrad, kcfg = cli._resolve_solution(job.solution)
+    blocks = [block for block, *_ in cli._grid_residuals(job, tetrad, kcfg, points, 10)]
+    assert [len(b) for b in blocks] == [10, 10, 5]
+    for start, block, cp in zip((0, 10, 20), blocks, seen, strict=True):
+        assert cp.x is block and np.shares_memory(block, points)
+        assert np.array_equal(block, points[start:start + 10])
+
+
+def _degenerate_job(tmp_path):
+    cfg = {**VAC, "solution": {"inline": {"signature": [1, 3], "tetrad": [
+        ["x2", 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}},
+        "grid": {"points": [[0.5, 1.0, 1.0, 0.0], [0.1, 0.0, 1.0, 0.25]]}}
+    assert main(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 3
+    return "(0.1, 0.0, 1.0, 0.25)"
+
+
+def _domain_job(tmp_path):
+    cfg = {**VAC, "grid": {"points": [[0.0, 3.0, 1.2, 0.3], [0.0, 1.0, 1.2, 0.25]]}}
+    assert main(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 3
+    return "(0.0, 1.0, 1.2, 0.25)"
+
+
+def _non_finite_block(tmp_path):
+    block = np.array([[0.5, 1.0], [1.5, 0.25]])
+    with pytest.raises(cli.EvaluationError) as err:
+        cli._check_finite(block, {"a": np.array([[0.0], [np.nan]])})
+    print(err.value, file=sys.stderr)
+    return "(1.5, 0.25): non-finite residual a component 0 = nan"
+
+
+def _gauge_point(tmp_path):
+    cp = evaluate_coframe(minkowski().tetrad, np.array([0.2, -0.3, 0.4, 0.125]))
+    singular = (parse("x1", 4), parse("x1", 4), parse("x3", 4), parse("x4", 4))
+    ge = GaugeElement(Signature(1, 3), tuple((0.0,) * 4 for _ in range(4)), singular)
+    with pytest.raises(GaugeError) as err:
+        gauge_transform_frame(cp, ge)
+    print(err.value, file=sys.stderr)
+    return "singular coordinate map at (0.2, -0.3, 0.4, 0.125)"
+
+
+@pytest.mark.parametrize("case", [_degenerate_job, _domain_job, _non_finite_block, _gauge_point],
+                         ids=["degenerate", "domain", "non-finite", "gauge"])
+def test_point_errors_print_python_floats(tmp_path, capsys, case):
+    # the grid and the frame points hold arrays; an error names its point as
+    # a tuple of Python floats, never as numpy scalars
+    expected = case(tmp_path)
+    err = capsys.readouterr().err
+    assert expected in err and "np.float64(" not in err and "array(" not in err
 
 
 def test_seed_override_recorded(tmp_path):

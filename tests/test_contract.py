@@ -28,7 +28,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from vielbein import cli, frame, jetlinalg
 from vielbein.cli import main
+from vielbein.frame import curvature, einstein_density, evaluate_coframe, spin_connection
 from vielbein.jetlinalg import JetArray, contract, jet_einsum
+from vielbein.solutions import make_solution
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = sorted((ROOT / "configs").glob("*.json"))
@@ -280,6 +282,24 @@ def test_each_key_is_planned_once(tmp_path, monkeypatch):
     assert main(_vacuum_job(tmp_path, "many", 65)) == 0
     assert set(calls) == planned
     assert len(calls) == len(jetlinalg._REPLAYS)
+
+
+def test_each_plan_is_made_once_whatever_the_batch(monkeypatch):
+    # blocks of 64, 1 and 17 points resolve a replay per block size for each
+    # key, and every replay asks for its plan; the plan of a (spec, per-point
+    # shapes) key is made once and shared by all of them
+    asked, plan = [], jetlinalg._plan
+    monkeypatch.setattr(jetlinalg, "_REPLAYS", {})
+    monkeypatch.setattr(jetlinalg, "_plan", lambda *key: asked.append(key) or plan(*key))
+    plan.cache_clear()
+    field = make_solution("schwarzschild", {"M": 1.0}).tetrad
+    for n in (64, 1, 17):
+        points = np.array([[0.0, 3.0 + 0.1 * k, 1.1, 0.2] for k in range(n)])
+        cp = evaluate_coframe(field, points)
+        einstein_density(cp, curvature(spin_connection(cp)))
+    keys = set(asked)
+    assert len(asked) == len(jetlinalg._REPLAYS) == 3 * len(keys) > 0
+    assert plan.cache_info().misses == len(keys)
 
 
 def _count_calls(monkeypatch, calls: list, name: str):

@@ -18,7 +18,6 @@ from vielbein.frame import (
     evaluate_coframe,
     frame_compound,
     kretschmann_scalar,
-    metric_inverse,
     spin_connection,
     spin_connection_via_christoffels,
     torsion_residual,
@@ -36,7 +35,13 @@ from vielbein.solutions import (
 )
 from vielbein.tensors import Signature
 
-from conftest import connection_via_metric, dense_epsilon_pair, metric, sigma
+from conftest import (
+    connection_via_metric,
+    dense_epsilon_pair,
+    dense_metric_inverse,
+    metric,
+    sigma,
+)
 
 RINDLER_PT = (0.3, 2.0, -0.5, 1.0)
 SCHW_PT = (0.0, 4.0, math.pi / 2, 0.3)
@@ -124,7 +129,7 @@ def test_schwarzschild_metric_value():
     assert g[0, 0] == pytest.approx(-0.5, abs=1e-14)       # -(1 - 2M/r) at r=4
     assert g[1, 1] == pytest.approx(2.0, abs=1e-14)
     assert g[2, 2] == pytest.approx(16.0, abs=1e-13)
-    gi = metric_inverse(cp)
+    gi = dense_metric_inverse(cp)
     assert np.allclose(gi @ g, np.eye(4), atol=1e-13)
 
 

@@ -21,9 +21,21 @@ SIG4 = Signature(1, 3)
 PT = (0.2, -0.3, 0.4, 0.1)
 
 
-def _identity_gauge():
-    lam = [[1.0 if i == j else 0.0 for j in range(4)] for i in range(4)]
-    return GaugeElement(signature=SIG4, lam=tuple(map(tuple, lam)))
+ZERO = tuple((0.0,) * 4 for _ in range(4))
+
+
+def _identity_gauge(**kw):
+    # the zero generator, whose Cayley transform is exactly I
+    return GaugeElement(signature=SIG4, generator=ZERO, **kw)
+
+
+def _boost(phi: float, **kw):
+    """The boost of rapidity ``phi`` in the (0, 1) frame plane: cosh/sinh of
+    phi from the generator A[0, 1] = A[1, 0] = 2 tanh(phi / 2)."""
+    a = 2.0 * math.tanh(phi / 2)
+    gen = [list(row) for row in ZERO]
+    gen[0][1] = gen[1][0] = a
+    return GaugeElement(signature=SIG4, generator=tuple(map(tuple, gen)), **kw)
 
 
 def test_identity_gauge_is_noop():
@@ -31,8 +43,9 @@ def test_identity_gauge_is_noop():
     cp = evaluate_coframe(sol.tetrad, PT)
     sp = spin_connection(cp)
     ge = _identity_gauge()
+    assert np.array_equal(evaluate_gauge(ge, PT).lam.val, np.eye(4))
     cpb = gauge_transform_frame(cp, ge)
-    assert cpb.x == cp.x
+    assert cpb.x.tolist() == cp.x.tolist() == list(PT)
     assert np.allclose(cpb.e, cp.e, atol=1e-15)
     assert np.allclose(cpb.de, cp.de, atol=1e-15)
     assert np.allclose(cpb.dde, cp.dde, atol=1e-15)
@@ -46,10 +59,7 @@ def test_boost_preserves_metric():
     # rapidity-0.3 boost in the (1,2) frame plane mixes rows by cosh/sinh
     # while eta e e stays diag(-1, 1, 1, 1)
     ch, sh = math.cosh(0.3), math.sinh(0.3)
-    lam = np.eye(4)
-    lam[0, 0] = lam[1, 1] = ch
-    lam[0, 1] = lam[1, 0] = sh
-    ge = GaugeElement(signature=SIG4, lam=tuple(map(tuple, lam)))
+    ge = _boost(0.3)
     cp = evaluate_coframe(minkowski().tetrad, PT)
     cpb = gauge_transform_frame(cp, ge)
     assert cpb.e[0, 0] == pytest.approx(ch)
@@ -60,19 +70,15 @@ def test_boost_preserves_metric():
 def test_linear_map_scales_frame():
     # xbar = 2x with identity rotation halves every frame component
     coord_map = tuple(parse(f"2*x{i + 1}", 4) for i in range(4))
-    ge = GaugeElement(signature=SIG4, lam=_identity_gauge().lam, coord_map=coord_map)
+    ge = _identity_gauge(coord_map=coord_map)
     cp = evaluate_coframe(minkowski().tetrad, PT)
     cpb = gauge_transform_frame(cp, ge)
     assert np.allclose(cpb.e, 0.5 * np.eye(4), atol=1e-15)
-    assert cpb.x == tuple(2 * c for c in PT)
+    assert cpb.x.tolist() == [2 * c for c in PT]
 
 
 def test_constant_lambda_keeps_zero_omega():
-    ch, sh = math.cosh(0.7), math.sinh(0.7)
-    lam = np.eye(4)
-    lam[0, 0] = lam[1, 1] = ch
-    lam[0, 1] = lam[1, 0] = sh
-    ge = GaugeElement(signature=SIG4, lam=tuple(map(tuple, lam)))
+    ge = _boost(0.7)
     cp = evaluate_coframe(minkowski().tetrad, PT)
     sp = spin_connection(cp)
     spb = gauge_transform_omega(sp, cp, ge)
@@ -104,8 +110,7 @@ def test_constant_lambda_linear_coords_E_law():
     lam[0, 1] = lam[1, 0] = sh
     coord_map = tuple(parse(f"{c}*x{i + 1}", 4)
                       for i, c in enumerate((2.0, 0.5, 1.5, 3.0)))
-    ge = GaugeElement(signature=SIG4, lam=tuple(map(tuple, lam)),
-                      coord_map=coord_map)
+    ge = _boost(0.4, coord_map=coord_map)
     sol = random_polynomial(seed=6, amplitude=0.1)
     cp = evaluate_coframe(sol.tetrad, PT)
     ebar = gauge_transform_E(cp, ge)
@@ -138,33 +143,43 @@ def test_commuting_diagram_E_vs_omega_paths(kind, dim, rng):
         assert np.allclose(spin_connection(cpb).domega, spb.domega, atol=1e-9)
 
 
+def _skewed(ge: GaugeElement, scale: float) -> GaugeElement:
+    """``ge`` with its generator's entry A[0, 1] scaled by ``scale``: eta*A is
+    no longer antisymmetric, so the Cayley transform leaves SO(p, q)."""
+    gen = [list(row) for row in ge.generator]
+    gen[0][1] *= scale
+    return GaugeElement(signature=SIG4, generator=tuple(map(tuple, gen)))
+
+
 def test_gauge_rejects_non_orthogonal_lambda():
-    # a NaN entry makes a NaN defect, which must fail the bound too
-    for entry in (0.1, math.nan):
-        lam = np.eye(4)
-        lam[0, 1] = entry
-        ge = GaugeElement(signature=SIG4, lam=tuple(map(tuple, lam)))
-        with pytest.raises(GaugeError):
-            evaluate_gauge(ge, PT)
+    # a generator off the algebra maps off the group; a NaN entry is refused
+    # by the Cayley transform before any defect is measured
+    with pytest.raises(GaugeError, match="not pseudo-orthogonal"):
+        evaluate_gauge(_skewed(_boost(0.3), 1.5), PT)
+    gen = [list(row) for row in ZERO]
+    gen[0][1] = math.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        evaluate_gauge(GaugeElement(signature=SIG4, generator=tuple(map(tuple, gen))), PT)
 
 
 def test_gauge_rejects_defect_relative_to_lambda_size():
-    # a boost of cosh 74 with its first row scaled by 1 + 5e-10: the defect
-    # of Lambda^T eta Lambda is ~1e-9 of max|Lambda|^2, far above roundoff
-    ch, sh = math.cosh(5.0), math.sinh(5.0)
-    lam = np.array([[ch, sh, 0, 0], [sh, ch, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-    lam[0] *= 1.0 + 5e-10
+    # a boost of cosh 74 passes; with its generator's A[0, 1] scaled by
+    # 1 + 1e-9 the defect of Lambda^T eta Lambda is ~1e-9 of max|Lambda|^2,
+    # far above roundoff
     et = eta(SIG4)
+    lam = evaluate_gauge(_boost(5.0), PT).lam.val
+    assert lam[0, 0] == pytest.approx(math.cosh(5.0), rel=1e-13)
+    skewed = _skewed(_boost(5.0), 1.0 + 1e-9)
+    lam = 2.0 * np.linalg.inv(np.eye(4) - np.array(skewed.generator) / 2) - np.eye(4)
     defect = np.abs(lam.T @ et @ lam - et).max() / np.abs(lam).max() ** 2
     assert 5e-10 < defect < 2e-9
-    ge = GaugeElement(signature=SIG4, lam=tuple(map(tuple, lam)))
     with pytest.raises(GaugeError):
-        evaluate_gauge(ge, PT)
+        evaluate_gauge(skewed, PT)
 
 
 def test_gauge_rejects_singular_map():
     coord_map = (parse("x1", 4), parse("x1", 4), parse("x3", 4), parse("x4", 4))
-    ge = GaugeElement(signature=SIG4, lam=_identity_gauge().lam, coord_map=coord_map)
+    ge = _identity_gauge(coord_map=coord_map)
     with pytest.raises(GaugeError):
         evaluate_gauge(ge, PT)
 
@@ -176,17 +191,9 @@ def test_gauge_rejects_a_chart_entry_it_cannot_read_exactly(entry):
     # element names), a quotient or a product of sums is refused, and so is
     # an overflow, which raises rather than warns
     coord_map = (entry, parse("x2", 4), parse("x3", 4), parse("x4", 4))
-    ge = GaugeElement(signature=SIG4, lam=_identity_gauge().lam, coord_map=coord_map,
-                      params={"a": 2.0})
+    ge = _identity_gauge(coord_map=coord_map, params={"a": 2.0})
     with pytest.raises(GaugeError):
         evaluate_gauge(ge, (20.0, 1.0, 1.0, 1.0))
-
-
-def test_gauge_element_needs_exactly_one_lambda_spec():
-    with pytest.raises(ValueError):
-        GaugeElement(signature=SIG4)
-    with pytest.raises(ValueError):
-        GaugeElement(signature=SIG4, lam=((1.0,),), generator=((0.0,),))
 
 
 def test_pseudo_orthogonality_of_generated_elements(rng):
