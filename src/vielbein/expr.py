@@ -6,9 +6,9 @@ plain floats or over :class:`~vielbein.jets.JetArray` coordinates (same code
 path, so configured fields automatically come with exact derivatives).  The
 coordinate jets may carry a leading batch axis, in which case one walk of the
 tree evaluates the expression at every point of the block.  :class:`Poly` is
-the one polynomial type: random fields hand their entries as Polys,
-:func:`polynomial` reads a tree of polynomial form into one, and
-:func:`eval_polynomials` runs Polys together as coefficient tables at the
+the one polynomial type: random fields hand their entries as Polys, which
+:func:`random_polys` draws, :func:`polynomial` reads a tree of polynomial
+form into one, and :func:`eval_polynomials` runs Polys together as coefficient tables at the
 seeded coordinate jets of :func:`~vielbein.jets.jet_seed`: closed-form
 monomial jets, one matmul per point, jets equal to the walk's to roundoff.
 
@@ -24,12 +24,12 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from itertools import chain
 from typing import Mapping, Protocol, Sequence, Union
 
 import numpy as np
 
-from . import jets
+from . import jets, pcg
+from .pcg import M32, M64, M128, MULT
 
 __all__ = [
     "Expr",
@@ -49,6 +49,7 @@ __all__ = [
     "eval_jet",
     "polynomial",
     "eval_polynomials",
+    "random_polys",
 ]
 
 
@@ -105,8 +106,10 @@ Expr = Union[Num, Coord, Param, Neg, BinOp, Call]
 
 
 class RandomSource(Protocol):
-    """The draws random fields make: ``numpy.random.Generator`` has them, and so
-    has the package's own seeded generator (``solutions._seeded_rng``)."""
+    """A seeded PCG64 stream: numpy's ``default_rng(seed)`` Generator, or the
+    package's own copy of it (``solutions._seeded_rng``).  Random fields make
+    these two draws, and :func:`random_polys` draws on the stream's state words
+    (:func:`~vielbein.pcg.words`), as numpy's Generator would."""
 
     def integers(self, low: int, high: int) -> int: ...
 
@@ -131,15 +134,9 @@ class Poly:
 
     @staticmethod
     def random(rng: RandomSource, dim: int, degree: int, amplitude: float) -> "Poly":
-        """Four random monomials of degree <= ``degree``, each times amplitude * U(-1, 1) / 4."""
-        coeffs: dict[tuple[int, ...], float] = {}
-        for _ in range(4):
-            exps = [0] * dim
-            for _ in range(int(rng.integers(0, degree + 1))):
-                exps[int(rng.integers(0, dim))] += 1
-            key = tuple(exps)
-            coeffs[key] = coeffs.get(key, 0.0) + float(rng.uniform(-1, 1)) * amplitude / 4
-        return Poly.from_dict(dim, coeffs)
+        """Four random monomials of degree <= ``degree``, each times
+        amplitude * U(-1, 1) / 4: one draw of :func:`random_polys`."""
+        return random_polys(rng, dim, degree, amplitude, (0.0,))[0]
 
     def grad(self, i: int) -> "Poly":
         """Exact partial derivative along coordinate i (0-based)."""
@@ -155,12 +152,6 @@ class Poly:
 
     def scale(self, c: float) -> "Poly":
         return Poly.from_dict(self.dim, {e: c * v for e, v in self.terms})
-
-    def shift(self, offset: float) -> "Poly":
-        coeffs = dict(self.terms)
-        zero = (0,) * self.dim
-        coeffs[zero] = coeffs.get(zero, 0.0) + offset
-        return Poly.from_dict(self.dim, coeffs)
 
     def to_expr(self) -> Expr:
         """The terms as a '+'/'-' chain in their order, each ``|c| * xk^n...``,
@@ -182,6 +173,62 @@ class Poly:
             else:
                 out = BinOp("-" if c < 0 else "+", out, node)
         return out
+
+
+def random_polys(rng: RandomSource, dim: int, degree: int, amplitude: float,
+                 offsets: Sequence[float]) -> list[Poly]:
+    """One Poly in x1..x{dim} per offset, drawn in a row: four random monomials
+    of degree <= ``degree``, each times amplitude * U(-1, 1) / 4, plus the
+    offset.  A term draws, as numpy's Generator would, ``integers(0, degree + 1)``
+    factors, each ``x{integers(0, dim) + 1}``, then ``uniform(-1, 1)``: inline
+    PCG64 steps on the stream's words, Lemire's bounded draw on 32-bit halves
+    (the upper half kept for the next draw; a range of one draws nothing) and
+    a 53-bit double."""
+    if degree < 0 or dim < 1:
+        raise ValueError(f"need degree >= 0 and dim >= 1, got {degree} and {dim}")
+    amplitude = float(amplitude)    # Python float terms, as from_dict makes them
+    state, inc, half = pcg.words(rng)
+    # Lemire's draw from [0, n) rejects a low word below 2^32 mod n
+    span0, cut0, cut1 = degree + 1, (1 << 32) % (degree + 1), (1 << 32) % dim
+    polys, zero = [], (0,) * dim
+    for offset in offsets:
+        coeffs: dict[tuple[int, ...], float] = {}
+        for _ in range(4):
+            exps = [0] * dim
+            span, cut, todo = span0, cut0, -1        # the degree first, then its factors
+            while todo:
+                v = 0
+                if span > 1:
+                    while True:
+                        if half is None:
+                            state = (state * MULT + inc) & M128
+                            x, r = (state >> 64 ^ state) & M64, state >> 122
+                            x = (x >> r | x << (64 - r)) & M64
+                            half, x = x >> 32, x & M32
+                        else:
+                            x, half = half, None
+                        v = x * span
+                        if v & M32 >= cut:
+                            break
+                    v >>= 32
+                if todo < 0:
+                    span, cut, todo = dim, cut1, v
+                else:
+                    exps[v] += 1
+                    todo -= 1
+            state = (state * MULT + inc) & M128
+            x, r = (state >> 64 ^ state) & M64, state >> 122
+            x = (x >> r | x << (64 - r)) & M64
+            key = tuple(exps)
+            coeffs[key] = (coeffs.get(key, 0.0)
+                           + (-1.0 + 2.0 * ((x >> 11) * 2.0 ** -53)) * amplitude / 4)
+        if offset:
+            coeffs[zero] = coeffs.get(zero, 0.0) + float(offset)
+        # from_dict drops zero coefficients; with none, it would only sort
+        polys.append(Poly.from_dict(dim, coeffs) if 0.0 in coeffs.values()
+                     else Poly(dim, tuple(sorted(coeffs.items()))))
+    pcg.put_words(rng, state, half)
+    return polys
 
 
 _FUNCTIONS = {
@@ -434,15 +481,29 @@ def eval_polynomials(polys: Sequence[Poly], coords: Sequence[jets.JetArray]) -> 
     if (du.shape[-1] != m or (du != np.eye(m)).any()
             or any(c.hess is None or c.hess.any() for c in coords)):
         raise ValueError("polynomial entries are evaluated at seeded coordinate jets only")
-    rows = [{e + (0,) * (m - poly.dim): c for e, c in poly.terms} for poly in polys]
-    monos = list(dict.fromkeys(chain.from_iterable(rows))) or [(0,) * m]
-    coef = np.array([[row.get(e, 0.0) for e in monos] for row in rows])
-    # per distinct (coordinate k, exponent a): u^a, a u^(a-1), a(a-1) u^(a-2),
+    # one pass over the terms: each distinct monomial (padded to m exponents)
+    # takes a column in order of first appearance, each term a coefficient
+    cols: dict[tuple, int] = {}
+    rows, at, vals = [], [], []
+    for i, poly in enumerate(polys):
+        pad = (0,) * (m - poly.dim)
+        for e, c in poly.terms:
+            rows.append(i)
+            at.append(cols.setdefault(e + pad, len(cols)))
+            vals.append(c)
+    coef = np.zeros((len(polys), len(cols) or 1))
+    coef[rows, at] = vals
+    # per coordinate k its distinct exponents a, sorted, as (k, a) pairs, and
+    # each monomial's pair per k; per pair u^a, a u^(a-1), a(a-1) u^(a-2),
     # from one power u^(a-2) (1 for a <= 2) and two products
-    pairs = sorted({(k, a) for e in monos for k, a in enumerate(e)})
-    at = {pair: i for i, pair in enumerate(pairs)}
-    ks, a = np.array(pairs).T
-    u = np.stack([c.val for c in coords], -1)[..., ks.astype(int)]
+    ks, a, pick = [], [], []
+    for k, column in enumerate(zip(*(cols or [(0,) * m]))):
+        pair = {x: len(a) + j for j, x in enumerate(sorted(set(column)))}
+        ks += [k] * len(pair)
+        a += pair
+        pick.append([pair[x] for x in column])
+    a, pick = np.array(a, dtype=float), np.array(pick)
+    u = np.stack([c.val for c in coords], -1)[..., ks]
     batch = u.shape[:-1]
     low = np.power(u, np.maximum(a - 2.0, 0.0))
     mid = low * np.where(a >= 2.0, u, 1.0)
@@ -454,9 +515,9 @@ def eval_polynomials(polys: Sequence[Poly], coords: Sequence[jets.JetArray]) -> 
     # appears in the slot
     eye = np.eye(m, dtype=int)
     order = np.concatenate([0 * eye[:1], eye, (eye[:, None] + eye).reshape(-1, m)]).T
-    mono = np.ones(batch + order.shape[1:] + (len(monos),))   # C order: one gemm a row
+    mono = np.ones(batch + order.shape[1:] + pick.shape[1:])   # C order: one gemm a row
     for k in range(m):
-        mono *= tab[..., order[k][:, None], [at[k, e[k]] for e in monos]]
+        mono *= tab[..., order[k][:, None], pick[k]]
     out = np.matmul(coef, mono.swapaxes(-1, -2))
     if not np.isfinite(out).all():
         raise FloatingPointError("non-finite jet of a polynomial entry")

@@ -76,10 +76,16 @@ class GaugePointData:
 
 
 def evaluate_gauge(ge: GaugeElement, point: Sequence[float]) -> GaugePointData:
+    """The gauge element at one point of m coordinates; anything else, a
+    batch of points included, raises ValueError."""
     m = ge.signature.m
+    x = np.asarray(point, dtype=float)
+    if x.shape != (m,):
+        raise ValueError(f"a gauge element is evaluated at one point of {m} coordinates, "
+                         f"not at an array of shape {x.shape}")
     params = dict(ge.params or {})
-    jets = jet_seed(point)
-    at = tuple(np.asarray(point, dtype=float).tolist())    # as messages print it
+    jets = jet_seed(x)
+    at = tuple(x.tolist())    # as messages print it
 
     lam = jet_cayley(eval_entries(chain.from_iterable(ge.generator), jets, params, (m, m)))
 

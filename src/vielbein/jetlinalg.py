@@ -239,8 +239,12 @@ def _signed(a: JetArray, signs: np.ndarray) -> JetArray:
 
 
 def jet_matinv(a: JetArray) -> JetArray:
-    """Inverse of a square matrix of jets, over any leading batch axes."""
+    """Inverse of a square matrix of jets, over any leading batch axes.  A
+    singular matrix, or one whose inverse overflows, raises
+    ``np.linalg.LinAlgError``."""
     iv = np.linalg.inv(a.val)
+    if not np.isfinite(iv).all():     # inf entries would meet the jets as inf * 0
+        raise np.linalg.LinAlgError("matrix inverse is not finite")
     # negated into C order, whatever the layout of the product
     jac = np.negative(contract("...ab,...bcZ,...cd->...adZ", iv, a.jac, iv), order="C")
     hess = None
@@ -254,8 +258,9 @@ def jet_matinv(a: JetArray) -> JetArray:
 def jet_cayley(a: JetArray) -> JetArray:
     """Cayley transform (I - a/2)^-1 (I + a/2) = 2 (I - a/2)^-1 - I of a square
     matrix of jets, over any leading batch axes; with eta*a antisymmetric it
-    lies in SO(p, q).  A singular I - a/2 raises ``np.linalg.LinAlgError``, a
-    non-finite entry ``ValueError`` (an infinite one would map to -I)."""
+    lies in SO(p, q).  A singular I - a/2, or one whose inverse overflows,
+    raises ``np.linalg.LinAlgError``, a non-finite entry ``ValueError`` (an
+    infinite one would map to -I)."""
     if not all(np.isfinite(c).all() for c in (a.val, a.jac, a.hess) if c is not None):
         raise ValueError("Cayley transform of a matrix with a non-finite entry")
     eye = np.eye(a.val.shape[-1])

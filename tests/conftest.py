@@ -1,10 +1,13 @@
+from itertools import chain
+
 import numpy as np
 import pytest
 
+from vielbein.expr import Poly
 from vielbein.frame import epsilon_pair
 from vielbein.gauge import evaluate_gauge
 from vielbein.jetlinalg import JetArray, contract, jet_einsum, jet_matinv
-from vielbein.tensors import eta, levi_civita
+from vielbein.tensors import eta, eta_signs, levi_civita
 
 
 def fd_grad(f, x, h=1e-6):
@@ -196,6 +199,78 @@ def dense_epsilon_pair(e, n_e, coord_tail, frame_tail, extras, out, *operands,
     # intermediates of up to 2**20 entries, where numpy's default limit would
     # fall back to one naive loop over every index
     return np.einsum(",".join(inputs) + "->..." + out, *ops, optimize=("greedy", 2**20))
+
+
+# Random fields drawn call by call through a generator's ``integers`` and
+# ``uniform``, as numpy's Generator makes each draw: the reference for the
+# library's inline draw loop, which must give the same Polys from the same stream.
+
+def reference_random_poly(rng, dim, degree, amplitude):
+    """Four random monomials of degree <= ``degree``, each times amplitude * U(-1, 1) / 4."""
+    coeffs = {}
+    for _ in range(4):
+        exps = [0] * dim
+        for _ in range(int(rng.integers(0, degree + 1))):
+            exps[int(rng.integers(0, dim))] += 1
+        key = tuple(exps)
+        coeffs[key] = coeffs.get(key, 0.0) + float(rng.uniform(-1, 1)) * amplitude / 4
+    return Poly.from_dict(dim, coeffs)
+
+
+def reference_shift(p, offset):
+    coeffs = dict(p.terms)
+    zero = (0,) * p.dim
+    coeffs[zero] = coeffs.get(zero, 0.0) + offset
+    return Poly.from_dict(p.dim, coeffs)
+
+
+def reference_frame_entries(seed, amplitude, dim):
+    """The entry grid of ``random_polynomial(seed, amplitude, dim)``."""
+    rng = np.random.default_rng(seed)
+    entries = [[reference_random_poly(rng, dim, 3, amplitude) for _ in range(dim)]
+               for _ in range(dim)]
+    for mu in range(dim):
+        entries[mu][mu] = reference_shift(entries[mu][mu], 1.0)
+    return entries
+
+
+def reference_so_generator(rng, sig, amplitude=0.3, degree=2):
+    """The entry grid of ``random_so_generator``: A = eta * B, B antisymmetric."""
+    m, signs = sig.m, eta_signs(sig)
+    entries = [[0.0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            p = reference_random_poly(rng, m, degree, amplitude)
+            entries[i][j] = Poly.from_dict(m, {e: signs[i] * c for e, c in p.terms})
+            entries[j][i] = Poly.from_dict(m, {e: -signs[j] * c for e, c in p.terms})
+    return tuple(tuple(row) for row in entries)
+
+
+def reference_eval_polynomials(polys, coords):
+    """``expr.eval_polynomials`` with its tables built from dict lookups, one
+    monomial and one (coordinate, exponent) pair at a time: the reference
+    whose jets the library's array-built tables must give bit for bit."""
+    m = len(coords)
+    rows = [{e + (0,) * (m - poly.dim): c for e, c in poly.terms} for poly in polys]
+    monos = list(dict.fromkeys(chain.from_iterable(rows))) or [(0,) * m]
+    coef = np.array([[row.get(e, 0.0) for e in monos] for row in rows])
+    pairs = sorted({(k, a) for e in monos for k, a in enumerate(e)})
+    at = {pair: i for i, pair in enumerate(pairs)}
+    ks, a = np.array(pairs).T
+    u = np.stack([c.val for c in coords], -1)[..., ks.astype(int)]
+    batch = u.shape[:-1]
+    low = np.power(u, np.maximum(a - 2.0, 0.0))
+    mid = low * np.where(a >= 2.0, u, 1.0)
+    tab = np.stack([mid * np.where(a >= 1.0, u, 1.0), a * mid,
+                    a * np.maximum(a - 1.0, 0.0) * low], -2)
+    eye = np.eye(m, dtype=int)
+    order = np.concatenate([0 * eye[:1], eye, (eye[:, None] + eye).reshape(-1, m)]).T
+    mono = np.ones(batch + order.shape[1:] + (len(monos),))
+    for k in range(m):
+        mono *= tab[..., order[k][:, None], [at[k, e[k]] for e in monos]]
+    out = np.matmul(coef, mono.swapaxes(-1, -2))
+    return JetArray(out[..., 0], out[..., 1:m + 1],
+                    out[..., m + 1:].reshape(out.shape[:-1] + (m, m)))
 
 
 @pytest.fixture

@@ -29,7 +29,7 @@ from vielbein.jets import JetArray, jet_seed
 from vielbein.kaluza import SIG4, SIG5
 from vielbein.solutions import random_gauge_element, random_kaluza, random_polynomial
 
-from conftest import fd_grad, fd_hess
+from conftest import fd_grad, fd_hess, reference_eval_polynomials
 
 
 def test_parse_precedence_example():
@@ -503,6 +503,43 @@ def test_a_huge_exponent_takes_no_table_of_powers():
         np.testing.assert_array_equal(out.val[..., 0], want.val)
         np.testing.assert_array_equal(out.jac[..., 0, :], want.jac)
         np.testing.assert_array_equal(out.hess[..., 0, :, :], want.hess)
+
+
+def _assert_jets_bitwise(got, want):
+    for a, b in ((got.val, want.val), (got.jac, want.jac), (got.hess, want.hess)):
+        assert a.shape == b.shape
+        np.testing.assert_array_equal(_bits(a), _bits(b))
+
+
+@pytest.mark.parametrize("points", [(1.0, 0.3, -0.2, 0.5, 0.1),
+                                    [(1.0, 0.3, -0.2, 0.5, 0.1), (-1.0, 0.0, 0.7, -0.4, 2.0),
+                                     (0.0, -1.5, 0.2, 0.9, -0.3)]])
+def test_tables_of_every_kind_of_entry_equal_the_reference_bitwise(points):
+    # one call mixing Polys in fewer coordinates than the jets, trees of float
+    # exponents, a 10^9 exponent, a zero coefficient, a constant and an empty
+    # Poly: the jets of the reference's dict-built tables, bit for bit
+    rng = np.random.default_rng(5)
+    polys = [*[Poly.random(rng, dim, degree=3, amplitude=0.7) for dim in (2, 3, 5, 3)],
+             polynomial(parse("x1^2*x3 - 0.5*x5^3 + x2*x4 + 1.25", 5), 5),
+             polynomial(parse("x1*(x2*3) - 0", 5), 5),
+             polynomial(parse("2*x1^1000000000 - x3^2*x1", 5), 5),
+             Poly.from_dict(5, {(0,) * 5: 0.25}),
+             Poly.from_dict(4, {}),
+             Poly(4, (((0, 1, 0, 3), -0.25), ((2, 0, 1, 0), 1.5)))]
+    assert all(p is not None for p in polys)
+    jets = jet_seed(points)
+    _assert_jets_bitwise(eval_polynomials(polys, jets), reference_eval_polynomials(polys, jets))
+
+
+@settings(deadline=None, max_examples=60)
+@given(trees=st.lists(_POLYS, min_size=1, max_size=4), rows=_BLOCKS,
+       seed=st.integers(0, 2**16), dims=st.lists(st.integers(1, 4), max_size=3))
+def test_tables_equal_the_reference_bitwise(trees, rows, seed, dims):
+    rng = np.random.default_rng(seed)
+    polys = [polynomial(t, 4) for t in trees] + [Poly.random(rng, d, 3, 0.7) for d in dims]
+    for points in (np.array(rows[0]), np.array(rows)):
+        jets = jet_seed(points)
+        _assert_jets_bitwise(eval_polynomials(polys, jets), reference_eval_polynomials(polys, jets))
 
 
 @pytest.mark.parametrize("points", [(0.3, -0.2, 0.5, 0.1, 0.7),

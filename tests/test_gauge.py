@@ -196,6 +196,22 @@ def test_gauge_rejects_a_chart_entry_it_cannot_read_exactly(entry):
         evaluate_gauge(ge, (20.0, 1.0, 1.0, 1.0))
 
 
+def test_gauge_refuses_a_batch_of_points():
+    # a gauge element is evaluated at one point: a block of frame points, or
+    # a point of the wrong dimension, is refused by name
+    block = np.array([PT, (0.1, 0.2, 0.3, 0.4)])
+    cp = evaluate_coframe(minkowski().tetrad, block)
+    sp = spin_connection(cp)
+    ge = _identity_gauge()
+    with pytest.raises(ValueError, match="one point of 4 coordinates"):
+        gauge_transform_frame(cp, ge)
+    with pytest.raises(ValueError, match="one point of 4 coordinates"):
+        gauge_transform_omega(sp, cp, ge)
+    for point in (block, PT[:3], (PT,)):
+        with pytest.raises(ValueError, match=r"not at an array of shape \("):
+            evaluate_gauge(ge, point)
+
+
 def test_pseudo_orthogonality_of_generated_elements(rng):
     for seed in range(5):
         ge = random_gauge_element(seed=seed, sig=SIG4, kind="mixed")

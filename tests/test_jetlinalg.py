@@ -129,6 +129,17 @@ def test_jet_cayley_raises_on_a_singular_generator():
         evaluate_gauge(ge, POINT)
 
 
+@pytest.mark.parametrize("slope", [0.0, 1.0])
+def test_jet_cayley_raises_when_the_inverse_overflows(slope):
+    # I - A/2 is finite with determinant 2^-52, so its inverse holds
+    # 5e299 * 2^52: an overflow, which raises rather than warns or reads inf,
+    # whether the generator's derivatives vanish or not
+    a = np.zeros((2, 2))
+    a[0, 1], a[1, 0] = 1e300, 4e-300 * (1 - 2.0 ** -52)
+    with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+        jet_cayley(JetArray(a, np.full((2, 2, 2), slope), np.full((2, 2, 2, 2), slope)))
+
+
 @pytest.mark.parametrize("where, value", [("val", np.nan), ("jac", np.inf), ("hess", np.inf)])
 def test_jet_cayley_refuses_a_non_finite_entry(where, value):
     # an infinite generator would map to -I, and a NaN one would pass through

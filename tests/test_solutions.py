@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from vielbein import expr
-from vielbein.expr import Num, parse, polynomial, to_text
+from vielbein import expr, kaluza
+from vielbein.expr import Num, parse, polynomial, random_polys, to_text
 from vielbein.frame import (
     CoframeField,
     curvature,
@@ -12,7 +12,8 @@ from vielbein.frame import (
     spin_connection,
 )
 from vielbein.jets import jet_seed
-from vielbein.kaluza import _KaluzaPoint, einstein_maxwell_residual, maxwell_residual
+from vielbein.kaluza import SIG4, _KaluzaPoint, einstein_maxwell_residual, maxwell_residual
+from vielbein.pcg import put_words, words
 from vielbein.solutions import (
     Poly,
     SOLUTIONS,
@@ -29,7 +30,14 @@ from vielbein.solutions import (
 )
 from vielbein.tensors import Signature
 
-from conftest import fd_grad, poly_value
+from conftest import (
+    fd_grad,
+    poly_value,
+    reference_frame_entries,
+    reference_random_poly,
+    reference_shift,
+    reference_so_generator,
+)
 
 
 def test_registry_names():
@@ -193,6 +201,72 @@ def test_seeded_rng_is_numpys_stream(seed, draws):
             == Poly.random(ref, 4, degree=3, amplitude=0.1))
     for sig in (Signature(1, 3), Signature(2, 3)):
         assert random_so_generator(ours, sig) == random_so_generator(ref, sig)
+
+
+class _Drawn(Exception):
+    pass
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**64), dim=st.sampled_from([3, 4, 5]),
+       amplitude=st.sampled_from([0.0, 0.1, 0.7]))
+@example(seed=11, dim=4, amplitude=0.1)
+def test_random_fields_are_the_reference_draws(seed, dim, amplitude):
+    # every random field holds the Polys that the reference draws call by call
+    # from numpy's default_rng(seed); amplitude 0 makes every drawn
+    # coefficient zero, which no Poly keeps
+    frame = random_polynomial(seed, amplitude, dim).tetrad.entries
+    assert [list(row) for row in frame] == reference_frame_entries(seed, amplitude, dim)
+    cfg = random_kaluza(seed, amplitude)
+    assert ([list(row) for row in cfg.tetrad.entries]
+            == reference_frame_entries(seed + 104729, amplitude, 4))
+    ref = np.random.default_rng(seed)
+    assert list(cfg.potential) == [reference_random_poly(ref, 4, 3, amplitude) for _ in range(4)]
+    for sig in (Signature(1, 3), Signature(2, 3)):
+        assert (random_so_generator(_seeded_rng(seed), sig, amplitude)
+                == reference_so_generator(np.random.default_rng(seed), sig, amplitude))
+    # covariance_check draws its rotation generator, then its fiber shift
+    point, drawn = (0.1, -0.2, 0.3, 0.05), []
+
+    def spy(cfg, generator, f_poly):
+        drawn.append((generator, f_poly))
+        raise _Drawn
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kaluza, "transform_config", spy)
+        with pytest.raises(_Drawn):
+            kaluza.covariance_check(cfg, point, seed)
+    s = 1.0 + max(map(abs, point))
+    ref = np.random.default_rng(seed)
+    generator = reference_so_generator(ref, SIG4, 0.25 / s ** 2, 2)
+    assert drawn == [(generator, reference_random_poly(ref, 4, 3, 0.25 / s ** 3))]
+
+
+@pytest.mark.parametrize("dim, degree", [(3, 2), (5, 4), (4, 3), (1, 0)])
+def test_random_polys_redraw_as_numpy_does(dim, degree):
+    # a buffered 32-bit half of 0 is one that Lemire's draw rejects for a
+    # range of 3 or 5 and takes for a power of two; with it set on both
+    # streams, the draw and every draw after it agree with numpy's
+    ours, ref = _seeded_rng(9), np.random.default_rng(9)
+    for rng in (ours, ref):
+        put_words(rng, words(rng)[0], 0)
+    polys = random_polys(ours, dim, degree, 0.5, (0.0, 2.0, 0.0))
+    want = [reference_random_poly(ref, dim, degree, 0.5) for _ in range(3)]
+    want[1] = reference_shift(want[1], 2.0)
+    assert polys == want
+    after = [(rng.integers(0, 3), rng.integers(0, 5), rng.uniform(-1, 1)) for rng in (ours, ref)]
+    assert after[0] == after[1]
+
+
+def test_random_polys_refuse_what_they_cannot_draw():
+    # the draw reads PCG64 state words: other bit generators, and objects
+    # that only make the two draws, are refused
+    for rng in (np.random.Generator(np.random.MT19937(1)), np.random.RandomState(1)):
+        with pytest.raises(TypeError, match="PCG64"):
+            Poly.random(rng, 4, 3, 0.1)
+    for dim, degree in ((0, 3), (4, -1)):
+        with pytest.raises(ValueError):
+            Poly.random(_seeded_rng(1), dim, degree, 0.1)
 
 
 def test_seeded_rng_refuses_what_numpy_refuses():
