@@ -24,12 +24,11 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from typing import Mapping, Protocol, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
 from . import jets, pcg
-from .pcg import M32, M64, M128, MULT
 
 __all__ = [
     "Expr",
@@ -40,7 +39,6 @@ __all__ = [
     "BinOp",
     "Call",
     "Poly",
-    "RandomSource",
     "ExprError",
     "ParseError",
     "EvalError",
@@ -105,17 +103,6 @@ class Call:
 Expr = Union[Num, Coord, Param, Neg, BinOp, Call]
 
 
-class RandomSource(Protocol):
-    """A seeded PCG64 stream: numpy's ``default_rng(seed)`` Generator, or the
-    package's own copy of it (``solutions._seeded_rng``).  Random fields make
-    these two draws, and :func:`random_polys` draws on the stream's state words
-    (:func:`~vielbein.pcg.words`), as numpy's Generator would."""
-
-    def integers(self, low: int, high: int) -> int: ...
-
-    def uniform(self, low: float, high: float) -> float: ...
-
-
 @dataclass(frozen=True)
 class Poly:
     """Sparse polynomial in x1..x{dim}, the package's one polynomial format:
@@ -133,7 +120,7 @@ class Poly:
         return Poly(dim, items)
 
     @staticmethod
-    def random(rng: RandomSource, dim: int, degree: int, amplitude: float) -> "Poly":
+    def random(rng: pcg.Stream, dim: int, degree: int, amplitude: float) -> "Poly":
         """Four random monomials of degree <= ``degree``, each times
         amplitude * U(-1, 1) / 4: one draw of :func:`random_polys`."""
         return random_polys(rng, dim, degree, amplitude, (0.0,))[0]
@@ -175,59 +162,20 @@ class Poly:
         return out
 
 
-def random_polys(rng: RandomSource, dim: int, degree: int, amplitude: float,
+def random_polys(rng: pcg.Stream, dim: int, degree: int, amplitude: float,
                  offsets: Sequence[float]) -> list[Poly]:
-    """One Poly in x1..x{dim} per offset, drawn in a row: four random monomials
-    of degree <= ``degree``, each times amplitude * U(-1, 1) / 4, plus the
-    offset.  A term draws, as numpy's Generator would, ``integers(0, degree + 1)``
-    factors, each ``x{integers(0, dim) + 1}``, then ``uniform(-1, 1)``: inline
-    PCG64 steps on the stream's words, Lemire's bounded draw on 32-bit halves
-    (the upper half kept for the next draw; a range of one draws nothing) and
-    a 53-bit double."""
-    if degree < 0 or dim < 1:
-        raise ValueError(f"need degree >= 0 and dim >= 1, got {degree} and {dim}")
-    amplitude = float(amplitude)    # Python float terms, as from_dict makes them
-    state, inc, half = pcg.words(rng)
-    # Lemire's draw from [0, n) rejects a low word below 2^32 mod n
-    span0, cut0, cut1 = degree + 1, (1 << 32) % (degree + 1), (1 << 32) % dim
+    """One Poly in x1..x{dim} per offset, drawn in a row: four terms of
+    :func:`~vielbein.pcg.draw_terms`, each coefficient times amplitude / 4,
+    plus the offset."""
+    terms = pcg.draw_terms(rng, dim, degree, 4 * len(offsets))
     polys, zero = [], (0,) * dim
-    for offset in offsets:
+    for j, offset in enumerate(offsets):
         coeffs: dict[tuple[int, ...], float] = {}
-        for _ in range(4):
-            exps = [0] * dim
-            span, cut, todo = span0, cut0, -1        # the degree first, then its factors
-            while todo:
-                v = 0
-                if span > 1:
-                    while True:
-                        if half is None:
-                            state = (state * MULT + inc) & M128
-                            x, r = (state >> 64 ^ state) & M64, state >> 122
-                            x = (x >> r | x << (64 - r)) & M64
-                            half, x = x >> 32, x & M32
-                        else:
-                            x, half = half, None
-                        v = x * span
-                        if v & M32 >= cut:
-                            break
-                    v >>= 32
-                if todo < 0:
-                    span, cut, todo = dim, cut1, v
-                else:
-                    exps[v] += 1
-                    todo -= 1
-            state = (state * MULT + inc) & M128
-            x, r = (state >> 64 ^ state) & M64, state >> 122
-            x = (x >> r | x << (64 - r)) & M64
-            key = tuple(exps)
-            coeffs[key] = (coeffs.get(key, 0.0)
-                           + (-1.0 + 2.0 * ((x >> 11) * 2.0 ** -53)) * amplitude / 4)
+        for key, u in terms[4 * j:4 * j + 4]:
+            coeffs[key] = coeffs.get(key, 0.0) + u * amplitude / 4
         if offset:
             coeffs[zero] = coeffs.get(zero, 0.0) + float(offset)
-        # from_dict drops zero coefficients; with none, it would only sort
-        polys.append(Poly.from_dict(dim, coeffs) if 0.0 in coeffs.values()
-                     else Poly(dim, tuple(sorted(coeffs.items()))))
-    pcg.put_words(rng, state, half)
+        polys.append(Poly.from_dict(dim, coeffs))
     return polys
 
 
@@ -467,7 +415,8 @@ def polynomial(node: Expr, dim: int) -> Poly | None:
 def eval_polynomials(polys: Sequence[Poly], coords: Sequence[jets.JetArray]) -> jets.JetArray:
     """The jets of polynomials at the seeded coordinate jets of
     :func:`~vielbein.jets.jet_seed`, stacked on one axis after the batch
-    axes; a Poly in fewer coordinates than the jets reads x1..x{its dim}.
+    axes; a Poly in fewer coordinates than the jets reads x1..x{its dim},
+    one in more raises ValueError.
     Each distinct monomial's jet in closed form, one matmul per point of the
     coefficient matrix against them.  Jets that are not seeds (a gradient
     other than a unit vector, a Hessian other than zero, a dimension other
@@ -486,6 +435,8 @@ def eval_polynomials(polys: Sequence[Poly], coords: Sequence[jets.JetArray]) -> 
     cols: dict[tuple, int] = {}
     rows, at, vals = [], [], []
     for i, poly in enumerate(polys):
+        if poly.dim > m:
+            raise ValueError(f"a Poly in {poly.dim} coordinates at {m} coordinate jets")
         pad = (0,) * (m - poly.dim)
         for e, c in poly.terms:
             rows.append(i)

@@ -1,19 +1,22 @@
 """numpy's ``default_rng(seed)`` stream in pure Python, for the seeded draws.
 
 PCG64 is O'Neill's XSL-RR 128/64 generator (HMC-CS-2014-0905), seeded as
-numpy's ``SeedSequence`` hashes an int.  :class:`_PCG64` makes the two draws
-the package calls (``integers``, ``uniform``) bit for bit as numpy's Generator
-makes them, without importing ``numpy.random``.  :func:`~vielbein.expr.random_polys`
-draws on the state words directly; :func:`words` and :func:`put_words` read and
-write them on this generator and on a numpy Generator over PCG64 alike.
+numpy's ``SeedSequence`` hashes an int.  :class:`_PCG64` makes the draws
+``integers`` and ``uniform`` bit for bit as numpy's Generator makes them,
+without importing ``numpy.random``.  :func:`draw_terms` draws random
+polynomial terms in one loop on the state words of either kind of
+:data:`Stream`, which :func:`words` and :func:`put_words` read and write.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import TYPE_CHECKING, Callable, Union
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from numpy.random import Generator
 
 M32, M64, M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 MULT = 0x2360ED051FC65DA44385DF649FCCF645
@@ -99,7 +102,11 @@ class _PCG64:
         return draws[0] if size is None else np.array(draws).reshape(size)
 
 
-def words(rng) -> tuple[int, int, int | None]:
+#: A PCG64 stream: the package's generator, or numpy's Generator over PCG64.
+Stream = Union[_PCG64, "Generator"]
+
+
+def words(rng: Stream) -> tuple[int, int, int | None]:
     """(state, inc, buffered half or None) of a :class:`_PCG64` or of a numpy
     Generator over PCG64; any other generator raises TypeError."""
     if type(rng) is _PCG64:
@@ -110,7 +117,7 @@ def words(rng) -> tuple[int, int, int | None]:
     return st["state"]["state"], st["state"]["inc"], st["uinteger"] if st["has_uint32"] else None
 
 
-def put_words(rng, state: int, half: int | None) -> None:
+def put_words(rng: Stream, state: int, half: int | None) -> None:
     """Hand back the words a draw from :func:`words` left."""
     if type(rng) is _PCG64:
         rng.state, rng.half = state, half
@@ -118,3 +125,47 @@ def put_words(rng, state: int, half: int | None) -> None:
     st = rng.bit_generator.state
     st["state"]["state"], st["has_uint32"], st["uinteger"] = state, int(half is not None), half or 0
     rng.bit_generator.state = st
+
+
+def draw_terms(rng: Stream, dim: int, degree: int, n: int) -> list[tuple[tuple[int, ...], float]]:
+    """``n`` random monomials in x1..x{dim} of degree <= ``degree``, each as
+    (exponents, U(-1, 1)).  A term draws, as numpy's Generator would,
+    ``integers(0, degree + 1)`` factors, each ``x{integers(0, dim) + 1}``, then
+    ``uniform(-1, 1)``: :class:`_PCG64`'s steps inlined on the stream's words,
+    Lemire's bounded draw on 32-bit halves (the upper half kept for the next
+    draw; a range of one draws nothing) and a 53-bit double."""
+    if degree < 0 or dim < 1:
+        raise ValueError(f"need degree >= 0 and dim >= 1, got {degree} and {dim}")
+    state, inc, half = words(rng)
+    # Lemire's draw from [0, n) rejects a low word below 2^32 mod n
+    span0, cut0, cut1 = degree + 1, (1 << 32) % (degree + 1), (1 << 32) % dim
+    terms = []
+    for _ in range(n):
+        exps = [0] * dim
+        span, cut, todo = span0, cut0, -1        # the degree first, then its factors
+        while todo:
+            v = 0
+            if span > 1:
+                while True:
+                    if half is None:
+                        state = (state * MULT + inc) & M128
+                        x, r = (state >> 64 ^ state) & M64, state >> 122
+                        x = (x >> r | x << (64 - r)) & M64
+                        half, x = x >> 32, x & M32
+                    else:
+                        x, half = half, None
+                    v = x * span
+                    if v & M32 >= cut:
+                        break
+                v >>= 32
+            if todo < 0:
+                span, cut, todo = dim, cut1, v
+            else:
+                exps[v] += 1
+                todo -= 1
+        state = (state * MULT + inc) & M128
+        x, r = (state >> 64 ^ state) & M64, state >> 122
+        x = (x >> r | x << (64 - r)) & M64
+        terms.append((tuple(exps), -1.0 + 2.0 * ((x >> 11) * 2.0 ** -53)))
+    put_words(rng, state, half)
+    return terms

@@ -17,9 +17,9 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .expr import BinOp, Expr, Num, Poly, RandomSource, parse, random_polys
+from .expr import BinOp, Expr, Num, Poly, parse, random_polys
 from .frame import CoframeField
-from .pcg import _PCG64
+from .pcg import _PCG64, Stream
 from .tensors import Signature, eta_signs
 
 __all__ = [
@@ -67,7 +67,7 @@ class NamedSolution:
             inside = self.domain_constraint(point)
         return inside
 
-    def sample_points(self, rng: RandomSource, n: int) -> list[tuple[float, ...]]:
+    def sample_points(self, rng: Stream, n: int) -> list[tuple[float, ...]]:
         pts = []
         while len(pts) < n:
             p = tuple(float(rng.uniform(lo, hi)) for lo, hi in self.box)
@@ -208,7 +208,7 @@ def random_kaluza(seed: int = 0, amplitude: float = 0.1, k: float = 1.3):
     return KaluzaConfig(tetrad=base.tetrad, potential=potential, k=k, params={})
 
 
-def random_so_generator(rng: RandomSource, sig: Signature,
+def random_so_generator(rng: Stream, sig: Signature,
                         amplitude: float = 0.3, degree: int = 2):
     """Entry grid A with eta*A antisymmetric: its Cayley transform lies in SO(p, q).
 

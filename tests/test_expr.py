@@ -531,6 +531,13 @@ def test_tables_of_every_kind_of_entry_equal_the_reference_bitwise(points):
     _assert_jets_bitwise(eval_polynomials(polys, jets), reference_eval_polynomials(polys, jets))
 
 
+def test_tables_refuse_a_poly_in_more_coordinates_than_the_jets():
+    # its extra exponents would have no coordinate to read
+    polys = [Poly.from_dict(3, {(1, 0, 2): 0.5}), Poly.from_dict(5, {(0, 1, 0, 0, 1): 2.0})]
+    with pytest.raises(ValueError, match="5 coordinates at 4"):
+        eval_polynomials(polys, jet_seed((0.3, -0.2, 0.5, 0.1)))
+
+
 @settings(deadline=None, max_examples=60)
 @given(trees=st.lists(_POLYS, min_size=1, max_size=4), rows=_BLOCKS,
        seed=st.integers(0, 2**16), dims=st.lists(st.integers(1, 4), max_size=3))
