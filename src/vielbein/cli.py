@@ -109,7 +109,8 @@ class EvaluationError(Exception):
     """Evaluation failed at a specific grid point."""
 
 
-_POINT_ERRORS = (ExprError, DegenerateFrameError, GaugeError, np.linalg.LinAlgError)
+_POINT_ERRORS = (ExprError, DegenerateFrameError, GaugeError, np.linalg.LinAlgError,
+                 FloatingPointError)
 
 
 @dataclass(frozen=True)
@@ -261,11 +262,14 @@ def _grid_points(grid: Mapping, dim: int) -> np.ndarray:
     return pts
 
 
+@np.errstate(over="raise", invalid="raise", divide="raise")
 def _block_residuals(job: JobConfig, tetrad, kcfg, block) -> tuple[dict, np.ndarray]:
     """Named residual component arrays of a block of grid points, one leading
     row per point, and the block's 4D tetrad values ``e``.  Every check runs
     on the whole block at once, from one evaluation of the tetrad (and, for
-    the Kaluza checks, the potential)."""
+    the Kaluza checks, the potential).  An overflow, an invalid operation or a
+    division by zero raises ``FloatingPointError``: a later step could turn
+    its inf or NaN finite (1/inf) before the residuals are checked."""
     kind = job.check
     if kind in KALUZA_CHECKS:
         kp = _KaluzaPoint(kcfg, block)
@@ -448,9 +452,16 @@ def run_job(job: JobConfig, out_dir: Path, write_csv: bool) -> tuple[int, dict]:
         results = []
         conds = np.linalg.cond(np.array([worst[c][3] for c in sorted(per_check)])).tolist()
         for (check_id, norms), cond in zip(sorted(per_check.items()), conds):
-            tol, mx = job.tol_for(check_id), max(norms)
+            tol, mx, mean = job.tol_for(check_id), max(norms), sum(norms) / len(norms)
             _, point, comp, _ = worst[check_id]
-            results.append({"check_id": check_id, "max": mx, "mean": sum(norms) / len(norms),
+            # every norm is finite, but their sum, or the tetrad's cond_e, may overflow
+            if not math.isfinite(mean):
+                raise EvaluationError(f"check {check_id}: the mean of its {len(norms)} "
+                                      "point norms overflows")
+            if not math.isfinite(cond):
+                raise EvaluationError(f"at point {tuple(points[point].tolist())}: cond_e of "
+                                      f"the tetrad overflows (check {check_id})")
+            results.append({"check_id": check_id, "max": mx, "mean": mean,
                             "tolerance": tol, "passed": mx <= tol, "worst_point": point,
                             "worst_component": comp, "cond_e": cond})
         all_pass = all(r["passed"] for r in results)

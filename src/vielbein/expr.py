@@ -107,7 +107,7 @@ Expr = Union[Num, Coord, Param, Neg, BinOp, Call]
 class Poly:
     """Sparse polynomial in x1..x{dim}, the package's one polynomial format:
     one (exponents, coefficient) term per distinct monomial, exponents
-    non-negative integers.  Field entries may be Polys, which
+    non-negative ints.  Field entries may be Polys, which
     :func:`eval_polynomials` evaluates as they are; :func:`polynomial` reads an
     expression tree into one."""
 

@@ -229,7 +229,7 @@ def _coframe_point_from_jets(point, ja: JetArray, signature: Signature) -> Cofra
     x = np.asarray(point, dtype=float)
     with np.errstate(over="ignore"):    # an overflow reads inf, and inf is degenerate
         det = np.linalg.det(e)
-        scale = np.prod(np.linalg.norm(e, axis=-1), axis=-1)
+        scale = np.prod(np.hypot.reduce(e, axis=-1), axis=-1)    # finite for entries past 1e154
     bad = np.abs(det) <= 1e-12 * np.maximum(scale, 1e-300)
     if bad.any():
         n = tuple(np.argwhere(bad)[0])    # the first degenerate row

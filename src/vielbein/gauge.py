@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -52,15 +52,13 @@ class GaugeElement:
 
     ``generator`` is an entry grid A with eta*A antisymmetric, taken to
     Lambda = (I - A/2)^-1 (I + A/2) at evaluation (the zero grid gives I);
-    ``coord_map=None`` means the identity chart.  ``params`` resolve the
-    generator's entries; the chart entries are polynomials in the
-    coordinates alone.
+    ``coord_map=None`` means the identity chart.  Neither grid takes
+    parameters: the chart entries are polynomials in the coordinates alone.
     """
 
     signature: Signature
     generator: tuple
     coord_map: tuple | None = None
-    params: Mapping[str, float] | None = None
 
 
 @dataclass(frozen=True)
@@ -83,11 +81,10 @@ def evaluate_gauge(ge: GaugeElement, point: Sequence[float]) -> GaugePointData:
     if x.shape != (m,):
         raise ValueError(f"a gauge element is evaluated at one point of {m} coordinates, "
                          f"not at an array of shape {x.shape}")
-    params = dict(ge.params or {})
     jets = jet_seed(x)
     at = tuple(x.tolist())    # as messages print it
 
-    lam = jet_cayley(eval_entries(chain.from_iterable(ge.generator), jets, params, (m, m)))
+    lam = jet_cayley(eval_entries(chain.from_iterable(ge.generator), jets, {}, (m, m)))
 
     et = eta(ge.signature)
     defect = np.abs(lam.val.T @ et @ lam.val - et).max()

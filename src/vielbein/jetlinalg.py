@@ -42,9 +42,6 @@ __all__ = [
 # letters reserved for derivative axes inside jet_einsum specs
 _DERIV_LETTERS = "ZYXWV"
 
-# (spec, full operand shapes) -> _replay steps
-_REPLAYS: dict = {}
-
 
 def _matmul_step(a: str, b: str, out: str, dims: dict) -> tuple:
     """The step ``a,b->out`` (per-point subscripts, each letter of ``a`` and
@@ -132,7 +129,10 @@ def _plan(spec: str, shapes: tuple) -> tuple:
     return tuple(plan)
 
 
-def _replay(spec: str, shapes: tuple) -> list:
+# bounded, as every block size makes its own full shapes; the six bundled
+# jobs together resolve 148 replays
+@lru_cache(maxsize=1024)
+def _replay(spec: str, shapes: tuple) -> tuple:
     """The plan of ``spec`` resolved for operands of full ``shapes``: per step,
     the operand positions, each operand's (transpose, reshape) and the
     product's shape and transpose, a transpose of ``None`` the identity."""
@@ -150,7 +150,7 @@ def _replay(spec: str, shapes: tuple) -> list:
         shapes.append(lead + kept)
         stacks = [(full(ld, axes), ld + shape) for ld, (_, axes, shape) in zip(leads, preps)]
         steps.append((inds, stacks, lead + kept, full(lead, out_axes)))
-    return steps
+    return tuple(steps)
 
 
 def contract(spec: str, *ops) -> np.ndarray:
@@ -165,13 +165,10 @@ def contract(spec: str, *ops) -> np.ndarray:
     einsum, a letter never broadcasts from size 1: one with two sizes raises
     ``ValueError``, as does a spec that is no contraction (a lone operand, a
     trace or a diagonal; see :func:`_spec_parts`)."""
-    key = (spec, tuple([op.shape for op in ops]))
-    if key not in _REPLAYS:
-        _REPLAYS[key] = _replay(*key)
     # the gemm path np.matmul takes, and so the bits it sums to, depends on
     # the strides of its stacks; from C-ordered operands those are the plan's
     operands = [np.asarray(op, order="C") for op in ops]
-    for inds, stacks, shape, axes in _REPLAYS[key]:
+    for inds, stacks, shape, axes in _replay(spec, tuple([op.shape for op in ops])):
         # an operand is freed once restacked, and the restacked pair once multiplied
         pair = [operands.pop(i) for i in inds]
         for k, (perm, target) in enumerate(stacks):

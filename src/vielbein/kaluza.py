@@ -101,15 +101,15 @@ def config_jets(cfg: KaluzaConfig, jets: Sequence[JetArray]) -> tuple[JetArray, 
             eval_entries(cfg.potential, jets, cfg.params, (4,)))
 
 
-def _lift_jets(tet: JetArray, pot: JetArray, k: float, nd: int) -> JetArray:
-    """5x5 coframe jets over ``nd`` base coordinates: tetrad block, fifth row
+def _lift_jets(tet: JetArray, pot: JetArray, k: float) -> JetArray:
+    """5x5 coframe jets over five coordinates: tetrad block, fifth row
     (-k A_i, 1), fifth column zero.  Derivative slots past the operands' own
     stay zero, which is the cylinder condition."""
     n = tet.dim
     batch = np.shape(pot.val)[:-1]
     val = np.zeros(batch + (5, 5))
-    jac = np.zeros(batch + (5, 5, nd))
-    hess = np.zeros(batch + (5, 5, nd, nd))
+    jac = np.zeros(batch + (5, 5, 5))
+    hess = np.zeros(batch + (5, 5, 5, 5))
     val[..., :4, :4] = tet.val
     jac[..., :4, :4, :n] = tet.jac
     hess[..., :4, :4, :n, :n] = tet.hess
@@ -130,7 +130,7 @@ class LiftedCoframeField:
         self.cfg = cfg
 
     def eval_jets(self, jets: Sequence[JetArray]) -> JetArray:
-        return _lift_jets(*config_jets(self.cfg, jets), self.cfg.k, jets[0].dim)
+        return _lift_jets(*config_jets(self.cfg, jets), self.cfg.k)
 
 
 def lift_coframe(cfg: KaluzaConfig) -> LiftedCoframeField:
@@ -186,7 +186,6 @@ class ReductionReport:
     fiber_rotation: float | np.ndarray  # omega_5^{rho lam} + k/2 F^{rho lam} = 0
     mixed_block: float | np.ndarray     # omega_j^{nu 5} + k/2 F^nu_rho e^rho_j = 0
     base_block: float | np.ndarray      # omega_i^{mu nu} - (4D omega + k^2/2 F^{mu nu} A_i) = 0
-    vortex: np.ndarray                  # -2 d(e^5), coordinate 2-form coefficients
 
     @property
     def max_deviation(self) -> float | np.ndarray:
@@ -243,7 +242,7 @@ class _KaluzaPoint:
     def cp5(self) -> CoframePoint:
         # the entries never read x5, so padding the 4D jets with zero x5
         # derivatives equals evaluating the lifted field at 5D seeds
-        ja = _lift_jets(self.tet, self.pot, self.cfg.k, 5)
+        ja = _lift_jets(self.tet, self.pot, self.cfg.k)
         x5 = np.concatenate([self.cp.x, np.zeros_like(self.cp.x[..., :1])], axis=-1)
         return _coframe_point_from_jets(x5, ja, SIG5)
 
@@ -297,11 +296,8 @@ class _KaluzaPoint:
         target_d = self.sp.omega + 0.5 * k * k * contract("...mn,...i->...imn",
                                                            fs.f_frame_up, self.pot.val)
         dev_d = np.abs(w[..., :4, :4, :4] - target_d).max(axis=(-3, -2, -1))
-
-        de5 = self.cp5.de[..., 4, :4, :4]
-        vortex = -2.0 * (de5.swapaxes(-2, -1) - de5)     # -2 (d_a e5_b - d_b e5_a)
         return ReductionReport(fiber_fiber=dev_a, fiber_rotation=dev_b,
-                               mixed_block=dev_c, base_block=dev_d, vortex=vortex)
+                               mixed_block=dev_c, base_block=dev_d)
 
     def chain(self) -> ChainReport:
         cp5, sp5 = self.cp5, self.sp5

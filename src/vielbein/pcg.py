@@ -1,11 +1,11 @@
 """numpy's ``default_rng(seed)`` stream in pure Python, for the seeded draws.
 
 PCG64 is O'Neill's XSL-RR 128/64 generator (HMC-CS-2014-0905), seeded as
-numpy's ``SeedSequence`` hashes an int.  :class:`_PCG64` makes the draws
-``integers`` and ``uniform`` bit for bit as numpy's Generator makes them,
-without importing ``numpy.random``.  :func:`draw_terms` draws random
-polynomial terms in one loop on the state words of either kind of
-:data:`Stream`, which :func:`words` and :func:`put_words` read and write.
+numpy's ``SeedSequence`` hashes an int.  :class:`_PCG64` makes ``uniform``
+draws bit for bit as numpy's Generator makes them, without importing
+``numpy.random``.  :func:`draw_terms` draws random polynomial terms in one
+loop on the state words of either kind of :data:`Stream`, which
+:func:`words` and :func:`put_words` read and write.
 """
 
 from __future__ import annotations
@@ -35,10 +35,8 @@ def _hasher(h: int, mult: int) -> Callable[[int], int]:
 
 class _PCG64:
     """The generator: ``state`` and ``inc`` are numpy's PCG64 state words, and
-    ``half`` its buffered upper 32-bit half (None when empty).  ``integers`` is
-    Lemire's bounded draw (ACM TOMACS 29(1), 2019) on 32-bit halves of the
-    64-bit output, the second half kept for the next draw; ``uniform`` scales
-    a 53-bit double."""
+    ``half`` its buffered upper 32-bit half (None when empty), which only
+    :func:`draw_terms` draws and leaves; ``uniform`` scales a 53-bit double."""
 
     def __init__(self, seed: int):
         words = [seed >> s & M32 for s in range(0, max(seed.bit_length(), 1), 32)]
@@ -67,29 +65,6 @@ class _PCG64:
         self.state = s = (self.state * MULT + self.inc) & M128
         x, r = (s >> 64 ^ s) & M64, s >> 122
         return (x >> r | x << (64 - r)) & M64
-
-    def _next32(self) -> int:
-        if self.half is not None:
-            x, self.half = self.half, None
-            return x
-        x = self._next64()
-        self.half = x >> 32
-        return x & M32
-
-    def integers(self, low: int, high: int) -> int:
-        r = high - low - 1
-        if r < 0:
-            raise ValueError("low >= high")
-        if r >= M32:
-            raise ValueError(f"a range of {r + 1} (2**32 or more) is not supported")
-        if r == 0:
-            return low
-        m = self._next32() * (r + 1)
-        if m & M32 < r + 1:
-            t = (M32 - r) % (r + 1)
-            while m & M32 < t:
-                m = self._next32() * (r + 1)
-        return low + (m >> 32)
 
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
         low, span = float(low), float(high) - float(low)
@@ -129,11 +104,12 @@ def put_words(rng: Stream, state: int, half: int | None) -> None:
 
 def draw_terms(rng: Stream, dim: int, degree: int, n: int) -> list[tuple[tuple[int, ...], float]]:
     """``n`` random monomials in x1..x{dim} of degree <= ``degree``, each as
-    (exponents, U(-1, 1)).  A term draws, as numpy's Generator would,
-    ``integers(0, degree + 1)`` factors, each ``x{integers(0, dim) + 1}``, then
-    ``uniform(-1, 1)``: :class:`_PCG64`'s steps inlined on the stream's words,
-    Lemire's bounded draw on 32-bit halves (the upper half kept for the next
-    draw; a range of one draws nothing) and a 53-bit double."""
+    (exponents, U(-1, 1)).  A term draws, as numpy's Generator would, its
+    factor count from [0, degree], each factor's coordinate from [0, dim), then
+    ``uniform(-1, 1)``, on the stream's words: each bounded draw is Lemire's
+    (ACM TOMACS 29(1), 2019) on a 32-bit half of the 64-bit output (the upper
+    half kept for the next draw; a range of one draws nothing), the last a
+    53-bit double."""
     if degree < 0 or dim < 1:
         raise ValueError(f"need degree >= 0 and dim >= 1, got {degree} and {dim}")
     state, inc, half = words(rng)

@@ -59,13 +59,9 @@ class NamedSolution:
     box: tuple[tuple[float, float], ...]
     potential: tuple | None = None
     k: float | None = None
-    domain_constraint: Callable[[Sequence[float]], bool] | None = None
 
     def contains(self, point: Sequence[float]) -> bool:
-        inside = all(lo <= x <= hi for x, (lo, hi) in zip(point, self.box))
-        if inside and self.domain_constraint is not None:
-            inside = self.domain_constraint(point)
-        return inside
+        return all(lo <= x <= hi for x, (lo, hi) in zip(point, self.box))
 
     def sample_points(self, rng: Stream, n: int) -> list[tuple[float, ...]]:
         pts = []
@@ -133,7 +129,6 @@ def schwarzschild(M: float = 1.0) -> NamedSolution:
         params={"M": M},
         flags=frozenset({"vacuum"}),
         box=((-2.0, 2.0), (2.0 * M + 0.5, 12.0), (margin, math.pi - margin), (0.1, 6.0)),
-        domain_constraint=lambda p: math.sin(p[2]) > 0.05,
     )
 
 
@@ -152,7 +147,6 @@ def reissner_nordstrom(M: float = 1.0, Q: float = 0.5) -> NamedSolution:
         box=((-2.0, 2.0), (r_plus + 0.5, 12.0), (margin, math.pi - margin), (0.1, 6.0)),
         potential=(parse("Q/x2", 4), 0.0, 0.0, 0.0),
         k=math.sqrt(EM_COUPLING_K2),
-        domain_constraint=lambda p: math.sin(p[2]) > 0.05,
     )
 
 

@@ -48,10 +48,6 @@ class SectionPoint:
     sp: SpinConnectionPoint
     holonomic: bool
 
-    @property
-    def m(self) -> int:
-        return self.cp.m
-
 
 def section_point(field, point: Sequence[float]) -> SectionPoint:
     """Holonomic section point: connection coordinates computed from the frame."""

@@ -41,8 +41,7 @@ def _outputs(kp: _KaluzaPoint) -> dict:
         "maxwell.raw": mx.raw,
         "maxwell.divergence": mx.divergence,
         **{f"reduction.{name}": getattr(red, name)
-           for name in ("fiber_fiber", "fiber_rotation", "mixed_block", "base_block",
-                        "vortex")},
+           for name in ("fiber_fiber", "fiber_rotation", "mixed_block", "base_block")},
         **{f"chain.einstein{r}": form for r, form in enumerate(chain.einstein_forms)},
         **{f"chain.maxwell{r}": form for r, form in enumerate(chain.maxwell_forms)},
     })

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -906,6 +907,92 @@ def test_huge_coordinate_is_degenerate_without_a_warning(tmp_path, capsys):
     assert main(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert "degenerate frame at (0.0, 1e+200, 1.0, 1.0): det=inf, scale=inf" in err
+
+
+def _diagonal_job(diag, x2_lo, x2_hi, n):
+    """A vacuum job on the inline frame diag(``diag``) over x2 in [lo, hi], the
+    other coordinates 0."""
+    zero = {"lo": 0, "hi": 0, "n": 1}
+    tetrad = [[d if i == j else 0 for j in range(4)] for i, d in enumerate(diag)]
+    return {**VAC, "solution": {"inline": {"signature": [1, 3], "tetrad": tetrad}},
+            "grid": {"ranges": [zero, {"lo": x2_lo, "hi": x2_hi, "n": n}, zero, zero]}}
+
+
+def _run_exit_three(tmp_path, capsys, cfg) -> str:
+    """Run ``cfg`` with --csv, expect exit 3 and no outputs, and return stderr."""
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, cfg), "--out", str(out), "--csv"]) == 3
+    assert not (out / "report.json").exists() and not (out / "points.csv").exists()
+    return capsys.readouterr().err
+
+
+# 1 + c*x2^2 at x2 ~ 1e-160: a finite frame whose vacuum norms are ~c
+_STEEP = ["1 + 1e307*x2^2", 1, 1, 1]
+
+
+def test_a_mean_that_overflows_exits_three(tmp_path, capsys):
+    # every norm is finite, but the sum of the sixteen overflows
+    err = _run_exit_three(tmp_path, capsys, _diagonal_job(_STEEP, 1e-160, 2e-160, 16))
+    assert err == "evaluation error: check vacuum: the mean of its 16 point norms overflows\n"
+
+
+def test_a_cond_e_that_overflows_exits_three(tmp_path, capsys):
+    # det = 1 and every check passes at 0, but cond_e = 1e400
+    err = _run_exit_three(tmp_path, capsys, _diagonal_job([1e200, 1e-200, 1, 1], 1, 2, 2))
+    assert err == ("evaluation error: at point (0.0, 1.0, 0.0, 0.0): "
+                   "cond_e of the tetrad overflows (check vacuum)\n")
+
+
+def test_a_row_norm_that_overflows_is_not_degenerate(tmp_path):
+    # |2e154|^2 overflows, the row norm 2e154 does not
+    out = tmp_path / "out"
+    cfg = _diagonal_job([2e154, 1, 1, 1], 1, 2, 2)
+    assert main(["run", _write(tmp_path, cfg), "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["results"][0]["max"] == 0.0
+
+
+def test_an_overflow_in_the_block_geometry_names_the_point(tmp_path, capsys):
+    # the frame is finite; its geometry overflows, which raises before any
+    # inf reaches a residual and names the first point on the re-run
+    steep = ["1 + 3e307*x2^2", 1, 1, 1]
+    err = _run_exit_three(tmp_path, capsys, _diagonal_job(steep, 1e-160, 2e-160, 16))
+    assert err.startswith("evaluation error: at point (0.0, 1e-160, 0.0, 0.0): "
+                          "overflow encountered in ")
+    assert "non-finite" not in err
+
+
+def _strict_json(text: str):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+# +-10^k, k in [-300, 300], about half of them moderate
+_POWERS = st.builds(lambda sign, k: sign * 10.0 ** k, st.sampled_from([1, -1]),
+                    st.one_of(st.integers(-3, 3), st.integers(-300, 300)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(diag=st.lists(_POWERS, min_size=4, max_size=4), at=st.integers(0, 3),
+       c=st.floats(0, 1e307), x2_lo=_POWERS, n=st.integers(2, 16))
+@example(diag=[1, 1, 1, 1], at=0, c=1e307, x2_lo=1e-160, n=16)
+@example(diag=[1e200, 1e-200, 1, 1], at=3, c=0.0, x2_lo=1.0, n=2)
+@example(diag=[2e154, 1, 1, 1], at=3, c=0.0, x2_lo=1.0, n=2)
+def test_the_exit_code_contract_holds_at_extreme_magnitudes(diag, at, c, x2_lo, n):
+    # constant diagonal entries of any magnitude, one of them 1 + c*x2^2: the
+    # job passes, fails with a strict-JSON report that says so, or exits 3
+    # and leaves no report
+    diag[at] = f"1 + {c!r}*x2^2"
+    cfg = _diagonal_job(diag, x2_lo, 2 * x2_lo, n)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["run", _write(Path(tmp), cfg), "--out", str(out), "--csv"])
+        assert code in (0, 1, 3)
+        if code == 3:
+            assert not (out / "report.json").exists() and not (out / "points.csv").exists()
+        else:
+            assert _strict_json((out / "report.json").read_text())["passed"] is (code == 0)
 
 
 def test_overflow_in_a_polynomial_entry_names_its_node(tmp_path, capsys):

@@ -20,6 +20,7 @@ import json
 import sys
 import tracemalloc
 import zlib
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,23 @@ ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = sorted((ROOT / "configs").glob("*.json"))
 
 
+def _recording_replays(mp, calls: list | None = None) -> dict:
+    """Give ``contract`` an empty replay cache, of the library's bound, and
+    record each replay it resolves from then on, by (spec, full shapes), in
+    the returned dict; each resolve also appends ``"_replay"`` to ``calls``."""
+    replays, resolve = {}, jetlinalg._replay.__wrapped__
+
+    def recording(spec, shapes):
+        if calls is not None:
+            calls.append("_replay")
+        replays[spec, shapes] = resolve(spec, shapes)
+        return replays[spec, shapes]
+
+    mp.setattr(jetlinalg, "_replay",
+               lru_cache(maxsize=jetlinalg._replay.cache_info().maxsize)(recording))
+    return replays
+
+
 def _recording_plans(mp) -> dict:
     """Empty the replay cache and record each plan ``jetlinalg._plan`` makes
     from then on, by (spec, per-point shapes), in the returned dict."""
@@ -45,7 +63,7 @@ def _recording_plans(mp) -> dict:
         plans[spec, shapes] = plan(spec, shapes)
         return plans[spec, shapes]
 
-    mp.setattr(jetlinalg, "_REPLAYS", {})
+    _recording_replays(mp)
     mp.setattr(jetlinalg, "_plan", recording)
     return plans
 
@@ -166,8 +184,9 @@ def test_a_letter_with_two_sizes_is_refused():
     ("ab,b->", [(3, 4), (4,)]),                   # a sum inside one operand
     ("abcde,fghij->", [(4,) * 5, (4,) * 5]),      # ten sums inside one operand
 ])
-def test_non_contractions_are_refused(spec, shapes):
+def test_non_contractions_are_refused(spec, shapes, monkeypatch):
     # each is refused by its spec alone, before any plan or array is made
+    replays = _recording_replays(monkeypatch)
     ops = [np.ones(s) for s in shapes]
     tracemalloc.start()
     try:
@@ -177,7 +196,7 @@ def test_non_contractions_are_refused(spec, shapes):
     finally:
         tracemalloc.stop()
     assert peak < 2**16
-    assert (spec, tuple(shapes)) not in jetlinalg._REPLAYS
+    assert not replays
 
 
 @st.composite
@@ -272,16 +291,16 @@ def test_each_key_is_planned_once(tmp_path, monkeypatch):
         calls.append(args)
         return plan(*args)
 
-    monkeypatch.setattr(jetlinalg, "_REPLAYS", {})
+    replays = _recording_replays(monkeypatch)
     monkeypatch.setattr(jetlinalg, "_plan", counting)
     assert main(_vacuum_job(tmp_path, "one", 1)) == 0
     planned = set(calls)
-    assert len(calls) == len(jetlinalg._REPLAYS) > 0
+    assert len(calls) == len(replays) > 0
     # 65 points span two grid blocks; the block of 64 plans each of its new
     # replays once, on per-point shapes planned before
     assert main(_vacuum_job(tmp_path, "many", 65)) == 0
     assert set(calls) == planned
-    assert len(calls) == len(jetlinalg._REPLAYS)
+    assert len(calls) == len(replays)
 
 
 def test_each_plan_is_made_once_whatever_the_batch(monkeypatch):
@@ -289,7 +308,7 @@ def test_each_plan_is_made_once_whatever_the_batch(monkeypatch):
     # key, and every replay asks for its plan; the plan of a (spec, per-point
     # shapes) key is made once and shared by all of them
     asked, plan = [], jetlinalg._plan
-    monkeypatch.setattr(jetlinalg, "_REPLAYS", {})
+    replays = _recording_replays(monkeypatch)
     monkeypatch.setattr(jetlinalg, "_plan", lambda *key: asked.append(key) or plan(*key))
     plan.cache_clear()
     field = make_solution("schwarzschild", {"M": 1.0}).tetrad
@@ -298,8 +317,18 @@ def test_each_plan_is_made_once_whatever_the_batch(monkeypatch):
         cp = evaluate_coframe(field, points)
         einstein_density(cp, curvature(spin_connection(cp)))
     keys = set(asked)
-    assert len(asked) == len(jetlinalg._REPLAYS) == 3 * len(keys) > 0
+    assert len(asked) == len(replays) == 3 * len(keys) > 0
     assert plan.cache_info().misses == len(keys)
+
+
+def test_replay_cache_is_bounded_and_holds_the_bundled_jobs(tmp_path, monkeypatch):
+    # every block size resolves replays of its own full shapes, so the cache
+    # has a fixed bound; the bundled jobs' replays fit in it many times over
+    replays = _recording_replays(monkeypatch)
+    for cfg in CONFIGS:
+        assert main(["run", str(cfg), "--out", str(tmp_path / cfg.stem)]) == 0
+    bound = jetlinalg._replay.cache_info().maxsize
+    assert bound is not None and 4 * len(replays) <= bound
 
 
 def _count_calls(monkeypatch, calls: list, name: str):
@@ -318,21 +347,20 @@ def _widened(spec: str, shapes: tuple, n: int) -> tuple:
 def test_replays_resolved_once_per_full_shapes(tmp_path, monkeypatch):
     calls = []
     _count_calls(monkeypatch, calls, "_plan")
-    _count_calls(monkeypatch, calls, "_replay")
-    monkeypatch.setattr(jetlinalg, "_REPLAYS", {})
+    resolved = _recording_replays(monkeypatch, calls)
     assert main(_vacuum_job(tmp_path, "one", 1)) == 0
-    replays = set(jetlinalg._REPLAYS)
+    replays = set(resolved)
     # each replay plans its spec once, for itself
     assert calls == ["_replay", "_plan"] * len(replays)
     # a second identical job resolves no replay and plans nothing
     del calls[:]
     assert main(_vacuum_job(tmp_path, "again", 1)) == 0
-    assert not calls and set(jetlinalg._REPLAYS) == replays
+    assert not calls and set(resolved) == replays
     # 65 points span blocks of 64 and 1: one new replay per batched key, for
     # the batch of 64, with its plan
     assert main(_vacuum_job(tmp_path, "many", 65)) == 0
     batched = [(spec, shapes) for spec, shapes in replays if _widened(spec, shapes, 64) != shapes]
-    new = set(jetlinalg._REPLAYS) - replays
+    new = set(resolved) - replays
     assert batched and len(new) == len(batched)
     assert new == {(spec, _widened(spec, shapes, 64)) for spec, shapes in batched}
     assert calls == ["_replay", "_plan"] * len(new)

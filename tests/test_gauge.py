@@ -187,11 +187,11 @@ def test_gauge_rejects_singular_map():
 @pytest.mark.parametrize("entry", [parse("sin(x1)", 4), parse("a*x1", 4), parse("x1/2", 4),
                                    parse("(x1 + 1)*x2", 4), parse("x1^1000", 4)])
 def test_gauge_rejects_a_chart_entry_it_cannot_read_exactly(entry):
-    # the map runs as a polynomial: a function, a parameter (even one the
-    # element names), a quotient or a product of sums is refused, and so is
-    # an overflow, which raises rather than warns
+    # the map runs as a polynomial: a function, a parameter, a quotient or a
+    # product of sums is refused, and so is an overflow, which raises rather
+    # than warns
     coord_map = (entry, parse("x2", 4), parse("x3", 4), parse("x4", 4))
-    ge = _identity_gauge(coord_map=coord_map, params={"a": 2.0})
+    ge = _identity_gauge(coord_map=coord_map)
     with pytest.raises(GaugeError):
         evaluate_gauge(ge, (20.0, 1.0, 1.0, 1.0))
 

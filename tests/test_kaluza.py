@@ -201,10 +201,12 @@ def test_reduction_identity_random_configs(rng):
 
 
 def test_vortex_proportional_to_field_strength():
+    # -2 d(e^5) = -2k F: the fifth coframe row is -k A
     cfg = random_kaluza(seed=17, amplitude=0.1, k=1.6)
-    rep = reduction_check(cfg, PT)
+    de5 = _KaluzaPoint(cfg, PT).cp5.de[4, :4, :4]
+    vortex = -2.0 * (de5.T - de5)     # -2 (d_a e5_b - d_b e5_a)
     fs = field_strength(cfg, PT)
-    assert np.allclose(rep.vortex, -2.0 * cfg.k * fs.f_coord, atol=1e-12)
+    assert np.allclose(vortex, -2.0 * cfg.k * fs.f_coord, atol=1e-12)
 
 
 def test_einstein_maxwell_residual_on_solutions(rng):
