@@ -41,7 +41,7 @@ from .frame import (
 from .gauge import GaugeError
 from .kaluza import SIG4, KaluzaConfig, _KaluzaPoint
 from .solutions import SOLUTIONS, make_solution, random_kaluza
-from .tensors import MAX_DIM, Signature
+from .tensors import MAX_DIM, DimensionError, Signature
 from .variational import (
     THETA_RATIO,
     SectionPoint,
@@ -344,11 +344,7 @@ def _grid_residuals(job: JobConfig, tetrad, kcfg, points, size: int | None = Non
 
 def _component_ids(shape: tuple[int, ...]) -> list[str]:
     """``i_j_k`` for each index of ``shape``, in the row-major order of ``np.ndindex``."""
-    ids = [""]
-    for axis, n in enumerate(shape):
-        sep = "_" if axis else ""
-        ids = [f"{head}{sep}{i}" for head in ids for i in range(n)]
-    return ids
+    return ["_".join(map(str, idx)) for idx in np.ndindex(shape)]
 
 
 class _CsvStream:
@@ -415,11 +411,15 @@ def run_job(job: JobConfig, out_dir: Path, write_csv: bool) -> tuple[int, dict]:
         params = _object(sol_ref.get("params", {}), "solution.params")
         params.setdefault("seed", job.seed)
         sol_ref["params"] = params
-    label, params, tetrad, kcfg = _resolve_solution(sol_ref)
+    try:
+        label, params, tetrad, kcfg = _resolve_solution(sol_ref)
+        m = tetrad.signature.m
+    except DimensionError as exc:    # refused before any entry of that size is built
+        kcfg, m = None, exc.args[0]
     if job.check in KALUZA_CHECKS and kcfg is None:
         raise ConfigError(f"check {job.check!r} needs a solution with a potential")
     # double-epsilon blocks tie m - 3 frame factors (theta's m - 2); tables stop at MAX_DIM
-    lo, m = (2 if job.check == "theta-density" else 3), tetrad.signature.m
+    lo = 2 if job.check == "theta-density" else 3
     if not lo <= m <= MAX_DIM:
         raise ConfigError(f"check {job.check!r} needs dimension {lo} to {MAX_DIM}, got m = {m}")
     points = _grid_points(job.grid, m)

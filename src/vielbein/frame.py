@@ -60,7 +60,6 @@ __all__ = [
     "CoframeField",
     "CoframePoint",
     "SpinConnectionPoint",
-    "CurvaturePoint",
     "OraclePoint",
     "evaluate_coframe",
     "spin_connection",
@@ -206,11 +205,6 @@ class SpinConnectionPoint:
 
 
 @dataclass(frozen=True)
-class CurvaturePoint:
-    R: np.ndarray        # [j, i, lam, sig]
-
-
-@dataclass(frozen=True)
 class OraclePoint:
     """Textbook coordinate-chart geometry computed directly from the metric."""
 
@@ -218,7 +212,6 @@ class OraclePoint:
     riemann: np.ndarray        # [a, b, c, d] = R^a_{b c d}
     scalar: np.ndarray         # float64 scalar at a single point
     einstein: np.ndarray       # mixed G^l_j
-    ginv: np.ndarray
 
 
 def _coframe_point_from_jets(point, ja: JetArray, signature: Signature) -> CoframePoint:
@@ -227,10 +220,13 @@ def _coframe_point_from_jets(point, ja: JetArray, signature: Signature) -> Cofra
     when it is already a float64 array."""
     e = ja.val
     x = np.asarray(point, dtype=float)
-    with np.errstate(over="ignore"):    # an overflow reads inf, and inf is degenerate
+    with np.errstate(over="ignore", divide="ignore"):    # log(0) reads -inf
         det = np.linalg.det(e)
-        scale = np.prod(np.hypot.reduce(e, axis=-1), axis=-1)    # finite for entries past 1e154
-    bad = np.abs(det) <= 1e-12 * np.maximum(scale, 1e-300)
+        norms = np.hypot.reduce(e, axis=-1)    # finite for entries past 1e154
+        scale = np.prod(norms, axis=-1)
+        # |det| <= 1e-12 * max(scale, 1e-300) in logs; an overflowing det is degenerate
+        log_scale = np.maximum(np.log(norms).sum(axis=-1), np.log(1e-300))
+        bad = np.isinf(det) | (np.log(np.abs(det)) <= np.log(1e-12) + log_scale)
     if bad.any():
         n = tuple(np.argwhere(bad)[0])    # the first degenerate row
         raise DegenerateFrameError(f"degenerate frame at {tuple(x[n].tolist())}: "
@@ -287,13 +283,13 @@ def quadratic_block(sp: SpinConnectionPoint) -> np.ndarray:
             + contract("...jse,...iet->...ijst", sp.omega_mixed, sp.omega))
 
 
-def curvature(sp: SpinConnectionPoint) -> CurvaturePoint:
+def curvature(sp: SpinConnectionPoint) -> np.ndarray:
+    """The curvature two-form components R[j, i, lam, sig]."""
     q = quadratic_block(sp)
     r = q.swapaxes(-4, -3) - q
     # exactly antisymmetric in (j, i) by construction; the frame pair is made
     # exact by explicit antisymmetrization
-    r = 0.5 * (r - r.swapaxes(-2, -1))
-    return CurvaturePoint(R=r)
+    return 0.5 * (r - r.swapaxes(-2, -1))
 
 
 @lru_cache(maxsize=None)
@@ -364,11 +360,11 @@ def epsilon_pair(frame: CoframePoint | np.ndarray, coord_tail: str, frame_tail: 
     return contract(spec + "->..." + out, _compound_tables(m, n_e)[0], tied, *operands)
 
 
-def einstein_density(cp: CoframePoint, curv: CurvaturePoint) -> np.ndarray:
+def einstein_density(cp: CoframePoint, curv: np.ndarray) -> np.ndarray:
     """Double-epsilon contraction of the curvature against m-3 frame factors;
     vanishes exactly on Einstein-vacuum frames.  Free indices: coordinate
     (up) first, frame (down) second."""
-    return 0.25 * epsilon_pair(cp, "lij", "rst", ["jist"], "lr", curv.R)
+    return 0.25 * epsilon_pair(cp, "lij", "rst", ["jist"], "lr", curv)
 
 
 def coordinate_oracle(field, point: Sequence[float]) -> OraclePoint:
@@ -397,7 +393,7 @@ def oracle_from_coframe(cp: CoframePoint) -> OraclePoint:
     einstein_lo = ricci - 0.5 * g1.val * np.asarray(scalar)[..., None, None]
     einstein_mixed = ginv1.val @ einstein_lo
     return OraclePoint(gamma=gam, riemann=riem, scalar=scalar,
-                       einstein=einstein_mixed, ginv=ginv1.val)
+                       einstein=einstein_mixed)
 
 
 def spin_connection_via_christoffels(cp: CoframePoint, gamma: np.ndarray) -> np.ndarray:
@@ -409,15 +405,15 @@ def spin_connection_via_christoffels(cp: CoframePoint, gamma: np.ndarray) -> np.
     return np.multiply(w_up, eta_signs(cp.signature), out=w_up)
 
 
-def curvature_to_coordinate(cp: CoframePoint, curv: CurvaturePoint) -> np.ndarray:
+def curvature_to_coordinate(cp: CoframePoint, curv: np.ndarray) -> np.ndarray:
     """Frame curvature converted to R^a_{b j i} with coordinate indices only."""
     e_signed = cp.e * eta_signs(cp.signature)[:, None]
-    return contract("...al,...jilt,...tb->...abji", cp.einv, curv.R, e_signed)
+    return contract("...al,...jilt,...tb->...abji", cp.einv, curv, e_signed)
 
 
-def kretschmann_scalar(cp: CoframePoint, curv: CurvaturePoint) -> np.ndarray:
+def kretschmann_scalar(cp: CoframePoint, curv: np.ndarray) -> np.ndarray:
     s = eta_signs(cp.signature)
     gi = contract("...im,...jm->...ij", cp.einv * s, cp.einv)    # the inverse metric
-    r_up = contract("...jils,...jJ,...iI->...JIls", curv.R, gi, gi)
+    r_up = contract("...jils,...jJ,...iI->...JIls", curv, gi, gi)
     r_up *= s[:, None] * s
-    return contract("...JIls,...JIls->...", r_up, curv.R)
+    return contract("...JIls,...JIls->...", r_up, curv)

@@ -67,9 +67,7 @@ class GaugePointData:
 
     xbar: np.ndarray       # (m,), the point in the new chart
     lam: JetArray          # (m, m) second order
-    k: np.ndarray          # inverse Jacobian dx^i / dxbar^a
-    dk: np.ndarray
-    ddk: np.ndarray
+    k: JetArray            # inverse Jacobian dx^i / dxbar^a, second order
     det_j: float
 
 
@@ -109,8 +107,7 @@ def evaluate_gauge(ge: GaugeElement, point: Sequence[float]) -> GaugePointData:
     if abs(det_j) < 1e-12:
         raise GaugeError(f"singular coordinate map at {at}")
     kj = jet_matinv(jmat)
-    return GaugePointData(xbar=out.val[:m], lam=lam, k=kj.val, dk=kj.jac, ddk=kj.hess,
-                          det_j=det_j)
+    return GaugePointData(xbar=out.val[:m], lam=lam, k=kj, det_j=det_j)
 
 
 def _chart_poly(entry, m: int) -> Poly:
@@ -134,9 +131,8 @@ def gauge_transform_frame(cp: CoframePoint, ge: GaugeElement) -> CoframePoint:
     derivative blocks in the new chart."""
     gp = evaluate_gauge(ge, cp.x)
     e2 = JetArray(cp.e, cp.de, cp.dde)
-    k2 = JetArray(gp.k, gp.dk, gp.ddk)
-    p = jet_einsum("ms,si,ib->mb", gp.lam, e2, k2)
-    pbar = chart_transfer(p, gp.k, gp.dk)
+    p = jet_einsum("ms,si,ib->mb", gp.lam, e2, gp.k)
+    pbar = chart_transfer(p, gp.k)
     return _coframe_point_from_jets(gp.xbar, pbar, cp.signature)
 
 
@@ -148,12 +144,11 @@ def gauge_transform_omega(sp: SpinConnectionPoint, cp: CoframePoint,
     lam1 = gp.lam.drop_hess()
     dlam1 = JetArray(gp.lam.jac, gp.lam.hess)
     linv1 = jet_matinv(lam1)
-    k1 = JetArray(gp.k, gp.dk)
     w1 = JetArray(sp.omega, sp.domega)
-    t1 = jet_einsum("ms,ng,ji,jsg->imn", lam1, lam1, k1, w1)
-    t2 = _signed(jet_einsum("an,mah,hi->imn", linv1, dlam1, k1), eta_signs(sp.signature))
+    t1 = jet_einsum("ms,ng,ji,jsg->imn", lam1, lam1, gp.k, w1)
+    t2 = _signed(jet_einsum("an,mah,hi->imn", linv1, dlam1, gp.k), eta_signs(sp.signature))
     wbar = t1 - t2
-    wbar = chart_transfer(wbar, gp.k, None)
+    wbar = chart_transfer(wbar, gp.k)
     wbar = (wbar - wbar.transpose((0, 2, 1))) * 0.5
     return SpinConnectionPoint(omega=wbar.val, domega=wbar.jac, signature=sp.signature)
 

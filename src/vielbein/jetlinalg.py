@@ -6,14 +6,14 @@ one place.  The specs address the value axes of one point, behind a leading
 ``...`` for any batch axes (a block of grid points); derivative axes come
 last.
 
-Every contraction goes through :func:`contract`: it plans each (spec,
-per-point operand shapes) pair once as a chain of pairwise steps, cheapest
-pair first, resolves the plan once per (spec, full operand shapes) into a
-replay of fixed numpy calls, and afterwards only runs those, each step as one
-stacked ``np.matmul`` of two operands.  A stacked matmul makes one gemm per
-batch row on the per-point shapes, so a row of a batch sums exactly as a
-single point does.  A lone operand, a trace or a diagonal is refused: those
-stay plain ``np.einsum`` calls where they are made.
+Every contraction goes through :func:`contract`: it resolves each (spec,
+full operand shapes) pair once, into one cache, as a chain of pairwise steps
+of fixed numpy calls, the cheapest pair first by the per-point shapes, and
+afterwards only runs those, each step as one stacked ``np.matmul`` of two
+operands.  A stacked matmul makes one gemm per batch row on the per-point
+shapes, so a row of a batch sums exactly as a single point does.  A lone
+operand, a trace or a diagonal is refused: those stay plain ``np.einsum``
+calls where they are made.
 
 First-order arrays (``hess=None``) are the workhorse wherever only one more
 derivative order is needed, e.g. when the connection coefficients and their
@@ -87,86 +87,68 @@ def _cheapest_pair(subs: list, out: str, dims: dict) -> tuple:
     return best[1]
 
 
-@lru_cache(maxsize=None)
-def _spec_parts(spec: str) -> tuple[tuple[str, ...], str]:
-    """The per-point subscripts of ``spec``'s operands and output, without
-    ``...``; anything but a contraction (two or more operands, each letter
-    once in two or more subscripts) raises ``ValueError``."""
+# bounded, as every block size makes its own full shapes; the six bundled
+# jobs together resolve 148 replays
+@lru_cache(maxsize=1024)
+def _replay(spec: str, shapes: tuple) -> tuple:
+    """The pairwise steps of ``spec`` on operands of full ``shapes``, cheapest
+    pair first, until one operand is left: per step, the operand positions,
+    each operand's (transpose, reshape) and the product's shape and
+    transpose, a transpose of ``None`` the identity.  The pairs are chosen on
+    the per-point shapes alone, so every batch takes the same matmul steps.
+    Anything but a contraction (two or more operands, each letter once in two
+    or more subscripts, and one size per letter) raises ``ValueError``."""
     ins, out = spec.split("->")
     subs = ins.split(",")
     if any(s.find("...") > 0 for s in subs + [out]):
         raise ValueError(f"batch axes must lead every subscript of {spec!r}")
-    bare = [s.replace("...", "") for s in subs + [out]]
+    *subs, out = bare = [s.replace("...", "") for s in subs + [out]]
     letters = "".join(bare)
     if (len(subs) < 2 or any(len(set(s)) < len(s) for s in bare)
             or any(letters.count(c) < 2 for c in letters)):
         raise ValueError(f"{spec!r} is no contraction: two or more operands, "
                          "each letter once in two or more subscripts")
-    return tuple(bare[:-1]), bare[-1]
-
-
-@lru_cache(maxsize=None)
-def _plan(spec: str, shapes: tuple) -> tuple:
-    """The pairwise steps of ``spec`` on operands of per-point ``shapes``, as
-    ``((operand positions, _matmul_step recipe), ...)``: the cheapest pair
-    first, until one operand is left.  Planned once per (spec, shapes), so
-    every batch shape of the same per-point operands replays one plan."""
-    subs, out = _spec_parts(spec)
     dims = {}
-    for sub, shape in zip(subs, shapes):
-        if len(sub) != len(shape):
-            raise ValueError(f"operand {sub!r} of {spec!r} has shape {shape}")
-        for c, n in zip(sub, shape):
+    for sub, shape in zip(subs, shapes, strict=True):
+        point = shape[len(shape) - len(sub):]
+        if len(sub) != len(point):
+            raise ValueError(f"operand {sub!r} of {spec!r} has shape {point}")
+        for c, n in zip(sub, point):
             if dims.setdefault(c, n) != n:
                 raise ValueError(f"letter {c!r} of {spec!r} has sizes {dims[c]} and {n}")
-    subs = list(subs)
-    plan = []
-    while len(subs) > 1:
-        x, y, keep = _cheapest_pair(subs, out, dims) if len(subs) > 2 else (0, 1, out)
-        # the replay pops the later operand first and appends the product
-        plan.append(((y, x), _matmul_step(subs[y], subs[x], keep, dims)))
-        subs = [s for k, s in enumerate(subs) if k not in (x, y)] + [keep]
-    return tuple(plan)
-
-
-# bounded, as every block size makes its own full shapes; the six bundled
-# jobs together resolve 148 replays
-@lru_cache(maxsize=1024)
-def _replay(spec: str, shapes: tuple) -> tuple:
-    """The plan of ``spec`` resolved for operands of full ``shapes``: per step,
-    the operand positions, each operand's (transpose, reshape) and the
-    product's shape and transpose, a transpose of ``None`` the identity."""
-    subs, _ = _spec_parts(spec)
-    point = tuple([s[len(s) - len(sub):] for s, sub in zip(shapes, subs, strict=True)])
 
     def full(lead, axes):
         return None if axes is None else (*range(len(lead)), *[len(lead) + i for i in axes])
 
     shapes, steps = list(shapes), []
-    for inds, (*preps, kept, out_axes) in _plan(spec, point):
-        pair = [shapes.pop(i) for i in inds]
+    while len(subs) > 1:
+        x, y, keep = _cheapest_pair(subs, out, dims) if len(subs) > 2 else (0, 1, out)
+        # the replay pops the later operand first and appends the product
+        *preps, kept, out_axes = _matmul_step(subs[y], subs[x], keep, dims)
+        pair = [shapes.pop(i) for i in (y, x)]
         leads = [s[:len(s) - count] for s, (count, _, _) in zip(pair, preps)]
         lead = np.broadcast_shapes(*leads)
         shapes.append(lead + kept)
         stacks = [(full(ld, axes), ld + shape) for ld, (_, axes, shape) in zip(leads, preps)]
-        steps.append((inds, stacks, lead + kept, full(lead, out_axes)))
+        steps.append(((y, x), stacks, lead + kept, full(lead, out_axes)))
+        subs = [s for k, s in enumerate(subs) if k not in (x, y)] + [keep]
     return tuple(steps)
 
 
 def contract(spec: str, *ops) -> np.ndarray:
     """``np.einsum(spec, *ops)`` over ndarrays, where a leading ``...`` marks
     batch axes, as a chain of pairwise contractions, cheapest pair first.
-    The chain is planned on the per-point operand shapes, so it is the same
-    whatever the batch, once per (spec, full shapes), and resolved into a
+    The chain is chosen on the per-point operand shapes, so it is the same
+    whatever the batch, and resolved once per (spec, full shapes) into a
     replay whose steps each run one stacked ``np.matmul`` of two operands.
     A stacked matmul makes one gemm per batch row on the per-point shapes,
     so every row sums in the order of the batch-of-one contraction and equals
     that result bit for bit, whatever the memory layout of the operands.  Unlike
     einsum, a letter never broadcasts from size 1: one with two sizes raises
     ``ValueError``, as does a spec that is no contraction (a lone operand, a
-    trace or a diagonal; see :func:`_spec_parts`)."""
+    trace or a diagonal; see :func:`_replay`)."""
     # the gemm path np.matmul takes, and so the bits it sums to, depends on
-    # the strides of its stacks; from C-ordered operands those are the plan's
+    # the strides of its stacks; from C-ordered operands those are the replay's
     operands = [np.asarray(op, order="C") for op in ops]
     for inds, stacks, shape, axes in _replay(spec, tuple([op.shape for op in ops])):
         # an operand is freed once restacked, and the restacked pair once multiplied
@@ -266,19 +248,16 @@ def jet_cayley(a: JetArray) -> JetArray:
     return JetArray(inv.val - eye, inv.jac, inv.hess)
 
 
-def chart_transfer(q: JetArray, k_val: np.ndarray, k_jac: np.ndarray | None) -> JetArray:
+def chart_transfer(q: JetArray, k: JetArray) -> JetArray:
     """Re-express derivative axes in new coordinates.
 
-    ``k_val[i, a]`` holds the old-by-new inverse Jacobian dx^i/dy^a at the
-    point; ``k_jac[i, a, h]`` its old-coordinate derivatives (required to
-    transfer a Hessian).
+    ``k.val[i, a]`` holds the old-by-new inverse Jacobian dx^i/dy^a at the
+    point, ``k.jac[i, a, h]`` its old-coordinate derivatives.
     """
-    jac = contract("...i,ia->...a", q.jac, k_val)
+    jac = contract("...i,ia->...a", q.jac, k.val)
     hess = None
     if q.hess is not None:
-        if k_jac is None:
-            raise ValueError("second-order transfer needs the Jacobian derivatives")
-        dk_new = contract("iah,hb->iab", k_jac, k_val)
-        hess = (contract("...ij,ia,jb->...ab", q.hess, k_val, k_val)
+        dk_new = contract("iah,hb->iab", k.jac, k.val)
+        hess = (contract("...ij,ia,jb->...ab", q.hess, k.val, k.val)
                 + contract("...i,iab->...ab", q.jac, dk_new))
     return JetArray(q.val, jac, hess)

@@ -63,14 +63,10 @@ class JetArray:
         return JetArray(-self.val, -self.jac, None if self.hess is None else -self.hess)
 
     def __sub__(self, other) -> "JetArray":
-        if not isinstance(other, JetArray):
-            return JetArray(self.val - float(other), self.jac, self.hess)
-        h = None if self.hess is None or other.hess is None else self.hess - other.hess
-        return JetArray(self.val - other.val, self.jac - other.jac, h)
+        return self + (-other)    # a - b is a + (-b) exactly, signed zeros included
 
     def __rsub__(self, other) -> "JetArray":
-        return JetArray(float(other) - self.val, -self.jac,     # c - v is c + (-v) exactly
-                        None if self.hess is None else -self.hess)
+        return -self + other    # c - v is (-v) + c exactly
 
     def __mul__(self, other) -> "JetArray":
         if not isinstance(other, JetArray):
@@ -117,11 +113,8 @@ class JetArray:
         return _unary(self, f0, p * f1, p * (p - 1.0) * f2)
 
     def __rpow__(self, base) -> "JetArray":
-        # c^u = exp(u ln c), for c > 0 only
-        c = float(base)
-        if c <= 0.0:
-            raise ValueError("math domain error")
-        return exp(self * math.log(c))
+        # c^u = exp(u ln c), for c > 0 only: math.log raises its domain error
+        return exp(self * math.log(float(base)))
 
     def transpose(self, axes: tuple[int, ...]) -> "JetArray":
         """Permute the trailing ``len(axes)`` value axes; leading batch axes

@@ -143,11 +143,10 @@ def lift_point(point: Sequence[float], x5: float = 0.0) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class FieldStrengthPoint:
-    """F in both charts: f_coord[a, b] = d_b A_a - d_a A_b, with exact
-    coordinate derivatives, frame components, and eta-raised variants."""
+    """F in both charts: f_coord[a, b] = d_b A_a - d_a A_b, frame components
+    with exact coordinate derivatives, and eta-raised variants."""
 
     f_coord: np.ndarray        # F_{ab}
-    df_coord: np.ndarray       # d_c F_{ab}, derivative axis last
     f_frame: np.ndarray        # F_{mu nu}
     f_frame_up: np.ndarray     # F^{mu nu}
     f_frame_mixed: np.ndarray  # F^mu_nu
@@ -260,7 +259,7 @@ class _KaluzaPoint:
         # lowered variants are sign flips of it, exact
         fup1 = _signed(jet_einsum("...ji,...ja,...ib->...ab", f1, einv1, einv1), s[:, None] * s)
         return FieldStrengthPoint(
-            f_coord=f1.val, df_coord=f1.jac, f_frame=fup1.val * (s[:, None] * s),
+            f_coord=f1.val, f_frame=fup1.val * (s[:, None] * s),
             f_frame_up=fup1.val, f_frame_mixed=fup1.val * s, df_frame_up=fup1.jac,
         )
 

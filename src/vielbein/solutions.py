@@ -64,12 +64,8 @@ class NamedSolution:
         return all(lo <= x <= hi for x, (lo, hi) in zip(point, self.box))
 
     def sample_points(self, rng: Stream, n: int) -> list[tuple[float, ...]]:
-        pts = []
-        while len(pts) < n:
-            p = tuple(float(rng.uniform(lo, hi)) for lo, hi in self.box)
-            if self.contains(p):
-                pts.append(p)
-        return pts
+        """``n`` points of the box, each drawn axis by axis as ``uniform(lo, hi)``."""
+        return [tuple(float(rng.uniform(lo, hi)) for lo, hi in self.box) for _ in range(n)]
 
     def kaluza_config(self):
         if self.potential is None:
@@ -99,9 +95,10 @@ def _static_spherical(lapse: str, params: Mapping[str, float]) -> CoframeField:
 
 
 def minkowski(dim: int = 4) -> NamedSolution:
+    sig = Signature(1, dim - 1)    # refuses a dimension past MAX_DIM before the entry grid
     return NamedSolution(
         name="minkowski",
-        tetrad=_diag_field([1.0] * dim, Signature(1, dim - 1), {}),
+        tetrad=_diag_field([1.0] * dim, sig, {}),
         params={},
         flags=frozenset({"vacuum", "flat"}),
         box=((-2.0, 2.0),) * dim,
@@ -178,10 +175,10 @@ def _seeded_rng(seed: int) -> _PCG64:
 def random_polynomial(seed: int = 0, amplitude: float = 0.1, dim: int = 4) -> NamedSolution:
     """Identity plus bounded degree-<=3 polynomial perturbation; smooth and
     nondegenerate on the unit box, with nonvanishing second derivatives."""
+    sig = Signature(1, dim - 1)    # refuses a dimension past MAX_DIM before any draw
     identity = [float(mu == i) for mu in range(dim) for i in range(dim)]
     polys = random_polys(_seeded_rng(seed), dim, 3, amplitude, identity)
     entries = [polys[mu * dim:(mu + 1) * dim] for mu in range(dim)]
-    sig = Signature(1, dim - 1)
     return NamedSolution(
         name="random_polynomial",
         tetrad=CoframeField(entries, sig),

@@ -14,8 +14,12 @@ from itertools import permutations
 
 import numpy as np
 
-__all__ = ["MAX_DIM", "Signature", "eta", "eta_signs", "levi_civita"]
+__all__ = ["MAX_DIM", "DimensionError", "Signature", "eta", "eta_signs", "levi_civita"]
 MAX_DIM = 8   # the largest dimension whose sign tables are built
+
+
+class DimensionError(Exception):
+    """A dimension m = ``args[0]`` past MAX_DIM, refused before anything of its size is built."""
 
 
 @dataclass(frozen=True)
@@ -28,6 +32,8 @@ class Signature:
     def __post_init__(self):
         if self.p < 0 or self.q < 0 or self.p + self.q == 0:
             raise ValueError(f"invalid signature ({self.p}, {self.q})")
+        if self.m > MAX_DIM:
+            raise DimensionError(self.m)
 
     @property
     def m(self) -> int:
@@ -49,7 +55,10 @@ def eta_signs(sig: Signature) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _levi_civita_table(m: int) -> np.ndarray:
+def levi_civita(m: int) -> np.ndarray:
+    """Totally antisymmetric sign table with value +1 on (1, 2, ..., m), read-only."""
+    if not 1 <= m <= MAX_DIM:
+        raise ValueError(f"unsupported dimension {m}")
     eps = np.zeros((m,) * m)
     for perm in permutations(range(m)):
         inversions = sum(
@@ -58,10 +67,3 @@ def _levi_civita_table(m: int) -> np.ndarray:
         eps[perm] = -1.0 if inversions % 2 else 1.0
     eps.setflags(write=False)
     return eps
-
-
-def levi_civita(m: int) -> np.ndarray:
-    """Totally antisymmetric sign table with value +1 on (1, 2, ..., m)."""
-    if not 1 <= m <= MAX_DIM:
-        raise ValueError(f"unsupported dimension {m}")
-    return _levi_civita_table(m)

@@ -76,8 +76,8 @@ def gauge_transform_E(cp, ge):
     """Gauge law acting on the antisymmetrized-derivative block directly."""
     gp = evaluate_gauge(ge, cp.x)
     lam, dlam = gp.lam.val, gp.lam.jac
-    hom = np.einsum("sih,ms,hk,ij->mjk", cp.E, lam, gp.k, gp.k, optimize=True)
-    inh = 0.5 * np.einsum("si,msh,hk,ij->mjk", cp.e, dlam, gp.k, gp.k, optimize=True)
+    hom = np.einsum("sih,ms,hk,ij->mjk", cp.E, lam, gp.k.val, gp.k.val, optimize=True)
+    inh = 0.5 * np.einsum("si,msh,hk,ij->mjk", cp.e, dlam, gp.k.val, gp.k.val, optimize=True)
     return hom + inh - inh.transpose(0, 2, 1)
 
 
@@ -153,9 +153,9 @@ def dense_kretschmann(cp, curv):
     metric and the frame pair by eta as a contraction operand."""
     gi = dense_metric_inverse(cp)
     et = eta(cp.signature)
-    r_up = contract("...jils,...jJ,...iI->...JIls", curv.R, gi, gi)
+    r_up = contract("...jils,...jJ,...iI->...JIls", curv, gi, gi)
     r_up = contract("...JIls,lL,sS->...JILS", r_up, et, et)
-    return contract("...JIls,...JIls->...", r_up, curv.R)
+    return contract("...JIls,...JIls->...", r_up, curv)
 
 
 def dense_christoffel_omega(cp, gamma):
@@ -166,7 +166,7 @@ def dense_christoffel_omega(cp, gamma):
 
 
 def dense_curvature_to_coordinate(cp, curv):
-    mixed = contract("...jils,st->...jilt", curv.R, eta(cp.signature))
+    mixed = contract("...jils,st->...jilt", curv, eta(cp.signature))
     return contract("...al,...jilt,...tb->...abji", cp.einv, mixed, cp.e)
 
 
@@ -176,10 +176,12 @@ def dense_field_strength_up(f_frame, sig):
     return et @ f_frame @ et, et @ f_frame
 
 
-def dense_fup1(cp, fs):
-    """F^{ab} with its first derivatives, raised by two eta operands."""
+def dense_fup1(kp):
+    """F^{ab} with its first derivatives, built from the potential's jets at the
+    Kaluza point ``kp`` and raised by two eta operands."""
+    cp, da, dda = kp.cp, kp.pot.jac, kp.pot.hess
     et = eta(cp.signature)
-    f1 = JetArray(fs.f_coord, fs.df_coord)
+    f1 = JetArray(da - da.swapaxes(-2, -1), dda - dda.swapaxes(-3, -2))
     einv1 = JetArray(cp.einv, cp.deinv)
     return jet_einsum("am,bn,...ji,...jm,...in->...ab", et, et, f1, einv1, einv1)
 

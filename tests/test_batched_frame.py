@@ -56,7 +56,7 @@ def _outputs(cp) -> dict:
            for name in ("e", "de", "dde", "einv", "deinv", "E", "det")}
     out.update(
         omega=sp.omega, domega=sp.domega, omega_mixed=sp.omega_mixed,
-        quadratic_block=quadratic_block(sp), R=cv.R,
+        quadratic_block=quadratic_block(sp), R=cv,
         torsion=torsion_residual(cp, sp), contact=contact_pullback(sec),
         theta=theta_density(sec), shuffle=omega_shuffle_identity(sec),
         einstein_density=einstein_density(cp, cv), el_residual=el_residual_frame(sec),
@@ -64,7 +64,7 @@ def _outputs(cp) -> dict:
         curvature_to_coordinate=curvature_to_coordinate(cp, cv),
         kretschmann=kretschmann_scalar(cp, cv),
         **{f"oracle_{k}": getattr(orc, k)
-           for k in ("gamma", "riemann", "scalar", "einstein", "ginv")})
+           for k in ("gamma", "riemann", "scalar", "einstein")})
     return {k: np.asarray(v) for k, v in out.items()}
 
 

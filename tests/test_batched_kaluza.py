@@ -31,7 +31,7 @@ def _outputs(kp: _KaluzaPoint) -> dict:
     """Every Kaluza check's output at ``kp``, by name."""
     fs = kp.fs
     out = {f"fs.{name}": getattr(fs, name)
-           for name in ("f_coord", "df_coord", "f_frame", "f_frame_up", "f_frame_mixed")}
+           for name in ("f_coord", "f_frame", "f_frame_up", "f_frame_mixed")}
     mx = kp.maxwell()
     red = kp.reduction()
     chain = kp.chain()

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from vielbein import cli
+from vielbein import cli, pcg, solutions
 from vielbein.cli import main
 from vielbein.expr import parse
 from vielbein.frame import SpinConnectionPoint, evaluate_coframe, spin_connection
@@ -818,6 +818,24 @@ def test_a_dimension_the_check_cannot_take_is_a_config_error(tmp_path, capsys, c
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("solution", [_random_frame(200),
+                                      {"name": "minkowski", "params": {"dim": 200}}])
+def test_a_huge_dimension_is_refused_before_any_draw_or_entry_grid(tmp_path, capsys,
+                                                                 monkeypatch, solution):
+    # m = 200 would draw 40000 random polynomials, or lay out a 200 x 200
+    # entry grid, if the dimension were checked only after the solution is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("a solution of a refused dimension was built")
+
+    monkeypatch.setattr(pcg, "draw_terms", refuse)
+    monkeypatch.setattr(solutions, "_diag_field", refuse)
+    cfg = {**VAC, "check": "identities", "solution": solution, "grid": {"points": [[0.1] * 200]}}
+    assert main(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: check 'identities' needs dimension 3 to 8, got m = 200\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_the_dimension_is_checked_before_the_grid(tmp_path, capsys):
     # a grid of the wrong shape (or a huge mesh) is never looked at for a frame of m = 9
     cfg = {**VAC, "solution": _random_frame(9), "grid": {"ranges": []}}
@@ -947,6 +965,15 @@ def test_a_row_norm_that_overflows_is_not_degenerate(tmp_path):
     # |2e154|^2 overflows, the row norm 2e154 does not
     out = tmp_path / "out"
     cfg = _diagonal_job([2e154, 1, 1, 1], 1, 2, 2)
+    assert main(["run", _write(tmp_path, cfg), "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["results"][0]["max"] == 0.0
+
+
+def test_a_product_of_row_norms_that_overflows_is_not_degenerate(tmp_path):
+    # |det| = 1e308 is finite; the product of the row norms, 1e308 as well,
+    # overflows on the way (1e155 * 1e155), and is compared in logs
+    out = tmp_path / "out"
+    cfg = _diagonal_job([1e155, 1e155, 1e-2, 1], 1, 1, 1)
     assert main(["run", _write(tmp_path, cfg), "--out", str(out)]) == 0
     assert json.loads((out / "report.json").read_text())["results"][0]["max"] == 0.0
 

@@ -1,15 +1,15 @@
-"""``jetlinalg.contract``: einsum as a chain of stacked-matmul pairs, planned
-once per key.
+"""``jetlinalg.contract``: einsum as a chain of stacked-matmul pairs, resolved
+once per key into one cache.
 
-Every ``(spec, per-point operand shapes)`` key the bundled configs plan, and
-random 2- to 4-operand specs, are replayed on random operands against
+Every ``(spec, per-point operand shapes)`` key the bundled configs resolve,
+and random 2- to 4-operand specs, are replayed on random operands against
 ``np.einsum(..., optimize=True)``, and each batch row against the unbatched
-call; the bundled plans are all pairwise matmul steps that contract before
-they take outer products; planning happens once per key, whatever the batch,
-and resolving a replay once per (spec, full operand shapes), as does
-building ``jet_einsum``'s product-rule terms; a spec that is no
-contraction (a trace, a diagonal, a lone operand) is refused before any
-array is made; no contraction under ``src/`` bypasses the plan cache or
+call; the bundled replays are all pairwise matmul steps that contract before
+they take outer products; every batch of the same per-point operands takes
+the same steps, and a replay is resolved once per (spec, full operand
+shapes), as is building ``jet_einsum``'s product-rule terms; a spec that is
+no contraction (a trace, a diagonal, a lone operand) is refused before any
+array is made; no contraction under ``src/`` bypasses the replay cache or
 passes a literal spec that ``contract`` refuses; and the first block of each
 bundled config makes no contraction twice on bit-identical operands, apart
 from named exemptions.
@@ -54,51 +54,49 @@ def _recording_replays(mp, calls: list | None = None) -> dict:
     return replays
 
 
-def _recording_plans(mp) -> dict:
-    """Empty the replay cache and record each plan ``jetlinalg._plan`` makes
-    from then on, by (spec, per-point shapes), in the returned dict."""
-    plans, plan = {}, jetlinalg._plan
+def _point_key(spec: str, shapes: tuple) -> tuple:
+    """``(spec, shapes)`` with the batch axes cut from each operand's shape."""
+    subs = [sub.replace("...", "") for sub in spec.split("->")[0].split(",")]
+    return spec, tuple(s[len(s) - len(sub):] for sub, s in zip(subs, shapes))
 
-    def recording(spec, shapes):
-        plans[spec, shapes] = plan(spec, shapes)
-        return plans[spec, shapes]
 
-    _recording_replays(mp)
-    mp.setattr(jetlinalg, "_plan", recording)
-    return plans
+def _point_steps(steps: tuple) -> list:
+    """A replay's steps without their batch axes: per step, the operand
+    positions and each operand's per-point (s, m, k) or (s, k, n) stack."""
+    return [(inds, [target[-3:] for _, target in stacks]) for inds, stacks, _, _ in steps]
 
 
 @pytest.fixture(scope="module")
-def bundled_plans(tmp_path_factory):
-    """The plans made while running every bundled config, by (spec, shapes)."""
+def bundled_replays(tmp_path_factory):
+    """The replays resolved while running every bundled config, by (spec, full shapes)."""
     out = tmp_path_factory.mktemp("bundled")
     with pytest.MonkeyPatch.context() as mp:
-        plans = _recording_plans(mp)
+        replays = _recording_replays(mp)
         for cfg in CONFIGS:
             assert main(["run", str(cfg), "--out", str(out / cfg.stem)]) == 0
-        return plans
+        return replays
 
 
 @pytest.fixture(scope="module")
-def bundled_keys(bundled_plans):
-    """The (spec, shapes) keys planned while running every bundled config."""
-    return sorted(bundled_plans)
+def bundled_keys(bundled_replays):
+    """The (spec, per-point shapes) keys of the replays of every bundled config."""
+    return sorted({_point_key(*key) for key in bundled_replays})
 
 
-def test_bundled_plans_have_no_multi_operand_einsum(bundled_plans):
+def test_bundled_plans_have_no_multi_operand_einsum(bundled_replays):
     # a plain einsum over two or more operands loops in C over every index
     # and need not sum a batch row as the unbatched call does; every step is
     # a pair run as one stacked matmul
-    slow = [(key, run) for key, plan in bundled_plans.items()
-            for inds, run in plan if isinstance(run, str) or len(inds) != 2]
+    slow = [(key, inds) for key, steps in bundled_replays.items()
+            for inds, stacks, _, _ in steps if len(inds) != 2 or len(stacks) != 2]
     assert not slow
 
 
-def test_bundled_plans_contract_before_outer_products(bundled_plans):
+def test_bundled_plans_contract_before_outer_products(bundled_replays):
     # a step whose contracted size is 1 is an outer product; run ahead of a
     # contraction it blows up the intermediate the later steps loop over
-    outer = [(key, k) for key, plan in bundled_plans.items() if len(plan) > 1
-             for k, (_, (prep_a, *_)) in enumerate(plan) if prep_a[2][2] == 1]
+    outer = [(key, k) for key, steps in bundled_replays.items() if len(steps) > 1
+             for k, (_, stacks, _, _) in enumerate(steps) if stacks[0][1][-1] == 1]
     assert not outer
 
 
@@ -138,7 +136,7 @@ def test_bundled_keys_are_batch_invariant(bundled_keys):
 
 
 def test_one_plan_per_spec_whatever_the_batch(monkeypatch):
-    plans = _recording_plans(monkeypatch)
+    replays = _recording_replays(monkeypatch)
     rng = np.random.default_rng(3)
     spec = "...ab,bc,...cde,...e->...ad"
     shapes = [(4, 5), (5, 3), (3, 4, 6), (6,)]
@@ -150,8 +148,12 @@ def test_one_plan_per_spec_whatever_the_batch(monkeypatch):
         rows = contract(spec, *ops)
         assert rows.shape == batch + one.shape
         assert all(rows[idx].tobytes() == one.tobytes() for idx in np.ndindex(*batch))
-    # each batch resolves its own replay from the plan of the per-point shapes
-    assert list(plans) == [(spec, tuple(shapes))]
+    # each batch resolves its own replay, and every one takes the steps the
+    # per-point shapes choose
+    assert len(replays) == 5
+    assert {_point_key(*key) for key in replays} == {(spec, tuple(shapes))}
+    steps = [_point_steps(s) for s in replays.values()]
+    assert all(s == steps[0] for s in steps)
 
 
 @pytest.mark.parametrize("spec,shapes", [
@@ -285,40 +287,33 @@ def _vacuum_job(tmp_path, name, points):
 
 def test_each_key_is_planned_once(tmp_path, monkeypatch):
     calls = []
-    plan = jetlinalg._plan
-
-    def counting(*args):
-        calls.append(args)
-        return plan(*args)
-
-    replays = _recording_replays(monkeypatch)
-    monkeypatch.setattr(jetlinalg, "_plan", counting)
+    replays = _recording_replays(monkeypatch, calls)
     assert main(_vacuum_job(tmp_path, "one", 1)) == 0
-    planned = set(calls)
+    planned = {_point_key(*key) for key in replays}
     assert len(calls) == len(replays) > 0
-    # 65 points span two grid blocks; the block of 64 plans each of its new
-    # replays once, on per-point shapes planned before
+    # 65 points span two grid blocks; the block of 64 resolves each of its
+    # new replays once, on per-point shapes resolved before
     assert main(_vacuum_job(tmp_path, "many", 65)) == 0
-    assert set(calls) == planned
+    assert {_point_key(*key) for key in replays} == planned
     assert len(calls) == len(replays)
 
 
 def test_each_plan_is_made_once_whatever_the_batch(monkeypatch):
     # blocks of 64, 1 and 17 points resolve a replay per block size for each
-    # key, and every replay asks for its plan; the plan of a (spec, per-point
-    # shapes) key is made once and shared by all of them
-    asked, plan = [], jetlinalg._plan
-    replays = _recording_replays(monkeypatch)
-    monkeypatch.setattr(jetlinalg, "_plan", lambda *key: asked.append(key) or plan(*key))
-    plan.cache_clear()
+    # (spec, per-point shapes) key, once each, and all of them take the steps
+    # the per-point shapes choose
+    calls = []
+    replays = _recording_replays(monkeypatch, calls)
     field = make_solution("schwarzschild", {"M": 1.0}).tetrad
     for n in (64, 1, 17):
         points = np.array([[0.0, 3.0 + 0.1 * k, 1.1, 0.2] for k in range(n)])
         cp = evaluate_coframe(field, points)
         einstein_density(cp, curvature(spin_connection(cp)))
-    keys = set(asked)
-    assert len(asked) == len(replays) == 3 * len(keys) > 0
-    assert plan.cache_info().misses == len(keys)
+    steps: dict = {}
+    for key, replay in replays.items():
+        steps.setdefault(_point_key(*key), []).append(_point_steps(replay))
+    assert len(calls) == len(replays) == 3 * len(steps) > 0
+    assert all(s[0] == s[1] == s[2] for s in steps.values())
 
 
 def test_replay_cache_is_bounded_and_holds_the_bundled_jobs(tmp_path, monkeypatch):
@@ -331,12 +326,6 @@ def test_replay_cache_is_bounded_and_holds_the_bundled_jobs(tmp_path, monkeypatc
     assert bound is not None and 4 * len(replays) <= bound
 
 
-def _count_calls(monkeypatch, calls: list, name: str):
-    """Wrap ``jetlinalg.<name>`` so that each call appends ``name`` to ``calls``."""
-    run = getattr(jetlinalg, name)
-    monkeypatch.setattr(jetlinalg, name, lambda *args: calls.append(name) or run(*args))
-
-
 def _widened(spec: str, shapes: tuple, n: int) -> tuple:
     """``shapes`` with the batch axis of each batched operand set to ``n``."""
     subs = spec.split("->")[0].split(",")
@@ -346,24 +335,23 @@ def _widened(spec: str, shapes: tuple, n: int) -> tuple:
 
 def test_replays_resolved_once_per_full_shapes(tmp_path, monkeypatch):
     calls = []
-    _count_calls(monkeypatch, calls, "_plan")
     resolved = _recording_replays(monkeypatch, calls)
     assert main(_vacuum_job(tmp_path, "one", 1)) == 0
     replays = set(resolved)
-    # each replay plans its spec once, for itself
-    assert calls == ["_replay", "_plan"] * len(replays)
-    # a second identical job resolves no replay and plans nothing
+    # each replay is resolved once
+    assert calls == ["_replay"] * len(replays)
+    # a second identical job resolves no replay
     del calls[:]
     assert main(_vacuum_job(tmp_path, "again", 1)) == 0
     assert not calls and set(resolved) == replays
     # 65 points span blocks of 64 and 1: one new replay per batched key, for
-    # the batch of 64, with its plan
+    # the batch of 64
     assert main(_vacuum_job(tmp_path, "many", 65)) == 0
     batched = [(spec, shapes) for spec, shapes in replays if _widened(spec, shapes, 64) != shapes]
     new = set(resolved) - replays
     assert batched and len(new) == len(batched)
     assert new == {(spec, _widened(spec, shapes, 64)) for spec, shapes in batched}
-    assert calls == ["_replay", "_plan"] * len(new)
+    assert calls == ["_replay"] * len(new)
 
 
 def test_product_terms_built_once_per_key():
@@ -461,8 +449,10 @@ def test_contractions_cannot_bypass_the_plan_cache():
     assert len(specs) > 30
     refused = []
     for where, spec in specs:
+        # per-point operands whose letters all have size 2
+        shapes = tuple((2,) * len(sub.replace("...", "")) for sub in spec.split("->")[0].split(","))
         try:
-            jetlinalg._spec_parts(spec)
+            jetlinalg._replay.__wrapped__(spec, shapes)
         except ValueError:
             refused.append((where, spec))
     assert not refused, f"specs contract refuses: {refused}"

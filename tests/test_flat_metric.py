@@ -77,6 +77,6 @@ def test_field_strength_sign_vector_equals_dense_eta(seed, n, data):
     assert np.array_equal(fs.f_frame_up, up)
     assert np.array_equal(fs.f_frame_mixed, mixed)
     # the raised field strength with its derivatives, which maxwell() reads
-    ref = dense_fup1(kp.cp, fs)
+    ref = dense_fup1(kp)
     assert np.array_equal(fs.f_frame_up, ref.val)
     assert np.array_equal(fs.df_frame_up, ref.jac)

@@ -163,7 +163,7 @@ def test_chart_transfer_quadratic_map():
 
     composed = eval_jet(parse(f_text, 2), mapped)   # jets in the source chart
     q = JetArray(np.array(composed.val), composed.jac, composed.hess)
-    out = chart_transfer(q, k, dk)
+    out = chart_transfer(q, JetArray(k, dk))
 
     target = eval_jet(parse(f_text, 2), jet_seed([m.val for m in mapped]))
     assert np.allclose(out.val, target.val)

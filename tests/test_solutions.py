@@ -73,7 +73,7 @@ def test_flat_flags_verified(rng):
         assert "flat" in sol.flags
         for pt in sol.sample_points(rng, 5):
             cp = evaluate_coframe(sol.tetrad, pt)
-            assert np.abs(curvature(spin_connection(cp)).R).max() < 1e-10
+            assert np.abs(curvature(spin_connection(cp))).max() < 1e-10
 
 
 def test_einstein_maxwell_flag_verified(rng):
@@ -119,6 +119,19 @@ def test_random_polynomial_nondegenerate(rng):
             for pt in sol.sample_points(rng, 10):
                 cp = evaluate_coframe(sol.tetrad, pt)   # raises if degenerate
                 assert abs(np.linalg.det(cp.e)) > 0.3
+
+
+@pytest.mark.parametrize("name", sorted(SOLUTIONS))
+def test_sample_points_keep_their_stream(name):
+    # n rows of per-axis uniform(lo, hi) draws, from the package's generator
+    # and from numpy's, as numpy draws an (n, m) array of them; perfbench
+    # draws its grids with numpy's, so this pins its job configs
+    sol, seed, n = make_solution(name), 97, 5
+    lo, hi = np.array(sol.box).T
+    want = [tuple(row) for row in np.random.default_rng(seed).uniform(lo, hi, (n, len(lo))).tolist()]
+    assert sol.sample_points(_seeded_rng(seed), n) == want
+    assert sol.sample_points(np.random.default_rng(seed), n) == want
+    assert all(sol.contains(p) for p in want)
 
 
 def test_random_polynomial_deterministic():
