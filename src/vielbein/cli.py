@@ -19,6 +19,7 @@ import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
+from itertools import product
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -344,7 +345,7 @@ def _grid_residuals(job: JobConfig, tetrad, kcfg, points, size: int | None = Non
 
 def _component_ids(shape: tuple[int, ...]) -> list[str]:
     """``i_j_k`` for each index of ``shape``, in the row-major order of ``np.ndindex``."""
-    return ["_".join(map(str, idx)) for idx in np.ndindex(shape)]
+    return list(map("_".join, product(*[[str(i) for i in range(n)] for n in shape])))
 
 
 class _CsvStream:

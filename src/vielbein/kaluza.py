@@ -124,7 +124,6 @@ class LiftedCoframeField:
     """5D coframe provider assembled from a Kaluza configuration."""
 
     signature = SIG5
-    dim = 5
 
     def __init__(self, cfg: KaluzaConfig):
         self.cfg = cfg
@@ -385,7 +384,6 @@ class _RotatedTetradField:
     SO(1, 3) generator grid, at one point or a block of points."""
 
     signature = SIG4
-    dim = 4
 
     def __init__(self, base, generator, params):
         self.base = base
